@@ -115,7 +115,7 @@ def pushforward_u(u_on_mapped: Field | Callable, chart: HolomorphicChart) -> Fie
     if callable(u_on_mapped):
         u_on_mapped = chart.sample(u_on_mapped)
     w = chart.derivative_on_strip()
-    return Field(chart.strip, u_on_mapped.values * np.abs(w), role="coefficient")
+    return Field(chart.strip, u_on_mapped.values * np.abs(w))
 
 
 def pushforward_psi(psi_on_mapped: Field | Callable, chart: HolomorphicChart,
@@ -180,7 +180,7 @@ def check_commutativity(chart: HolomorphicChart,
     f1p_d = chart.sample(f1_plus_of_z)
     psi_d = chart.sample(psi_of_z)
 
-    u_s = Field(strip, u_d.values * np.abs(w), role="coefficient")
+    u_s = Field(strip, u_d.values * np.abs(w))
     f1_s = Field(strip, f1_d.values * s)
     f1p_s = Field(strip, f1p_d.values * s)
     psi_s = Field(strip, psi_d.values * s)

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ShapeError, StencilError
 
-_ROLES = ("coefficient", "solution", "conjugate_solution", "generic")
-
 # 4th-order first-derivative stencil rows (edge, sub-edge), unit spacing
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
@@ -99,10 +97,6 @@ class GridSpec:
         j = int(round((y - self.y_min) / self.hy))
         return min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1)
 
-    def with_resolution(self, nx: int, ny: int) -> "GridSpec":
-        return GridSpec(self.x_min, self.x_max, self.y_min, self.y_max,
-                        nx, ny, self.excluded_band)
-
 
 @dataclass(frozen=True)
 class Field:
@@ -110,7 +104,6 @@ class Field:
 
     grid: GridSpec
     values: np.ndarray
-    role: str = "generic"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -118,26 +111,20 @@ class Field:
         if vals.shape != self.grid.shape():
             raise ShapeError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape()}")
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
         if not np.all(np.isfinite(vals[self.grid.mask])):
             raise ValueError("field has non-finite values at active nodes")
 
     @classmethod
-    def from_callable(cls, grid: GridSpec, fn: Callable[[np.ndarray], np.ndarray],
-                      role: str = "generic") -> "Field":
+    def from_callable(cls, grid: GridSpec,
+                      fn: Callable[[np.ndarray], np.ndarray]) -> "Field":
         """Sample ``fn(z)`` on the grid.  Non-finite values are allowed
         only inside the excluded band and are zeroed there."""
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.asarray(fn(grid.z), dtype=complex)
-        vals = np.broadcast_to(vals, grid.shape()).copy()
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            vals[bad & ~grid.mask] = 0.0
-        return cls(grid, vals, role)
+        return cls(grid, _scrub(grid, np.broadcast_to(vals, grid.shape()).copy()))
 
     def conj(self) -> "Field":
-        return Field(self.grid, np.conj(self.values), self.role)
+        return Field(self.grid, np.conj(self.values))
 
     def max_abs(self) -> float:
         """Max modulus over active nodes."""
@@ -150,9 +137,6 @@ class Field:
             return other.values
         if np.isscalar(other) or isinstance(other, np.ndarray):
             return other
-        values = getattr(other, "values", None)
-        if values is not None and getattr(other, "grid", None) == self.grid:
-            return values
         return NotImplemented
 
     def _binary(self, other, op):
@@ -161,10 +145,7 @@ class Field:
             return NotImplemented
         with np.errstate(divide="ignore", invalid="ignore"):
             out = op(self.values, vals)
-        out = np.asarray(out, dtype=complex)
-        if self.grid.excluded_band is not None:
-            out[~np.isfinite(out) & ~self.grid.mask] = 0.0
-        return Field(self.grid, out)
+        return Field(self.grid, _scrub(self.grid, np.asarray(out, dtype=complex)))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -188,7 +169,7 @@ class Field:
         return self._binary(other, lambda a, b: a / b)
 
     def __neg__(self):
-        return Field(self.grid, -self.values, self.role)
+        return Field(self.grid, -self.values)
 
 
 def _diff_1d(fm: np.ndarray, h: float) -> np.ndarray:
@@ -229,7 +210,11 @@ def dz(f: Field) -> Field:
 
 
 def _scrub(grid: GridSpec, vals: np.ndarray) -> np.ndarray:
-    # stencils that reach into the excluded band may produce junk there
+    """``vals`` with non-finite values outside the active mask set to 0.
+
+    Poles on the contour and stencils that reach into the excluded band
+    produce junk there; at active nodes it is left for Field to reject.
+    """
     if grid.excluded_band is not None:
         vals = np.where(np.isfinite(vals) | grid.mask, vals, 0.0)
     return vals

@@ -16,12 +16,13 @@ back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ShapeError, SingularOmegaError, ZeroPotentialError
-from .grid import Field, residual
+from .grid import Field, _scrub, residual
 from .potential import Potential
 
 #: relative floor (times the potential scale) below which a potential
@@ -84,25 +85,36 @@ class SeedSet:
         return np.transpose(np.array(rows), (2, 3, 0, 1))
 
 
-def _det_nodes(om: np.ndarray, grid, det_tol: float | None) -> np.ndarray:
+def _det(om: np.ndarray) -> np.ndarray:
+    """Node-wise determinant; closed forms for N <= 2."""
     n = om.shape[-1]
     if n == 1:
-        det = om[..., 0, 0]
-    elif n == 2:
-        det = om[..., 0, 0] * om[..., 1, 1] - om[..., 0, 1] * om[..., 1, 0]
-    else:
-        det = np.linalg.det(om)
-    scale = float(np.max(np.abs(om)))
+        return om[..., 0, 0]
+    if n == 2:
+        return om[..., 0, 0] * om[..., 1, 1] - om[..., 0, 1] * om[..., 1, 0]
+    return np.linalg.det(om)
+
+
+def _det_nodes(om: np.ndarray, grid, det_tol: float | None) -> float:
+    """Smallest |det| of the potential matrix over active nodes.
+
+    Raises where it drops to ``det_tol``, by default DET_TOL_FACTOR
+    times the N-th power of the largest active |entry|: a vanishing
+    seed potential (N = 1) raises ZeroPotentialError, a singular matrix
+    (N >= 2) SingularOmegaError.
+    """
+    n = om.shape[-1]
+    abs_det = np.abs(_det(om)[grid.mask])
+    scale = float(np.max(abs_det if n == 1 else np.abs(om[grid.mask])))
     tol = DET_TOL_FACTOR * scale ** n if det_tol is None else det_tol
-    bad = (np.abs(det) <= tol) & grid.mask
-    if bad.any():
-        idx = np.unravel_index(np.argmin(np.abs(np.where(grid.mask, det, np.inf))),
-                               det.shape)
-        raise SingularOmegaError(
-            f"potential matrix is singular at {int(bad.sum())} node(s); "
-            f"|det| = {abs(det[idx]):.3e} at node {tuple(int(v) for v in idx)} "
-            f"(tol {tol:.1e})")
-    return det
+    k = int(np.argmin(abs_det))
+    if abs_det[k] <= tol:
+        node = tuple(int(idx[k]) for idx in np.nonzero(grid.mask))
+        error = ZeroPotentialError if n == 1 else SingularOmegaError
+        raise error(f"{n}x{n} potential matrix is singular at "
+                    f"{np.count_nonzero(abs_det <= tol)} node(s); |det| = "
+                    f"{abs_det[k]:.3e} at node {node} (tol {tol:.1e})")
+    return float(abs_det[k])
 
 
 def _solve_nodes(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -111,26 +123,58 @@ def _solve_nodes(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if n == 1:
         return rhs / om[..., 0, 0, None]
     if n == 2:
-        det = om[..., 0, 0] * om[..., 1, 1] - om[..., 0, 1] * om[..., 1, 0]
+        det = _det(om)
         x0 = (om[..., 1, 1] * rhs[..., 0] - om[..., 0, 1] * rhs[..., 1]) / det
         x1 = (om[..., 0, 0] * rhs[..., 1] - om[..., 1, 0] * rhs[..., 0]) / det
         return np.stack([x0, x1], axis=-1)
     return np.linalg.solve(om, rhs[..., None])[..., 0]
 
 
-def _check_nonvanishing(pot: Potential, det_tol: float | None) -> None:
-    scale = pot.max_abs()
-    tol = DET_TOL_FACTOR * scale if det_tol is None else det_tol
-    low = pot.min_abs()
-    if low <= tol:
-        raise ZeroPotentialError(
-            f"seed potential reaches |w| = {low:.3e} (tol {tol:.1e})")
+def _dot(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j stack[..., j] * x[..., j], accumulated in seed order."""
+    out = stack[..., 0] * x[..., 0]
+    for j in range(1, stack.shape[-1]):
+        out += stack[..., j] * x[..., j]
+    return out
 
 
 def _as_potential_list(omegas) -> list[Potential]:
-    if isinstance(omegas, Potential):
-        return [omegas]
-    return list(omegas)
+    return [omegas] if isinstance(omegas, Potential) else list(omegas)
+
+
+def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
+               om: np.ndarray, det_tol: float | None) -> TransformResult:
+    """The transform generated by N seeds, node by node.
+
+    ``f_stack`` and ``fp_stack`` hold the direct and conjugate seeds
+    along a last axis of length N and ``om`` is the (nx, ny, N, N)
+    potential matrix.  The coefficient becomes u + sum_j f_j x_j with
+    om x = conj(f+); psi maps to psi - sum_j f_j y_j with
+    om y = (w_{psi,f_j+})_j, and psi+ to psi+ - sum_j f_j+ y_j with
+    om^T y = (w_{f_j,psi+})_j.  Values that are non-finite inside an
+    excluded band become 0 there.
+    """
+    grid, n = u.grid, om.shape[-1]
+    det_min = _det_nodes(om, grid, det_tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_tilde = u.values + _dot(f_stack, _solve_nodes(om, np.conj(fp_stack)))
+
+    def mapped(stack: np.ndarray, matrix: np.ndarray, base: Field, omegas) -> Field:
+        pots = _as_potential_list(omegas)
+        if len(pots) != n or base.grid != grid:
+            raise ShapeError(f"a map takes a field on the transform's grid and "
+                             f"{n} potential(s), one per seed")
+        # a single potential is viewed, not copied, as its own stack
+        rhs = pots[0].values[..., None] if n == 1 else \
+            np.stack([p.values for p in pots], axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = base.values - _dot(stack, _solve_nodes(matrix, rhs))
+        return Field(grid, _scrub(grid, vals))
+
+    return TransformResult(Field(grid, _scrub(grid, u_tilde)),
+                           partial(mapped, f_stack, om),
+                           partial(mapped, fp_stack, np.swapaxes(om, -1, -2)),
+                           n, det_min)
 
 
 def moutard_simple(u: Field, f1: Field, f1_plus: Field, omega_ff: Potential,
@@ -140,50 +184,18 @@ def moutard_simple(u: Field, f1: Field, f1_plus: Field, omega_ff: Potential,
     The transformed coefficient is u + f1*conj(f1+)/w, and a solution
     psi maps to psi - f1*w_{psi,f1+}/w.
     """
-    _check_nonvanishing(omega_ff, det_tol)
-    u_tilde = u + f1 * f1_plus.conj() / omega_ff
-    u_tilde = Field(u_tilde.grid, u_tilde.values, role="coefficient")
-
-    def map_psi(psi: Field, omegas) -> Field:
-        (om_pf,) = _as_potential_list(omegas)
-        return psi - f1 * (om_pf.values / omega_ff.values)
-
-    def map_psi_plus(psi_plus: Field, omegas) -> Field:
-        (om_fp,) = _as_potential_list(omegas)
-        return psi_plus - f1_plus * (om_fp.values / omega_ff.values)
-
-    return TransformResult(u_tilde, map_psi, map_psi_plus, 1,
-                           det_min=omega_ff.min_abs())
+    if not u.grid == f1.grid == f1_plus.grid == omega_ff.grid:
+        raise ShapeError("coefficient, seed pair and potential live on different grids")
+    return _transform(u, f1.values[..., None], f1_plus.values[..., None],
+                      omega_ff.values[..., None, None], det_tol)
 
 
 def moutard_rank_n(seedset: SeedSet, det_tol: float | None = None) -> TransformResult:
     """Rank-N transform from a validated seed set."""
-    grid = seedset.u.grid
-    om = seedset.omega_array()
-    det = _det_nodes(om, grid, det_tol)
-    f_stack = np.stack([f.values for f, _ in seedset.seeds], axis=-1)
-    fp_stack = np.stack([fp.values for _, fp in seedset.seeds], axis=-1)
-
-    sol = _solve_nodes(om, np.conj(fp_stack))
-    u_tilde = Field(grid, seedset.u.values + np.sum(f_stack * sol, axis=-1),
-                    role="coefficient")
-    om_t = np.swapaxes(om, -1, -2)
-
-    def map_psi(psi: Field, omegas) -> Field:
-        pots = _as_potential_list(omegas)
-        rhs = np.stack([p.values for p in pots], axis=-1)
-        x = _solve_nodes(om, rhs)
-        return Field(grid, psi.values - np.sum(f_stack * x, axis=-1))
-
-    def map_psi_plus(psi_plus: Field, omegas) -> Field:
-        pots = _as_potential_list(omegas)
-        rhs = np.stack([p.values for p in pots], axis=-1)
-        x = _solve_nodes(om_t, rhs)
-        return Field(grid, psi_plus.values - np.sum(fp_stack * x, axis=-1))
-
-    det_min = float(np.min(np.abs(det[grid.mask])))
-    return TransformResult(u_tilde, map_psi, map_psi_plus, len(seedset.seeds),
-                           det_min=det_min)
+    return _transform(seedset.u,
+                      np.stack([f.values for f, _ in seedset.seeds], axis=-1),
+                      np.stack([fp.values for _, fp in seedset.seeds], axis=-1),
+                      seedset.omega_array(), det_tol)
 
 
 def transformed_potential(omega_pp: Potential, omega_pf: Potential,
@@ -196,7 +208,7 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     the transformed pair's potential is
     (w_pp * w_ff - w_pf * w_fp) / w_ff + constant.
     """
-    _check_nonvanishing(omega_ff, det_tol)
+    _det_nodes(omega_ff.values[..., None, None], omega_ff.grid, det_tol)
     constant = complex(constant)
     vals = (omega_pp.values * omega_ff.values
             - omega_pf.values * omega_fp.values) / omega_ff.values + constant
@@ -254,7 +266,7 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
     take transformed solutions together with the *original* potentials
     (the ones that fed the forward map).
     """
-    _check_nonvanishing(omega_ff, det_tol)
+    _det_nodes(omega_ff.values[..., None, None], omega_ff.grid, det_tol)
     grid = f1.grid
     w = omega_ff.values
     f_hat = Field(grid, -1j * f1.values / w)
@@ -274,8 +286,7 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
                                           om_fp.basepoint)
         return m2.map_psi_plus(psi_plus_tilde, om_scaled)
 
-    return TransformResult(m2.u_tilde, map_psi, map_psi_plus, 1,
-                           det_min=om_hat.min_abs())
+    return TransformResult(m2.u_tilde, map_psi, map_psi_plus, 1, m2.det_min)
 
 
 def seed_annihilation_max(result: TransformResult, seedset: SeedSet) -> float:

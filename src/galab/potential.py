@@ -17,7 +17,7 @@ import numpy as np
 
 from ._integrate import cumulative_integral, integral
 from .errors import ExactnessError, PositivityError, ShapeError
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, _scrub
 
 if TYPE_CHECKING:
     from .singularity import SingularFieldModel
@@ -36,8 +36,7 @@ class Potential:
 
     ``constant`` is the value at ``basepoint``; ``path_defect`` records
     the disagreement between the two L-path orientations (a closedness
-    diagnostic), ``half_constants`` the per-half basepoint values for
-    potentials integrated separately on x > 0 and x < 0.
+    diagnostic).
     """
 
     grid: GridSpec
@@ -46,7 +45,6 @@ class Potential:
     basepoint: tuple[int, int]
     path_defect: float = 0.0
     real_drift: float = 0.0
-    half_constants: tuple[complex, complex] | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -64,16 +62,11 @@ class Potential:
                     basepoint: tuple[int, int] = (0, 0)) -> "Potential":
         """Wrap closed-form values; the constant is read off at the basepoint."""
         values = np.asarray(values, dtype=complex)
-        values = np.broadcast_to(values, grid.shape()).copy()
-        if grid.excluded_band is not None:
-            values[~np.isfinite(values) & ~grid.mask] = 0.0
+        values = _scrub(grid, np.broadcast_to(values, grid.shape()).copy())
         return cls(grid, values, complex(values[basepoint]), basepoint)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values[self.grid.mask])))
-
-    def min_abs(self) -> float:
-        return float(np.min(np.abs(self.values[self.grid.mask])))
 
     def summary(self) -> dict:
         return {
@@ -97,20 +90,26 @@ def _form_components(psi: Field, psi_plus: Field) -> tuple[np.ndarray, np.ndarra
     return 2j * p.imag, 2j * p.real  # dx and dy components
 
 
-def _l_path(a: np.ndarray, b: np.ndarray, hx: float, hy: float,
-            basepoint: tuple[int, int], order: str) -> np.ndarray:
+def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
+                    basepoint: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """Integral of a dx + b dy from ``basepoint`` along x-then-y L-paths.
+
+    Also returns the largest disagreement, over active nodes, with the
+    y-then-x orientation: zero up to quadrature error for a closed form.
+    """
     i0, j0 = basepoint
-    if order == "xy":
-        leg_x = cumulative_integral(a[:, j0], hx)
-        leg_y = cumulative_integral(b, hy, axis=1)
-        return (leg_x - leg_x[i0])[:, None] + leg_y - leg_y[:, j0][:, None]
-    leg_y = cumulative_integral(b[i0, :], hy)
-    leg_x = cumulative_integral(a, hx, axis=0)
-    return (leg_y - leg_y[j0])[None, :] + leg_x - leg_x[i0, :][None, :]
+    leg_x = cumulative_integral(a[:, j0], grid.hx)
+    leg_y = cumulative_integral(b, grid.hy, axis=1)
+    w_xy = (leg_x - leg_x[i0])[:, None] + leg_y - leg_y[:, j0][:, None]
+    leg_y = cumulative_integral(b[i0, :], grid.hy)
+    leg_x = cumulative_integral(a, grid.hx, axis=0)
+    w_yx = (leg_y - leg_y[j0])[None, :] + leg_x - leg_x[i0, :][None, :]
+    del leg_x  # a full grid, not needed for the defect
+    return w_xy, float(np.max(np.abs((w_xy - w_yx)[grid.mask])))
 
 
 def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
-          constant: complex = 0.0, path: str = "xy",
+          constant: complex = 0.0,
           exactness_tol: float = DEFAULT_EXACTNESS_TOL) -> Potential:
     """Integrate the pair potential from ``basepoint``.
 
@@ -122,25 +121,20 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
         Node index where the potential equals ``constant``.
     constant : complex
         Imaginary integration constant.
-    path : {"xy", "yx"}
-        L-path orientation used for the returned values.
     exactness_tol : float
-        Maximum allowed disagreement between the two orientations.
-        Larger disagreement raises ExactnessError, which signals the
-        pair does not solve the equations.
+        Maximum allowed disagreement between the x-then-y and y-then-x
+        L-path orientations.  Larger disagreement raises ExactnessError,
+        which signals the pair does not solve the equations.
     """
     constant = _check_imaginary_constant(constant)
     a, b = _form_components(psi, psi_plus)
     grid = psi.grid
-    w_xy = _l_path(a, b, grid.hx, grid.hy, basepoint, "xy")
-    w_yx = _l_path(a, b, grid.hx, grid.hy, basepoint, "yx")
-    defect = float(np.max(np.abs((w_xy - w_yx)[grid.mask])))
+    w_xy, defect = _integrate_form(a, b, grid, basepoint)
     if defect > exactness_tol:
         raise ExactnessError(
             f"path-dependence defect {defect:.3e} exceeds {exactness_tol:.1e}; "
             "the pair is not a solution/conjugate-solution pair")
-    vals = (w_xy if path == "xy" else w_yx) + constant
-    return Potential(grid, vals, constant, basepoint, path_defect=defect)
+    return Potential(grid, w_xy + constant, constant, basepoint, path_defect=defect)
 
 
 def loop_defect(psi: Field, psi_plus: Field,
@@ -175,9 +169,7 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
     2i*b(y)/x with b = product of the leading coefficients; only the
     remainder, which is bounded across the contour for a genuine pair,
     is integrated numerically.  Integrating the remainder over the
-    whole strip keeps one shared constant on both sides of the contour;
-    the values at a reference node of each half are recorded in
-    ``half_constants``.
+    whole strip keeps one shared constant on both sides of the contour.
 
     Raises PositivityError when b is not strictly positive on the
     contour interval.
@@ -218,21 +210,9 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
             p_rem[i, j] = 0.0
     w_lead[~np.isfinite(w_lead)] = 0.0
 
-    # the remainder form is integrated over the whole strip so both
-    # halves share one constant; the per-half values are reported
-    a_c = 2j * p_rem.imag
-    b_c = 2j * p_rem.real
     bp_index = (grid.nx - 1, 0)
-    w_xy = _l_path(a_c, b_c, grid.hx, grid.hy, bp_index, "xy")
-    w_yx = _l_path(a_c, b_c, grid.hx, grid.hy, bp_index, "yx")
-    defect = float(np.max(np.abs((w_xy - w_yx)[grid.mask])))
-    vals = w_xy + w_lead + constant
-    halves = []
-    right = np.nonzero(grid.xs > 0)[0]
-    left = np.nonzero(grid.xs < 0)[0]
-    for cols, ref in ((right, -1), (left, 0)):
-        if cols.size:
-            halves.append(complex(vals[cols[ref], 0]))
+    w_rem, defect = _integrate_form(2j * p_rem.imag, 2j * p_rem.real, grid,
+                                    bp_index)
+    vals = w_rem + w_lead + constant
     return Potential(grid, vals, complex(vals[bp_index]), bp_index,
-                     path_defect=defect,
-                     half_constants=tuple(halves) if halves else None)
+                     path_defect=defect)

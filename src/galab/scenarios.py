@@ -10,6 +10,7 @@ plus CSV dumps of the key output grids.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -21,10 +22,10 @@ from .conformal import HolomorphicChart, check_commutativity
 from .errors import ExactnessError, GalabError, ScenarioError
 from .expressions import as_function_of_z, constant_value, evaluate_on_grid, \
     parse_expression
-from .grid import Field, GridSpec, dz as dz_op, residual, write_csv
+from .grid import Field, GridSpec, _scrub, dz as dz_op, residual, write_csv
 from .moutard import (SeedSet, compose_simple, invert_simple, moutard_rank_n,
                       moutard_simple, seed_annihilation_max, transformed_potential)
-from .potential import Potential, loop_defect, omega
+from .potential import REAL_DRIFT_TOL, Potential, loop_defect, omega
 from .series import (FunctionOnInterval, PoleProfile, pole_order_check,
                      meromorphic_certify, series_residual, solve_recursion)
 from .singularity import remove_pole, synthesize_seeds, synthesize_singular_u
@@ -94,12 +95,9 @@ class Scenario:
                 f"a [grid] section")
         return self.grid
 
-    def field(self, key: str, role: str = "generic") -> Field:
-        values = evaluate_on_grid(self.expression(key), self.require_grid())
-        bad = ~np.isfinite(values)
-        if bad.any():
-            values[bad & ~self.grid.mask] = 0.0
-        return Field(self.grid, values, role)
+    def field(self, key: str) -> Field:
+        grid = self.require_grid()
+        return Field(grid, _scrub(grid, evaluate_on_grid(self.expression(key), grid)))
 
     def constant(self, key: str) -> complex:
         return self.constants.get(key, 0.0)
@@ -153,6 +151,8 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
             kwargs["excluded_band"] = gsec.getfloat("excluded_band")
         if grid_override is not None:
             kwargs["nx"], kwargs["ny"] = grid_override
+        if min(kwargs["nx"], kwargs["ny"]) < 5:  # the stencils' width
+            raise ScenarioError(f"scenario {name!r}: grid needs >= 5 nodes per axis")
         try:
             grid = GridSpec(**kwargs)
         except ValueError as exc:
@@ -163,6 +163,9 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
             except ValueError as exc:
                 raise ScenarioError(
                     f"scenario {name!r}: basepoint must be i,j: {exc}")
+            if not (0 <= i < grid.nx and 0 <= j < grid.ny):
+                raise ScenarioError(
+                    f"scenario {name!r}: basepoint {i},{j} is off the grid")
             basepoint = (i, j)
 
     constants = {}
@@ -173,6 +176,9 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
             except GalabError as exc:
                 raise ScenarioError(
                     f"scenario {name!r}: bad constant {key!r}: {exc}")
+            if abs(constants[key].real) > REAL_DRIFT_TOL:
+                raise ScenarioError(
+                    f"scenario {name!r}: constant {key!r} is not imaginary")
 
     expressions = dict(parser["expressions"]) if "expressions" in parser else {}
     for key, src in expressions.items():
@@ -185,15 +191,24 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
     tolerances = {}
     if "tolerances" in parser:
         for key, val in parser["tolerances"].items():
-            tolerances[key] = float(val)
+            try:
+                tolerances[key] = float(val)
+            except ValueError as exc:
+                raise ScenarioError(f"scenario {name!r}: bad tolerance {key!r}: {exc}")
     if tol_override is not None:
         tolerances[PRIMARY_TOLERANCE[pipeline]] = tol_override
+    for key, val in tolerances.items():
+        if not (math.isfinite(val) and val >= 0):
+            raise ScenarioError(
+                f"scenario {name!r}: tolerance {key!r} = {val} is not >= 0")
 
     profile: dict[str, object] = {}
     if "profile" in parser:
         profile = _parse_profile_section(parser["profile"], name)
     if order_override is not None:
         profile["order"] = order_override
+    if profile.get("order", 0) < 0:
+        raise ScenarioError(f"scenario {name!r}: order {profile['order']} is below 0")
 
     return Scenario(name=name, pipeline=pipeline, claim=meta.get("claim", ""),
                     grid=grid, basepoint=basepoint, expressions=expressions,
@@ -289,12 +304,12 @@ def _grid_json(grid: GridSpec | None) -> dict | None:
 
 
 def run_residual(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    u = scn.field("u", "coefficient")
-    psi = scn.field("psi", "solution")
+    u = scn.field("u")
+    psi = scn.field("psi")
     metrics = {"residual_direct": residual(u, psi, "direct")}
     checks.add("residual_direct", metrics["residual_direct"], scn.tol("residual"))
     if "psi_plus" in scn.expressions:
-        psi_plus = scn.field("psi_plus", "conjugate_solution")
+        psi_plus = scn.field("psi_plus")
         metrics["residual_conjugate"] = residual(u, psi_plus, "conjugate")
         checks.add("residual_conjugate", metrics["residual_conjugate"],
                    scn.tol("residual"))
@@ -329,19 +344,20 @@ def run_potential(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
     return metrics
 
 
-def _transform_potentials(scn: Scenario, f1: Field, f1_plus: Field,
-                          psi: Field) -> tuple[Potential, Potential]:
-    om_ff = omega(f1, f1_plus, scn.basepoint, scn.constant("omega_f1_f1p"))
-    om_pf = omega(psi, f1_plus, scn.basepoint, scn.constant("omega_psi_f1p"))
-    return om_ff, om_pf
+def _pair_omegas(scn: Scenario, fields: dict[str, Field],
+                 *pairs: str) -> list[Potential]:
+    """Potential of each "a b" field pair, with the scenario constant
+    omega_<a>_<b> where ``_plus`` is written ``p`` ("psi f1_plus" reads
+    omega_psi_f1p)."""
+    return [omega(fields[a], fields[b], scn.basepoint,
+                  scn.constant(f"omega_{a}_{b.replace('_plus', 'p')}"))
+            for a, b in map(str.split, pairs)]
 
 
 def run_transform(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    u = scn.field("u", "coefficient")
-    f1 = scn.field("f1", "solution")
-    f1_plus = scn.field("f1_plus", "conjugate_solution")
-    psi = scn.field("psi", "solution")
-    om_ff, om_pf = _transform_potentials(scn, f1, f1_plus, psi)
+    fields = {k: scn.field(k) for k in "u f1 f1_plus psi".split()}
+    u, f1, f1_plus, psi = fields.values()
+    om_ff, om_pf = _pair_omegas(scn, fields, "f1 f1_plus", "psi f1_plus")
     result = moutard_simple(u, f1, f1_plus, om_ff)
     psi_t = result.map_psi(psi, om_pf)
     metrics = {
@@ -358,9 +374,8 @@ def run_transform(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
     _expect_deviation(scn, checks, "u_tilde", result.u_tilde.values)
     _expect_deviation(scn, checks, "psi_tilde", psi_t.values)
     if "psi_plus" in scn.expressions:
-        psi_plus = scn.field("psi_plus", "conjugate_solution")
-        om_fp = omega(f1, psi_plus, scn.basepoint, scn.constant("omega_f1_psip"))
-        om_pp = omega(psi, psi_plus, scn.basepoint, scn.constant("omega_psi_psip"))
+        psi_plus = fields["psi_plus"] = scn.field("psi_plus")
+        om_fp, om_pp = _pair_omegas(scn, fields, "f1 psi_plus", "psi psi_plus")
         psi_plus_t = result.map_psi_plus(psi_plus, om_fp)
         metrics["residual_after_conjugate"] = residual(result.u_tilde, psi_plus_t,
                                                        "conjugate")
@@ -382,17 +397,11 @@ def run_transform(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
 
 
 def run_compose(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    u = scn.field("u", "coefficient")
-    f1, f1p = scn.field("f1"), scn.field("f1_plus")
-    f2, f2p = scn.field("f2"), scn.field("f2_plus")
-    psi = scn.field("psi")
-    bp = scn.basepoint
-    om11 = omega(f1, f1p, bp, scn.constant("omega_f1_f1p"))
-    om21 = omega(f2, f1p, bp, scn.constant("omega_f2_f1p"))
-    om12 = omega(f1, f2p, bp, scn.constant("omega_f1_f2p"))
-    om22 = omega(f2, f2p, bp, scn.constant("omega_f2_f2p"))
-    om_p1 = omega(psi, f1p, bp, scn.constant("omega_psi_f1p"))
-    om_p2 = omega(psi, f2p, bp, scn.constant("omega_psi_f2p"))
+    fields = {k: scn.field(k) for k in "u f1 f1_plus f2 f2_plus psi".split()}
+    u, f1, f1p, f2, f2p, psi = fields.values()
+    om11, om21, om12, om22, om_p1, om_p2 = _pair_omegas(
+        scn, fields, "f1 f1_plus", "f2 f1_plus", "f1 f2_plus", "f2 f2_plus",
+        "psi f1_plus", "psi f2_plus")
 
     seedset = SeedSet.build(u, [(f1, f1p), (f2, f2p)], [[om11, om21], [om12, om22]])
     rank2 = moutard_rank_n(seedset)
@@ -421,13 +430,10 @@ def run_compose(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
 
 
 def run_invert(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    u = scn.field("u", "coefficient")
-    f1, f1p = scn.field("f1"), scn.field("f1_plus")
-    psi, psi_plus = scn.field("psi"), scn.field("psi_plus")
-    bp = scn.basepoint
-    om_ff = omega(f1, f1p, bp, scn.constant("omega_f1_f1p"))
-    om_pf = omega(psi, f1p, bp, scn.constant("omega_psi_f1p"))
-    om_fp = omega(f1, psi_plus, bp, scn.constant("omega_f1_psip"))
+    fields = {k: scn.field(k) for k in "u f1 f1_plus psi psi_plus".split()}
+    u, f1, f1p, psi, psi_plus = fields.values()
+    om_ff, om_pf, om_fp = _pair_omegas(scn, fields, "f1 f1_plus", "psi f1_plus",
+                                       "f1 psi_plus")
 
     m1 = moutard_simple(u, f1, f1p, om_ff)
     psi_t = m1.map_psi(psi, om_pf)

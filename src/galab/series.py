@@ -161,9 +161,6 @@ class FunctionOnInterval:
     def is_real(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.sample().imag)) <= tol)
 
-    def is_zero(self, tol: float = 1e-14) -> bool:
-        return self.max_abs() <= tol
-
     def to_json(self):
         return {"mode": self.mode, "interval": [self.a, self.b],
                 "data": [[float(v.real), float(v.imag)] for v in self.data]}

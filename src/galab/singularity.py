@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, MeromorphicViolation, PositivityError, ZeroPotentialError
+from .errors import FitError, MeromorphicViolation, PositivityError
 from .grid import Field, GridSpec, diff_axis
+from .moutard import moutard_simple
 from .potential import Potential, omega_singular
 from .series import (CoefficientSeries, FunctionOnInterval, PoleProfile,
                      conjugate_profile, meromorphic_certify, solve_recursion)
@@ -120,8 +121,7 @@ def synthesize_singular_u(profile: PoleProfile, grid: GridSpec,
     remainder = Field(grid, phase[None, :] * smooth)
     model = SingularFieldModel(grid, profile.r_fn(-1), profile.phi,
                                "coefficient", remainder)
-    field = model.evaluate()
-    return Field(grid, field.values, role="coefficient"), model
+    return model.evaluate(), model
 
 
 def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
@@ -269,16 +269,8 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
     if grid.excluded_band is None:
         raise ValueError("pole removal needs a grid with an excluded band")
     w = omega_singular(f_star, f_star_plus, constant)
-    scale_w = w.max_abs()
-    if w.min_abs() < 1e-12 * scale_w:
-        raise ZeroPotentialError("seed potential vanishes on the strip")
-
-    f_vals = f_star.evaluate().values
-    fp_vals = f_star_plus.evaluate().values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_t = u_star.values + f_vals * np.conj(fp_vals) / w.values
-    u_t[~np.isfinite(u_t) & ~grid.mask] = 0.0
-    u_tilde = Field(grid, u_t, role="coefficient")
+    u_tilde = moutard_simple(u_star, f_star.evaluate(), f_star_plus.evaluate(),
+                             w).u_tilde
 
     eps = min(grid.x_max, abs(grid.x_min))
     if delta_ladder is None:
@@ -288,7 +280,7 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
         ring = grid.mask & (np.abs(grid.x) >= delta / 2) & (np.abs(grid.x) <= delta)
         if not ring.any():
             raise FitError(f"ladder rung delta = {delta} has no active nodes")
-        sups.append(float(np.max(np.abs(u_t[ring]))))
+        sups.append(float(np.max(np.abs(u_tilde.values[ring]))))
         fit = fit_laurent_profile(u_tilde, orders=FIT_ORDERS,
                                   x_window=(delta / 2, delta))
         c2s.append(fit.max_abs(-2))
@@ -296,7 +288,6 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
         c0s.append(fit.max_abs(0))
 
     dw_dx = diff_axis(w.values, grid.hx, axis=0)
-    dw_dx[~np.isfinite(dw_dx) & ~grid.mask] = 0.0
     res_fit = fit_laurent_profile(
         Field(grid, np.where(grid.mask, dw_dx, 0.0)),
         orders=FIT_ORDERS,
@@ -322,7 +313,7 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
 
     if problems:
         verdict = "fail: " + "; ".join(problems)
-    elif flat_tol is not None and float(np.max(np.abs(u_t[grid.mask]))) <= flat_tol:
+    elif flat_tol is not None and u_tilde.max_abs() <= flat_tol:
         verdict = f"u_tilde == 0 within {flat_tol:g}"
     else:
         verdict = "pass"

@@ -8,8 +8,8 @@ def make_grid(nx=64, ny=64, x=(0.0, 1.0), y=(1.0, 2.0), band=None):
     return GridSpec(x[0], x[1], y[0], y[1], nx, ny, excluded_band=band)
 
 
-def sample(grid, fn, role="generic"):
-    return Field.from_callable(grid, fn, role=role)
+def sample(grid, fn):
+    return Field.from_callable(grid, fn)
 
 
 def ones(grid):

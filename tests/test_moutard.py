@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from galab.errors import SingularOmegaError, ZeroPotentialError
+from galab.errors import ShapeError, SingularOmegaError, ZeroPotentialError
 from galab.grid import Field, dbar, dz, residual
 from galab.moutard import (SeedSet, compose_simple, invert_simple,
                            moutard_rank_n, moutard_simple,
@@ -51,6 +51,17 @@ class TestSimpleTransform:
         with pytest.raises(ZeroPotentialError):
             moutard_simple(zeros(g), ones(g), ones(g), om_zero)
 
+    def test_mismatched_inputs_rejected(self, setup):
+        g, u, f1, om_ff = setup
+        other = make_grid(64, 64, x=(1.0, 2.0))
+        with pytest.raises(ShapeError):
+            moutard_simple(zeros(other), f1, f1, om_ff)
+        result = moutard_simple(u, f1, f1, om_ff)
+        with pytest.raises(ShapeError):
+            result.map_psi(ones(other), om_ff)
+        with pytest.raises(ShapeError):
+            result.map_psi_plus(f1, [om_ff, om_ff])
+
     def test_transform_validity_constant(self):
         # residual(u~, psi~) <= 10 * (residual(u, psi) + h^4 * scale);
         # the truncation terms are proportional to high derivatives of
@@ -90,6 +101,56 @@ class TestRankN:
         a = rank1.map_psi(psi, [om_pf]).values
         b = simple.map_psi(psi, om_pf).values
         assert np.max(np.abs(a - b)) < 1e-15
+
+        # both share one kernel, so the oracle is the written-out formula
+        # on seeded random fields and potentials bounded away from zero
+        rng = np.random.default_rng(3)
+        rand = lambda: Field(g, rng.normal(size=g.shape())
+                             + 1j * rng.normal(size=g.shape()))
+        pot = lambda lo: closed_form_potential(
+            g, 1j * (lo + rng.uniform(0.0, 1.0, g.shape())))
+        u, f, fp, psi, psi_plus = (rand() for _ in range(5))
+        w, w_pf, w_fp = pot(1.0), pot(-0.5), pot(-0.5)
+        result = moutard_simple(u, f, fp, w)
+        hand = {"u": u.values + f.values * np.conj(fp.values) / w.values,
+                "psi": psi.values - f.values * w_pf.values / w.values,
+                "psi_plus": psi_plus.values - fp.values * w_fp.values / w.values}
+        for key, got in (("u", result.u_tilde),
+                         ("psi", result.map_psi(psi, w_pf)),
+                         ("psi_plus", result.map_psi_plus(psi_plus, w_fp))):
+            assert np.max(np.abs(got.values - hand[key])) < 1e-13, key
+        rank1 = moutard_rank_n(SeedSet(u, [(f, fp)], [[w]]))
+        assert np.max(np.abs(rank1.u_tilde.values - result.u_tilde.values)) < 1e-13
+
+    def test_rank_two_matches_linalg_solve(self, strip):
+        # oracle for the N = 2 closed-form solve and for the transposed
+        # matrix of the conjugate map: np.linalg.solve on a nonsymmetric,
+        # diagonally dominant potential matrix with random seeds
+        g = strip
+        rng = np.random.default_rng(5)
+        rand = lambda: rng.normal(size=g.shape()) + 1j * rng.normal(size=g.shape())
+        imag = lambda lo, hi: 1j * rng.uniform(lo, hi, g.shape())
+        u, psi, psi_plus = rand(), rand(), rand()
+        f, fp = [rand(), rand()], [rand(), rand()]
+        om = [[imag(2, 3), imag(-0.5, 0.5)], [imag(-0.5, 0.5), imag(2, 3)]]
+        w_pf, w_fp = [imag(-1, 1), imag(-1, 1)], [imag(-1, 1), imag(-1, 1)]
+        pots = lambda vals: [closed_form_potential(g, v) for v in vals]
+        seedset = SeedSet(Field(g, u), [(Field(g, a), Field(g, b))
+                                        for a, b in zip(f, fp)],
+                          [pots(row) for row in om])
+        result = moutard_rank_n(seedset)
+
+        mat = np.moveaxis(np.array(om), (0, 1), (2, 3))  # mat[..., j, k] = om[j][k]
+        solve = lambda a, b: np.linalg.solve(a, np.stack(b, -1)[..., None])[..., 0]
+        dot = lambda seeds, x: np.sum(np.stack(seeds, -1) * x, axis=-1)
+        hand = {"u": u + dot(f, solve(mat, [np.conj(b) for b in fp])),
+                "psi": psi - dot(f, solve(mat, w_pf)),
+                "psi_plus": psi_plus - dot(fp, solve(np.swapaxes(mat, -1, -2), w_fp))}
+        for key, got in (("u", result.u_tilde),
+                         ("psi", result.map_psi(Field(g, psi), pots(w_pf))),
+                         ("psi_plus", result.map_psi_plus(Field(g, psi_plus),
+                                                          pots(w_fp)))):
+            assert np.max(np.abs(got.values - hand[key])) < 1e-12, key
 
     def test_scaling_invariance(self, strip):
         # scaling the matrix and the probe potentials by the same real

@@ -55,9 +55,7 @@ class TestOmega:
 
     def test_path_orientations_agree(self, strip):
         psi = sample(strip, lambda z: np.exp(z / 2))
-        a = omega(psi, ones(strip), path="xy")
-        b = omega(psi, ones(strip), path="yx")
-        assert np.max(np.abs(a.values - b.values)) < 1e-9
+        assert 0.0 < omega(psi, ones(strip)).path_defect < 1e-9
 
     def test_incompatible_pair_rejected(self, strip):
         with pytest.raises(ExactnessError):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -9,6 +10,18 @@ from galab.errors import ScenarioError
 from galab.scenarios import bundled_scenarios, load_scenario, run_scenario
 
 ALL_BUNDLED = bundled_scenarios()
+
+#: configuration faults that must exit 1 with "[config error]": the
+#: scenario run, an (old, new) edit of its text, and extra CLI flags
+CONFIG_PROBES = {
+    "basepoint-off-grid": ("transform-simple-basic", (
+        "nx = 96\nny = 96", "nx = 16\nny = 16\nbasepoint = 99,0"), []),
+    "real-constant": ("transform-simple-basic",
+                      ("omega_f1_f1p = 2i", "omega_f1_f1p = 1"), []),
+    "negative-order": ("series-recursion-canonical", None, ["--order", "-3"]),
+    "grid-below-stencil": ("transform-simple-basic", None, ["--grid", "4,4"]),
+    "nan-tolerance": ("transform-simple-basic", None, ["--tol", "nan"]),
+}
 
 
 def run_cli(args):
@@ -132,6 +145,22 @@ psi = z
         code = run_cli(["residual", "--scenario", "nope",
                         "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("probe", sorted(CONFIG_PROBES))
+    def test_exit_one_on_bad_configuration(self, probe, tmp_path, capsys):
+        name, edit, flags = CONFIG_PROBES[probe]
+        ref = name
+        if edit is not None:
+            text = resources.files("galab").joinpath(
+                "scenarios", f"{name}.ini").read_text()
+            assert edit[0] in text
+            ref = tmp_path / "probe.ini"
+            ref.write_text(text.replace(*edit))
+        code = run_cli([load_scenario(name).pipeline, "--scenario", str(ref),
+                        "--out", str(tmp_path), *flags])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        assert out.startswith("[config error]"), out
 
     def test_exit_two_on_failed_check(self, tmp_path):
         code = run_cli(["residual", "--scenario", "residual-holomorphic",

@@ -251,6 +251,20 @@ class TestRemovePole:
         sups = result.sup_u_tilde
         assert all(b <= a * 1.05 + 1e-9 for a, b in zip(sups, sups[1:]))
 
+    def test_u_tilde_is_the_simple_transform(self, grid):
+        # by-hand oracle: u~ = u* + f*conj(f+)/w at every active node
+        prof = generic_profile()
+        u, _ = synthesize_singular_u(prof, grid)
+        f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05),
+                                 grid, order=8)
+        result = remove_pole(u, f, fp, constant=0.25j)
+        f_vals, fp_vals = f.evaluate().values, fp.evaluate().values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hand = u.values + f_vals * np.conj(fp_vals) / result.omega.values
+        m = grid.mask
+        scale = np.max(np.abs(u.values[m]))  # the 1/x terms that cancel
+        assert np.max(np.abs(result.u_tilde.values[m] - hand[m])) <= 1e-14 * scale
+
     def test_sabotaged_order_zero_detected(self, grid):
         # shifting beta_0 of the direct seed breaks the first-order
         # relation; the potential derivative grows a 1/x part and the
