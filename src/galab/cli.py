@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import GalabError, ScenarioError
 from .scenarios import PIPELINES, bundled_scenarios, load_scenario, run_scenario
@@ -79,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     refs = args.scenario
     results = []
     if args.jobs > 1 and len(refs) > 1:
+        # the process pool pulls in multiprocessing, socket and logging;
+        # a single-scenario run does not pay for importing them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_one, ref, args.pipeline, out, grid,
                                    args.tol, args.order) for ref in refs]

@@ -13,6 +13,10 @@ class ShapeError(GalabError):
     """Fields defined on incompatible grids."""
 
 
+class NonFiniteFieldError(GalabError, ValueError):
+    """A field has non-finite values at nodes that take part in norms."""
+
+
 class ExactnessError(GalabError):
     """The integrated 1-form is not closed within tolerance.
 

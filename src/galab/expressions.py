@@ -26,6 +26,9 @@ FUNCTIONS: dict[str, Callable] = {
     "sqrt": np.sqrt,
 }
 
+#: largest exponent magnitude, for a literal and for a tower's value
+MAX_EXPONENT = 1024
+
 _NUM_RE = _re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -169,7 +172,8 @@ class _Parser:
         return base
 
     def exponent(self) -> int:
-        # integer literals only; towers associate to the right
+        # integer literals only; towers associate to the right and are
+        # bounded by MAX_EXPONENT before they are computed
         sign = 1
         while self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
@@ -179,12 +183,29 @@ class _Parser:
             self.error("exponent must be an integer literal")
         if "." in tok.text or "e" in tok.text or "E" in tok.text:
             self.error("exponent must be an integer literal")
+        digits = tok.text.lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
+            self.error(f"exponent magnitude exceeds {MAX_EXPONENT}")
         self.advance()
         value = sign * int(tok.text)
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
-            value = value ** self.exponent()
+            value = self._tower(value, self.exponent(), tok)
         return value
+
+    def _tower(self, base: int, power: int, tok: Token) -> int:
+        """``base ** power`` when it is an integer of magnitude at most
+        MAX_EXPONENT; checked without computing larger powers."""
+        if abs(base) <= 1:
+            if base == 0 and power < 0:
+                self.error("exponent tower divides by zero", tok)
+            return base ** abs(power)
+        if power < 0:
+            self.error("exponent tower must evaluate to an integer", tok)
+        # |base| >= 2, so a power above the cap's bit length overshoots it
+        if power > MAX_EXPONENT.bit_length() or abs(base) ** power > MAX_EXPONENT:
+            self.error(f"exponent magnitude exceeds {MAX_EXPONENT}", tok)
+        return base ** power
 
     def atom(self):
         tok = self.peek()

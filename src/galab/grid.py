@@ -9,14 +9,13 @@ which is how fields with a pole along the contour x = 0 are handled.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError, StencilError
+from .errors import NonFiniteFieldError, ShapeError, StencilError
 
 # 4th-order first-derivative stencil rows (edge, sub-edge), unit spacing
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -112,7 +111,7 @@ class Field:
             raise ShapeError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape()}")
         if not np.all(np.isfinite(vals[self.grid.mask])):
-            raise ValueError("field has non-finite values at active nodes")
+            raise NonFiniteFieldError("field has non-finite values at active nodes")
 
     @classmethod
     def from_callable(cls, grid: GridSpec,
@@ -239,13 +238,21 @@ def residual(u: Field, psi: Field, kind: str = "direct") -> float:
 
 
 def write_csv(path, grid: GridSpec, values: np.ndarray) -> None:
-    """Dump a grid function as ``x,y,re,im`` rows (y outer, x inner)."""
+    """Dump a grid function as ``x,y,re,im`` rows (y outer, x inner).
+
+    Every number is written with ``repr`` and every line ends in
+    ``\\r\\n``, as ``csv.writer`` writes them.  The file is streamed
+    one y-row per write, so its text is never held whole in memory.
+    """
     values = np.asarray(values)
+    if values.shape != grid.shape():
+        raise ShapeError(
+            f"values shape {values.shape} does not match grid {grid.shape()}")
+    re_rows = np.asarray(np.real(values), dtype=float).T
+    im_rows = np.asarray(np.imag(values), dtype=float).T
+    xs = [repr(x) for x in grid.xs.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "re", "im"])
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                v = values[i, j]
-                writer.writerow([repr(float(grid.xs[i])), repr(float(grid.ys[j])),
-                                 repr(float(np.real(v))), repr(float(np.imag(v)))])
+        fh.write("x,y,re,im\r\n")
+        for y, re_row, im_row in zip(grid.ys.tolist(), re_rows, im_rows):
+            line = ("{},%r,{!r},{!r}\r\n" % y).format
+            fh.write("".join(map(line, xs, re_row.tolist(), im_row.tolist())))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reporting
 from .conformal import HolomorphicChart, check_commutativity
-from .errors import ExactnessError, GalabError, ScenarioError
+from .errors import ExactnessError, GalabError, NonFiniteFieldError, ScenarioError
 from .expressions import as_function_of_z, constant_value, evaluate_on_grid, \
     parse_expression
 from .grid import Field, GridSpec, _scrub, dz as dz_op, residual, write_csv
@@ -97,7 +97,11 @@ class Scenario:
 
     def field(self, key: str) -> Field:
         grid = self.require_grid()
-        return Field(grid, _scrub(grid, evaluate_on_grid(self.expression(key), grid)))
+        try:
+            return Field(grid, _scrub(grid, evaluate_on_grid(self.expression(key), grid)))
+        except NonFiniteFieldError as exc:
+            raise ScenarioError(
+                f"scenario {self.name!r}: expression {key!r}: {exc}") from exc
 
     def constant(self, key: str) -> complex:
         return self.constants.get(key, 0.0)

@@ -11,6 +11,7 @@ together with per-row Laurent fits of the transformed coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +78,14 @@ class SingularFieldModel:
 
     def evaluate(self) -> Field:
         """Full values on the grid; the in-band 1/x blowup is zeroed
-        where it is not representable (x = 0 columns)."""
+        where it is not representable (x = 0 columns).
+
+        The field is computed once per model: ``remove_pole`` and the
+        ``omega_singular`` it calls share it."""
+        return self._field
+
+    @cached_property
+    def _field(self) -> Field:
         grid = self.grid
         phase = self.phase_values(grid.ys)
         lead = self.leading.values_on(grid.ys)

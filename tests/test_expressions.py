@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from galab.errors import ExpressionError
-from galab.expressions import (as_function_of_z, constant_value, evaluate,
-                               evaluate_on_grid, parse_expression, point_env)
+from galab.expressions import (MAX_EXPONENT, as_function_of_z, constant_value,
+                               evaluate, evaluate_on_grid, parse_expression,
+                               point_env)
 
 from conftest import make_grid
 
@@ -62,6 +63,37 @@ class TestPrecedence:
             parse_expression("x^2.5")
         with pytest.raises(ExpressionError):
             parse_expression("x^y")
+
+
+class TestExponentCap:
+    def test_cap_is_inclusive(self):
+        assert parse_expression(f"z^{MAX_EXPONENT}").exponent == MAX_EXPONENT
+        assert parse_expression(f"z^-{MAX_EXPONENT}").exponent == -MAX_EXPONENT
+        assert parse_expression("z^2^10").exponent == 1024
+
+    @pytest.mark.parametrize("src", [
+        f"z^{MAX_EXPONENT + 1}", f"z^-{MAX_EXPONENT + 1}", "z^10^30",
+        "z^2^11", "z^-2^11", "z^" + "9" * 5000])
+    def test_large_exponents_rejected(self, src):
+        with pytest.raises(ExpressionError):
+            parse_expression(src)
+
+    def test_tower_rejected_before_it_is_computed(self):
+        # 9^9^9 has about 3.7e8 digits; computing it would not finish
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("z^9^9^9")
+        assert err.value.column == 5
+
+    def test_towers_of_one_and_zero(self):
+        assert parse_expression("z^1^-5").exponent == 1
+        assert parse_expression("z^-1^3").exponent == -1
+        assert parse_expression("z^0^0").exponent == 1
+        with pytest.raises(ExpressionError):
+            parse_expression("z^0^-1")
+
+    def test_tower_must_stay_integer(self):
+        with pytest.raises(ExpressionError):
+            parse_expression("z^2^-1")
 
 
 class TestFunctions:

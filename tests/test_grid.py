@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from galab.errors import ShapeError, StencilError
+from galab.errors import GalabError, NonFiniteFieldError, ShapeError, StencilError
 from galab.grid import Field, GridSpec, dbar, diff_axis, dz, residual, write_csv
 
 from conftest import assert_fourth_order, make_grid, sample, zeros
@@ -47,6 +49,13 @@ class TestField:
         vals[5, 5] = np.nan
         with pytest.raises(ValueError):
             Field(strip, vals)
+
+    def test_nonfinite_active_is_a_library_error(self, strip):
+        vals = np.ones(strip.shape(), dtype=complex)
+        vals[5, 5] = np.inf
+        with pytest.raises(NonFiniteFieldError) as err:
+            Field(strip, vals)
+        assert isinstance(err.value, GalabError)
 
     def test_nonfinite_allowed_inside_band(self):
         g = make_grid(32, 8, x=(-1.0, 1.0), band=0.3)
@@ -172,3 +181,65 @@ class TestCsvDump:
         x, y, re, im = (float(v) for v in lines[2].split(","))
         assert (x, y) == (pytest.approx(g.xs[1]), pytest.approx(g.ys[0]))
         assert re == pytest.approx(g.xs[1]) and im == pytest.approx(g.ys[0])
+
+
+def reference_csv(path, grid, values):
+    """The row-by-row ``csv.writer`` dump that ``write_csv`` must match
+    byte for byte."""
+    values = np.asarray(values)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "re", "im"])
+        for j in range(grid.ny):
+            for i in range(grid.nx):
+                v = values[i, j]
+                writer.writerow([repr(float(grid.xs[i])), repr(float(grid.ys[j])),
+                                 repr(float(np.real(v))), repr(float(np.imag(v)))])
+
+
+#: values that stress float repr: non-finite, signed zero, subnormal,
+#: and both sides of repr's switch to exponent notation
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5,
+                  -1e16, 9999999999999998.0, 0.0001]
+
+
+class TestCsvOracle:
+    def check(self, tmp_path, grid, values):
+        write_csv(tmp_path / "new.csv", grid, values)
+        reference_csv(tmp_path / "ref.csv", grid, values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_every_pair_of_special_values(self, tmp_path):
+        g = make_grid(10, 11)
+        pairs = [complex(a, b) for a in SPECIAL_VALUES for b in SPECIAL_VALUES]
+        vals = np.random.default_rng(1).standard_normal(g.shape()).astype(complex)
+        vals.reshape(-1)[:len(pairs)] = pairs
+        self.check(tmp_path, g, vals)
+
+    def test_complex_on_non_square_grid(self, tmp_path):
+        g = make_grid(7, 5)
+        rng = np.random.default_rng(2)
+        vals = rng.standard_normal(g.shape()) + 1j * rng.standard_normal(g.shape())
+        vals.reshape(-1)[::4] = [complex(v, -v) for v in SPECIAL_VALUES[:9]]
+        self.check(tmp_path, g, vals)
+
+    def test_real_array(self, tmp_path):
+        g = make_grid(7, 5)
+        vals = np.random.default_rng(3).standard_normal(g.shape())
+        vals.reshape(-1)[1::3] = SPECIAL_VALUES + [-0.0, 1.5]
+        self.check(tmp_path, g, vals)
+
+    def test_banded_strip(self, tmp_path):
+        # the shape of the bundled pole strips, with junk zeroed in the band
+        g = make_grid(480, 81, x=(-1.0, 1.0), band=0.02)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.exp(2j * g.y) / g.x + g.z ** 2
+        vals = np.where(g.mask, vals, 0.0)
+        vals[240, 40] = np.nan
+        self.check(tmp_path, g, vals)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        g = make_grid(7, 5)
+        for shape in ((6, 5), (7, 6), (5, 7), (35,)):
+            with pytest.raises(ShapeError):
+                write_csv(tmp_path / "bad.csv", g, np.zeros(shape))

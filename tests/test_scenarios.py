@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
+import galab
 from galab.cli import main
 from galab.errors import ScenarioError
 from galab.scenarios import bundled_scenarios, load_scenario, run_scenario
@@ -21,6 +23,9 @@ CONFIG_PROBES = {
     "negative-order": ("series-recursion-canonical", None, ["--order", "-3"]),
     "grid-below-stencil": ("transform-simple-basic", None, ["--grid", "4,4"]),
     "nan-tolerance": ("transform-simple-basic", None, ["--tol", "nan"]),
+    "pole-at-active-node": ("residual-holomorphic", ("u = 0", "u = 1/x"), []),
+    "exponent-overflow": ("transform-simple-basic",
+                          ("psi = z\n", "psi = z^10^30\n"), []),
 }
 
 
@@ -201,3 +206,21 @@ psi = z
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "series-recursion-canonical" in proc.stdout
+
+    def test_single_run_skips_process_pool_import(self, tmp_path):
+        # concurrent.futures drags in multiprocessing, socket and logging;
+        # only --jobs > 1 needs it
+        probe = ("import sys\nfrom galab.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print('concurrent.futures' in sys.modules)\n"
+                 "sys.exit(code)\n")
+        src = os.path.dirname(os.path.dirname(galab.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "series", "--scenario",
+             "series-recursion-canonical", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

@@ -265,6 +265,21 @@ class TestRemovePole:
         scale = np.max(np.abs(u.values[m]))  # the 1/x terms that cancel
         assert np.max(np.abs(result.u_tilde.values[m] - hand[m])) <= 1e-14 * scale
 
+    def test_seed_fields_evaluated_once(self, grid, monkeypatch):
+        # omega_singular and the transform share each seed's field
+        prof = generic_profile()
+        u, _ = synthesize_singular_u(prof, grid)
+        f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05),
+                                 grid, order=8)
+        calls = []
+        phase_values = SingularFieldModel.phase_values
+        monkeypatch.setattr(SingularFieldModel, "phase_values",
+                            lambda self, ys: calls.append(self) or phase_values(self, ys))
+        result = remove_pole(u, f, fp)
+        assert result.passed, result.verdict
+        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert f.evaluate() is f.evaluate()
+
     def test_sabotaged_order_zero_detected(self, grid):
         # shifting beta_0 of the direct seed breaks the first-order
         # relation; the potential derivative grows a 1/x part and the
