@@ -17,6 +17,10 @@ class NonFiniteFieldError(GalabError, ValueError):
     """A field has non-finite values at nodes that take part in norms."""
 
 
+class NonFiniteCoefficientError(GalabError, ValueError):
+    """A coefficient function of y has non-finite values."""
+
+
 class ExactnessError(GalabError):
     """The integrated 1-form is not closed within tolerance.
 

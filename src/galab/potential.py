@@ -84,10 +84,12 @@ def _check_imaginary_constant(constant: complex) -> complex:
 
 
 def _form_components(psi: Field, psi_plus: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Imaginary parts 2 Im p and 2 Re p of the form's dx and dy
+    components; their real parts are exactly zero."""
     if psi.grid != psi_plus.grid:
         raise ShapeError("pair lives on different grids")
     p = psi.values * psi_plus.values
-    return 2j * p.imag, 2j * p.real  # dx and dy components
+    return 2.0 * p.imag, 2.0 * p.real
 
 
 def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
@@ -96,6 +98,7 @@ def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
 
     Also returns the largest disagreement, over active nodes, with the
     y-then-x orientation: zero up to quadrature error for a closed form.
+    The components are real arrays, the imaginary parts of the form.
     """
     i0, j0 = basepoint
     leg_x = cumulative_integral(a[:, j0], grid.hx)
@@ -134,7 +137,8 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
         raise ExactnessError(
             f"path-dependence defect {defect:.3e} exceeds {exactness_tol:.1e}; "
             "the pair is not a solution/conjugate-solution pair")
-    return Potential(grid, w_xy + constant, constant, basepoint, path_defect=defect)
+    return Potential(grid, 1j * (w_xy + constant.imag), constant, basepoint,
+                     path_defect=defect)
 
 
 def loop_defect(psi: Field, psi_plus: Field,
@@ -144,7 +148,8 @@ def loop_defect(psi: Field, psi_plus: Field,
     ``rectangle`` is (x0, x1, y0, y1), snapped to grid nodes; the whole
     grid is used when omitted.  Near zero iff the pair is compatible.
     """
-    a, b = _form_components(psi, psi_plus)
+    if psi.grid != psi_plus.grid:
+        raise ShapeError("pair lives on different grids")
     grid = psi.grid
     if rectangle is None:
         i0, j0, i1, j1 = 0, 0, grid.nx - 1, grid.ny - 1
@@ -154,10 +159,14 @@ def loop_defect(psi: Field, psi_plus: Field,
         i1, j1 = grid.node_index(x1, y1)
     if i1 - i0 < 3 or j1 - j0 < 3:
         raise ValueError("rectangle must span at least 4 nodes per side")
-    bottom = integral(a[i0:i1 + 1, j0], grid.hx)
-    top = integral(a[i0:i1 + 1, j1], grid.hx)
-    right = integral(b[i1, j0:j1 + 1], grid.hy)
-    left = integral(b[i0, j0:j1 + 1], grid.hy)
+    # the product is formed on the border only; as in _form_components,
+    # x-edges integrate 2 Im p and y-edges 2 Re p
+    p = lambda i, j: psi.values[i, j] * psi_plus.values[i, j]
+    xs, ys = slice(i0, i1 + 1), slice(j0, j1 + 1)
+    bottom = integral(2.0 * p(xs, j0).imag, grid.hx)
+    top = integral(2.0 * p(xs, j1).imag, grid.hx)
+    right = integral(2.0 * p(i1, ys).real, grid.hy)
+    left = integral(2.0 * p(i0, ys).real, grid.hy)
     return float(abs(bottom + right - top - left))
 
 
@@ -191,7 +200,9 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
 
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_lead = 2j * bv[None, :] / x
+        # imaginary part of 2i b/x; numpy's complex division multiplies
+        # by the reciprocal, and so does this, for the same bits
+        w_lead = 2.0 * bv.real[None, :] * (1.0 / x)
         p_model = -1j * bv[None, :] / x ** 2 + bpv[None, :] / x
     p_act = f.evaluate().values * f_plus.evaluate().values
     p_rem = p_act - p_model
@@ -211,8 +222,8 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
     w_lead[~np.isfinite(w_lead)] = 0.0
 
     bp_index = (grid.nx - 1, 0)
-    w_rem, defect = _integrate_form(2j * p_rem.imag, 2j * p_rem.real, grid,
+    w_rem, defect = _integrate_form(2.0 * p_rem.imag, 2.0 * p_rem.real, grid,
                                     bp_index)
-    vals = w_rem + w_lead + constant
+    vals = 1j * (w_rem + w_lead + constant.imag)
     return Potential(grid, vals, complex(vals[bp_index]), bp_index,
                      path_defect=defect)

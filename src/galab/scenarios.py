@@ -253,10 +253,14 @@ def _parse_function(text: str, interval, scenario_name: str,
             except GalabError as exc:
                 raise ScenarioError(
                     f"scenario {scenario_name!r}: bad coefficient in {key!r}: {exc}")
-    if kind == "poly":
-        return FunctionOnInterval.from_poly(values, interval)
-    if kind == "samples":
-        return FunctionOnInterval.from_samples(values, interval)
+    make = {"poly": FunctionOnInterval.from_poly,
+            "samples": FunctionOnInterval.from_samples}.get(kind)
+    if make is not None:
+        try:
+            return make(values, interval)
+        except ValueError as exc:  # degree cap, too few samples, non-finite
+            raise ScenarioError(
+                f"scenario {scenario_name!r}: bad function {key!r}: {exc}")
     raise ScenarioError(
         f"scenario {scenario_name!r}: function {key!r} must start with "
         f"'poly:' or 'samples:'")

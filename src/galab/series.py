@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Mapping
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
+from numpy.polynomial.polyutils import trimseq
 
-from .errors import MeromorphicViolation, NormalizationError
+from .errors import (MeromorphicViolation, NonFiniteCoefficientError,
+                     NormalizationError)
 from .grid import diff_axis
 
 #: default certification tolerances per representation
@@ -32,6 +36,49 @@ SAMPLED_TOL = 1e-6
 N_CHECK = 201
 
 _MAX_DEGREE = 16
+
+
+# Coefficient arithmetic on raw data arrays, one primitive per operation.
+# Poly mode reproduces numpy's polyadd, polymul and polyder bit for bit:
+# trailing exact zeros are trimmed from operands and results (one entry
+# always stays), and every product, scalar factors included, goes through
+# np.convolve.  Samples mode works elementwise.
+
+def _add(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if mode == "samples":
+        return a + b
+    a, b = trimseq(a), trimseq(b)
+    if a.size > b.size:
+        a, b = b, a
+    out = b.copy()
+    out[:a.size] += a
+    return trimseq(out)
+
+
+def _mul(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if mode == "samples":
+        return a * b
+    return trimseq(np.convolve(trimseq(a), trimseq(b)))
+
+
+def _deriv(mode: str, data: np.ndarray, a: float, b: float) -> np.ndarray:
+    if mode == "samples":
+        return diff_axis(data, (b - a) / (data.size - 1), axis=0)
+    if data.size == 1:
+        return np.zeros(1, dtype=complex)
+    return polyder(data)
+
+
+def _const(mode: str, value: complex, size: int) -> np.ndarray:
+    if mode == "poly":
+        return np.array([value], dtype=complex)
+    return np.full(size, value, dtype=complex)
+
+
+def _check_finite(data: np.ndarray, what: str = "coefficient data") -> np.ndarray:
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteCoefficientError(f"non-finite {what}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -47,9 +94,7 @@ class FunctionOnInterval:
         if self.mode not in ("poly", "samples"):
             raise ValueError(f"unknown mode {self.mode!r}")
         data = np.atleast_1d(np.asarray(self.data, dtype=complex))
-        object.__setattr__(self, "data", data)
-        if not np.all(np.isfinite(data)):
-            raise ValueError("non-finite coefficient data")
+        object.__setattr__(self, "data", _check_finite(data))
         if self.mode == "samples" and data.size < 5:
             raise ValueError("sampled mode needs at least 5 y-nodes")
 
@@ -66,10 +111,8 @@ class FunctionOnInterval:
 
     @classmethod
     def constant(cls, value: complex, like: "FunctionOnInterval") -> "FunctionOnInterval":
-        if like.mode == "poly":
-            return cls(like.a, like.b, "poly", np.array([value], dtype=complex))
-        return cls(like.a, like.b, "samples",
-                   np.full(like.data.size, value, dtype=complex))
+        return cls(like.a, like.b, like.mode,
+                   _const(like.mode, value, like.data.size))
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -98,15 +141,8 @@ class FunctionOnInterval:
         return self.values_on(self.nodes())
 
     def deriv(self) -> "FunctionOnInterval":
-        if self.mode == "poly":
-            if self.data.size == 1:
-                out = np.zeros(1, dtype=complex)
-            else:
-                out = np.polynomial.polynomial.polyder(self.data)
-            return FunctionOnInterval(self.a, self.b, "poly", out)
-        h = (self.b - self.a) / (self.data.size - 1)
-        return FunctionOnInterval(self.a, self.b, "samples",
-                                  diff_axis(self.data, h, axis=0))
+        return FunctionOnInterval(self.a, self.b, self.mode,
+                                  _deriv(self.mode, self.data, self.a, self.b))
 
     def _check_compatible(self, other: "FunctionOnInterval"):
         if self.mode != other.mode:
@@ -116,27 +152,24 @@ class FunctionOnInterval:
         if self.mode == "samples" and self.data.size != other.data.size:
             raise ValueError("sampled functions use different node counts")
 
-    def _binary(self, other, poly_op, sample_op):
+    def _binary(self, other, op):
         if np.isscalar(other):
             other = FunctionOnInterval.constant(complex(other), self)
         self._check_compatible(other)
-        if self.mode == "poly":
-            data = poly_op(self.data, other.data)
-        else:
-            data = sample_op(self.data, other.data)
-        return FunctionOnInterval(self.a, self.b, self.mode, data)
+        return FunctionOnInterval(self.a, self.b, self.mode,
+                                  op(self.mode, self.data, other.data))
 
     def __add__(self, other):
-        return self._binary(other, np.polynomial.polynomial.polyadd, np.add)
+        return self._binary(other, _add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, np.polynomial.polynomial.polysub,
-                            lambda a, b: a - b)
+        # x - y is x + (-y) exactly, signed zeros included
+        return self._binary(other, lambda mode, a, b: _add(mode, a, -b))
 
     def __mul__(self, other):
-        return self._binary(other, np.polynomial.polynomial.polymul, np.multiply)
+        return self._binary(other, _mul)
 
     __rmul__ = __mul__
 
@@ -396,34 +429,54 @@ def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
         raise ValueError("beta_minus1 must be real-valued")
     if not im_beta1.is_real(1e-12):
         raise ValueError("im_beta1 must be real-valued")
+    phi = profile.phi
+    phi._check_compatible(beta_minus1)
+    phi._check_compatible(im_beta1)
 
-    phi_p = profile.phi.deriv()
-    beta = {-1: beta_minus1}
-    # order -1 balance gives conj(beta_0)
-    rhs = (-1j) * beta_minus1.deriv() + phi_p * beta_minus1 \
-        + 2.0 * profile.r_fn(0) * beta_minus1.conj()
-    beta[0] = rhs.conj()
+    # one pass over raw coefficient arrays; each beta_j is wrapped in a
+    # FunctionOnInterval, which checks it is finite, once, when produced
+    mode, a, b, size = phi.mode, phi.a, phi.b, phi.data.size
+    add, mul = partial(_add, mode), partial(_mul, mode)
 
-    def rhs_k(k: int) -> FunctionOnInterval:
-        acc = (-1j) * beta[k].deriv() + phi_p * beta[k] \
-            + 2.0 * profile.r_fn(k + 1) * beta[-1].conj()
-        for l in range(0, k + 1):
-            acc = acc + 2.0 * profile.r_fn(l) * beta[k - l].conj()
-        return acc
+    def scale(x, value):
+        return mul(x, _const(mode, value, size))
 
-    r0 = rhs_k(0)
-    im_r0 = float(np.max(np.abs(r0.sample().imag)))
+    phi_p = _deriv(mode, phi.data, a, b)
+    two_r = [scale(profile.r_fn(j).data, 2.0) for j in range(max(order, 1) + 1)]
+    series = {-1: beta_minus1}
+    beta = [beta_minus1.data]  # beta[j + 1] holds beta_j
+    conj = [np.conj(beta[0])]
+
+    def rhs(k: int) -> np.ndarray:
+        """Order-k balance without its conj(beta_{k+1}) term, summed
+        left to right."""
+        bk = beta[k + 1]
+        terms = [scale(_deriv(mode, bk, a, b), -1j), mul(phi_p, bk),
+                 mul(two_r[k + 1], conj[0])]
+        terms += [mul(two_r[l], conj[k - l + 1]) for l in range(0, k + 1)]
+        return _check_finite(reduce(add, terms), f"order {k} balance")
+
+    def produce(data: np.ndarray) -> None:
+        series[len(beta) - 1] = FunctionOnInterval(a, b, mode, data)
+        beta.append(data)
+        conj.append(np.conj(data))
+
+    produce(np.conj(rhs(-1)))  # the order -1 balance gives conj(beta_0)
+    r0 = rhs(0)
+    im_r0 = float(np.max(np.abs(
+        FunctionOnInterval(a, b, mode, r0).sample().imag)))
     if im_r0 > 10 * max(tol, 1e-12):
         raise MeromorphicViolation(
             f"order-0 compatibility violated: |Im RHS| = {im_r0:.3e}")
-    beta[1] = 0.5 * r0.real_part() + 1j * im_beta1.real_part()
+    produce(add(scale(r0.real.astype(complex), 0.5),
+                scale(im_beta1.data.real.astype(complex), 1j)))
 
     for k in range(1, order):
-        rk = rhs_k(k)
-        beta[k + 1] = (1.0 / (k + 2)) * rk.real_part() \
-            + (1j / k) * rk.imag_part()
+        rk = rhs(k)
+        produce(add(scale(rk.real.astype(complex), 1.0 / (k + 2)),
+                    scale(rk.imag.astype(complex), 1j / k)))
 
-    return CoefficientSeries(profile.phi, beta, 1, order)
+    return CoefficientSeries(phi, series, 1, order)
 
 
 def series_residual(profile: PoleProfile, series: CoefficientSeries,

@@ -97,14 +97,24 @@ class SingularFieldModel:
 
 def _series_remainder(series: CoefficientSeries, grid: GridSpec) -> Field:
     """exp(i*phi) * sum_{j>=0} beta_j x^j sampled on the grid."""
-    ys = grid.ys
-    phase = np.exp(1j * series.phi.values_on(ys).real)
-    acc = np.zeros(grid.shape(), dtype=complex)
-    xpow = np.ones(grid.shape())
-    for j in range(0, series.order + 1):
-        acc += xpow * series.beta_fn(j).values_on(ys)[None, :]
-        xpow = xpow * grid.x
+    phase = np.exp(1j * series.phi.values_on(grid.ys).real)
+    acc = _power_sum(grid, [series.beta_fn(j) for j in range(series.order + 1)])
     return Field(grid, phase[None, :] * acc)
+
+
+def _power_sum(grid: GridSpec, coeffs: list[FunctionOnInterval]) -> np.ndarray:
+    """sum_j coeffs[j](y) x^j on the grid, accumulated in increasing j.
+
+    The powers of x are held on the abscissae only; each term is their
+    outer product with the coefficient's values.  (Horner's rule or a
+    matrix product would round differently.)"""
+    ys = grid.ys
+    acc = np.zeros(grid.shape(), dtype=complex)
+    xpow = np.ones(grid.nx)
+    for fn in coeffs:
+        acc += np.multiply.outer(xpow, fn.values_on(ys))
+        xpow = xpow * grid.xs
+    return acc
 
 
 def synthesize_singular_u(profile: PoleProfile, grid: GridSpec,
@@ -119,13 +129,9 @@ def synthesize_singular_u(profile: PoleProfile, grid: GridSpec,
         raise MeromorphicViolation(
             f"profile fails certification: {cert.condition} "
             f"(worst |value| {cert.worst_value:.3e} at y = {cert.worst_y})")
-    ys = grid.ys
-    phase = np.exp(2j * profile.phi.values_on(ys).real)
-    smooth = np.zeros(grid.shape(), dtype=complex)
-    xpow = np.ones(grid.shape())
-    for j in range(0, profile.max_order() + 1):
-        smooth += xpow * profile.r_fn(j).values_on(ys)[None, :]
-        xpow = xpow * grid.x
+    phase = np.exp(2j * profile.phi.values_on(grid.ys).real)
+    smooth = _power_sum(grid, [profile.r_fn(j)
+                               for j in range(profile.max_order() + 1)])
     remainder = Field(grid, phase[None, :] * smooth)
     model = SingularFieldModel(grid, profile.r_fn(-1), profile.phi,
                                "coefficient", remainder)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from galab._integrate import cumulative_integral
 from galab.grid import Field, GridSpec
 
 
@@ -36,6 +37,27 @@ def assert_fourth_order(errors, floor=1e-12, min_order=3.5):
         assert min(orders) >= min_order, (errors, orders)
     else:
         assert errors[-1] <= floor, errors
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and values, signed zeros included."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def reference_integrate_form(a, b, grid, basepoint):
+    """L-path integration of a dx + b dy on complex components, as the
+    potentials were integrated before they moved to float64: the values
+    along x-then-y paths and the largest disagreement with y-then-x."""
+    i0, j0 = basepoint
+    leg_x = cumulative_integral(a[:, j0], grid.hx)
+    leg_y = cumulative_integral(b, grid.hy, axis=1)
+    w_xy = (leg_x - leg_x[i0])[:, None] + leg_y - leg_y[:, j0][:, None]
+    leg_y = cumulative_integral(b[i0, :], grid.hy)
+    leg_x = cumulative_integral(a, grid.hx, axis=0)
+    w_yx = (leg_y - leg_y[j0])[None, :] + leg_x - leg_x[i0, :][None, :]
+    return w_xy, float(np.max(np.abs((w_xy - w_yx)[grid.mask])))
 
 
 @pytest.fixture

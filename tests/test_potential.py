@@ -1,11 +1,16 @@
+import cmath
+import random
+
 import numpy as np
 import pytest
 
+from galab._integrate import integral
 from galab.errors import ExactnessError
-from galab.grid import diff_axis
+from galab.grid import GridSpec, diff_axis
 from galab.potential import Potential, loop_defect, omega
 
-from conftest import make_grid, ones, sample, zeros
+from conftest import (assert_same_bits, make_grid, ones,
+                      reference_integrate_form, sample, zeros)
 
 
 def grid_with_origin():
@@ -128,3 +133,75 @@ class TestLoopDefect:
         i1, j1 = strip.node_index(0.75, 1.75)
         area = (strip.xs[i1] - strip.xs[i0]) * (strip.ys[j1] - strip.ys[j0])
         assert d == pytest.approx(4.0 * area, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Reference: the potential form integrated as complex arrays, as written
+# before the form's real parts (exactly zero) were dropped.  The float64
+# integration must give the same bits.  The integrator itself is
+# conftest.reference_integrate_form.
+
+def reference_form(psi, psi_plus):
+    p = psi.values * psi_plus.values
+    return 2j * p.imag, 2j * p.real
+
+
+def reference_omega(psi, psi_plus, basepoint, constant):
+    constant = 1j * complex(constant).imag
+    w_xy, defect = reference_integrate_form(*reference_form(psi, psi_plus),
+                                            psi.grid, basepoint)
+    return Potential(psi.grid, w_xy + constant, constant, basepoint,
+                     path_defect=defect)
+
+
+def reference_loop_defect(psi, psi_plus, rectangle=None):
+    a, b = reference_form(psi, psi_plus)
+    grid = psi.grid
+    if rectangle is None:
+        i0, j0, i1, j1 = 0, 0, grid.nx - 1, grid.ny - 1
+    else:
+        x0, x1, y0, y1 = rectangle
+        i0, j0 = grid.node_index(x0, y0)
+        i1, j1 = grid.node_index(x1, y1)
+    bottom = integral(a[i0:i1 + 1, j0], grid.hx)
+    top = integral(a[i0:i1 + 1, j1], grid.hx)
+    right = integral(b[i1, j0:j1 + 1], grid.hy)
+    left = integral(b[i0, j0:j1 + 1], grid.hy)
+    return float(abs(bottom + right - top - left))
+
+
+def seeded_exponential_pairs(seed, n):
+    """Pairs exp(c z), exp(d z) with rates of modulus 0.3 to 2.5 at random
+    angles on the centred unit square, and an imaginary constant."""
+    rng = random.Random(seed)
+    rate = lambda: cmath.rect(rng.uniform(0.3, 2.5), rng.uniform(0, 2 * cmath.pi))
+    grid = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n + 3)
+    for _ in range(4):
+        c, d = rate(), rate()
+        yield (sample(grid, lambda z: np.exp(c * z)),
+               sample(grid, lambda z: np.exp(d * z)),
+               (rng.randrange(n), rng.randrange(n + 3)),
+               1j * rng.uniform(-3, 3))
+
+
+class TestFloatFormMatchesReference:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_omega(self, seed):
+        for psi, psi_plus, basepoint, constant in seeded_exponential_pairs(seed, 61):
+            got = omega(psi, psi_plus, basepoint, constant)
+            want = reference_omega(psi, psi_plus, basepoint, constant)
+            assert_same_bits(got.values, want.values)
+            assert got.path_defect == want.path_defect
+            assert got.real_drift == want.real_drift == 0.0
+            assert got.constant == want.constant
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loop_defect(self, seed):
+        for psi, psi_plus, _, _ in seeded_exponential_pairs(seed, 64):
+            assert loop_defect(psi, psi_plus) == reference_loop_defect(psi, psi_plus)
+            rect = (-0.3, 0.2, -0.4, 0.1)
+            assert (loop_defect(psi, psi_plus, rect)
+                    == reference_loop_defect(psi, psi_plus, rect))
+            # an incompatible pair has a defect far from zero
+            bad = sample(psi.grid, np.conj)
+            assert loop_defect(bad, psi_plus) == reference_loop_defect(bad, psi_plus)

@@ -26,6 +26,13 @@ CONFIG_PROBES = {
     "pole-at-active-node": ("residual-holomorphic", ("u = 0", "u = 1/x"), []),
     "exponent-overflow": ("transform-simple-basic",
                           ("psi = z\n", "psi = z^10^30\n"), []),
+    "coefficient-overflow": ("series-recursion-canonical",
+                             ("beta_minus1 = poly: 1\n",
+                              "beta_minus1 = poly: 1e400\n"), []),
+    "profile-degree-cap": ("series-recursion-canonical",
+                           ("phi = poly: 0\n", "phi = poly: " + "0," * 17 + "0\n"), []),
+    "profile-few-samples": ("series-recursion-canonical",
+                            ("phi = poly: 0\n", "phi = samples: 0,0,0\n"), []),
 }
 
 
@@ -166,6 +173,27 @@ psi = z
         out = capsys.readouterr().out
         assert code == 1, out
         assert out.startswith("[config error]"), out
+
+    def test_exit_two_when_series_overflows(self, tmp_path, capsys):
+        # 2 r0 conj(beta_-1) = 2e400 is not a float: the pipeline stops
+        # with a typed error in its report, not a traceback
+        text = resources.files("galab").joinpath(
+            "scenarios", "series-recursion-canonical.ini").read_text()
+        path = tmp_path / "overflow.ini"
+        path.write_text(text.replace("r-1 = poly: -0.5\n",
+                                     "r-1 = poly: -0.5\nr0 = poly: 1e200i\n")
+                        .replace("beta_minus1 = poly: 1\n",
+                                 "beta_minus1 = poly: 1e200\n"))
+        code = run_cli(["series", "--scenario", str(path), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2, out
+        assert out.startswith("[FAILED]") and err == ""
+        report = json.loads(
+            (tmp_path / "series-recursion-canonical.report.json").read_text())
+        assert report["passed"] is False
+        assert report["error"].startswith("NonFiniteCoefficientError")
+        completed = [c for c in report["checks"] if c["name"] == "pipeline_completed"]
+        assert completed and completed[0]["passed"] is False
 
     def test_exit_two_on_failed_check(self, tmp_path):
         code = run_cli(["residual", "--scenario", "residual-holomorphic",

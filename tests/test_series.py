@@ -1,10 +1,18 @@
+import random
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
-from galab.errors import MeromorphicViolation, NormalizationError
-from galab.series import (CoefficientSeries, FunctionOnInterval, PoleProfile,
-                          conjugate_profile, pole_order_check, meromorphic_certify,
-                          normalize_profile, series_residual, solve_recursion)
+from galab.errors import (GalabError, MeromorphicViolation,
+                          NonFiniteCoefficientError, NormalizationError)
+from galab.grid import diff_axis
+from galab.series import (N_CHECK, CoefficientSeries, FunctionOnInterval,
+                          PoleProfile, conjugate_profile, pole_order_check,
+                          meromorphic_certify, normalize_profile,
+                          series_residual, solve_recursion)
+
+from conftest import assert_same_bits
 
 IV = (1.0, 2.0)
 
@@ -201,6 +209,14 @@ class TestRecursion:
         series = solve_recursion(prof, poly(1.0, 0.0, 0.1), poly(0.0), 8)
         assert max(series_residual(prof, series)) < 1e-12
 
+    def test_overflow_is_a_library_error(self):
+        # 2 r0 conj(beta_-1) = 2e400 overflows in the order -1 balance
+        prof = PoleProfile(poly(0.0), {-1: poly(-0.5), 0: poly(1e200j)})
+        with pytest.raises(NonFiniteCoefficientError) as info:
+            solve_recursion(prof, poly(1e200), poly(0.0), 8)
+        assert isinstance(info.value, GalabError)
+        assert isinstance(info.value, ValueError)
+
 
 class TestSeriesResidual:
     def test_zero_series_has_zero_defects(self):
@@ -239,3 +255,264 @@ class TestSeriesResidual:
         data = series.to_json()
         assert data["K"] == 4 and data["mode"] == "poly"
         assert set(data["beta"]) == {str(j) for j in range(-1, 5)}
+
+
+
+# --------------------------------------------------------------------------
+# Reference: the object-level recursion as written before it moved to raw
+# coefficient arrays.  Every operator builds an object and goes through
+# numpy's polyadd/polymul/polyder (poly mode) or elementwise numpy
+# (samples mode); the raw-array recursion must give the same bits.
+
+class RefFn:
+    def __init__(self, mode, data, a=IV[0], b=IV[1]):
+        self.mode, self.a, self.b = mode, a, b
+        self.data = np.atleast_1d(np.asarray(data, dtype=complex))
+        assert np.all(np.isfinite(self.data))
+
+    @classmethod
+    def of(cls, fn):
+        return cls(fn.mode, fn.data, fn.a, fn.b)
+
+    def _binary(self, other, poly_op, sample_op):
+        if np.isscalar(other):
+            value = complex(other)
+            other = RefFn(self.mode, [value] if self.mode == "poly"
+                          else np.full(self.data.size, value, dtype=complex),
+                          self.a, self.b)
+        op = poly_op if self.mode == "poly" else sample_op
+        return RefFn(self.mode, op(self.data, other.data), self.a, self.b)
+
+    def __add__(self, other):
+        return self._binary(other, P.polyadd, np.add)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return self._binary(other, P.polymul, np.multiply)
+
+    __rmul__ = __mul__
+
+    def deriv(self):
+        if self.mode == "poly":
+            out = (np.zeros(1, dtype=complex) if self.data.size == 1
+                   else P.polyder(self.data))
+        else:
+            out = diff_axis(self.data, (self.b - self.a) / (self.data.size - 1),
+                            axis=0)
+        return RefFn(self.mode, out, self.a, self.b)
+
+    def conj(self):
+        return RefFn(self.mode, np.conj(self.data), self.a, self.b)
+
+    def real_part(self):
+        return RefFn(self.mode, self.data.real.astype(complex), self.a, self.b)
+
+    def imag_part(self):
+        return RefFn(self.mode, self.data.imag.astype(complex), self.a, self.b)
+
+
+def reference_recursion(profile, beta_minus1, im_beta1, order):
+    r = lambda j: RefFn.of(profile.r_fn(j))
+    phi_p = RefFn.of(profile.phi).deriv()
+    beta = {-1: RefFn.of(beta_minus1)}
+    rhs = (-1j) * beta[-1].deriv() + phi_p * beta[-1] \
+        + 2.0 * r(0) * beta[-1].conj()
+    beta[0] = rhs.conj()
+
+    def rhs_k(k):
+        acc = (-1j) * beta[k].deriv() + phi_p * beta[k] \
+            + 2.0 * r(k + 1) * beta[-1].conj()
+        for l in range(0, k + 1):
+            acc = acc + 2.0 * r(l) * beta[k - l].conj()
+        return acc
+
+    beta[1] = 0.5 * rhs_k(0).real_part() + 1j * RefFn.of(im_beta1).real_part()
+    for k in range(1, order):
+        rk = rhs_k(k)
+        beta[k + 1] = (1.0 / (k + 2)) * rk.real_part() + (1j / k) * rk.imag_part()
+    return {j: fn.data for j, fn in beta.items()}
+
+
+def seeded_poly_case(seed):
+    """Certified profile with cubic phi, r-1 = -1/2, imaginary r0,
+    Im r1 = phi''/2 and a positive quadratic beta_-1, in float coefficients."""
+    rng = random.Random(seed)
+    u = lambda s: rng.uniform(-s, s)
+    phi = [u(0.3) for _ in range(4)]
+    r1 = [complex(u(0.3), phi[2]), complex(u(0.3), 3.0 * phi[3])]
+    prof = PoleProfile(poly(*phi), {-1: poly(-0.5), 0: poly(1j * u(0.3), 1j * u(0.3)),
+                                    1: poly(*r1)})
+    return prof, poly(rng.uniform(1.0, 2.0), u(0.25), u(0.2)), poly(u(0.3), u(0.3))
+
+
+class TestRecursionMatchesReference:
+    def check(self, prof, beta_minus1, im_beta1, order):
+        series = solve_recursion(prof, beta_minus1, im_beta1, order)
+        ref = reference_recursion(prof, beta_minus1, im_beta1, order)
+        assert sorted(series.beta) == sorted(ref)
+        for j, data in ref.items():
+            assert_same_bits(series.beta_fn(j).data, data)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_poly_profiles(self, seed):
+        prof, beta_minus1, im_beta1 = seeded_poly_case(seed)
+        self.check(prof, beta_minus1, im_beta1, 10)
+        self.check(conjugate_profile(prof), beta_minus1, im_beta1, 10)
+
+    def test_trailing_zeros_and_zero_series(self):
+        # operands with trailing exact zeros, and the pure pole whose
+        # higher coefficients are all (signed) zeros
+        prof = PoleProfile(poly(0.0, 0.0, 0.5, 0.0),
+                           {-1: poly(-0.5, 0.0), 0: poly(0.0, 0.2j, 0.0),
+                            1: poly(0.1 + 0.5j, 0.0, 0.0)})
+        self.check(prof, poly(1.0, 0.0, 0.0), poly(0.0, 0.0), 8)
+        self.check(canonical_profile(), poly(1.0), poly(0.0), 8)
+        self.check(conjugate_profile(canonical_profile()), poly(2.0), poly(0.0), 3)
+
+    def test_samples_profile(self):
+        ys = np.linspace(*IV, 81)
+        S = lambda v: FunctionOnInterval.from_samples(v, IV)
+        phi = 0.1 - 0.2 * ys + 0.15 * ys ** 2 - 0.05 * ys ** 3
+        pp = 0.3 - 0.3 * ys
+        prof = PoleProfile(S(phi), {-1: S(np.full(81, -0.5)),
+                                    0: S(1j * (0.2 - 0.1 * ys)),
+                                    1: S(0.05 * ys + 0.5j * pp)})
+        self.check(prof, S(1.5 + 0.2 * ys), S(0.1 * ys), 8)
+        self.check(conjugate_profile(prof), S(1.2 - 0.1 * ys ** 2), S(0.0 * ys), 8)
+
+
+# --------------------------------------------------------------------------
+# Exact oracle.  sympy expands e^{-i phi} (2 dbar psi - 2 u conj(psi)) for
+# psi = e^{i phi} sum_j beta_j x^j and u = e^{2i phi} sum_j r_j x^j with
+# generic functions of y, once; the x^k coefficient is then evaluated in
+# exact Gaussian-rational polynomials of y and solved for
+# beta_{k+1} = A + iB, which it holds linearly through beta_{k+1} and
+# conj(beta_{k+1}).
+
+ORACLE_ORDER = 8
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y", real=True)
+    phi = sp.Function("phi", real=True)(y)
+    b = {j: sp.Function(f"beta{j}")(y) for j in range(-1, ORACLE_ORDER + 1)}
+    r = {j: sp.Function(f"r{j}")(y) for j in (-1, 0, 1)}
+    psi = sp.exp(sp.I * phi) * sum(fn * x ** j for j, fn in b.items())
+    u = sp.exp(2 * sp.I * phi) * sum(fn * x ** j for j, fn in r.items())
+    defect = sp.expand(sp.exp(-sp.I * phi) * (
+        sp.diff(psi, x) + sp.I * sp.diff(psi, y) - 2 * u * sp.conjugate(psi)))
+    coeff = {k: defect.coeff(x, k) for k in range(-2, ORACLE_ORDER)}
+    return sp, y, phi, b, r, coeff
+
+
+def _exact_case(sp, y, seed):
+    """Dyadic rationals, so the float profile is the exact one."""
+    rng = random.Random(seed)
+    q = lambda: sp.Rational(rng.randint(-4, 4), 16)
+    phi = sum(q() * y ** i for i in range(4))
+    r = {-1: sp.Rational(-1, 2), 0: sp.I * (q() + q() * y),
+         1: q() + q() * y + sp.I * sp.diff(phi, y, 2) / 2}
+    beta_minus1 = 1 + sp.Rational(rng.randint(0, 16), 16) + (q() * y + q() * y ** 2) / 2
+    return phi, r, beta_minus1, q() + q() * y
+
+
+class _Exact:
+    """Polynomials in y over the Gaussian rationals, and the evaluation
+    of an expression in generic functions of y on them."""
+
+    def __init__(self, sp, y):
+        self.sp, self.y = sp, y
+
+    def poly(self, expr):
+        return self.sp.Poly(expr, self.y, domain=self.sp.QQ_I)
+
+    def map_coeffs(self, p, fn):
+        return self.sp.Poly.from_list([fn(c) for c in p.all_coeffs()], self.y,
+                                      domain=self.sp.QQ_I)
+
+    def evaluate(self, expr, atoms):
+        sp = self.sp
+        if expr in atoms:
+            return atoms[expr]
+        if expr.is_Add:
+            return sum((self.evaluate(a, atoms) for a in expr.args), self.poly(0))
+        if expr.is_Mul:
+            out = self.poly(1)
+            for a in expr.args:
+                out = out * self.evaluate(a, atoms)
+            return out
+        if isinstance(expr, sp.conjugate):
+            return self.map_coeffs(self.evaluate(expr.args[0], atoms), sp.conjugate)
+        if isinstance(expr, sp.Derivative):
+            return self.evaluate(expr.args[0], atoms).diff(self.y)
+        return self.poly(expr)
+
+    def to_array(self, p):
+        return np.array([complex(c) for c in reversed(p.all_coeffs())])
+
+    def on_nodes(self, p):
+        return P.polyval(np.linspace(*IV, N_CHECK), self.to_array(p))
+
+
+def _exact_series(oracle, exact, phi, r, beta_minus1, im_beta1):
+    sp, y, phi_fn, b, r_fn, coeff = oracle
+    atoms = {phi_fn: exact.poly(phi), **{b[j]: exact.poly(0) for j in b}}
+    atoms.update({r_fn[j]: exact.poly(v) for j, v in r.items()})
+    atoms[b[-1]] = exact.poly(beta_minus1)
+    for k in range(-1, ORACLE_ORDER):
+        unknown = b[k + 1]
+        eq = coeff[k]
+        alpha = exact.evaluate(eq.coeff(unknown), atoms).as_expr()
+        gamma = exact.evaluate(eq.coeff(sp.conjugate(unknown)), atoms).as_expr()
+        assert alpha.is_real and gamma.is_real  # (k + 1) and -2 r_-1 = 1
+        rest = -exact.evaluate(eq.subs(unknown, 0), atoms)
+        re_rest = exact.map_coeffs(rest, sp.re)
+        im_rest = exact.map_coeffs(rest, sp.im)
+        # alpha (A + iB) + gamma (A - iB) = rest
+        a = re_rest * (1 / (alpha + gamma))
+        if alpha == gamma:  # order 0: Im rest = 0 for a certified profile
+            assert im_rest.is_zero
+            b_im = exact.poly(im_beta1)
+        else:
+            b_im = im_rest * (1 / (alpha - gamma))
+        atoms[unknown] = a + exact.poly(sp.I) * b_im
+    return atoms
+
+
+def _fn(exact, p):
+    return FunctionOnInterval(IV[0], IV[1], "poly", exact.to_array(p))
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_recursion_and_residual_match_sympy(self, oracle, seed):
+        sp, y, phi_fn, b, r_fn, coeff = oracle
+        exact = _Exact(sp, y)
+        phi, r, beta_minus1, im_beta1 = _exact_case(sp, y, seed)
+        atoms = _exact_series(oracle, exact, phi, r, beta_minus1, im_beta1)
+        prof = PoleProfile(_fn(exact, exact.poly(phi)),
+                           {j: _fn(exact, exact.poly(v)) for j, v in r.items()})
+        series = solve_recursion(prof, _fn(exact, exact.poly(beta_minus1)),
+                                 _fn(exact, exact.poly(im_beta1)), ORACLE_ORDER)
+        for j in range(0, ORACLE_ORDER + 1):
+            want = exact.to_array(atoms[b[j]])
+            got = series.beta_fn(j).data
+            size = max(want.size, got.size)
+            want, got = (np.pad(v, (0, size - v.size)) for v in (want, got))
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+        # series_residual against the exact defects of a perturbed series
+        bump = {2: exact.poly(sp.I * (1 + y) / 8), 5: exact.poly(y ** 2 / 16)}
+        for j, p in bump.items():
+            atoms[b[j]] = atoms[b[j]] + p
+        perturbed = CoefficientSeries(
+            prof.phi, {j: _fn(exact, atoms[b[j]]) for j in b}, 1, ORACLE_ORDER)
+        want = [float(np.max(np.abs(exact.on_nodes(exact.evaluate(coeff[k], atoms)))))
+                for k in range(-2, ORACLE_ORDER)]
+        got = series_residual(prof, perturbed)
+        assert max(want) > 0.01
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(want))

@@ -1,14 +1,18 @@
+import random
+
 import numpy as np
 import pytest
 
 from galab.errors import (FitError, MeromorphicViolation, PositivityError,
                           ZeroPotentialError)
 from galab.grid import Field, GridSpec
-from galab.potential import omega_singular
+from galab.potential import Potential, omega_singular
 from galab.series import FunctionOnInterval, PoleProfile
-from galab.singularity import (SingularFieldModel, fit_laurent_profile,
-                               remove_pole, synthesize_seeds,
-                               synthesize_singular_u)
+from galab.singularity import (SingularFieldModel, _series_remainder,
+                               fit_laurent_profile, remove_pole,
+                               synthesize_seeds, synthesize_singular_u)
+
+from conftest import assert_same_bits, reference_integrate_form
 
 IV = (1.0, 2.0)
 EPS = 0.1
@@ -315,3 +319,84 @@ class TestRemovePole:
         assert set(data) >= {"delta_ladder", "sup_u_tilde", "fitted_c_minus1",
                              "fitted_c_minus2", "verdict"}
         assert len(data["delta_ladder"]) == 4
+
+
+# --------------------------------------------------------------------------
+# References: the grid synthesis with x powers held on the whole grid, and
+# the singular potential integrated on complex components, as written
+# before the 1-D powers and the float64 form.  Both must give the same bits.
+
+def reference_power_sum(grid, fns):
+    acc = np.zeros(grid.shape(), dtype=complex)
+    xpow = np.ones(grid.shape())
+    for fn in fns:
+        acc += xpow * fn.values_on(grid.ys)[None, :]
+        xpow = xpow * grid.x
+    return acc
+
+
+def reference_omega_singular(f, f_plus, constant):
+    grid, ys, x = f.grid, f.grid.ys, f.grid.x
+    constant = 1j * complex(constant).imag
+    b = (f.leading * f_plus.leading).real_part()
+    bv, bpv = b.values_on(ys), b.deriv().values_on(ys)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_lead = 2j * bv[None, :] / x
+        p_model = -1j * bv[None, :] / x ** 2 + bpv[None, :] / x
+    p_rem = f.evaluate().values * f_plus.evaluate().values - p_model
+    bad = ~np.isfinite(p_rem)
+    for i, j in zip(*np.nonzero(bad)):
+        if 2 <= i < grid.nx - 2 and np.all(np.isfinite(
+                p_rem[[i - 2, i - 1, i + 1, i + 2], j])):
+            p_rem[i, j] = (-p_rem[i - 2, j] + 4 * p_rem[i - 1, j]
+                           + 4 * p_rem[i + 1, j] - p_rem[i + 2, j]) / 6.0
+        else:
+            p_rem[i, j] = 0.0
+    w_lead[~np.isfinite(w_lead)] = 0.0
+    bp_index = (grid.nx - 1, 0)
+    w_rem, defect = reference_integrate_form(2j * p_rem.imag, 2j * p_rem.real,
+                                             grid, bp_index)
+    vals = w_rem + w_lead + constant
+    return Potential(grid, vals, complex(vals[bp_index]), bp_index,
+                     path_defect=defect)
+
+
+def seeded_pole_case(seed):
+    """Certified profile (cubic phi, imaginary r0, Im r1 = phi''/2) with
+    positive leading seed coefficients on [1, 2]."""
+    rng = random.Random(seed)
+    u = lambda s: rng.uniform(-s, s)
+    phi = [u(0.15) for _ in range(4)]
+    r1 = [complex(u(0.15), phi[2]), complex(u(0.15), 3.0 * phi[3])]
+    prof = PoleProfile(poly(*phi), {-1: poly(-0.5), 1: poly(*r1),
+                                    0: poly(1j * u(0.15), 1j * u(0.15))})
+    lead = lambda: poly(rng.uniform(1.0, 2.0), u(0.2), u(0.2))
+    return prof, lead(), lead(), poly(u(0.3), u(0.3))
+
+
+class TestStripMatchesReference:
+    # an odd nx puts a column on the contour x = 0, where the singular
+    # potential fills its remainder by interpolation
+    @pytest.mark.parametrize("seed,nx", [(0, 480), (1, 481), (2, 480), (3, 481)])
+    def test_synthesis_and_singular_potential(self, seed, nx):
+        grid = strip_grid(nx=nx)
+        prof, lead, lead_plus, im_beta1 = seeded_pole_case(seed)
+        u, model = synthesize_singular_u(prof, grid)
+        phase = np.exp(2j * prof.phi.values_on(grid.ys).real)
+        want = reference_power_sum(grid, [prof.r_fn(j) for j in range(2)])
+        assert_same_bits(model.smooth_remainder.values, phase[None, :] * want)
+
+        f, fp = synthesize_seeds(prof, lead, lead_plus, grid, 8, im_beta1=im_beta1)
+        for model in (f, fp):
+            series = model.series
+            phase = np.exp(1j * series.phi.values_on(grid.ys).real)
+            want = reference_power_sum(grid, [series.beta_fn(j) for j in range(9)])
+            assert_same_bits(_series_remainder(series, grid).values,
+                             phase[None, :] * want)
+
+        for constant in (0.0, 0.7j):
+            got = omega_singular(f, fp, constant)
+            want = reference_omega_singular(f, fp, constant)
+            assert_same_bits(got.values, want.values)
+            assert got.path_defect == want.path_defect
+            assert got.real_drift == want.real_drift
