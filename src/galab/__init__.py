@@ -12,9 +12,9 @@ from .conformal import (CommutativityResult, HolomorphicChart,
 from .errors import (BranchError, DegenerateChartError, ExactnessError,
                      ExpressionError, FitError, GalabError,
                      MeromorphicViolation, NonFiniteCoefficientError,
-                     NonFiniteFieldError, NormalizationError, PositivityError,
-                     ScenarioError, ShapeError, SingularOmegaError,
-                     StencilError, ZeroPotentialError)
+                     NonFiniteFieldError, NonRealCoefficientError,
+                     NormalizationError, PositivityError, ScenarioError,
+                     ShapeError, SingularOmegaError, StencilError, ZeroPotentialError)
 from .expressions import as_function_of_z, constant_value, evaluate_on_grid, \
     parse_expression
 from .grid import Field, GridSpec, dbar, dz, residual, write_csv

@@ -29,19 +29,29 @@ def cumulative_integral(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     if n < 4:
         raise ValueError(f"cumulative_integral needs >= 4 samples, got {n}")
     fm = np.moveaxis(f, axis, 0)
-    inc = np.empty((n - 1,) + fm.shape[1:], dtype=np.result_type(fm.dtype, float))
+    # both in the input's layout; the head of out is scratch until the sums
+    inc = np.empty_like(fm[1:], dtype=np.result_type(fm.dtype, float))
+    out = np.empty_like(fm, dtype=inc.dtype)
     w = _W_MID
-    # interior steps k -> k+1 use samples k-1 .. k+2
-    inc[1:-1] = h * (
-        w[0] * fm[:-3] + w[1] * fm[1:-2] + w[2] * fm[2:-1] + w[3] * fm[3:]
-    )
+    # interior steps k -> k+1 use samples k-1 .. k+2, summed in that order
+    mid, tmp = inc[1:-1], out[:-3]
+    np.multiply(w[0], fm[:-3], out=mid)
+    for wk, fk in zip(w[1:], (fm[1:-2], fm[2:-1], fm[3:])):
+        np.add(mid, np.multiply(wk, fk, out=tmp), out=mid)
+    np.multiply(h, mid, out=mid)
     wf = _W_FIRST
     inc[0] = h * (wf[0] * fm[0] + wf[1] * fm[1] + wf[2] * fm[2] + wf[3] * fm[3])
     wl = _W_LAST
     inc[-1] = h * (wl[0] * fm[-4] + wl[1] * fm[-3] + wl[2] * fm[-2] + wl[3] * fm[-1])
-    out = np.empty_like(fm, dtype=inc.dtype)
     out[0] = 0.0
-    np.cumsum(inc, axis=0, out=out[1:])
+    if out.ndim > 1 and out[0].flags.c_contiguous and out[0].nbytes >= 4096:
+        # cumsum's sequential sums; it steps down columns, which is slower
+        # once each step crosses a page
+        out[1] = inc[0]
+        for k in range(2, n):
+            np.add(out[k - 1], inc[k - 1], out=out[k])
+    else:
+        np.cumsum(inc, axis=0, out=out[1:])
     return np.moveaxis(out, 0, axis)
 
 

@@ -21,6 +21,10 @@ class NonFiniteCoefficientError(GalabError, ValueError):
     """A coefficient function of y has non-finite values."""
 
 
+class NonRealCoefficientError(GalabError, ValueError):
+    """A coefficient function that must be real has an imaginary part."""
+
+
 class ExactnessError(GalabError):
     """The integrated 1-form is not closed within tolerance.
 

@@ -10,7 +10,7 @@ positions.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -280,9 +280,18 @@ def evaluate(node, env: dict) -> np.ndarray | complex:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def grid_env(grid) -> dict:
-    return {"x": grid.x.astype(complex), "y": grid.y.astype(complex),
-            "z": grid.z, "zbar": np.conj(grid.z)}
+def _variables(node) -> set[str]:
+    """Names of the variables an AST references."""
+    if isinstance(node, Var):
+        return {node.name}
+    return set().union(*(_variables(v) for v in vars(node).values()
+                         if is_dataclass(v)))
+
+
+#: each variable on a grid, built only when an expression names it
+_GRID_VARIABLES = {"x": lambda g: g.x.astype(complex, order="C"),
+                   "y": lambda g: g.y.astype(complex, order="C"),
+                   "z": lambda g: g.z, "zbar": lambda g: np.conj(g.z)}
 
 
 def point_env(z: np.ndarray | complex) -> dict:
@@ -293,7 +302,9 @@ def point_env(z: np.ndarray | complex) -> dict:
 
 def evaluate_on_grid(src_or_ast, grid) -> np.ndarray:
     node = parse_expression(src_or_ast) if isinstance(src_or_ast, str) else src_or_ast
-    vals = evaluate(node, grid_env(grid))
+    named = _variables(node)
+    vals = evaluate(node, {name: build(grid) for name, build in _GRID_VARIABLES.items()
+                           if name in named})
     return np.broadcast_to(np.asarray(vals, dtype=complex), grid.shape()).copy()
 
 

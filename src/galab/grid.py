@@ -69,12 +69,12 @@ class GridSpec:
 
     @cached_property
     def x(self) -> np.ndarray:
-        """x coordinate at every node, shape (nx, ny)."""
-        return np.broadcast_to(self.xs[:, None], (self.nx, self.ny)).copy()
+        """x coordinate at every node, shape (nx, ny): a read-only view."""
+        return np.broadcast_to(self.xs[:, None], (self.nx, self.ny))
 
     @cached_property
     def y(self) -> np.ndarray:
-        return np.broadcast_to(self.ys[None, :], (self.nx, self.ny)).copy()
+        return np.broadcast_to(self.ys[None, :], (self.nx, self.ny))
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -89,6 +89,10 @@ class GridSpec:
 
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
+
+    def active(self, values: np.ndarray) -> np.ndarray:
+        """``values`` at active nodes: itself when unbanded, else ``values[mask]``."""
+        return values if self.excluded_band is None else values[self.mask]
 
     def node_index(self, x: float, y: float) -> tuple[int, int]:
         """Index of the grid node nearest to (x, y)."""
@@ -110,7 +114,7 @@ class Field:
         if vals.shape != self.grid.shape():
             raise ShapeError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape()}")
-        if not np.all(np.isfinite(vals[self.grid.mask])):
+        if not np.all(np.isfinite(self.grid.active(vals))):
             raise NonFiniteFieldError("field has non-finite values at active nodes")
 
     @classmethod
@@ -127,7 +131,7 @@ class Field:
 
     def max_abs(self) -> float:
         """Max modulus over active nodes."""
-        return float(np.max(np.abs(self.values[self.grid.mask])))
+        return float(np.max(np.abs(self.grid.active(self.values))))
 
     def _coerce(self, other):
         if isinstance(other, Field):
@@ -174,7 +178,11 @@ class Field:
 def _diff_1d(fm: np.ndarray, h: float) -> np.ndarray:
     """4th-order d/dx along axis 0 of an array with >= 5 rows."""
     out = np.empty_like(fm, dtype=np.result_type(fm.dtype, float))
-    out[2:-2] = (fm[:-4] - 8 * fm[1:-3] + 8 * fm[3:-1] - fm[4:]) / (12 * h)
+    mid, tmp = out[2:-2], np.empty_like(out[2:-2])
+    np.subtract(fm[:-4], np.multiply(8, fm[1:-3], out=tmp), out=mid)
+    np.add(mid, np.multiply(8, fm[3:-1], out=tmp), out=mid)
+    np.subtract(mid, fm[4:], out=mid)
+    np.divide(mid, 12 * h, out=mid)
     head = fm[:5]
     out[0] = np.tensordot(_EDGE0, head, axes=(0, 0)) / h
     out[1] = np.tensordot(_EDGE1, head, axes=(0, 0)) / h
@@ -194,18 +202,22 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(_diff_1d(fm, h), 0, axis)
 
 
-def dbar(f: Field) -> Field:
-    """d/dzbar = (d/dx + i d/dy) / 2 by 4th-order finite differences."""
+def _wirtinger(f: Field, combine) -> Field:
+    """0.5 * combine(dx, 1j * dy), formed in the arrays of dx and dy."""
     dx = diff_axis(f.values, f.grid.hx, axis=0)
     dy = diff_axis(f.values, f.grid.hy, axis=1)
-    return Field(f.grid, _scrub(f.grid, 0.5 * (dx + 1j * dy)))
+    combine(dx, np.multiply(1j, dy, out=dy), out=dx)
+    return Field(f.grid, _scrub(f.grid, np.multiply(0.5, dx, out=dx)))
+
+
+def dbar(f: Field) -> Field:
+    """d/dzbar = (d/dx + i d/dy) / 2 by 4th-order finite differences."""
+    return _wirtinger(f, np.add)
 
 
 def dz(f: Field) -> Field:
     """d/dz = (d/dx - i d/dy) / 2 by 4th-order finite differences."""
-    dx = diff_axis(f.values, f.grid.hx, axis=0)
-    dy = diff_axis(f.values, f.grid.hy, axis=1)
-    return Field(f.grid, _scrub(f.grid, 0.5 * (dx - 1j * dy)))
+    return _wirtinger(f, np.subtract)
 
 
 def _scrub(grid: GridSpec, vals: np.ndarray) -> np.ndarray:
@@ -228,13 +240,15 @@ def residual(u: Field, psi: Field, kind: str = "direct") -> float:
     if u.grid != psi.grid:
         raise ShapeError("u and psi live on different grids")
     d = dbar(psi).values
+    # products as written: numpy may swap their operands to reuse the
+    # temporary conjugate, and complex products differ in the last bit
     if kind == "direct":
-        defect = d - u.values * np.conj(psi.values)
+        np.subtract(d, u.values * np.conj(psi.values), out=d)
     elif kind == "conjugate":
-        defect = d + np.conj(u.values) * np.conj(psi.values)
+        np.add(d, np.conj(u.values) * np.conj(psi.values), out=d)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return float(np.max(np.abs(defect[u.grid.mask])))
+    return float(np.max(np.abs(u.grid.active(d))))
 
 
 def write_csv(path, grid: GridSpec, values: np.ndarray) -> None:

@@ -104,8 +104,8 @@ def _det_nodes(om: np.ndarray, grid, det_tol: float | None) -> float:
     (N >= 2) SingularOmegaError.
     """
     n = om.shape[-1]
-    abs_det = np.abs(_det(om)[grid.mask])
-    scale = float(np.max(abs_det if n == 1 else np.abs(om[grid.mask])))
+    abs_det = np.abs(grid.active(_det(om))).ravel()
+    scale = float(np.max(abs_det if n == 1 else np.abs(grid.active(om))))
     tol = DET_TOL_FACTOR * scale ** n if det_tol is None else det_tol
     k = int(np.argmin(abs_det))
     if abs_det[k] <= tol:

@@ -50,7 +50,7 @@ class Potential:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != self.grid.shape():
             raise ShapeError("potential values do not match grid shape")
-        drift = float(np.max(np.abs(vals.real[self.grid.mask])))
+        drift = float(np.max(np.abs(self.grid.active(vals.real))))
         if drift > REAL_DRIFT_TOL:
             raise ExactnessError(
                 f"potential has real drift {drift:.3e} above {REAL_DRIFT_TOL:.1e}")
@@ -66,7 +66,7 @@ class Potential:
         return cls(grid, values, complex(values[basepoint]), basepoint)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values[self.grid.mask])))
+        return float(np.max(np.abs(self.grid.active(self.values))))
 
     def summary(self) -> dict:
         return {
@@ -101,14 +101,19 @@ def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
     The components are real arrays, the imaginary parts of the form.
     """
     i0, j0 = basepoint
-    leg_x = cumulative_integral(a[:, j0], grid.hx)
-    leg_y = cumulative_integral(b, grid.hy, axis=1)
-    w_xy = (leg_x - leg_x[i0])[:, None] + leg_y - leg_y[:, j0][:, None]
-    leg_y = cumulative_integral(b[i0, :], grid.hy)
-    leg_x = cumulative_integral(a, grid.hx, axis=0)
-    w_yx = (leg_y - leg_y[j0])[None, :] + leg_x - leg_x[i0, :][None, :]
-    del leg_x  # a full grid, not needed for the defect
-    return w_xy, float(np.max(np.abs((w_xy - w_yx)[grid.mask])))
+    # each orientation is (leg - leg[start]) + w - w[ref], in place in w
+    leg = cumulative_integral(a[:, j0], grid.hx)
+    w_xy = cumulative_integral(b, grid.hy, axis=1)
+    ref = w_xy[:, j0].copy()
+    np.add((leg - leg[i0])[:, None], w_xy, out=w_xy)
+    np.subtract(w_xy, ref[:, None], out=w_xy)
+    leg = cumulative_integral(b[i0, :], grid.hy)
+    w_yx = cumulative_integral(a, grid.hx, axis=0)
+    ref = w_yx[i0, :].copy()
+    np.add((leg - leg[j0])[None, :], w_yx, out=w_yx)
+    np.subtract(w_yx, ref[None, :], out=w_yx)
+    defect = np.abs(np.subtract(w_xy, w_yx, out=w_yx), out=w_yx)
+    return w_xy, float(np.max(grid.active(defect)))
 
 
 def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
@@ -137,8 +142,8 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
         raise ExactnessError(
             f"path-dependence defect {defect:.3e} exceeds {exactness_tol:.1e}; "
             "the pair is not a solution/conjugate-solution pair")
-    return Potential(grid, 1j * (w_xy + constant.imag), constant, basepoint,
-                     path_defect=defect)
+    return Potential(grid, 1j * np.add(w_xy, constant.imag, out=w_xy),
+                     constant, basepoint, path_defect=defect)
 
 
 def loop_defect(psi: Field, psi_plus: Field,

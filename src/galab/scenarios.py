@@ -237,6 +237,9 @@ def _parse_profile_section(sec, name: str) -> dict[str, object]:
         if key in ("interval", "order"):
             continue
         out[key] = _parse_function(val, (a, b), name, key)
+        if (key in ("beta_minus1", "beta_plus_minus1", "im_beta1")
+                and not out[key].is_real(1e-12)):
+            raise ScenarioError(f"scenario {name!r}: {key!r} must be real-valued")
     return out
 
 

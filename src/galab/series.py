@@ -25,7 +25,7 @@ from numpy.polynomial.polynomial import polyder
 from numpy.polynomial.polyutils import trimseq
 
 from .errors import (MeromorphicViolation, NonFiniteCoefficientError,
-                     NormalizationError)
+                     NonRealCoefficientError, NormalizationError)
 from .grid import diff_axis
 
 #: default certification tolerances per representation
@@ -426,9 +426,9 @@ def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
             f"(worst |value| {cert.worst_value:.3e} at y = {cert.worst_y})")
     tol = profile.tolerance(tol)
     if not beta_minus1.is_real(1e-12):
-        raise ValueError("beta_minus1 must be real-valued")
+        raise NonRealCoefficientError("beta_minus1 must be real-valued")
     if not im_beta1.is_real(1e-12):
-        raise ValueError("im_beta1 must be real-valued")
+        raise NonRealCoefficientError("im_beta1 must be real-valued")
     phi = profile.phi
     phi._check_compatible(beta_minus1)
     phi._check_compatible(im_beta1)

@@ -40,9 +40,9 @@ def assert_fourth_order(errors, floor=1e-12, min_order=3.5):
 
 
 def assert_same_bits(got, want):
-    """Equal shapes and values, signed zeros included."""
+    """Equal shapes and values, signed zeros and NaN payloads included."""
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want, equal_nan=True)
     assert got.tobytes() == want.tobytes()
 
 

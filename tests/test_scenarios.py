@@ -33,11 +33,29 @@ CONFIG_PROBES = {
                            ("phi = poly: 0\n", "phi = poly: " + "0," * 17 + "0\n"), []),
     "profile-few-samples": ("series-recursion-canonical",
                             ("phi = poly: 0\n", "phi = samples: 0,0,0\n"), []),
+    "complex-beta-minus1": ("series-recursion-canonical",
+                            ("beta_minus1 = poly: 1\n", "beta_minus1 = poly: 1i\n"), []),
+    "complex-im-beta1": ("series-recursion-canonical",
+                         ("beta_minus1 = poly: 1\n",
+                          "beta_minus1 = poly: 1\nim_beta1 = poly: 0, 2i\n"), []),
+    "complex-beta-plus": ("canonical-pole-removal",
+                          ("beta_plus_minus1 = poly: 1\n",
+                           "beta_plus_minus1 = poly: 1, 1i\n"), []),
 }
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def _child_env() -> dict:
+    """This process's environment with galab's source root on PYTHONPATH,
+    which pytest's ``pythonpath`` setting does not pass to children."""
+    src = os.path.dirname(os.path.dirname(galab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestLoading:
@@ -231,8 +249,8 @@ psi = z
         proc = subprocess.run(
             [sys.executable, "-m", "galab.cli", "series", "--scenario",
              "series-recursion-canonical", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
         assert "series-recursion-canonical" in proc.stdout
 
     def test_single_run_skips_process_pool_import(self, tmp_path):
@@ -242,13 +260,9 @@ psi = z
                  "code = main(sys.argv[1:])\n"
                  "print('concurrent.futures' in sys.modules)\n"
                  "sys.exit(code)\n")
-        src = os.path.dirname(os.path.dirname(galab.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c", probe, "series", "--scenario",
              "series-recursion-canonical", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"

@@ -5,7 +5,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from galab.errors import (GalabError, MeromorphicViolation,
-                          NonFiniteCoefficientError, NormalizationError)
+                          NonFiniteCoefficientError, NonRealCoefficientError,
+                          NormalizationError)
 from galab.grid import diff_axis
 from galab.series import (N_CHECK, CoefficientSeries, FunctionOnInterval,
                           PoleProfile, conjugate_profile, pole_order_check,
@@ -203,6 +204,14 @@ class TestRecursion:
     def test_complex_beta_minus1_rejected(self):
         with pytest.raises(ValueError):
             solve_recursion(canonical_profile(), poly(1j), poly(0.0), 4)
+
+    @pytest.mark.parametrize("beta_minus1, im_beta1", [(1j, 0.0), (1.0, 2j)])
+    def test_complex_parameters_are_library_errors(self, beta_minus1, im_beta1):
+        with pytest.raises(NonRealCoefficientError) as info:
+            solve_recursion(canonical_profile(), poly(beta_minus1),
+                            poly(im_beta1), 4)
+        assert isinstance(info.value, GalabError)
+        assert isinstance(info.value, ValueError)
 
     def test_y_dependent_profile(self):
         prof = phase_y2_profile()
