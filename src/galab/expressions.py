@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ExpressionError
+from .grid import _row_blocks
 
 VARIABLES = ("x", "y", "z", "zbar")
 FUNCTIONS: dict[str, Callable] = {
@@ -288,10 +289,18 @@ def _variables(node) -> set[str]:
                          if is_dataclass(v)))
 
 
-#: each variable on a grid, built only when an expression names it
-_GRID_VARIABLES = {"x": lambda g: g.x.astype(complex, order="C"),
-                   "y": lambda g: g.y.astype(complex, order="C"),
-                   "z": lambda g: g.z, "zbar": lambda g: np.conj(g.z)}
+def _z(g, rows: slice = slice(None)) -> np.ndarray:
+    # the whole grid reuses its cached coordinate; a block builds its own
+    if rows.indices(g.nx) == (0, g.nx, 1):
+        return g.z
+    return g.x[rows] + 1j * g.y[rows]
+
+
+#: each variable on a block of grid rows, built only when an expression
+#: names it
+_GRID_VARIABLES = {"x": lambda g, rows=slice(None): g.x[rows].astype(complex, order="C"),
+                   "y": lambda g, rows=slice(None): g.y[rows].astype(complex, order="C"),
+                   "z": _z, "zbar": lambda g, rows=slice(None): np.conj(_z(g, rows))}
 
 
 def point_env(z: np.ndarray | complex) -> dict:
@@ -301,11 +310,16 @@ def point_env(z: np.ndarray | complex) -> dict:
 
 
 def evaluate_on_grid(src_or_ast, grid) -> np.ndarray:
+    """Values of an expression at every node, evaluated one row block at
+    a time on coordinates built for that block."""
     node = parse_expression(src_or_ast) if isinstance(src_or_ast, str) else src_or_ast
     named = _variables(node)
-    vals = evaluate(node, {name: build(grid) for name, build in _GRID_VARIABLES.items()
-                           if name in named})
-    return np.broadcast_to(np.asarray(vals, dtype=complex), grid.shape()).copy()
+    out = np.empty(grid.shape(), dtype=complex)
+    for rows in _row_blocks(out):
+        out[rows] = evaluate(node, {name: build(grid, rows)
+                                    for name, build in _GRID_VARIABLES.items()
+                                    if name in named})
+    return out
 
 
 def as_function_of_z(src_or_ast) -> Callable[[np.ndarray], np.ndarray]:

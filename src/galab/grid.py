@@ -9,6 +9,7 @@ which is how fields with a pole along the contour x = 0 are handled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -90,9 +91,10 @@ class GridSpec:
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
-    def active(self, values: np.ndarray) -> np.ndarray:
-        """``values`` at active nodes: itself when unbanded, else ``values[mask]``."""
-        return values if self.excluded_band is None else values[self.mask]
+    def active(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """``values``, the grid's ``rows``, at active nodes: itself when
+        unbanded, else masked."""
+        return values if self.excluded_band is None else values[self.mask[rows]]
 
     def node_index(self, x: float, y: float) -> tuple[int, int]:
         """Index of the grid node nearest to (x, y)."""
@@ -175,80 +177,183 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def _diff_1d(fm: np.ndarray, h: float) -> np.ndarray:
-    """4th-order d/dx along axis 0 of an array with >= 5 rows."""
-    out = np.empty_like(fm, dtype=np.result_type(fm.dtype, float))
-    mid, tmp = out[2:-2], np.empty_like(out[2:-2])
-    np.subtract(fm[:-4], np.multiply(8, fm[1:-3], out=tmp), out=mid)
-    np.add(mid, np.multiply(8, fm[3:-1], out=tmp), out=mid)
-    np.subtract(mid, fm[4:], out=mid)
+#: bytes of one row block in a full-grid pass: a block's temporaries stay
+#: in a 2 MB L2 cache
+_BLOCK_BYTES = 1 << 19
+
+
+def _row_blocks(a: np.ndarray) -> list[slice]:
+    """Contiguous slices of ``a``'s rows, about _BLOCK_BYTES each.
+
+    A short tail merges into the block before it, so an array under two
+    blocks is one block, and every block of a larger array stays above
+    the 256 KB from which numpy reuses temporaries in place; that reuse
+    decides the operand order, and so the last bit, of complex products.
+    """
+    n = a.shape[0]
+    step = max(1, _BLOCK_BYTES * n // max(a.nbytes, 1))
+    count = max(1, n // step)
+    return [slice(k * step, n if k == count - 1 else (k + 1) * step)
+            for k in range(count)]
+
+
+def _stencil_edges(fm: np.ndarray, h: float) -> tuple:
+    """(index, entry) for entries 0, 1, n-1 and n-2 of the 4th-order
+    d/dx along axis 0, by tensordot over the whole array."""
+    head, tail, n = fm[:5], fm[-5:], fm.shape[0]
+    return ((0, np.tensordot(_EDGE0, head, axes=(0, 0)) / h),
+            (1, np.tensordot(_EDGE1, head, axes=(0, 0)) / h),
+            (n - 1, -np.tensordot(_EDGE0[::-1], tail, axes=(0, 0)) / h),
+            (n - 2, -np.tensordot(_EDGE1[::-1], tail, axes=(0, 0)) / h))
+
+
+def _stencil_block(flat: np.ndarray, shape: tuple, axis: int, h: float,
+                   rows: slice, dest: np.ndarray, tmp: np.ndarray) -> None:
+    """Central entries of ``rows`` of the 4th-order d/d(axis) of the
+    C-ordered array of ``shape`` with data ``flat``, into ``dest``, the
+    flat data of those rows; ``tmp`` is flat scratch as large.
+
+    Each neighbour is a fixed flat distance away, so every operand is
+    one contiguous run.  Along axis 0 a block reads two rows past its
+    ends; across it, the entries within two of an end of the axis read
+    neighbours that are not theirs, and the edge entries overwrite them.
+    """
+    row, st = math.prod(shape[1:]), math.prod(shape[axis + 1:])
+    a, b = rows.start * row, rows.stop * row
+    lo, hi = ((max(a, 2 * st), min(b, flat.size - 2 * st)) if axis == 0
+              else (a + 2 * st, b - 2 * st))
+    if lo >= hi:
+        return
+    mid, tmp = dest[lo - a:hi - a], tmp[:hi - lo]
+    np.subtract(flat[lo - 2 * st:hi - 2 * st],
+                np.multiply(8, flat[lo - st:hi - st], out=tmp), out=mid)
+    np.add(mid, np.multiply(8, flat[lo + st:hi + st], out=tmp), out=mid)
+    np.subtract(mid, flat[lo + 2 * st:hi + 2 * st], out=mid)
     np.divide(mid, 12 * h, out=mid)
-    head = fm[:5]
-    out[0] = np.tensordot(_EDGE0, head, axes=(0, 0)) / h
-    out[1] = np.tensordot(_EDGE1, head, axes=(0, 0)) / h
-    tail = fm[-5:]
-    out[-1] = -np.tensordot(_EDGE0[::-1], tail, axes=(0, 0)) / h
-    out[-2] = -np.tensordot(_EDGE1[::-1], tail, axes=(0, 0)) / h
-    return out
+
+
+def _check_stencil(values: np.ndarray, axis: int) -> None:
+    if values.shape[axis] < 5:
+        raise StencilError(
+            f"need >= 5 nodes along axis {axis}, got {values.shape[axis]}")
+
+
+def _largest(blocks: list[slice]) -> int:
+    return max(rows.stop - rows.start for rows in blocks)
 
 
 def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """4th-order first derivative of uniformly sampled values."""
     values = np.asarray(values)
-    if values.shape[axis] < 5:
-        raise StencilError(
-            f"need >= 5 nodes along axis {axis}, got {values.shape[axis]}")
-    fm = np.moveaxis(values, axis, 0)
-    return np.moveaxis(_diff_1d(fm, h), 0, axis)
+    _check_stencil(values, axis)
+    axis %= values.ndim
+    c = np.ascontiguousarray(values)
+    out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
+    flat, dest, row = c.reshape(-1), out.reshape(-1), c[0].size
+    blocks = _row_blocks(c)
+    tmp = np.empty_like(dest[:_largest(blocks) * row])
+    for rows in blocks:
+        _stencil_block(flat, c.shape, axis, h, rows,
+                       dest[rows.start * row:rows.stop * row], tmp)
+    om = np.moveaxis(out, axis, 0)
+    # on the input as given: tensordot's bits depend on its strides
+    for k, entry in _stencil_edges(np.moveaxis(values, axis, 0), h):
+        om[k] = entry
+    return out
 
 
-def _wirtinger(f: Field, combine) -> Field:
-    """0.5 * combine(dx, 1j * dy), formed in the arrays of dx and dy."""
-    dx = diff_axis(f.values, f.grid.hx, axis=0)
-    dy = diff_axis(f.values, f.grid.hy, axis=1)
-    combine(dx, np.multiply(1j, dy, out=dy), out=dx)
-    return Field(f.grid, _scrub(f.grid, np.multiply(0.5, dx, out=dx)))
+def _wirtinger(f: Field, combine, out: np.ndarray | None = None):
+    """Yield (rows, block) of 0.5 * combine(dx, 1j * dy), band scrubbed.
+
+    Each block is formed in ``out``'s rows (C-ordered), or in one reused
+    scratch block when ``out`` is None, from dx and dy of those rows;
+    the edge entries come from the whole array.
+    """
+    vals, grid = np.ascontiguousarray(f.values), f.grid
+    _check_stencil(vals, 0)
+    _check_stencil(vals, 1)
+    flat, shape = vals.reshape(-1), vals.shape
+    dx_edges = _stencil_edges(f.values, grid.hx)
+    dy_edges = _stencil_edges(np.moveaxis(f.values, 1, 0), grid.hy)
+    blocks = _row_blocks(vals)
+    dy = np.empty_like(vals[:_largest(blocks)])
+    tmp = np.empty_like(dy.reshape(-1))
+    scratch = np.empty_like(dy) if out is None else None
+    for rows in blocks:
+        a, b = rows.start, rows.stop
+        d = scratch[:b - a] if out is None else out[rows]
+        _stencil_block(flat, shape, 0, grid.hx, rows, d.reshape(-1), tmp)
+        for k, entry in dx_edges:
+            if a <= k < b:
+                d[k - a] = entry
+        dyb = dy[:b - a]
+        _stencil_block(flat, shape, 1, grid.hy, rows, dyb.reshape(-1), tmp)
+        for k, entry in dy_edges:
+            dyb[:, k] = entry[rows]
+        combine(d, np.multiply(1j, dyb, out=dyb), out=d)
+        yield rows, _scrub(grid, np.multiply(0.5, d, out=d), rows)
+
+
+def _stencil_field(f: Field, combine) -> Field:
+    out = np.empty(f.values.shape, dtype=complex)
+    for _ in _wirtinger(f, combine, out):
+        pass
+    return Field(f.grid, out)
 
 
 def dbar(f: Field) -> Field:
     """d/dzbar = (d/dx + i d/dy) / 2 by 4th-order finite differences."""
-    return _wirtinger(f, np.add)
+    return _stencil_field(f, np.add)
 
 
 def dz(f: Field) -> Field:
     """d/dz = (d/dx - i d/dy) / 2 by 4th-order finite differences."""
-    return _wirtinger(f, np.subtract)
+    return _stencil_field(f, np.subtract)
 
 
-def _scrub(grid: GridSpec, vals: np.ndarray) -> np.ndarray:
-    """``vals`` with non-finite values outside the active mask set to 0.
+def _scrub(grid: GridSpec, vals: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """``vals``, the grid's ``rows``, with non-finite values outside the
+    active mask set to 0 in place.
 
     Poles on the contour and stencils that reach into the excluded band
     produce junk there; at active nodes it is left for Field to reject.
     """
     if grid.excluded_band is not None:
-        vals = np.where(np.isfinite(vals) | grid.mask, vals, 0.0)
+        junk = np.isfinite(vals)
+        np.logical_or(junk, grid.mask[rows], out=junk)
+        np.copyto(vals, 0.0, where=np.logical_not(junk, out=junk))
     return vals
 
 
+def _peak(values: np.ndarray) -> float:
+    """Largest of ``values``; NaN if any is NaN, -inf if there are none."""
+    return np.max(values, initial=-np.inf)
+
+
 def residual(u: Field, psi: Field, kind: str = "direct") -> float:
-    """Max-norm defect of the generalized analytic function equations.
+    """Max-norm defect of the generalized analytic equations.
 
     ``direct`` measures dbar(psi) - u * conj(psi); ``conjugate``
     measures dbar(psi) + conj(u) * conj(psi).  Only active nodes count.
+    The stencil, product and norm run one row block at a time.
     """
     if u.grid != psi.grid:
         raise ShapeError("u and psi live on different grids")
-    d = dbar(psi).values
-    # products as written: numpy may swap their operands to reuse the
-    # temporary conjugate, and complex products differ in the last bit
-    if kind == "direct":
-        np.subtract(d, u.values * np.conj(psi.values), out=d)
-    elif kind == "conjugate":
-        np.add(d, np.conj(u.values) * np.conj(psi.values), out=d)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return float(np.max(np.abs(u.grid.active(d))))
+    grid = u.grid
+    peaks = []
+    for rows, d in _wirtinger(psi, np.add):
+        if not np.all(np.isfinite(grid.active(d, rows))):
+            raise NonFiniteFieldError("field has non-finite values at active nodes")
+        # products as written: numpy may swap their operands to reuse the
+        # temporary conjugate, and complex products differ in the last bit
+        if kind == "direct":
+            np.subtract(d, u.values[rows] * np.conj(psi.values[rows]), out=d)
+        elif kind == "conjugate":
+            np.add(d, np.conj(u.values[rows]) * np.conj(psi.values[rows]), out=d)
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        peaks.append(_peak(np.abs(grid.active(d, rows))))
+    return float(np.max(peaks))
 
 
 def write_csv(path, grid: GridSpec, values: np.ndarray) -> None:

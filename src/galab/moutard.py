@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeError, SingularOmegaError, ZeroPotentialError
-from .grid import Field, _scrub, residual
+from .grid import Field, _row_blocks, _scrub, residual
 from .potential import Potential
 
 #: relative floor (times the potential scale) below which a potential
@@ -156,22 +156,30 @@ def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
     """
     grid, n = u.grid, om.shape[-1]
     det_min = _det_nodes(om, grid, det_tol)
+    u_tilde = np.empty_like(u.values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u_tilde = u.values + _dot(f_stack, _solve_nodes(om, np.conj(fp_stack)))
+        for rows in _row_blocks(u_tilde):
+            x = _solve_nodes(om[rows], np.conj(fp_stack[rows]))
+            np.add(u.values[rows], _dot(f_stack[rows], x), out=u_tilde[rows])
+            _scrub(grid, u_tilde[rows], rows)
 
     def mapped(stack: np.ndarray, matrix: np.ndarray, base: Field, omegas) -> Field:
         pots = _as_potential_list(omegas)
         if len(pots) != n or base.grid != grid:
             raise ShapeError(f"a map takes a field on the transform's grid and "
                              f"{n} potential(s), one per seed")
-        # a single potential is viewed, not copied, as its own stack
-        rhs = pots[0].values[..., None] if n == 1 else \
-            np.stack([p.values for p in pots], axis=-1)
+        vals = np.empty_like(base.values)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = base.values - _dot(stack, _solve_nodes(matrix, rhs))
-        return Field(grid, _scrub(grid, vals))
+            for rows in _row_blocks(vals):
+                # a single potential is viewed, not copied, as its own stack
+                rhs = pots[0].values[rows, :, None] if n == 1 else \
+                    np.stack([p.values[rows] for p in pots], axis=-1)
+                y = _solve_nodes(matrix[rows], rhs)
+                np.subtract(base.values[rows], _dot(stack[rows], y), out=vals[rows])
+                _scrub(grid, vals[rows], rows)
+        return Field(grid, vals)
 
-    return TransformResult(Field(grid, _scrub(grid, u_tilde)),
+    return TransformResult(Field(grid, u_tilde),
                            partial(mapped, f_stack, om),
                            partial(mapped, fp_stack, np.swapaxes(om, -1, -2)),
                            n, det_min)
@@ -210,8 +218,14 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     """
     _det_nodes(omega_ff.values[..., None, None], omega_ff.grid, det_tol)
     constant = complex(constant)
-    vals = (omega_pp.values * omega_ff.values
-            - omega_pf.values * omega_fp.values) / omega_ff.values + constant
+    pp, pf, fp, ff = (w.values for w in (omega_pp, omega_pf, omega_fp, omega_ff))
+    vals = np.empty_like(pp)
+    for r in _row_blocks(vals):
+        # in the order numpy runs the written formula on its temporaries
+        v = np.multiply(pp[r], ff[r], out=vals[r])
+        np.subtract(v, pf[r] * fp[r], out=v)
+        np.divide(v, ff[r], out=v)
+        np.add(v, constant, out=v)
     bp = omega_pp.basepoint
     return Potential(omega_pp.grid, vals, complex(vals[bp]), bp)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._integrate import cumulative_integral, integral
 from .errors import ExactnessError, PositivityError, ShapeError
-from .grid import Field, GridSpec, _scrub
+from .grid import Field, GridSpec, _peak, _row_blocks, _scrub
 
 if TYPE_CHECKING:
     from .singularity import SingularFieldModel
@@ -50,11 +50,15 @@ class Potential:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != self.grid.shape():
             raise ShapeError("potential values do not match grid shape")
-        drift = float(np.max(np.abs(self.grid.active(vals.real))))
+        imag, peaks = np.empty_like(vals), []
+        for rows in _row_blocks(vals):
+            peaks.append(_peak(np.abs(self.grid.active(vals.real[rows], rows))))
+            np.multiply(1j, vals.imag[rows], out=imag[rows])
+        drift = float(np.max(peaks))
         if drift > REAL_DRIFT_TOL:
             raise ExactnessError(
                 f"potential has real drift {drift:.3e} above {REAL_DRIFT_TOL:.1e}")
-        object.__setattr__(self, "values", 1j * vals.imag)
+        object.__setattr__(self, "values", imag)
         object.__setattr__(self, "real_drift", max(drift, self.real_drift))
 
     @classmethod
@@ -88,8 +92,12 @@ def _form_components(psi: Field, psi_plus: Field) -> tuple[np.ndarray, np.ndarra
     components; their real parts are exactly zero."""
     if psi.grid != psi_plus.grid:
         raise ShapeError("pair lives on different grids")
-    p = psi.values * psi_plus.values
-    return 2.0 * p.imag, 2.0 * p.real
+    a, b = np.empty(psi.values.shape), np.empty(psi.values.shape)
+    for rows in _row_blocks(psi.values):
+        p = psi.values[rows] * psi_plus.values[rows]
+        np.multiply(2.0, p.imag, out=a[rows])
+        np.multiply(2.0, p.real, out=b[rows])
+    return a, b
 
 
 def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
@@ -104,16 +112,20 @@ def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
     # each orientation is (leg - leg[start]) + w - w[ref], in place in w
     leg = cumulative_integral(a[:, j0], grid.hx)
     w_xy = cumulative_integral(b, grid.hy, axis=1)
-    ref = w_xy[:, j0].copy()
-    np.add((leg - leg[i0])[:, None], w_xy, out=w_xy)
-    np.subtract(w_xy, ref[:, None], out=w_xy)
+    leg_xy, ref_xy = leg - leg[i0], w_xy[:, j0].copy()
     leg = cumulative_integral(b[i0, :], grid.hy)
     w_yx = cumulative_integral(a, grid.hx, axis=0)
-    ref = w_yx[i0, :].copy()
-    np.add((leg - leg[j0])[None, :], w_yx, out=w_yx)
-    np.subtract(w_yx, ref[None, :], out=w_yx)
-    defect = np.abs(np.subtract(w_xy, w_yx, out=w_yx), out=w_yx)
-    return w_xy, float(np.max(grid.active(defect)))
+    leg_yx, ref_yx = leg - leg[j0], w_yx[i0, :].copy()
+    peaks = []
+    for rows in _row_blocks(w_xy):
+        xy, yx = w_xy[rows], w_yx[rows]
+        np.add(leg_xy[rows, None], xy, out=xy)
+        np.subtract(xy, ref_xy[rows, None], out=xy)
+        np.add(leg_yx[None, :], yx, out=yx)
+        np.subtract(yx, ref_yx[None, :], out=yx)
+        defect = np.abs(np.subtract(xy, yx, out=yx), out=yx)
+        peaks.append(_peak(grid.active(defect, rows)))
+    return w_xy, float(np.max(peaks))
 
 
 def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
@@ -142,8 +154,11 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
         raise ExactnessError(
             f"path-dependence defect {defect:.3e} exceeds {exactness_tol:.1e}; "
             "the pair is not a solution/conjugate-solution pair")
-    return Potential(grid, 1j * np.add(w_xy, constant.imag, out=w_xy),
-                     constant, basepoint, path_defect=defect)
+    vals = np.empty(w_xy.shape, dtype=complex)
+    for rows in _row_blocks(vals):
+        w = w_xy[rows]
+        np.multiply(1j, np.add(w, constant.imag, out=w), out=vals[rows])
+    return Potential(grid, vals, constant, basepoint, path_defect=defect)
 
 
 def loop_defect(psi: Field, psi_plus: Field,

@@ -201,13 +201,29 @@ class LaurentFit:
         return float(np.max(np.abs(self.coeff(order))))
 
 
+#: slack of the |x| windows, in grid steps
+WINDOW_SLACK = 1e-9
+
+
+def _window(grid: GridSpec, lo: float, hi: float) -> np.ndarray:
+    """Columns with lo <= |x| <= hi, up to WINDOW_SLACK * hx at both ends.
+
+    linspace can put a node a hair past a bound on one side of the
+    contour and exactly on it on the other (x = +0.05 is stored as
+    0.05000000000000000278 at nx = 481); the slack keeps the two sides
+    mirror images, so a fit sees the same columns left and right.
+    """
+    ax, slack = np.abs(grid.xs), WINDOW_SLACK * grid.hx
+    return (ax >= lo - slack) & (ax <= hi + slack)
+
+
 def fit_laurent_profile(field: Field, orders: tuple[int, ...] = (-2, -1, 0),
                         x_window: tuple[float, float] | None = None,
                         min_samples: int = 6) -> LaurentFit:
     """Fit sum_k c_k(y) x^k to each grid row by least squares.
 
     Uses active columns on both sides of x = 0, restricted to
-    ``x_window`` = (lo, hi) on |x| when given.  Raises FitError with
+    ``x_window`` = (lo, hi) on |x| when given (see ``_window``).  Raises FitError with
     fewer than ``min_samples`` columns on either side.
     """
     grid = field.grid
@@ -216,8 +232,7 @@ def fit_laurent_profile(field: Field, orders: tuple[int, ...] = (-2, -1, 0),
         else np.ones_like(xs, dtype=bool)
     sel = active & (np.abs(xs) > 0)
     if x_window is not None:
-        lo, hi = x_window
-        sel &= (np.abs(xs) >= lo) & (np.abs(xs) <= hi)
+        sel &= _window(grid, *x_window)
     n_right = int(np.count_nonzero(sel & (xs > 0)))
     n_left = int(np.count_nonzero(sel & (xs < 0)))
     if min(n_right, n_left) < min_samples:
@@ -291,7 +306,7 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
         delta_ladder = tuple(f * eps for f in LADDER_FRACTIONS)
     sups, c2s, c1s, c0s = [], [], [], []
     for delta in delta_ladder:
-        ring = grid.mask & (np.abs(grid.x) >= delta / 2) & (np.abs(grid.x) <= delta)
+        ring = grid.mask & _window(grid, delta / 2, delta)[:, None]
         if not ring.any():
             raise FitError(f"ladder rung delta = {delta} has no active nodes")
         sups.append(float(np.max(np.abs(u_tilde.values[ring]))))

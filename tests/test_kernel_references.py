@@ -1,27 +1,31 @@
-"""The grid kernels against their earlier, allocating forms, bit for bit.
+"""The grid kernels against their earlier, whole-array forms, bit for bit.
 
 Each ``ref_*`` function below is the kernel as it was before it worked
-in place: whole-grid temporaries, ``np.cumsum`` on every layout, boolean
-mask copies and an environment holding every variable.  The kernels
-must give the same bytes on float and complex data, on both axes, at
-the minimum sizes, on banded strips with inf and nan inside the band,
-and below and above the array size at which numpy starts to reuse
-temporaries.
+in place and in row blocks: whole-grid temporaries, ``np.cumsum`` on
+every layout, boolean mask copies and an environment holding every
+variable.  The kernels must give the same bytes on float and complex
+data, on both axes, at the minimum sizes, on banded strips with inf and
+nan inside the band, below and above the array size at which numpy
+starts to reuse temporaries, and on grids of many row blocks: one with a
+merged tail block, a tall strip and one whose single row outgrows a
+block.
 """
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from galab._integrate import _W_FIRST, _W_LAST, _W_MID, cumulative_integral
 from galab.errors import ExpressionError, SingularOmegaError, ZeroPotentialError
 from galab.expressions import (_GRID_VARIABLES, BinOp, Var, _variables, evaluate,
                                evaluate_on_grid, parse_expression)
-from galab.grid import (_EDGE0, _EDGE1, Field, GridSpec, _scrub, dbar, diff_axis,
-                        dz, residual)
-from galab.moutard import _det_nodes
-from galab.potential import _integrate_form, omega
+from galab.grid import (_EDGE0, _EDGE1, Field, GridSpec, _row_blocks, dbar,
+                        diff_axis, dz, residual)
+from galab.moutard import _det_nodes, _dot, _solve_nodes, moutard_simple, \
+    transformed_potential
+from galab.potential import Potential, _form_components, _integrate_form, omega
 
 from conftest import assert_same_bits, make_grid
 
@@ -47,6 +51,12 @@ def ref_cumulative_integral(f, h, axis=-1):
     return np.moveaxis(out, 0, axis)
 
 
+def ref_scrub(grid, vals):
+    if grid.excluded_band is not None:
+        vals = np.where(np.isfinite(vals) | grid.mask, vals, 0.0)
+    return vals
+
+
 def ref_diff_1d(fm, h):
     out = np.empty_like(fm, dtype=np.result_type(fm.dtype, float))
     out[2:-2] = (fm[:-4] - 8 * fm[1:-3] + 8 * fm[3:-1] - fm[4:]) / (12 * h)
@@ -67,13 +77,13 @@ def ref_diff_axis(values, h, axis):
 def ref_dbar(f):
     dx = ref_diff_axis(f.values, f.grid.hx, axis=0)
     dy = ref_diff_axis(f.values, f.grid.hy, axis=1)
-    return Field(f.grid, _scrub(f.grid, 0.5 * (dx + 1j * dy)))
+    return Field(f.grid, ref_scrub(f.grid, 0.5 * (dx + 1j * dy)))
 
 
 def ref_dz(f):
     dx = ref_diff_axis(f.values, f.grid.hx, axis=0)
     dy = ref_diff_axis(f.values, f.grid.hy, axis=1)
-    return Field(f.grid, _scrub(f.grid, 0.5 * (dx - 1j * dy)))
+    return Field(f.grid, ref_scrub(f.grid, 0.5 * (dx - 1j * dy)))
 
 
 def ref_residual(u, psi, kind="direct"):
@@ -95,6 +105,35 @@ def ref_integrate_form(a, b, grid, basepoint):
     w_yx = (leg_y - leg_y[j0])[None, :] + leg_x - leg_x[i0, :][None, :]
     del leg_x
     return w_xy, float(np.max(np.abs((w_xy - w_yx)[grid.mask])))
+
+
+def ref_form_components(psi, psi_plus):
+    p = psi.values * psi_plus.values
+    return 2.0 * p.imag, 2.0 * p.real
+
+
+def ref_potential(values, grid):
+    """The values and real drift Potential stored for ``values``."""
+    vals = np.asarray(values, dtype=complex)
+    return 1j * vals.imag, float(np.max(np.abs(vals.real[grid.mask])))
+
+
+def ref_transform(u, f, fp, w):
+    """u_tilde and the psi map of the simple transform, whole-array."""
+    grid = u.grid
+    f_stack, fp_stack = f.values[..., None], fp.values[..., None]
+    om = w.values[..., None, None]
+    u_tilde = u.values + _dot(f_stack, _solve_nodes(om, np.conj(fp_stack)))
+
+    def map_psi(psi, w_psi):
+        vals = psi.values - _dot(f_stack, _solve_nodes(om, w_psi.values[..., None]))
+        return ref_scrub(grid, vals)
+
+    return ref_scrub(grid, u_tilde), map_psi
+
+
+def ref_transformed_values(pp, pf, fp, ff, constant):
+    return (pp.values * ff.values - pf.values * fp.values) / ff.values + constant
 
 
 def ref_grid_env(grid):
@@ -147,7 +186,7 @@ def _poisoned(grid, dtype, seed):
     return vals
 
 
-STRIPS = [_strip(480), _strip(481)]
+STRIPS = [_strip(480), _strip(481), _strip(2400)]
 # "wide" rows fill a page, so cumulative_integral adds them one at a time
 # along axis 0; the others use cumsum, except complex "large"
 ARRAYS = {  # name -> (maker of the array from its dtype, axes)
@@ -163,6 +202,11 @@ ARRAYS = {  # name -> (maker of the array from its dtype, axes)
     "strip-481": (lambda dt: _poisoned(STRIPS[1], dt, 10), (0, 1)),
     "wide": (lambda dt: _data((6, 520), dt, 11), (0, 1)),
     "large": (lambda dt: _data((256, 256), dt, 12), (0, 1)),
+    # many row blocks, the last one merged with a short tail
+    "many-blocks": (lambda dt: _data((240, 703), dt, 13), (0, 1)),
+    "strip-2400": (lambda dt: _poisoned(STRIPS[2], dt, 14), (0, 1)),
+    # each row is over a block's worth of bytes, so every block is one row
+    "long-rows": (lambda dt: _data((6, 40000), dt, 15), (0, 1)),
 }
 CASES = [(name, dt, ax) for name, (_, axes) in ARRAYS.items()
          for dt in (float, complex) for ax in axes]
@@ -210,9 +254,25 @@ def _fields(grid, seed):
 
 
 # 37 x 23 stays below the size at which numpy reuses temporaries, 256^2
-# and the strips are above it
+# and the strips are above it; the last three are many row blocks
 GRIDS = {"small": make_grid(37, 23), "square-256": make_grid(256, 256),
-         "strip-480": STRIPS[0], "strip-481": STRIPS[1]}
+         "strip-480": STRIPS[0], "strip-481": STRIPS[1],
+         "many-blocks": make_grid(240, 703), "strip-2400": STRIPS[2],
+         "long-rows": make_grid(6, 40000)}
+
+
+def test_the_multi_block_inputs_are_many_blocks():
+    # a merged tail, a strip of several blocks, and one row per block,
+    # each block above the 256 KB from which numpy reuses temporaries
+    for name, rows in (("many-blocks", 240), ("strip-2400", 2400), ("long-rows", 6)):
+        for dt in (float, complex):
+            a = ARRAYS[name][0](dt)
+            blocks = _row_blocks(a)
+            assert len(blocks) >= 2 and blocks[-1].stop == rows
+            assert min(a[b].nbytes for b in blocks) >= 256 * 1024
+    sizes = [b.stop - b.start for b in _row_blocks(ARRAYS["many-blocks"][0](complex))]
+    assert sizes[-1] > sizes[0]
+    assert len(_row_blocks(ARRAYS["long-rows"][0](float))) == 6
 
 
 class TestStencilsAndResidual:
@@ -233,10 +293,36 @@ class TestStencilsAndResidual:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+    def test_residual_keeps_numpys_operand_order_in_every_block(self):
+        # numpy forms u * conj(psi) as conj(psi) * u in the temporary
+        # conjugate from 256 KB on; a block under that, such as an
+        # unmerged tail, would form it as written.  One large product in
+        # the last block, where the two orders differ, sets the residual.
+        grid = GRIDS["many-blocks"]
+        assert _row_blocks(np.empty(grid.shape(), complex))[-1].start < 230
+        node, rng = (237, 351), np.random.default_rng(91)
+        u, psi = np.zeros(grid.shape(), complex), np.zeros(grid.shape(), complex)
+        for _ in range(200):
+            u[node] = 1e6 * complex(*rng.standard_normal(2))
+            psi[node] = complex(*rng.standard_normal(2))
+            conj = np.conj(psi)
+            written = np.multiply(u, conj, out=np.empty_like(conj))[node]
+            swapped = np.multiply(conj, u, out=conj)[node]
+            if abs(written) != abs(swapped):
+                break
+        u, psi = Field(grid, u), Field(grid, psi)
+        want, d = ref_residual(u, psi), ref_dbar(psi).values
+        as_written = np.multiply(u.values, np.conj(psi.values), out=np.empty_like(d))
+        assert float(np.max(np.abs(d - as_written))) != want
+        assert residual(u, psi) == want
+
+
 class TestIntegrateForm:
     @pytest.mark.parametrize("name, basepoint", [
         ("small", (0, 0)), ("small", (36, 22)), ("square-256", (173, 41)),
-        ("strip-480", (479, 0)), ("strip-481", (480, 0)), ("strip-481", (240, 40))])
+        ("strip-480", (479, 0)), ("strip-481", (480, 0)), ("strip-481", (240, 40)),
+        ("many-blocks", (120, 702)), ("strip-2400", (2399, 0)),
+        ("strip-2400", (1200, 40)), ("long-rows", (4, 23456))])
     def test_matches_reference(self, name, basepoint):
         grid = GRIDS[name]
         a, b = _data(grid.shape(), float, 40), _data(grid.shape(), float, 41)
@@ -259,12 +345,13 @@ class TestIntegrateForm:
 
 EXPRESSIONS = ["x", "y", "zbar", "z", "2 - 3i", "exp(0.5) * 2i",
                "x*y + zbar^2 - z", "re(z) + im(zbar) * x", "conj(x) / (y + 2)",
-               "exp((0.3-0.8i)*z) * sqrt(y + 3)", "-x^3 + y^-2"]
+               "exp((0.3-0.8i)*z) * sqrt(y + 3)", "-x^3 + y^-2", "z*exp((1+2i)*z)"]
 
 
 class TestEvaluateOnGrid:
     @pytest.mark.parametrize("src", EXPRESSIONS)
-    @pytest.mark.parametrize("name", ["small", "square-256", "strip-481"])
+    @pytest.mark.parametrize("name", ["small", "square-256", "strip-481",
+                                      "many-blocks", "strip-2400", "long-rows"])
     def test_matches_reference(self, name, src):
         grid = GRIDS[name]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -293,8 +380,65 @@ class TestEvaluateOnGrid:
             assert_same_bits(coord.astype(complex), ref)
 
 
-class TestDetNodes:
+def _potential(grid, seed):
+    """An imaginary potential bounded away from zero, with a real part at
+    rounding level; on a strip, inf inside the band."""
+    rng = np.random.default_rng(seed)
+    shape = grid.shape()
+    vals = 1j * (2.0 + rng.random(shape)) + 1e-13 * rng.standard_normal(shape)
+    band = np.nonzero(~grid.mask[:, 0])[0]
+    if len(band):
+        vals[band[len(band) // 2], ::2] = np.inf
+    return Potential(grid, vals, 0j, (0, 0))
+
+
+class TestPotentialsAndTransform:
     @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_form_components(self, name):
+        psi, psi_plus = _fields(GRIDS[name], 60)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _form_components(psi, psi_plus)
+            want = ref_form_components(psi, psi_plus)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_potential_values_and_drift(self, name):
+        grid = GRIDS[name]
+        rng = np.random.default_rng(61)
+        with np.errstate(invalid="ignore"):
+            vals = 1j * (_poisoned(grid, float, 62) if grid.excluded_band
+                         else rng.standard_normal(grid.shape()))
+            vals = vals + 1e-12 * rng.standard_normal(grid.shape())
+            pot = Potential(grid, vals, 0j, (0, 0))
+            want, drift = ref_potential(vals, grid)
+        assert_same_bits(pot.values, want)
+        assert pot.real_drift == drift
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_simple_transform_and_map(self, name):
+        grid = GRIDS[name]
+        u, f = _fields(grid, 70)
+        f_plus, psi = _fields(grid, 72)
+        w, w_psi = _potential(grid, 74), _potential(grid, 75)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            result = moutard_simple(u, f, f_plus, w)
+            u_tilde, map_psi = ref_transform(u, f, f_plus, w)
+            assert_same_bits(result.u_tilde.values, u_tilde)
+            assert_same_bits(result.map_psi(psi, w_psi).values, map_psi(psi, w_psi))
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_transformed_potential(self, name):
+        grid = GRIDS[name]
+        pots = [_potential(grid, 80 + k) for k in range(4)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = transformed_potential(*pots, constant=0.5j)
+            want, _ = ref_potential(ref_transformed_values(*pots, 0.5j), grid)
+        assert_same_bits(got.values, want)
+
+
+class TestDetNodes:
+    @pytest.mark.parametrize("name", ["small", "square-256", "strip-480", "strip-481"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_minimum_and_node_match_reference(self, name, n):
         grid = GRIDS[name]
@@ -316,3 +460,97 @@ class TestDetNodes:
         om[i, j] = np.eye(n) * 1e-3
         det_min, node = ref_det_nodes(om, grid)
         assert node == (i, j) and _det_nodes(om, grid, None) == det_min
+
+
+# ------------------------------------------------------- property test
+
+_LEAVES = st.sampled_from(["x", "y", "z", "zbar", "0.5", "2i", "(0.3-0.8i)"])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds("{}({})".format, st.sampled_from(["exp", "conj", "re", "im", "sqrt"]),
+                  inner),
+        st.builds("-({})".format, inner),
+        st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(-3, 3)))
+
+
+@st.composite
+def _grids(draw):
+    nx, ny = draw(st.integers(5, 1500)), draw(st.integers(5, 300))
+    band = draw(st.one_of(st.none(), st.floats(0.001, 0.05)))
+    return GridSpec(-0.1, 0.1, 1.0, 2.0, nx, ny, excluded_band=band)
+
+
+def _random_fields(grid, seed, k=2):
+    """Seeded complex fields; inf and nan at band nodes three or more
+    rows from the active ones, so every stencil value at an active node
+    stays finite."""
+    rng = np.random.default_rng(seed)
+    band = np.nonzero(~grid.mask[:, 0])[0][3:-3]
+    fields = []
+    for _ in range(k):
+        vals = rng.standard_normal(grid.shape()) + 1j * rng.standard_normal(grid.shape())
+        vals[band, ::3] = np.inf
+        vals[band, 1::3] = np.nan
+        fields.append(Field(grid, vals))
+    return fields
+
+
+def _same_up_to_nan(got, want):
+    """Same shape and bytes once every NaN is the same NaN."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    canon = []
+    for a in (got, want):
+        parts = np.ascontiguousarray(a).view(float).copy()
+        parts[np.isnan(parts)] = np.nan
+        canon.append(parts.tobytes())
+    assert canon[0] == canon[1]
+
+
+# each example runs every kernel twice on up to 450k nodes: no shrinking
+@settings(max_examples=5, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate],
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(grid=_grids(), src=st.recursive(_LEAVES, _compound, max_leaves=6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_blocked_kernels_match_references(grid, src, seed, data):
+    """Every blocked kernel on drawn grid shapes, bands and expressions.
+
+    Where a NaN meets an inf inside the band, numpy's vector loops and
+    their scalar tails can give the NaN different sign bits, and a block
+    moves where a tail falls; so here a NaN matches any NaN, and every
+    other value, signed zeros included, must match bit for bit.
+    """
+    i0 = data.draw(st.integers(0, grid.nx - 1))
+    j0 = data.draw(st.integers(0, grid.ny - 1))
+    u, psi = _random_fields(grid, seed)
+    with np.errstate(all="ignore"):
+        _same_up_to_nan(evaluate_on_grid(src, grid), ref_evaluate_on_grid(src, grid))
+        for values in (u.values, u.values.real):
+            for axis in (0, 1):
+                _same_up_to_nan(cumulative_integral(values, 0.01, axis),
+                                 ref_cumulative_integral(values, 0.01, axis))
+                _same_up_to_nan(diff_axis(values, 0.02, axis),
+                                 ref_diff_axis(values, 0.02, axis))
+        _same_up_to_nan(dbar(psi).values, ref_dbar(psi).values)
+        _same_up_to_nan(dz(psi).values, ref_dz(psi).values)
+        for kind in ("direct", "conjugate"):
+            assert residual(u, psi, kind) == ref_residual(u, psi, kind)
+        a, b = _form_components(u, psi)
+        for got, want in zip((a, b), ref_form_components(u, psi)):
+            _same_up_to_nan(got, want)
+        w, defect = _integrate_form(a, b, grid, (i0, j0))
+        w_ref, defect_ref = ref_integrate_form(a, b, grid, (i0, j0))
+        _same_up_to_nan(w, w_ref)
+        assert np.float64(defect).tobytes() == np.float64(defect_ref).tobytes()
+        pots = [_potential(grid, seed % 1000 + k) for k in range(2)]
+        result = moutard_simple(u, psi, u, pots[0])
+        u_tilde, map_psi = ref_transform(u, psi, u, pots[0])
+        _same_up_to_nan(result.u_tilde.values, u_tilde)
+        _same_up_to_nan(result.map_psi(psi, pots[1]).values, map_psi(psi, pots[1]))
+        quad = (pots[0], pots[1], pots[1], pots[0])
+        got = transformed_potential(*quad)
+        want, _ = ref_potential(ref_transformed_values(*quad, 0j), grid)
+        _same_up_to_nan(got.values, want)
