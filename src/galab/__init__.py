@@ -9,12 +9,12 @@ poles, and the pipeline that removes a simple pole by one transform.
 from .conformal import (CommutativityResult, HolomorphicChart,
                         check_commutativity, identity_chart, pushforward_psi,
                         pushforward_u, tracked_sqrt)
-from .errors import (BranchError, DegenerateChartError, ExactnessError,
-                     ExpressionError, FitError, GalabError,
-                     MeromorphicViolation, NonFiniteCoefficientError,
-                     NonFiniteFieldError, NonRealCoefficientError,
-                     NormalizationError, PositivityError, ScenarioError,
-                     ShapeError, SingularOmegaError, StencilError, ZeroPotentialError)
+from .errors import (BandRequiredError, BranchError, DegenerateChartError,
+                     ExactnessError, ExpressionError, FitError, GalabError,
+                     MeromorphicViolation, NonFiniteCoefficientError, NonFiniteFieldError,
+                     NonRealCoefficientError, NormalizationError, PositivityError,
+                     ScenarioError, ShapeError, SingularModelError, SingularOmegaError,
+                     StencilError, ZeroPotentialError)
 from .expressions import as_function_of_z, constant_value, evaluate_on_grid, \
     parse_expression
 from .grid import Field, GridSpec, dbar, dz, residual, write_csv

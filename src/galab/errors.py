@@ -17,6 +17,14 @@ class NonFiniteFieldError(GalabError, ValueError):
     """A field has non-finite values at nodes that take part in norms."""
 
 
+class SingularModelError(GalabError, ValueError):
+    """A singular field model is malformed."""
+
+
+class BandRequiredError(GalabError, ValueError):
+    """A contour-pole computation got a grid without an excluded band."""
+
+
 class NonFiniteCoefficientError(GalabError, ValueError):
     """A coefficient function of y has non-finite values."""
 

@@ -88,13 +88,26 @@ class GridSpec:
             return np.ones((self.nx, self.ny), dtype=bool)
         return np.abs(self.x) >= self.excluded_band
 
+    @cached_property
+    def band_rows(self) -> slice:
+        """Rows with |x| < band: one range, as the abscissae are sorted."""
+        inside = np.flatnonzero(np.abs(self.xs) < (self.excluded_band or 0.0))
+        return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
+
+    @property
+    def slabs(self) -> tuple[slice, slice]:
+        """Row ranges of the active nodes, either side of ``band_rows``
+        (one may be empty): ``mask`` depends on x alone."""
+        return slice(0, self.band_rows.start), slice(self.band_rows.stop, self.nx)
+
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
-    def active(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """``values``, the grid's ``rows``, at active nodes: itself when
-        unbanded, else masked."""
-        return values if self.excluded_band is None else values[self.mask[rows]]
+    def views(self, ranges, values: np.ndarray, rows: slice = slice(None)) -> list:
+        """Views of ``values``, the grid's ``rows``, on the row ``ranges`` they meet."""
+        a, b, _ = rows.indices(self.nx)
+        return [values[max(r.start, a) - a:min(r.stop, b) - a] for r in ranges
+                if max(r.start, a) < min(r.stop, b)]
 
     def node_index(self, x: float, y: float) -> tuple[int, int]:
         """Index of the grid node nearest to (x, y)."""
@@ -116,8 +129,7 @@ class Field:
         if vals.shape != self.grid.shape():
             raise ShapeError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape()}")
-        if not np.all(np.isfinite(self.grid.active(vals))):
-            raise NonFiniteFieldError("field has non-finite values at active nodes")
+        _check_finite(self.grid, vals)
 
     @classmethod
     def from_callable(cls, grid: GridSpec,
@@ -133,7 +145,7 @@ class Field:
 
     def max_abs(self) -> float:
         """Max modulus over active nodes."""
-        return float(np.max(np.abs(self.grid.active(self.values))))
+        return float(_peak_abs(self.grid, self.values))
 
     def _coerce(self, other):
         if isinstance(other, Field):
@@ -318,16 +330,21 @@ def _scrub(grid: GridSpec, vals: np.ndarray, rows: slice = slice(None)) -> np.nd
     Poles on the contour and stencils that reach into the excluded band
     produce junk there; at active nodes it is left for Field to reject.
     """
-    if grid.excluded_band is not None:
-        junk = np.isfinite(vals)
-        np.logical_or(junk, grid.mask[rows], out=junk)
-        np.copyto(vals, 0.0, where=np.logical_not(junk, out=junk))
+    for band in grid.views((grid.band_rows,), vals, rows):
+        np.copyto(band, 0.0, where=~np.isfinite(band))
     return vals
 
 
-def _peak(values: np.ndarray) -> float:
-    """Largest of ``values``; NaN if any is NaN, -inf if there are none."""
-    return np.max(values, initial=-np.inf)
+def _peak_abs(grid: GridSpec, values: np.ndarray, rows: slice = slice(None)) -> float:
+    """Largest |values| (the grid's ``rows``) over active nodes, slab by
+    slab; NaN if any is NaN, -inf if there are none."""
+    return np.max([np.max(np.abs(s), initial=-np.inf)
+                   for s in grid.views(grid.slabs, values, rows)], initial=-np.inf)
+
+
+def _check_finite(grid: GridSpec, values: np.ndarray, rows: slice = slice(None)) -> None:
+    if not all(np.isfinite(s).all() for s in grid.views(grid.slabs, values, rows)):
+        raise NonFiniteFieldError("field has non-finite values at active nodes")
 
 
 def residual(u: Field, psi: Field, kind: str = "direct") -> float:
@@ -342,8 +359,7 @@ def residual(u: Field, psi: Field, kind: str = "direct") -> float:
     grid = u.grid
     peaks = []
     for rows, d in _wirtinger(psi, np.add):
-        if not np.all(np.isfinite(grid.active(d, rows))):
-            raise NonFiniteFieldError("field has non-finite values at active nodes")
+        _check_finite(grid, d, rows)
         # products as written: numpy may swap their operands to reuse the
         # temporary conjugate, and complex products differ in the last bit
         if kind == "direct":
@@ -352,7 +368,7 @@ def residual(u: Field, psi: Field, kind: str = "direct") -> float:
             np.add(d, np.conj(u.values[rows]) * np.conj(psi.values[rows]), out=d)
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        peaks.append(_peak(np.abs(grid.active(d, rows))))
+        peaks.append(_peak_abs(grid, d, rows))
     return float(np.max(peaks))
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeError, SingularOmegaError, ZeroPotentialError
-from .grid import Field, _row_blocks, _scrub, residual
+from .grid import Field, _peak_abs, _row_blocks, _scrub, residual
 from .potential import Potential
 
 #: relative floor (times the potential scale) below which a potential
@@ -103,9 +103,9 @@ def _det_nodes(om: np.ndarray, grid, det_tol: float | None) -> float:
     seed potential (N = 1) raises ZeroPotentialError, a singular matrix
     (N >= 2) SingularOmegaError.
     """
-    n = om.shape[-1]
-    abs_det = np.abs(grid.active(_det(om))).ravel()
-    scale = float(np.max(abs_det if n == 1 else np.abs(grid.active(om))))
+    n, det = om.shape[-1], _det(om)
+    abs_det = np.abs(det if grid.excluded_band is None else det[grid.mask]).ravel()
+    scale = float(np.max(abs_det) if n == 1 else _peak_abs(grid, om))
     tol = DET_TOL_FACTOR * scale ** n if det_tol is None else det_tol
     k = int(np.argmin(abs_det))
     if abs_det[k] <= tol:

@@ -16,8 +16,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._integrate import cumulative_integral, integral
-from .errors import ExactnessError, PositivityError, ShapeError
-from .grid import Field, GridSpec, _peak, _row_blocks, _scrub
+from .errors import (BandRequiredError, ExactnessError, NonFiniteFieldError,
+                     PositivityError, ShapeError)
+from .grid import Field, GridSpec, _peak_abs, _row_blocks, _scrub
 
 if TYPE_CHECKING:
     from .singularity import SingularFieldModel
@@ -52,7 +53,7 @@ class Potential:
             raise ShapeError("potential values do not match grid shape")
         imag, peaks = np.empty_like(vals), []
         for rows in _row_blocks(vals):
-            peaks.append(_peak(np.abs(self.grid.active(vals.real[rows], rows))))
+            peaks.append(_peak_abs(self.grid, vals.real[rows], rows))
             np.multiply(1j, vals.imag[rows], out=imag[rows])
         drift = float(np.max(peaks))
         if drift > REAL_DRIFT_TOL:
@@ -70,7 +71,7 @@ class Potential:
         return cls(grid, values, complex(values[basepoint]), basepoint)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.grid.active(self.values))))
+        return float(_peak_abs(self.grid, self.values))
 
     def summary(self) -> dict:
         return {
@@ -123,8 +124,7 @@ def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
         np.subtract(xy, ref_xy[rows, None], out=xy)
         np.add(leg_yx[None, :], yx, out=yx)
         np.subtract(yx, ref_yx[None, :], out=yx)
-        defect = np.abs(np.subtract(xy, yx, out=yx), out=yx)
-        peaks.append(_peak(grid.active(defect, rows)))
+        peaks.append(_peak_abs(grid, np.subtract(xy, yx, out=yx), rows))
     return w_xy, float(np.max(peaks))
 
 
@@ -208,9 +208,9 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
     if f_plus.grid != grid:
         raise ShapeError("seed models live on different grids")
     if grid.excluded_band is None:
-        raise ValueError("singular potentials need a grid with an excluded band")
+        raise BandRequiredError("singular potentials need a grid with an excluded band")
 
-    ys = grid.ys
+    ys, xs = grid.ys, grid.xs[:, None]
     b = (f.leading * f_plus.leading).real_part()
     bv = b.values_on(ys)
     if np.min(bv) <= 0.0:
@@ -218,17 +218,18 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
             f"product of leading coefficients must be positive, min {np.min(bv):.3e}")
     bpv = b.deriv().values_on(ys)
 
-    x = grid.x
+    # model terms from the abscissae broadcast over y: as on the full grid, bit for bit
     with np.errstate(divide="ignore", invalid="ignore"):
         # imaginary part of 2i b/x; numpy's complex division multiplies
         # by the reciprocal, and so does this, for the same bits
-        w_lead = 2.0 * bv.real[None, :] * (1.0 / x)
-        p_model = -1j * bv[None, :] / x ** 2 + bpv[None, :] / x
-    p_act = f.evaluate().values * f_plus.evaluate().values
-    p_rem = p_act - p_model
+        w_lead = 2.0 * bv.real[None, :] * (1.0 / xs)
+        p_model = -1j * bv[None, :] / xs ** 2
+        p_model += bpv[None, :] / xs
+    p_rem = np.multiply(f.evaluate().values, f_plus.evaluate().values)
+    np.subtract(p_rem, p_model, out=p_rem)
     bad = ~np.isfinite(p_rem)
-    if np.any(bad & grid.mask):
-        raise ValueError("seed product is non-finite at active nodes")
+    if any(s.any() for s in grid.views(grid.slabs, bad)):
+        raise NonFiniteFieldError("seed product is non-finite at active nodes")
     # for a genuine pair the remainder is bounded across the contour;
     # a node exactly on it is filled by cubic interpolation so the
     # crossing x-leg keeps its order
@@ -244,6 +245,7 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
     bp_index = (grid.nx - 1, 0)
     w_rem, defect = _integrate_form(2.0 * p_rem.imag, 2.0 * p_rem.real, grid,
                                     bp_index)
-    vals = 1j * (w_rem + w_lead + constant.imag)
+    np.add(w_rem, w_lead, out=w_rem)
+    vals = 1j * np.add(w_rem, constant.imag, out=w_rem)
     return Potential(grid, vals, complex(vals[bp_index]), bp_index,
                      path_defect=defect)

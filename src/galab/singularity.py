@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
-from .errors import FitError, MeromorphicViolation, PositivityError
+from .errors import (BandRequiredError, FitError, MeromorphicViolation,
+                     NonFiniteFieldError, PositivityError, SingularModelError)
 from .grid import Field, GridSpec, diff_axis
 from .moutard import moutard_simple
 from .potential import Potential, omega_singular
@@ -64,11 +66,11 @@ class SingularFieldModel:
 
     def __post_init__(self):
         if self.phase_kind not in ("solution", "coefficient"):
-            raise ValueError(f"unknown phase kind {self.phase_kind!r}")
+            raise SingularModelError(f"unknown phase kind {self.phase_kind!r}")
         if self.smooth_remainder.grid != self.grid:
-            raise ValueError("smooth remainder lives on a different grid")
+            raise SingularModelError("smooth remainder lives on a different grid")
         if not np.all(np.isfinite(self.smooth_remainder.values)):
-            raise ValueError("smooth remainder must be finite on the closed strip")
+            raise NonFiniteFieldError("smooth remainder must be finite on the closed strip")
 
     def phase_values(self, ys: np.ndarray) -> np.ndarray:
         phi = self.phi.values_on(ys).real
@@ -92,29 +94,35 @@ class SingularFieldModel:
         with np.errstate(divide="ignore", invalid="ignore"):
             sing = (phase * lead)[None, :] / grid.x
         sing[~np.isfinite(sing)] = 0.0
-        return Field(grid, sing + self.smooth_remainder.values)
+        return Field(grid, np.add(sing, self.smooth_remainder.values, out=sing))
 
 
 def _series_remainder(series: CoefficientSeries, grid: GridSpec) -> Field:
     """exp(i*phi) * sum_{j>=0} beta_j x^j sampled on the grid."""
     phase = np.exp(1j * series.phi.values_on(grid.ys).real)
-    acc = _power_sum(grid, [series.beta_fn(j) for j in range(series.order + 1)])
-    return Field(grid, phase[None, :] * acc)
+    return Field(grid, _power_sum(
+        grid, phase, [series.beta_fn(j) for j in range(series.order + 1)]))
 
 
-def _power_sum(grid: GridSpec, coeffs: list[FunctionOnInterval]) -> np.ndarray:
-    """sum_j coeffs[j](y) x^j on the grid, accumulated in increasing j.
-
-    The powers of x are held on the abscissae only; each term is their
-    outer product with the coefficient's values.  (Horner's rule or a
-    matrix product would round differently.)"""
-    ys = grid.ys
-    acc = np.zeros(grid.shape(), dtype=complex)
-    xpow = np.ones(grid.nx)
-    for fn in coeffs:
-        acc += np.multiply.outer(xpow, fn.values_on(ys))
-        xpow = xpow * grid.xs
-    return acc
+def _power_sum(grid: GridSpec, phase: np.ndarray,
+               coeffs: list[FunctionOnInterval]) -> np.ndarray:
+    """phase(y) * sum_j coeffs[j](y) x^j on the grid, as one real product
+    of the Vandermonde matrix of the abscissae with the (K, ny) table
+    phase * coeffs[j] read as float pairs; it rounds like a K-term dot
+    product, within (K + 2) eps of the sum of the terms' moduli."""
+    if coeffs and coeffs[0].mode == "samples":
+        table = np.stack([fn.values_on(grid.ys) for fn in coeffs])
+    else:
+        # one Horner pass over the zero-padded columns; the padding
+        # leaves every value's bits as evaluating each column alone
+        stacked = np.zeros((max((fn.data.size for fn in coeffs), default=1),
+                            len(coeffs)), dtype=complex)
+        for j, fn in enumerate(coeffs):
+            stacked[:fn.data.size, j] = fn.data
+        table = polyval(grid.ys, stacked)
+    table = np.multiply(phase, table, out=table)
+    powers = np.vander(grid.xs, len(coeffs), increasing=True)
+    return (powers @ table.view(float)).view(complex)
 
 
 def synthesize_singular_u(profile: PoleProfile, grid: GridSpec,
@@ -130,9 +138,8 @@ def synthesize_singular_u(profile: PoleProfile, grid: GridSpec,
             f"profile fails certification: {cert.condition} "
             f"(worst |value| {cert.worst_value:.3e} at y = {cert.worst_y})")
     phase = np.exp(2j * profile.phi.values_on(grid.ys).real)
-    smooth = _power_sum(grid, [profile.r_fn(j)
-                               for j in range(profile.max_order() + 1)])
-    remainder = Field(grid, phase[None, :] * smooth)
+    remainder = Field(grid, _power_sum(
+        grid, phase, [profile.r_fn(j) for j in range(profile.max_order() + 1)]))
     model = SingularFieldModel(grid, profile.r_fn(-1), profile.phi,
                                "coefficient", remainder)
     return model.evaluate(), model
@@ -228,9 +235,8 @@ def fit_laurent_profile(field: Field, orders: tuple[int, ...] = (-2, -1, 0),
     """
     grid = field.grid
     xs = grid.xs
-    active = grid.mask[:, 0] if grid.excluded_band is not None \
-        else np.ones_like(xs, dtype=bool)
-    sel = active & (np.abs(xs) > 0)
+    sel = np.abs(xs) > 0
+    sel[grid.band_rows] = False
     if x_window is not None:
         sel &= _window(grid, *x_window)
     n_right = int(np.count_nonzero(sel & (xs > 0)))
@@ -296,7 +302,7 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
     """
     grid = u_star.grid
     if grid.excluded_band is None:
-        raise ValueError("pole removal needs a grid with an excluded band")
+        raise BandRequiredError("pole removal needs a grid with an excluded band")
     w = omega_singular(f_star, f_star_plus, constant)
     u_tilde = moutard_simple(u_star, f_star.evaluate(), f_star_plus.evaluate(),
                              w).u_tilde

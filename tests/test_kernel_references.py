@@ -18,11 +18,12 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from galab._integrate import _W_FIRST, _W_LAST, _W_MID, cumulative_integral
-from galab.errors import ExpressionError, SingularOmegaError, ZeroPotentialError
+from galab.errors import (ExactnessError, ExpressionError, NonFiniteFieldError,
+                          SingularOmegaError, ZeroPotentialError)
 from galab.expressions import (_GRID_VARIABLES, BinOp, Var, _variables, evaluate,
                                evaluate_on_grid, parse_expression)
-from galab.grid import (_EDGE0, _EDGE1, Field, GridSpec, _row_blocks, dbar,
-                        diff_axis, dz, residual)
+from galab.grid import (_EDGE0, _EDGE1, Field, GridSpec, _peak_abs, _row_blocks,
+                        _scrub, dbar, diff_axis, dz, residual)
 from galab.moutard import _det_nodes, _dot, _solve_nodes, moutard_simple, \
     transformed_potential
 from galab.potential import Potential, _form_components, _integrate_form, omega
@@ -110,6 +111,15 @@ def ref_integrate_form(a, b, grid, basepoint):
 def ref_form_components(psi, psi_plus):
     p = psi.values * psi_plus.values
     return 2.0 * p.imag, 2.0 * p.real
+
+
+def ref_check_finite(grid, vals):
+    if not np.all(np.isfinite(vals[grid.mask])):
+        raise NonFiniteFieldError("field has non-finite values at active nodes")
+
+
+def ref_max_abs(grid, vals):
+    return float(np.max(np.abs(vals[grid.mask])))
 
 
 def ref_potential(values, grid):
@@ -554,3 +564,69 @@ def test_blocked_kernels_match_references(grid, src, seed, data):
         got = transformed_potential(*quad)
         want, _ = ref_potential(ref_transformed_values(*quad, 0j), grid)
         _same_up_to_nan(got.values, want)
+
+
+# ---------------------------------------------- active nodes as row slabs
+
+@st.composite
+def _slab_cases(draw):
+    """A banded or unbanded grid (symmetric, one-sided or off the contour;
+    odd nx puts a node on x = 0; a thin band can cover no node) with inf
+    and nan planted in band rows and anywhere else."""
+    nx, ny = draw(st.integers(5, 120)), draw(st.integers(4, 24))
+    x_min = draw(st.sampled_from([-0.1, -0.037, 0.0, 0.02]))
+    band = draw(st.none() | st.floats(1e-4, 0.09) | st.floats(1e-4, 0.01))
+    grid = GridSpec(x_min, 0.1, 1.0, 2.0, nx, ny, excluded_band=band)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.standard_normal(grid.shape()) + 1j * rng.standard_normal(grid.shape())
+    bad = st.sampled_from([np.inf, -np.inf, np.nan, complex(np.nan, 1.0),
+                           complex(1.0, -np.inf)])
+    for rows in (np.flatnonzero(~grid.mask[:, 0]), np.arange(nx)):
+        for _ in range(draw(st.integers(0, 3)) if rows.size else 0):
+            vals[draw(st.sampled_from(rows.tolist())), draw(st.integers(0, ny - 1))] = \
+                draw(bad)
+    a = draw(st.integers(0, nx - 1))
+    return grid, vals, slice(a, draw(st.integers(a + 1, nx)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (NonFiniteFieldError, ExactnessError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _same_float(got, want):
+    assert (np.isnan(got) and np.isnan(want)) or \
+        np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_slab_cases())
+def test_slab_reductions_match_mask_gathers(case):
+    """Field's check, max_abs, Potential's drift and _scrub read active
+    nodes as row slabs; against the boolean mask gathers they replaced
+    they accept and reject the same inputs with the same exception, and
+    give the same bits, NaN propagation included."""
+    grid, vals, rows = case
+    with np.errstate(invalid="ignore"):
+        field, error = _outcome(Field, grid, vals)
+        assert error == _outcome(ref_check_finite, grid, vals)[1]
+        if field is not None:
+            _same_float(field.max_abs(), ref_max_abs(grid, vals))
+        _same_float(_peak_abs(grid, vals), ref_max_abs(grid, vals))
+        _same_float(_peak_abs(grid, vals[rows], rows),
+                    np.max(np.abs(vals[rows][grid.mask[rows]]), initial=-np.inf))
+        assert_same_bits(_scrub(grid, vals.copy()), ref_scrub(grid, vals))
+        block = vals[rows].copy()
+        assert_same_bits(_scrub(grid, block, rows), ref_scrub(grid, vals)[rows])
+        for scale in (1e-12, 1.0):
+            pot_vals = 1j * vals.imag + scale * vals.real
+            pot, error = _outcome(Potential, grid, pot_vals, 0j, (0, 0))
+            want, drift = ref_potential(pot_vals, grid)
+            assert (error is None) == (not drift > 1e-10)
+            if pot is not None:
+                assert_same_bits(pot.values, want)
+                _same_float(pot.real_drift, drift)
+                _same_float(pot.max_abs(), ref_max_abs(grid, want))

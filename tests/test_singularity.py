@@ -1,10 +1,13 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from galab.errors import (FitError, MeromorphicViolation, PositivityError,
-                          ZeroPotentialError)
+from galab.errors import (BandRequiredError, FitError, GalabError,
+                          MeromorphicViolation, NonFiniteFieldError, PositivityError,
+                          SingularModelError, ZeroPotentialError)
 from galab.grid import Field, GridSpec
 from galab.potential import Potential, omega_singular
 from galab.series import FunctionOnInterval, PoleProfile
@@ -321,10 +324,54 @@ class TestRemovePole:
         assert len(data["delta_ladder"]) == 4
 
 
+class TestTypedErrors:
+    """Malformed models and unbanded grids raise library errors that are
+    still ValueErrors."""
+
+    @staticmethod
+    def model(grid, remainder=None, kind="solution"):
+        values = np.zeros(grid.shape()) if remainder is None else remainder
+        return SingularFieldModel(grid, poly(1.0), poly(0.0), kind, Field(grid, values))
+
+    def raises(self, error, fn, *args):
+        with pytest.raises(error) as info:
+            fn(*args)
+        assert isinstance(info.value, GalabError) and isinstance(info.value, ValueError)
+
+    def test_unknown_phase_kind(self, grid):
+        self.raises(SingularModelError, self.model, grid, None, "spinor")
+
+    def test_remainder_on_another_grid(self, grid):
+        self.raises(SingularModelError, SingularFieldModel, grid, poly(1.0), poly(0.0),
+                    "solution", Field(strip_grid(nx=481), np.zeros((481, 61))))
+
+    def test_remainder_non_finite_in_the_band(self, grid):
+        vals = np.zeros(grid.shape())
+        vals[grid.nx // 2, 3] = np.nan
+        self.raises(NonFiniteFieldError, self.model, grid, vals)
+
+    def test_remove_pole_needs_a_band(self):
+        flat = GridSpec(-EPS, EPS, IV[0], IV[1], 40, 21)
+        f = self.model(flat)
+        self.raises(BandRequiredError, remove_pole, Field(flat, np.zeros((40, 21))), f, f)
+
+    def test_omega_singular_needs_a_band(self):
+        f = self.model(GridSpec(-EPS, EPS, IV[0], IV[1], 40, 21))
+        self.raises(BandRequiredError, omega_singular, f, f)
+
+    def test_omega_singular_non_finite_seed_product(self, grid):
+        # finite remainders whose product overflows at active nodes
+        f = self.model(grid, np.full(grid.shape(), 1e200))
+        with np.errstate(over="ignore"):
+            self.raises(NonFiniteFieldError, omega_singular, f, f)
+
+
 # --------------------------------------------------------------------------
-# References: the grid synthesis with x powers held on the whole grid, and
-# the singular potential integrated on complex components, as written
-# before the 1-D powers and the float64 form.  Both must give the same bits.
+# References: the grid synthesis as a loop over orders with x powers held
+# on the whole grid, and the singular potential integrated on complex
+# components, as written before the float64 form.  The potential must give
+# the same bits; the synthesis, now one matrix product, and the loop must
+# both lie within round-off of the exact sum.
 
 def reference_power_sum(grid, fns):
     acc = np.zeros(grid.shape(), dtype=complex)
@@ -374,29 +421,74 @@ def seeded_pole_case(seed):
     return prof, lead(), lead(), poly(u(0.3), u(0.3))
 
 
+def oracle_nodes(grid, seed, n_interior=200):
+    """Every row within 3 nodes of the contour, the four corners and
+    ``n_interior`` seeded nodes."""
+    near = np.flatnonzero(np.abs(grid.xs) < 3.5 * grid.hx * (1 + 1e-9))
+    nodes = {(int(i), j) for i in near for j in range(grid.ny)}
+    nodes |= {(0, 0), (0, grid.ny - 1), (grid.nx - 1, 0), (grid.nx - 1, grid.ny - 1)}
+    rng = np.random.default_rng(seed)
+    nodes |= {(int(i), int(j)) for i, j in zip(rng.integers(0, grid.nx, n_interior),
+                                                 rng.integers(0, grid.ny, n_interior))}
+    return sorted(nodes)
+
+
+def exact_power_sum(x, coeffs):
+    """sum_j x^j coeffs[j] of floats, exactly: every float is an integer
+    over a power of two, so one common denominator serves all terms."""
+    xn, xd = x.as_integer_ratio()
+    terms = [(xn ** j * cn, xd ** j * cd)
+             for j, (cn, cd) in enumerate(c.as_integer_ratio() for c in coeffs)]
+    den = max(d for _, d in terms)
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
+
+
+def assert_near_exact_sum(arrays, xs, table, nodes):
+    """|a - sum_j x^j table[j]| <= (K + 2) eps sum_j |x^j table[j]| for each
+    array a at every node, the sum taken exactly from the float64
+    abscissae and table entries."""
+    k, eps = table.shape[0], np.finfo(float).eps
+    for i, jy in nodes:
+        x, col = float(xs[i]), table[:, jy]
+        re = exact_power_sum(x, col.real.tolist())
+        im = exact_power_sum(x, col.imag.tolist())
+        bound = (k + 2) * eps * sum(abs(x) ** j * abs(t) for j, t in enumerate(col))
+        for a in arrays:
+            got = a[i, jy]
+            err = math.hypot(float(Fraction(float(got.real)) - re),
+                             float(Fraction(float(got.imag)) - im))
+            assert err <= bound, (i, jy, err, bound)
+
+
 class TestStripMatchesReference:
     # an odd nx puts a column on the contour x = 0, where the singular
     # potential fills its remainder by interpolation
     @pytest.mark.parametrize("seed,nx", [(0, 480), (1, 481), (2, 480), (3, 481)])
-    def test_synthesis_and_singular_potential(self, seed, nx):
+    def test_singular_potential(self, seed, nx):
         grid = strip_grid(nx=nx)
         prof, lead, lead_plus, im_beta1 = seeded_pole_case(seed)
-        u, model = synthesize_singular_u(prof, grid)
-        phase = np.exp(2j * prof.phi.values_on(grid.ys).real)
-        want = reference_power_sum(grid, [prof.r_fn(j) for j in range(2)])
-        assert_same_bits(model.smooth_remainder.values, phase[None, :] * want)
-
         f, fp = synthesize_seeds(prof, lead, lead_plus, grid, 8, im_beta1=im_beta1)
-        for model in (f, fp):
-            series = model.series
-            phase = np.exp(1j * series.phi.values_on(grid.ys).real)
-            want = reference_power_sum(grid, [series.beta_fn(j) for j in range(9)])
-            assert_same_bits(_series_remainder(series, grid).values,
-                             phase[None, :] * want)
-
         for constant in (0.0, 0.7j):
             got = omega_singular(f, fp, constant)
             want = reference_omega_singular(f, fp, constant)
             assert_same_bits(got.values, want.values)
             assert got.path_defect == want.path_defect
             assert got.real_drift == want.real_drift
+
+    @pytest.mark.parametrize("seed,nx", [(0, 480), (1, 481), (2, 480), (3, 481)])
+    def test_synthesis_within_round_off(self, seed, nx):
+        grid = strip_grid(nx=nx)
+        prof, lead, lead_plus, im_beta1 = seeded_pole_case(seed)
+        _, model = synthesize_singular_u(prof, grid)
+        cases = [(model.smooth_remainder.values, 2j, prof.phi,
+                  [prof.r_fn(j) for j in range(2)])]
+        f, fp = synthesize_seeds(prof, lead, lead_plus, grid, 8, im_beta1=im_beta1)
+        for series in (f.series, fp.series):
+            cases.append((_series_remainder(series, grid).values, 1j, series.phi,
+                          [series.beta_fn(j) for j in range(9)]))
+        nodes = oracle_nodes(grid, seed)
+        for got, kind, phi, fns in cases:
+            phase = np.exp(kind * phi.values_on(grid.ys).real)
+            table = phase * np.stack([fn.values_on(grid.ys) for fn in fns])
+            loop = phase[None, :] * reference_power_sum(grid, fns)
+            assert_near_exact_sum((got, loop), grid.xs, table, nodes)
