@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchError, DegenerateChartError
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, _peak_abs
 from .moutard import moutard_simple
 from .potential import Potential, omega
 
@@ -192,8 +192,8 @@ def check_commutativity(chart: HolomorphicChart,
         om_pf_a = Potential.from_values(
             strip, np.asarray(d_side_omega_pf(chart.mapped_nodes()), dtype=complex),
             basepoint)
-        om_ff_b = omega(f1_s, f1p_s, basepoint, om_ff_a.values[basepoint])
-        om_pf_b = omega(psi_s, f1p_s, basepoint, om_pf_a.values[basepoint])
+        om_ff_b = omega(f1_s, f1p_s, basepoint, om_ff_a.constant)
+        om_pf_b = omega(psi_s, f1p_s, basepoint, om_pf_a.constant)
     else:
         om_ff_a = om_ff_b = omega(f1_s, f1p_s, basepoint, constant_ff)
         om_pf_a = om_pf_b = omega(psi_s, f1p_s, basepoint, constant_pf)
@@ -208,7 +208,6 @@ def check_commutativity(chart: HolomorphicChart,
     u_route_b = m_b.u_tilde.values
     psi_route_b = m_b.map_psi(psi_s, om_pf_b).values
 
-    mask = strip.mask
-    dev_u = float(np.max(np.abs((u_route_a - u_route_b)[mask])))
-    dev_psi = float(np.max(np.abs((psi_route_a - psi_route_b)[mask])))
+    dev_u = float(_peak_abs(strip, u_route_a - u_route_b))
+    dev_psi = float(_peak_abs(strip, psi_route_a - psi_route_b))
     return CommutativityResult(dev_u, dev_psi)

@@ -247,11 +247,12 @@ def parse_expression(src: str):
     return _Parser(tokenize(src)).parse()
 
 
-def evaluate(node, env: dict) -> np.ndarray | complex:
+def evaluate(node, env: dict, out: np.ndarray | None = None) -> np.ndarray | complex:
     """Evaluate an AST over an environment of numpy arrays or scalars.
 
     Division is guarded: off-domain blowups become inf/nan values for
-    the caller's masking rather than exceptions.
+    the caller's masking rather than exceptions.  A root ufunc writes
+    into ``out``, when given, if its argument is an array.
     """
     if isinstance(node, Num):
         return node.value
@@ -262,7 +263,9 @@ def evaluate(node, env: dict) -> np.ndarray | complex:
     if isinstance(node, Neg):
         return -evaluate(node.operand, env)
     if isinstance(node, Call):
-        return FUNCTIONS[node.fn](evaluate(node.arg, env))
+        fn, arg = FUNCTIONS[node.fn], evaluate(node.arg, env)
+        into = out is not None and isinstance(arg, np.ndarray) and isinstance(fn, np.ufunc)
+        return fn(arg, out=out) if into else fn(arg)
     if isinstance(node, Pow):
         base = evaluate(node.base, env)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -290,10 +293,10 @@ def _variables(node) -> set[str]:
 
 
 def _z(g, rows: slice = slice(None)) -> np.ndarray:
-    # the whole grid reuses its cached coordinate; a block builds its own
+    # the whole grid reuses its cached coordinate; a block writes its parts
     if rows.indices(g.nx) == (0, g.nx, 1):
         return g.z
-    return g.x[rows] + 1j * g.y[rows]
+    return np.stack((g.x[rows], g.y[rows]), axis=-1).view(complex)[..., 0]
 
 
 #: each variable on a block of grid rows, built only when an expression
@@ -316,9 +319,10 @@ def evaluate_on_grid(src_or_ast, grid) -> np.ndarray:
     named = _variables(node)
     out = np.empty(grid.shape(), dtype=complex)
     for rows in _row_blocks(out):
-        out[rows] = evaluate(node, {name: build(grid, rows)
-                                    for name, build in _GRID_VARIABLES.items()
-                                    if name in named})
+        env = {name: build(grid, rows) for name, build in _GRID_VARIABLES.items()
+               if name in named}
+        if (value := evaluate(node, env, block := out[rows])) is not block:
+            block[...] = value
     return out
 
 

@@ -219,11 +219,12 @@ def _stencil_edges(fm: np.ndarray, h: float) -> tuple:
             (n - 2, -np.tensordot(_EDGE1[::-1], tail, axes=(0, 0)) / h))
 
 
-def _stencil_block(flat: np.ndarray, shape: tuple, axis: int, h: float,
+def _stencil_block(flat: np.ndarray, shape: tuple, axis: int, scale: tuple,
                    rows: slice, dest: np.ndarray, tmp: np.ndarray) -> None:
     """Central entries of ``rows`` of the 4th-order d/d(axis) of the
     C-ordered array of ``shape`` with data ``flat``, into ``dest``, the
-    flat data of those rows; ``tmp`` is flat scratch as large.
+    flat data of those rows, scaled by ``scale`` = (ufunc, c); ``tmp``
+    is flat scratch as large.
 
     Each neighbour is a fixed flat distance away, so every operand is
     one contiguous run.  Along axis 0 a block reads two rows past its
@@ -241,7 +242,7 @@ def _stencil_block(flat: np.ndarray, shape: tuple, axis: int, h: float,
                 np.multiply(8, flat[lo - st:hi - st], out=tmp), out=mid)
     np.add(mid, np.multiply(8, flat[lo + st:hi + st], out=tmp), out=mid)
     np.subtract(mid, flat[lo + 2 * st:hi + 2 * st], out=mid)
-    np.divide(mid, 12 * h, out=mid)
+    scale[0](mid, scale[1], out=mid)
 
 
 def _check_stencil(values: np.ndarray, axis: int) -> None:
@@ -265,7 +266,7 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     blocks = _row_blocks(c)
     tmp = np.empty_like(dest[:_largest(blocks) * row])
     for rows in blocks:
-        _stencil_block(flat, c.shape, axis, h, rows,
+        _stencil_block(flat, c.shape, axis, (np.divide, 12 * h), rows,
                        dest[rows.start * row:rows.stop * row], tmp)
     om = np.moveaxis(out, axis, 0)
     # on the input as given: tensordot's bits depend on its strides
@@ -279,31 +280,36 @@ def _wirtinger(f: Field, combine, out: np.ndarray | None = None):
 
     Each block is formed in ``out``'s rows (C-ordered), or in one reused
     scratch block when ``out`` is None, from dx and dy of those rows;
-    the edge entries come from the whole array.
+    the edge entries come from the whole array, the rest from float views.
     """
     vals, grid = np.ascontiguousarray(f.values), f.grid
     _check_stencil(vals, 0)
     _check_stencil(vals, 1)
-    flat, shape = vals.reshape(-1), vals.shape
+    flat, shape = vals.reshape(-1).view(float), vals.shape + (2,)
     dx_edges = _stencil_edges(f.values, grid.hx)
     dy_edges = _stencil_edges(np.moveaxis(f.values, 1, 0), grid.hy)
     blocks = _row_blocks(vals)
     dy = np.empty_like(vals[:_largest(blocks)])
-    tmp = np.empty_like(dy.reshape(-1))
+    tmp = np.empty(2 * dy.size)
     scratch = np.empty_like(dy) if out is None else None
     for rows in blocks:
         a, b = rows.start, rows.stop
         d = scratch[:b - a] if out is None else out[rows]
-        _stencil_block(flat, shape, 0, grid.hx, rows, d.reshape(-1), tmp)
+        dv = d.reshape(-1).view(float)
+        _stencil_block(flat, shape, 0, (np.multiply, 1.0 / (12 * grid.hx)), rows, dv, tmp)
         for k, entry in dx_edges:
             if a <= k < b:
                 d[k - a] = entry
         dyb = dy[:b - a]
-        _stencil_block(flat, shape, 1, grid.hy, rows, dyb.reshape(-1), tmp)
+        dyv = dyb.reshape(-1).view(float)
+        _stencil_block(flat, shape, 1, (np.multiply, 1.0 / (12 * grid.hy)), rows, dyv, tmp)
         for k, entry in dy_edges:
             dyb[:, k] = entry[rows]
-        combine(d, np.multiply(1j, dyb, out=dyb), out=d)
-        yield rows, _scrub(grid, np.multiply(0.5, d, out=d), rows)
+        # combine with 1j * dy = (-Im dy, Re dy)
+        combine(dv[0::2], np.negative(dyv[1::2], out=dyv[1::2]), out=dv[0::2])
+        combine(dv[1::2], dyv[0::2], out=dv[1::2])
+        np.multiply(0.5, dv, out=dv)
+        yield rows, _scrub(grid, d, rows)
 
 
 def _stencil_field(f: Field, combine) -> Field:
@@ -343,8 +349,10 @@ def _peak_abs(grid: GridSpec, values: np.ndarray, rows: slice = slice(None)) -> 
 
 
 def _check_finite(grid: GridSpec, values: np.ndarray, rows: slice = slice(None)) -> None:
-    if not all(np.isfinite(s).all() for s in grid.views(grid.slabs, values, rows)):
-        raise NonFiniteFieldError("field has non-finite values at active nodes")
+    for s in grid.views(grid.slabs, values, rows):
+        s = s.view(float) if np.iscomplexobj(s) and s.strides[-1] == s.itemsize else s
+        if not all(np.isfinite(s[r]).all() for r in _row_blocks(s)):
+            raise NonFiniteFieldError("field has non-finite values at active nodes")
 
 
 def residual(u: Field, psi: Field, kind: str = "direct") -> float:

@@ -80,17 +80,16 @@ class SeedSet:
             raise ShapeError("omega matrix must be N x N")
 
     def omega_array(self) -> np.ndarray:
-        """Potential matrix as an (nx, ny, N, N) array."""
+        """Potential matrix as an (nx, ny, N, N) array, for N = 1 its im."""
+        if len(self.omega) == 1:
+            return self.omega[0][0].im
         rows = [[p.values for p in row] for row in self.omega]
         return np.transpose(np.array(rows), (2, 3, 0, 1))
 
 
 def _det(om: np.ndarray) -> np.ndarray:
-    """Node-wise determinant; closed forms for N <= 2."""
-    n = om.shape[-1]
-    if n == 1:
-        return om[..., 0, 0]
-    if n == 2:
+    """Node-wise determinant for N >= 2; a closed form for N = 2."""
+    if om.shape[-1] == 2:
         return om[..., 0, 0] * om[..., 1, 1] - om[..., 0, 1] * om[..., 1, 0]
     return np.linalg.det(om)
 
@@ -98,31 +97,41 @@ def _det(om: np.ndarray) -> np.ndarray:
 def _det_nodes(om: np.ndarray, grid, det_tol: float | None) -> float:
     """Smallest |det| of the potential matrix over active nodes.
 
+    For N = 1, ``om`` is the potential's im, read a row block at a time.
     Raises where it drops to ``det_tol``, by default DET_TOL_FACTOR
     times the N-th power of the largest active |entry|: a vanishing
     seed potential (N = 1) raises ZeroPotentialError, a singular matrix
     (N >= 2) SingularOmegaError.
     """
-    n, det = om.shape[-1], _det(om)
-    abs_det = np.abs(det if grid.excluded_band is None else det[grid.mask]).ravel()
-    scale = float(np.max(abs_det) if n == 1 else _peak_abs(grid, om))
+    n = 1 if om.ndim == 2 else om.shape[-1]
+    if n == 1:  # each block's max, min and flat index of its first min
+        peaks, lows = [], []
+        for s in grid.slabs:
+            for r in _row_blocks(om[s]) if s.stop > s.start else ():
+                a = np.abs(om[s][r]).ravel()
+                peaks.append(np.max(a))
+                lows.append((a[k := int(np.argmin(a))], k + (s.start + r.start) * om.shape[1]))
+        low, k = lows[int(np.argmin([v for v, _ in lows]))]
+        scale, node = float(np.max(peaks)), tuple(map(int, np.unravel_index(k, om.shape)))
+    else:
+        det = _det(om)
+        abs_det = np.abs(det if grid.excluded_band is None else det[grid.mask]).ravel()
+        scale, k = float(_peak_abs(grid, om)), int(np.argmin(abs_det))
+        low, node = abs_det[k], tuple(int(idx[k]) for idx in np.nonzero(grid.mask))
     tol = DET_TOL_FACTOR * scale ** n if det_tol is None else det_tol
-    k = int(np.argmin(abs_det))
-    if abs_det[k] <= tol:
-        node = tuple(int(idx[k]) for idx in np.nonzero(grid.mask))
+    if low <= tol:
+        if n == 1:
+            abs_det = np.abs(np.concatenate(grid.views(grid.slabs, om))).ravel()
         error = ZeroPotentialError if n == 1 else SingularOmegaError
         raise error(f"{n}x{n} potential matrix is singular at "
-                    f"{np.count_nonzero(abs_det <= tol)} node(s); |det| = "
-                    f"{abs_det[k]:.3e} at node {node} (tol {tol:.1e})")
-    return float(abs_det[k])
+                    f"{np.count_nonzero(abs_det <= tol)} node(s); "
+                    f"|det| = {low:.3e} at node {node} (tol {tol:.1e})")
+    return float(low)
 
 
 def _solve_nodes(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve om @ x = rhs per node; closed forms for N <= 2, LU beyond."""
-    n = om.shape[-1]
-    if n == 1:
-        return rhs / om[..., 0, 0, None]
-    if n == 2:
+    """Solve om @ x = rhs per node for N >= 2; a closed form for N = 2."""
+    if om.shape[-1] == 2:
         det = _det(om)
         x0 = (om[..., 1, 1] * rhs[..., 0] - om[..., 0, 1] * rhs[..., 1]) / det
         x1 = (om[..., 0, 0] * rhs[..., 1] - om[..., 1, 0] * rhs[..., 0]) / det
@@ -142,6 +151,13 @@ def _as_potential_list(omegas) -> list[Potential]:
     return [omegas] if isinstance(omegas, Potential) else list(omegas)
 
 
+def _reciprocal(w: np.ndarray) -> np.ndarray:
+    """1 / w: numpy divides by 1j * w as a multiply by it, giving NaN where w is infinite."""
+    s = np.divide(1.0, w)
+    np.copyto(s, np.nan, where=np.isinf(w))
+    return s
+
+
 def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
                om: np.ndarray, det_tol: float | None) -> TransformResult:
     """The transform generated by N seeds, node by node.
@@ -152,15 +168,23 @@ def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
     om x = conj(f+); psi maps to psi - sum_j f_j y_j with
     om y = (w_{psi,f_j+})_j, and psi+ to psi+ - sum_j f_j+ y_j with
     om^T y = (w_{f_j,psi+})_j.  Values that are non-finite inside an
-    excluded band become 0 there.
+    excluded band become 0 there.  For N = 1, ``om`` is the potential's
+    im W: with s = 1/W, -x is (Im f+, Re f+) * s and y = w * s, the bits
+    of numpy's complex division but for zero signs.
     """
-    grid, n = u.grid, om.shape[-1]
+    grid, n = u.grid, f_stack.shape[-1]
     det_min = _det_nodes(om, grid, det_tol)
     u_tilde = np.empty_like(u.values)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in _row_blocks(u_tilde):
-            x = _solve_nodes(om[rows], np.conj(fp_stack[rows]))
-            np.add(u.values[rows], _dot(f_stack[rows], x), out=u_tilde[rows])
+            if n == 1:
+                s, fp, x = _reciprocal(om[rows]), fp_stack[rows, :, 0], u_tilde[rows]
+                np.multiply(fp.imag, s, out=x.real)
+                np.multiply(fp.real, s, out=x.imag)
+                np.subtract(u.values[rows], np.multiply(f_stack[rows, :, 0], x, out=x), out=x)
+            else:
+                x = _dot(f_stack[rows], _solve_nodes(om[rows], np.conj(fp_stack[rows])))
+                np.add(u.values[rows], x, out=u_tilde[rows])
             _scrub(grid, u_tilde[rows], rows)
 
     def mapped(stack: np.ndarray, matrix: np.ndarray, base: Field, omegas) -> Field:
@@ -168,20 +192,20 @@ def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
         if len(pots) != n or base.grid != grid:
             raise ShapeError(f"a map takes a field on the transform's grid and "
                              f"{n} potential(s), one per seed")
+        ims = [p.im for p in pots]
         vals = np.empty_like(base.values)
         with np.errstate(divide="ignore", invalid="ignore"):
             for rows in _row_blocks(vals):
-                # a single potential is viewed, not copied, as its own stack
-                rhs = pots[0].values[rows, :, None] if n == 1 else \
-                    np.stack([p.values[rows] for p in pots], axis=-1)
-                y = _solve_nodes(matrix[rows], rhs)
-                np.subtract(base.values[rows], _dot(stack[rows], y), out=vals[rows])
-                _scrub(grid, vals[rows], rows)
+                # for N = 1 the product is formed in the rows it is subtracted into
+                sy = (np.multiply(stack[rows, :, 0], ims[0][rows] * _reciprocal(matrix[rows]),
+                                  out=vals[rows]) if n == 1 else _dot(stack[rows], _solve_nodes(
+                          matrix[rows], np.stack([1j * w[rows] for w in ims], axis=-1))))
+                _scrub(grid, np.subtract(base.values[rows], sy, out=vals[rows]), rows)
         return Field(grid, vals)
 
     return TransformResult(Field(grid, u_tilde),
                            partial(mapped, f_stack, om),
-                           partial(mapped, fp_stack, np.swapaxes(om, -1, -2)),
+                           partial(mapped, fp_stack, om if n == 1 else np.swapaxes(om, -1, -2)),
                            n, det_min)
 
 
@@ -195,7 +219,7 @@ def moutard_simple(u: Field, f1: Field, f1_plus: Field, omega_ff: Potential,
     if not u.grid == f1.grid == f1_plus.grid == omega_ff.grid:
         raise ShapeError("coefficient, seed pair and potential live on different grids")
     return _transform(u, f1.values[..., None], f1_plus.values[..., None],
-                      omega_ff.values[..., None, None], det_tol)
+                      omega_ff.im, det_tol)
 
 
 def moutard_rank_n(seedset: SeedSet, det_tol: float | None = None) -> TransformResult:
@@ -214,20 +238,21 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
 
     Given the four potentials pairing (psi, psi+) and the seed pair,
     the transformed pair's potential is
-    (w_pp * w_ff - w_pf * w_fp) / w_ff + constant.
+    (w_pp * w_ff - w_pf * w_fp) / w_ff + constant, formed on the ims as
+    (pp * ff - pf * fp) * (1 / ff) + Im c, the complex formula's bits.
     """
-    _det_nodes(omega_ff.values[..., None, None], omega_ff.grid, det_tol)
+    _det_nodes(omega_ff.im, omega_ff.grid, det_tol)
     constant = complex(constant)
-    pp, pf, fp, ff = (w.values for w in (omega_pp, omega_pf, omega_fp, omega_ff))
-    vals = np.empty_like(pp)
-    for r in _row_blocks(vals):
-        # in the order numpy runs the written formula on its temporaries
-        v = np.multiply(pp[r], ff[r], out=vals[r])
+    pp, pf, fp, ff = (w.im for w in (omega_pp, omega_pf, omega_fp, omega_ff))
+    im = np.empty_like(pp)
+    for r in _row_blocks(im):
+        v = np.multiply(pp[r], ff[r], out=im[r])
         np.subtract(v, pf[r] * fp[r], out=v)
-        np.divide(v, ff[r], out=v)
-        np.add(v, constant, out=v)
+        np.multiply(v, np.divide(1.0, ff[r]), out=v)
+        np.add(v, constant.imag + 0.0, out=v)  # never -0.0, as projected
     bp = omega_pp.basepoint
-    return Potential(omega_pp.grid, vals, complex(vals[bp]), bp)
+    return Potential(omega_pp.grid, im, complex(constant.real + 0.0, im[bp]), bp,
+                     real_drift=abs(constant.real))
 
 
 def compose_simple(u: Field, f1: Field, f1_plus: Field, f2: Field,
@@ -280,7 +305,7 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
     take transformed solutions together with the *original* potentials
     (the ones that fed the forward map).
     """
-    _det_nodes(omega_ff.values[..., None, None], omega_ff.grid, det_tol)
+    _det_nodes(omega_ff.im, omega_ff.grid, det_tol)
     grid = f1.grid
     w = omega_ff.values
     f_hat = Field(grid, -1j * f1.values / w)
@@ -288,19 +313,15 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
     om_hat = Potential.from_values(grid, 1.0 / w, omega_ff.basepoint)
     m2 = moutard_simple(m1.u_tilde, f_hat, f_hat_plus, om_hat, det_tol)
 
-    def map_psi(psi_tilde: Field, omegas) -> Field:
-        (om_pf,) = _as_potential_list(omegas)
-        om_scaled = Potential.from_values(grid, -1j * om_pf.values / w,
-                                          om_pf.basepoint)
-        return m2.map_psi(psi_tilde, om_scaled)
+    def scaled(m2_map: Callable) -> Callable:
+        def mapped(psi_tilde: Field, omegas) -> Field:
+            (om,) = _as_potential_list(omegas)
+            return m2_map(psi_tilde, Potential.from_values(grid, -1j * om.values / w,
+                                                           om.basepoint))
+        return mapped
 
-    def map_psi_plus(psi_plus_tilde: Field, omegas) -> Field:
-        (om_fp,) = _as_potential_list(omegas)
-        om_scaled = Potential.from_values(grid, -1j * om_fp.values / w,
-                                          om_fp.basepoint)
-        return m2.map_psi_plus(psi_plus_tilde, om_scaled)
-
-    return TransformResult(m2.u_tilde, map_psi, map_psi_plus, 1, m2.det_min)
+    return TransformResult(m2.u_tilde, scaled(m2.map_psi), scaled(m2.map_psi_plus), 1,
+                           m2.det_min)
 
 
 def seed_annihilation_max(result: TransformResult, seedset: SeedSet) -> float:

@@ -33,34 +33,41 @@ REAL_DRIFT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Potential:
-    """Imaginary-valued potential of a solution pair.
-
-    ``constant`` is the value at ``basepoint``; ``path_defect`` records
-    the disagreement between the two L-path orientations (a closedness
-    diagnostic).
+    """Imaginary-valued potential of a solution pair, as its imaginary part
+    ``im`` (complex values are projected, their active |real part| at most
+    REAL_DRIFT_TOL).  ``constant`` is the value at ``basepoint``;
+    ``path_defect`` records the disagreement between the two L-path
+    orientations (a closedness diagnostic).
     """
 
     grid: GridSpec
-    values: np.ndarray
+    im: np.ndarray
     constant: complex
     basepoint: tuple[int, int]
     path_defect: float = 0.0
     real_drift: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals, drift = np.asarray(self.im), self.real_drift
         if vals.shape != self.grid.shape():
             raise ShapeError("potential values do not match grid shape")
-        imag, peaks = np.empty_like(vals), []
-        for rows in _row_blocks(vals):
-            peaks.append(_peak_abs(self.grid, vals.real[rows], rows))
-            np.multiply(1j, vals.imag[rows], out=imag[rows])
-        drift = float(np.max(peaks))
+        if np.iscomplexobj(vals):
+            im, peaks = np.empty(vals.shape), []
+            for rows in _row_blocks(vals):
+                peaks.append(_peak_abs(self.grid, vals.real[rows], rows))
+                np.add(vals.imag[rows], 0.0, out=im[rows])  # -0.0 reads +0.0, as in 1j * imag
+            vals, drift = im, max(float(np.max(peaks)), drift)
         if drift > REAL_DRIFT_TOL:
             raise ExactnessError(
                 f"potential has real drift {drift:.3e} above {REAL_DRIFT_TOL:.1e}")
-        object.__setattr__(self, "values", imag)
-        object.__setattr__(self, "real_drift", max(drift, self.real_drift))
+        object.__setattr__(self, "im", np.asarray(vals, dtype=float))
+        object.__setattr__(self, "real_drift", drift)
+
+    @property
+    def values(self) -> np.ndarray:
+        """1j * im: its real parts are signed zeros, or NaN where im is not finite."""
+        with np.errstate(invalid="ignore"):
+            return np.multiply(1j, self.im)
 
     @classmethod
     def from_values(cls, grid: GridSpec, values: np.ndarray,
@@ -71,7 +78,7 @@ class Potential:
         return cls(grid, values, complex(values[basepoint]), basepoint)
 
     def max_abs(self) -> float:
-        return float(_peak_abs(self.grid, self.values))
+        return float(_peak_abs(self.grid, self.im))  # |1j * im| = |im|
 
     def summary(self) -> dict:
         return {
@@ -154,11 +161,9 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
         raise ExactnessError(
             f"path-dependence defect {defect:.3e} exceeds {exactness_tol:.1e}; "
             "the pair is not a solution/conjugate-solution pair")
-    vals = np.empty(w_xy.shape, dtype=complex)
-    for rows in _row_blocks(vals):
-        w = w_xy[rows]
-        np.multiply(1j, np.add(w, constant.imag, out=w), out=vals[rows])
-    return Potential(grid, vals, constant, basepoint, path_defect=defect)
+    # constant.imag is not -0.0, so 1j * im is 1j * (w + c) projected
+    np.add(w_xy, constant.imag, out=w_xy)
+    return Potential(grid, w_xy, constant, basepoint, path_defect=defect)
 
 
 def loop_defect(psi: Field, psi_plus: Field,
@@ -218,13 +223,11 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
             f"product of leading coefficients must be positive, min {np.min(bv):.3e}")
     bpv = b.deriv().values_on(ys)
 
-    # model terms from the abscissae broadcast over y: as on the full grid, bit for bit
+    # model terms from the abscissae broadcast over y, times reciprocals as numpy divides
     with np.errstate(divide="ignore", invalid="ignore"):
-        # imaginary part of 2i b/x; numpy's complex division multiplies
-        # by the reciprocal, and so does this, for the same bits
-        w_lead = 2.0 * bv.real[None, :] * (1.0 / xs)
-        p_model = -1j * bv[None, :] / xs ** 2
-        p_model += bpv[None, :] / xs
+        w_lead = 2.0 * bv.real[None, :] * (1.0 / xs)  # imaginary part of 2i b/x
+        p_model = -1j * bv[None, :] * (1.0 / xs ** 2)
+        p_model += bpv[None, :] * (1.0 / xs)
     p_rem = np.multiply(f.evaluate().values, f_plus.evaluate().values)
     np.subtract(p_rem, p_model, out=p_rem)
     bad = ~np.isfinite(p_rem)
@@ -246,6 +249,6 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
     w_rem, defect = _integrate_form(2.0 * p_rem.imag, 2.0 * p_rem.real, grid,
                                     bp_index)
     np.add(w_rem, w_lead, out=w_rem)
-    vals = 1j * np.add(w_rem, constant.imag, out=w_rem)
-    return Potential(grid, vals, complex(vals[bp_index]), bp_index,
+    np.add(w_rem, constant.imag, out=w_rem)
+    return Potential(grid, w_rem, complex(1j * w_rem[bp_index]), bp_index,
                      path_defect=defect)

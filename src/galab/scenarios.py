@@ -22,7 +22,7 @@ from .conformal import HolomorphicChart, check_commutativity
 from .errors import ExactnessError, GalabError, NonFiniteFieldError, ScenarioError
 from .expressions import as_function_of_z, constant_value, evaluate_on_grid, \
     parse_expression
-from .grid import Field, GridSpec, _scrub, dz as dz_op, residual, write_csv
+from .grid import Field, GridSpec, _peak_abs, _scrub, dz as dz_op, residual, write_csv
 from .moutard import (SeedSet, compose_simple, invert_simple, moutard_rank_n,
                       moutard_simple, seed_annihilation_max, transformed_potential)
 from .potential import REAL_DRIFT_TOL, Potential, loop_defect, omega
@@ -300,7 +300,7 @@ def _expect_deviation(scn: Scenario, checks: _Checks, name: str,
     if name not in scn.expect:
         return
     expected = evaluate_on_grid(scn.expect[name], scn.grid)
-    dev = float(np.max(np.abs((values - expected)[scn.grid.mask])))
+    dev = float(_peak_abs(scn.grid, values - expected))
     checks.add(f"expect_{name}", dev, scn.tol("expect"))
 
 
@@ -393,12 +393,10 @@ def run_transform(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
         checks.add("residual_after_conjugate",
                    metrics["residual_after_conjugate"], scn.tol("residual_after"))
         om_t = transformed_potential(om_pp, om_pf, om_fp, om_ff)
-        defect = float(np.max(np.abs(
-            (dz_op(Field(scn.grid, om_t.values)).values
-             - psi_t.values * psi_plus_t.values)[scn.grid.mask])))
+        defect = float(_peak_abs(scn.grid, dz_op(Field(scn.grid, om_t.values)).values
+                                 - psi_t.values * psi_plus_t.values))
         metrics["transformed_potential_defect"] = defect
-        metrics["transformed_potential_re_max"] = float(
-            np.max(np.abs(om_t.values.real[scn.grid.mask])))
+        metrics["transformed_potential_re_max"] = float(_peak_abs(scn.grid, om_t.values.real))
         checks.add("transformed_potential_defect", defect, scn.tol("potential_identity"))
         checks.add("transformed_potential_re_max",
                    metrics["transformed_potential_re_max"], scn.tol("re_omega"))
@@ -419,12 +417,10 @@ def run_compose(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
     composed = compose_simple(u, f1, f1p, f2, f2p, om11, om21, om12, om22)
 
     u_a, u_b = rank2.u_tilde, composed.u_tilde
-    scale_u = max(u_a.max_abs(), 1.0)
-    dev_u = float(np.max(np.abs((u_a.values - u_b.values)[scn.grid.mask]))) / scale_u
+    dev_u = float(_peak_abs(scn.grid, u_a.values - u_b.values)) / max(u_a.max_abs(), 1.0)
     psi_a = rank2.map_psi(psi, [om_p1, om_p2])
     psi_b = composed.map_psi(psi, [om_p1, om_p2])
-    scale_p = max(psi_a.max_abs(), 1.0)
-    dev_p = float(np.max(np.abs((psi_a.values - psi_b.values)[scn.grid.mask]))) / scale_p
+    dev_p = float(_peak_abs(scn.grid, psi_a.values - psi_b.values)) / max(psi_a.max_abs(), 1.0)
     metrics = {
         "n_seeds": 2,
         "det_omega_min": rank2.det_min,
@@ -453,10 +449,8 @@ def run_invert(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
     psi_back = inv.map_psi(psi_t, om_pf)
     psi_plus_back = inv.map_psi_plus(psi_plus_t, om_fp)
 
-    mask = scn.grid.mask
     def rel(a: Field, b: Field) -> float:
-        scale = max(b.max_abs(), 1.0)
-        return float(np.max(np.abs((a.values - b.values)[mask]))) / scale
+        return float(_peak_abs(scn.grid, a.values - b.values)) / max(b.max_abs(), 1.0)
 
     metrics = {
         "roundtrip_u": rel(inv.u_tilde, u),
@@ -574,7 +568,7 @@ def run_remove_pole(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
     metrics = result.to_json()
     checks.require("verdict", result.passed, result.verdict)
     if flat_tol is not None:
-        sup_full = float(np.max(np.abs(result.u_tilde.values[scn.grid.mask])))
+        sup_full = result.u_tilde.max_abs()
         metrics["sup_full_strip"] = sup_full
         checks.add("flat_cancellation", sup_full, flat_tol)
     dumps["u_tilde"] = result.u_tilde.values

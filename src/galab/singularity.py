@@ -92,7 +92,8 @@ class SingularFieldModel:
         phase = self.phase_values(grid.ys)
         lead = self.leading.values_on(grid.ys)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sing = (phase * lead)[None, :] / grid.x
+            # numpy divides complex by real as a multiply by the reciprocal
+            sing = (phase * lead)[None, :] * (1.0 / grid.xs[:, None])
         sing[~np.isfinite(sing)] = 0.0
         return Field(grid, np.add(sing, self.smooth_remainder.values, out=sing))
 

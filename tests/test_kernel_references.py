@@ -2,13 +2,17 @@
 
 Each ``ref_*`` function below is the kernel as it was before it worked
 in place and in row blocks: whole-grid temporaries, ``np.cumsum`` on
-every layout, boolean mask copies and an environment holding every
-variable.  The kernels must give the same bytes on float and complex
-data, on both axes, at the minimum sizes, on banded strips with inf and
-nan inside the band, below and above the array size at which numpy
-starts to reuse temporaries, and on grids of many row blocks: one with a
-merged tail block, a tall strip and one whose single row outgrows a
-block.
+every layout, boolean mask copies, an environment holding every
+variable, and complex arithmetic where the kernels now use real
+arithmetic on imaginary potentials, real divisors and float views of
+complex values.  The kernels must give the same bytes on float and
+complex data, on both axes, at the minimum sizes, on banded strips with
+inf and nan inside the band, below and above the array size at which
+numpy starts to reuse temporaries, and on grids of many row blocks: one
+with a merged tail block, a tall strip and one whose single row outgrows
+a block.  Where data hold exact zeros, the real-arithmetic kernels may
+differ from numpy's complex formulas in the sign of a zero result, and
+the tests that plant zeros compare zeros regardless of sign.
 """
 
 import re
@@ -24,9 +28,11 @@ from galab.expressions import (_GRID_VARIABLES, BinOp, Var, _variables, evaluate
                                evaluate_on_grid, parse_expression)
 from galab.grid import (_EDGE0, _EDGE1, Field, GridSpec, _peak_abs, _row_blocks,
                         _scrub, dbar, diff_axis, dz, residual)
-from galab.moutard import _det_nodes, _dot, _solve_nodes, moutard_simple, \
-    transformed_potential
-from galab.potential import Potential, _form_components, _integrate_form, omega
+from galab.moutard import _det_nodes, moutard_simple, transformed_potential
+from galab.potential import (Potential, _check_imaginary_constant, _form_components,
+                             _integrate_form, omega, omega_singular)
+from galab.series import FunctionOnInterval
+from galab.singularity import SingularFieldModel
 
 from conftest import assert_same_bits, make_grid
 
@@ -129,17 +135,50 @@ def ref_potential(values, grid):
 
 
 def ref_transform(u, f, fp, w):
-    """u_tilde and the psi map of the simple transform, whole-array."""
+    """u_tilde and the psi map of the simple transform: numpy's complex
+    division by the potential, whole-array, products in written order."""
     grid = u.grid
-    f_stack, fp_stack = f.values[..., None], fp.values[..., None]
-    om = w.values[..., None, None]
-    u_tilde = u.values + _dot(f_stack, _solve_nodes(om, np.conj(fp_stack)))
+    u_tilde = u.values + np.multiply(f.values, np.conj(fp.values) / w.values)
 
     def map_psi(psi, w_psi):
-        vals = psi.values - _dot(f_stack, _solve_nodes(om, w_psi.values[..., None]))
+        vals = psi.values - np.multiply(f.values, w_psi.values / w.values)
         return ref_scrub(grid, vals)
 
     return ref_scrub(grid, u_tilde), map_psi
+
+
+def ref_field(model):
+    """A singular model's field, its 1/x term a complex division."""
+    grid = model.grid
+    sing = (model.phase_values(grid.ys) * model.leading.values_on(grid.ys))[None, :] / grid.x
+    sing[~np.isfinite(sing)] = 0.0
+    return sing + model.smooth_remainder.values
+
+
+def ref_omega_singular(f, f_plus, constant=0.0):
+    """omega_singular with complex divisions by x and a projected
+    1j * (w + c): (values, constant, path_defect)."""
+    constant = _check_imaginary_constant(constant)
+    grid = f.grid
+    ys, xs = grid.ys, grid.xs[:, None]
+    b = (f.leading * f_plus.leading).real_part()
+    bv, bpv = b.values_on(ys), b.deriv().values_on(ys)
+    w_lead = 2.0 * bv.real[None, :] * (1.0 / xs)
+    p_model = -1j * bv[None, :] / xs ** 2
+    p_model += bpv[None, :] / xs
+    p_rem = ref_field(f) * ref_field(f_plus) - p_model
+    bad = ~np.isfinite(p_rem)
+    for i, j in zip(*np.nonzero(bad)):
+        if 2 <= i < grid.nx - 2 and np.all(np.isfinite(p_rem[[i - 2, i - 1, i + 1, i + 2], j])):
+            p_rem[i, j] = (-p_rem[i - 2, j] + 4 * p_rem[i - 1, j]
+                           + 4 * p_rem[i + 1, j] - p_rem[i + 2, j]) / 6.0
+        else:
+            p_rem[i, j] = 0.0
+    w_lead[~np.isfinite(w_lead)] = 0.0
+    bp = (grid.nx - 1, 0)
+    w_rem, defect = ref_integrate_form(2.0 * p_rem.imag, 2.0 * p_rem.real, grid, bp)
+    vals = 1j * (w_rem + w_lead + constant.imag)
+    return 1j * vals.imag, complex(vals[bp]), defect
 
 
 def ref_transformed_values(pp, pf, fp, ff, constant):
@@ -161,7 +200,8 @@ def ref_evaluate_on_grid(src, grid):
 
 
 def ref_det_nodes(om, grid):
-    """Smallest active |det| for N <= 2 and its node, from the mask copy."""
+    """Smallest active |det| for N <= 2 and its node, from the mask copy;
+    N = 1 is the (nx, ny, 1, 1) complex potential."""
     det = om[..., 0, 0] if om.shape[-1] == 1 else \
         om[..., 0, 0] * om[..., 1, 1] - om[..., 0, 1] * om[..., 1, 0]
     abs_det = np.abs(det[grid.mask])
@@ -464,12 +504,116 @@ class TestDetNodes:
         if len(band):
             om[tuple(band[0])] = 0.0
         assert ref_det_nodes(om, grid) == (0.0, (i, j))
+        # N = 1 takes the potential's (nx, ny) imaginary part
+        arg = (lambda m: m[..., 0, 0].real.copy()) if n == 1 else (lambda m: m)
         error = ZeroPotentialError if n == 1 else SingularOmegaError
         with pytest.raises(error, match=re.escape(f"at node {(i, j)}")):
-            _det_nodes(om, grid, None)
+            _det_nodes(arg(om), grid, None)
         om[i, j] = np.eye(n) * 1e-3
         det_min, node = ref_det_nodes(om, grid)
-        assert node == (i, j) and _det_nodes(om, grid, None) == det_min
+        assert node == (i, j) and _det_nodes(arg(om), grid, None) == det_min
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_simple_potential_in_blocks(self, name):
+        # ties go to the first node in row order, across blocks; a NaN
+        # wins both the minimum and the scale; the count in the message
+        # is over active nodes only
+        grid = GRIDS[name]
+        rng = np.random.default_rng(57)
+        w = 2.0 + rng.random(grid.shape())
+        active = np.argwhere(grid.mask)
+        first, last = (tuple(map(int, active[k])) for k in (len(active) // 3, -1))
+        w[first] = w[last] = -1.0
+        band = np.argwhere(~grid.mask)
+        if len(band):
+            w[tuple(band[0])] = 0.0
+        want = ref_det_nodes(1j * w[..., None, None], grid)
+        assert want == (1.0, first) and _det_nodes(w, grid, None) == 1.0
+        for tol in (1.0, 2.5):
+            with pytest.raises(ZeroPotentialError) as got:
+                _det_nodes(w, grid, tol)
+            count = int(np.count_nonzero(np.abs(w[grid.mask]) <= tol))
+            assert f"at {count} node(s); |det| = 1.000e+00 at node {first}" in str(got.value)
+        w[last] = np.nan
+        assert np.isnan(_det_nodes(w, grid, None))
+        w[last], w[first] = -1.0, np.inf
+        with pytest.raises(ZeroPotentialError, match=re.escape(f"at node {last}")):
+            _det_nodes(w, grid, None)
+
+
+def _model(grid, seed, kind="solution"):
+    """A singular field model with a positive linear leading coefficient,
+    a quadratic phase and a seeded finite remainder."""
+    rng = np.random.default_rng(seed)
+    iv = (grid.y_min, grid.y_max)
+    lead = FunctionOnInterval.from_poly([1.0 + rng.random(), 0.2 * rng.random()], iv)
+    phi = FunctionOnInterval.from_poly(list(0.3 * rng.standard_normal(3)), iv)
+    rem = rng.standard_normal(grid.shape()) + 1j * rng.standard_normal(grid.shape())
+    return SingularFieldModel(grid, lead, phi, kind, Field(grid, rem))
+
+
+class TestImaginaryPotentials:
+    def test_values_keep_todays_bytes(self):
+        # a potential stores today's values.imag, so a -0.0 reads +0.0,
+        # and builds values as 1j * im: today's 1j * imag bytes, whose
+        # real part is -0.0 only where im is negative (or NaN where it is
+        # not finite); before, an imaginary part of -0.0 left -0.0 there
+        grid = STRIPS[1]
+        rng = np.random.default_rng(63)
+        imag = rng.standard_normal(grid.shape())
+        imag[::3, ::2], imag[1::3, ::2] = -0.0, 0.0
+        imag[240, :3] = [np.inf, -np.inf, np.nan]
+        vals = np.empty(grid.shape(), complex)
+        vals.real, vals.imag = 1e-12 * rng.standard_normal(grid.shape()), imag
+        with np.errstate(invalid="ignore"):
+            today = np.multiply(1j, vals.imag)
+            pot = Potential(grid, vals, 0j, (0, 0))
+            assert_same_bits(pot.im, today.imag)
+            assert_same_bits(pot.values, np.multiply(1j, today.imag))
+        negative_zero = (imag == 0) & np.signbit(imag)
+        assert_same_bits(pot.values[~negative_zero], today[~negative_zero])
+        assert not np.signbit(pot.values[negative_zero].real).any()
+        assert np.signbit(today[negative_zero].real).all()
+        assert pot.max_abs() == ref_max_abs(grid, today)
+
+    def test_real_input_is_the_imaginary_part(self):
+        grid = make_grid(9, 7)
+        im = np.random.default_rng(64).standard_normal(grid.shape())
+        pot = Potential(grid, im, 0.5j, (0, 0), real_drift=1e-12)
+        assert pot.im is im and pot.real_drift == 1e-12
+        with pytest.raises(ExactnessError, match="real drift"):
+            Potential(grid, im, 0j, (0, 0), real_drift=1e-9)
+
+    @pytest.mark.parametrize("name", ["strip-480", "strip-481", "strip-2400"])
+    def test_singular_field(self, name):
+        # strip-481 has a node on x = 0, where the 1/x term is zeroed
+        grid = GRIDS[name]
+        assert (grid.xs == 0).any() == (grid.nx % 2 == 1)
+        for seed, kind in ((65, "solution"), (66, "coefficient")):
+            model = _model(grid, seed, kind)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert_same_bits(model.evaluate().values, ref_field(model))
+
+    @pytest.mark.parametrize("name", ["strip-480", "strip-481", "strip-2400"])
+    def test_omega_singular(self, name):
+        grid = GRIDS[name]
+        f, f_plus = _model(grid, 67), _model(grid, 68)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pot = omega_singular(f, f_plus, 0.3j)
+            values, constant, defect = ref_omega_singular(f, f_plus, 0.3j)
+        assert_same_bits(pot.values, values)
+        assert np.complex128(pot.constant).tobytes() == np.complex128(constant).tobytes()
+        assert pot.path_defect == defect and pot.real_drift == 0.0
+
+    def test_finite_check_on_any_layout(self):
+        # rows that cannot be read as float pairs are checked as complex
+        grid = make_grid(37, 23)
+        vals = _data((23, 37), complex, 69).T
+        assert not vals.flags.c_contiguous
+        Field(grid, vals)
+        vals[5, 7] = complex(1.0, np.inf)
+        with pytest.raises(NonFiniteFieldError):
+            Field(grid, vals)
 
 
 # ------------------------------------------------------- property test
@@ -508,13 +652,16 @@ def _random_fields(grid, seed, k=2):
     return fields
 
 
-def _same_up_to_nan(got, want):
-    """Same shape and bytes once every NaN is the same NaN."""
+def _same_up_to_nan(got, want, zeros=False):
+    """Same shape and bytes once every NaN is the same NaN (and, with
+    ``zeros``, every zero +0.0)."""
     assert got.shape == want.shape and got.dtype == want.dtype
     canon = []
     for a in (got, want):
         parts = np.ascontiguousarray(a).view(float).copy()
         parts[np.isnan(parts)] = np.nan
+        if zeros:
+            parts[parts == 0] = 0.0
         canon.append(parts.tobytes())
     assert canon[0] == canon[1]
 
@@ -564,6 +711,73 @@ def test_blocked_kernels_match_references(grid, src, seed, data):
         got = transformed_potential(*quad)
         want, _ = ref_potential(ref_transformed_values(*quad, 0j), grid)
         _same_up_to_nan(got.values, want)
+
+
+@st.composite
+def _zero_cases(draw):
+    """A plain grid or a strip (odd nx puts a node on x = 0) and a seed
+    for fields whose parts are often exactly +0.0 or -0.0."""
+    nx, ny = draw(st.integers(9, 900)), draw(st.integers(5, 200))
+    band = draw(st.one_of(st.none(), st.floats(0.002, 0.03)))
+    return GridSpec(-0.1, 0.1, 1.0, 2.0, nx, ny, excluded_band=band), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+def _zeroed(rng, shape, scale=1.0):
+    """Seeded complex data with a third of the parts +-0.0."""
+    parts = scale * rng.standard_normal(shape + (2,))
+    parts[rng.random(parts.shape) < 1 / 3] = 0.0
+    return (parts * np.where(rng.random(parts.shape) < 0.5, -1.0, 1.0)).view(complex)[..., 0]
+
+
+def _band_nonfinite_as_nan(grid, values):
+    out = values.copy()
+    band = out[grid.band_rows]
+    band[~np.isfinite(band)] = np.nan
+    return out
+
+
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=_zero_cases())
+def test_real_arithmetic_kernels_with_signed_zeros(case):
+    """The stencils, the simple transform and its maps, the transformed
+    potential and a potential's values, on data with exact zeros of both
+    signs, inf and nan in the band, and nodes on x = 0: numpy's complex
+    formulas bit for bit, up to the sign of zeros and NaN payloads.  The
+    transformed potential may read +-inf at a band node where the
+    complex formula read NaN."""
+    grid, seed = case
+    rng = np.random.default_rng(seed)
+    band = np.nonzero(~grid.mask[:, 0])[0][3:-3]
+    u, f, fp, psi = (_zeroed(rng, grid.shape()) for _ in range(4))
+    for vals in (f, fp, psi):
+        vals[band, ::3], vals[band, 1::3] = np.inf, np.nan
+    u, f, fp, psi = (Field(grid, v) for v in (u, f, fp, psi))
+    pots = []
+    for k in range(4):
+        w = _zeroed(rng, grid.shape(), 1e-12) + 1j * (2.0 + rng.random(grid.shape())) \
+            * np.where(rng.random(grid.shape()) < 0.5, -1.0, 1.0)
+        w[band, k::4] = complex(0.0, [np.inf, -np.inf, np.nan, 0.0][k])
+        pots.append(Potential(grid, w, 0j, (0, 0)))
+    with np.errstate(all="ignore"):
+        for got, want in ((dbar(psi), ref_dbar(psi)), (dz(psi), ref_dz(psi))):
+            _same_up_to_nan(got.values, want.values, zeros=True)
+        for kind in ("direct", "conjugate"):
+            assert residual(u, psi, kind) == ref_residual(u, psi, kind)
+        result = moutard_simple(u, f, fp, pots[0])
+        u_tilde, map_psi = ref_transform(u, f, fp, pots[0])
+        _same_up_to_nan(result.u_tilde.values, u_tilde, zeros=True)
+        _same_up_to_nan(result.map_psi(psi, pots[1]).values, map_psi(psi, pots[1]),
+                        zeros=True)
+        _, map_psi_plus = ref_transform(u, fp, f, pots[0])
+        _same_up_to_nan(result.map_psi_plus(psi, pots[2]).values,
+                        map_psi_plus(psi, pots[2]), zeros=True)
+        got = transformed_potential(*pots, constant=0.25j)
+        want, _ = ref_potential(ref_transformed_values(*pots, 0.25j), grid)
+        _same_up_to_nan(_band_nonfinite_as_nan(grid, got.values),
+                        _band_nonfinite_as_nan(grid, want), zeros=True)
+        assert_same_bits(got.values, np.multiply(1j, got.im))
 
 
 # ---------------------------------------------- active nodes as row slabs

@@ -254,6 +254,17 @@ psi = z
         assert proc.returncode == 0, proc.stderr
         assert "series-recursion-canonical" in proc.stdout
 
+    def test_unallocatable_grid_is_a_config_error(self, tmp_path):
+        # numpy refuses the 233 TiB array at once, so nothing is allocated
+        proc = subprocess.run(
+            [sys.executable, "-m", "galab.cli", "transform", "--scenario",
+             "transform-simple-basic", "--grid", "4000000,4000000", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("[config error] transform-simple-basic: Unable to allocate")
+        assert proc.stdout.count("\n") == 1
+
     def test_single_run_skips_process_pool_import(self, tmp_path):
         # concurrent.futures drags in multiprocessing, socket and logging;
         # only --jobs > 1 needs it
