@@ -13,8 +13,8 @@ from .errors import (BandRequiredError, BranchError, DegenerateChartError,
                      ExactnessError, ExpressionError, FitError, GalabError,
                      MeromorphicViolation, NonFiniteCoefficientError, NonFiniteFieldError,
                      NonRealCoefficientError, NormalizationError, PositivityError,
-                     ScenarioError, ShapeError, SingularModelError, SingularOmegaError,
-                     StencilError, ZeroPotentialError)
+                     ScenarioError, SeedResidualError, ShapeError, SingularModelError,
+                     SingularOmegaError, StencilError, ZeroPotentialError)
 from .expressions import as_function_of_z, constant_value, evaluate_on_grid, \
     parse_expression
 from .grid import Field, GridSpec, dbar, dz, residual, write_csv

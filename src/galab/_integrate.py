@@ -127,7 +127,6 @@ def cumulative_integral(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     return out
 
 
-def integral(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """Definite integral over the whole sample range along ``axis``."""
-    cum = cumulative_integral(f, h, axis=axis)
-    return np.take(cum, -1, axis=axis)
+def integral(f: np.ndarray, h: float) -> np.ndarray:
+    """Definite integral over the whole sample range along the last axis."""
+    return cumulative_integral(f, h)[..., -1]

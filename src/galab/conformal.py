@@ -23,6 +23,9 @@ from .potential import Potential, omega
 #: minimum modulus of the chart derivative
 DERIVATIVE_FLOOR = 1e-12
 
+#: largest admissible |inverse(forward(tau)) - tau| on strip nodes
+INVERSE_TOL = 1e-10
+
 #: largest admissible argument jump of the sqrt argument between nodes
 BRANCH_JUMP = np.pi / 2
 
@@ -41,7 +44,7 @@ class HolomorphicChart:
     inverse: Callable[[np.ndarray], np.ndarray]
     strip: GridSpec
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Invertibility, injectivity and non-degeneracy on strip nodes."""
         tau = self.strip.z
         w = np.asarray(self.derivative(tau), dtype=complex)
@@ -52,12 +55,12 @@ class HolomorphicChart:
         zm = np.asarray(self.forward(tau), dtype=complex)
         back = np.asarray(self.inverse(zm), dtype=complex)
         gap = np.max(np.abs(back - tau))
-        if gap > tol:
-            raise ValueError(f"inverse(forward(tau)) deviates by {gap:.3e}")
+        if gap > INVERSE_TOL:
+            raise DegenerateChartError(f"inverse(forward(tau)) deviates by {gap:.3e}")
         flat = np.sort_complex(zm.ravel())
         scale = max(1.0, float(np.max(np.abs(flat))))
         if np.min(np.abs(np.diff(flat))) < 1e-12 * scale:
-            raise ValueError("chart is not injective on the sampled nodes")
+            raise DegenerateChartError("chart is not injective on the sampled nodes")
 
     def derivative_on_strip(self) -> np.ndarray:
         w = np.asarray(self.derivative(self.strip.z), dtype=complex)
@@ -156,8 +159,7 @@ def check_commutativity(chart: HolomorphicChart,
                         d_side_omega_pf: Callable | None = None,
                         basepoint: tuple[int, int] = (0, 0),
                         constant_ff: complex = 0.0,
-                        constant_pf: complex = 0.0,
-                        branch: str = "principal") -> CommutativityResult:
+                        constant_pf: complex = 0.0) -> CommutativityResult:
     """Compare transforming before and after the change of variables.
 
     Route A transforms on the curved side (sampled at mapped nodes,
@@ -170,20 +172,9 @@ def check_commutativity(chart: HolomorphicChart,
     """
     chart.validate()
     strip = chart.strip
-    w = chart.derivative_on_strip()
-    s = tracked_sqrt(w)
-    if branch == "negative":
-        s = -s
-
-    u_d = chart.sample(u_of_z)
-    f1_d = chart.sample(f1_of_z)
-    f1p_d = chart.sample(f1_plus_of_z)
-    psi_d = chart.sample(psi_of_z)
-
-    u_s = Field(strip, u_d.values * np.abs(w))
-    f1_s = Field(strip, f1_d.values * s)
-    f1p_s = Field(strip, f1p_d.values * s)
-    psi_s = Field(strip, psi_d.values * s)
+    u_d, f1_d, f1p_d, psi_d = (chart.sample(fn) for fn in
+                               (u_of_z, f1_of_z, f1_plus_of_z, psi_of_z))
+    f1_s, f1p_s, psi_s = (pushforward_psi(f, chart) for f in (f1_d, f1p_d, psi_d))
 
     if d_side_omega_ff is not None:
         om_ff_a = Potential.from_values(
@@ -200,11 +191,11 @@ def check_commutativity(chart: HolomorphicChart,
 
     # route A: transform at mapped nodes, then push forward
     m_a = moutard_simple(u_d, f1_d, f1p_d, om_ff_a)
-    u_route_a = m_a.u_tilde.values * np.abs(w)
-    psi_route_a = m_a.map_psi(psi_d, om_pf_a).values * s
+    u_route_a = pushforward_u(m_a.u_tilde, chart).values
+    psi_route_a = pushforward_psi(m_a.map_psi(psi_d, om_pf_a), chart).values
 
     # route B: push forward, then transform on the strip
-    m_b = moutard_simple(u_s, f1_s, f1p_s, om_ff_b)
+    m_b = moutard_simple(pushforward_u(u_d, chart), f1_s, f1p_s, om_ff_b)
     u_route_b = m_b.u_tilde.values
     psi_route_b = m_b.map_psi(psi_s, om_pf_b).values
 

@@ -49,8 +49,13 @@ class SingularOmegaError(GalabError):
     """The seed potential matrix is singular at one or more grid nodes."""
 
 
-class DegenerateChartError(GalabError):
-    """Chart derivative vanishes on the strip."""
+class SeedResidualError(GalabError, ValueError):
+    """A seed pair does not solve the equations within tolerance."""
+
+
+class DegenerateChartError(GalabError, ValueError):
+    """A chart is not a valid change of variables on the strip: its
+    derivative vanishes, or it is not inverted or not injective."""
 
 
 class BranchError(GalabError):

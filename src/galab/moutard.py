@@ -15,19 +15,22 @@ back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SingularOmegaError, ZeroPotentialError
-from .grid import Field, _peak_abs, _row_blocks, _scrub, residual
+from .errors import SeedResidualError, ShapeError, SingularOmegaError, ZeroPotentialError
+from .grid import Field, _row_blocks, _scrub, residual
 from .potential import Potential
 
 #: relative floor (times the potential scale) below which a potential
 #: or seed-matrix determinant counts as vanishing
 DET_TOL_FACTOR = 1e-8
+
+#: largest equation residual of a seed admitted to a seed set
+SEED_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,32 +55,33 @@ class SeedSet:
     """N seed pairs with their potential matrix.
 
     ``omega[j][k]`` must hold the potential pairing the k-th direct
-    seed with the j-th conjugate seed.
+    seed with the j-th conjugate seed.  Construction checks that the
+    matrix is invertible at every active node and keeps its smallest
+    |det| as ``det_min``.
     """
 
     u: Field
     seeds: Sequence[tuple[Field, Field]]
     omega: Sequence[Sequence[Potential]]
+    det_min: float = field(init=False)
 
     @classmethod
-    def build(cls, u: Field, seeds, omega, residual_tol: float = 1e-6,
-              det_tol: float | None = None) -> "SeedSet":
-        """Validate residuals and invertibility before constructing."""
+    def build(cls, u: Field, seeds, omega) -> "SeedSet":
+        """Validate the seeds' residuals before constructing."""
         for j, (f, fp) in enumerate(seeds):
             r_direct = residual(u, f, "direct")
             r_conj = residual(u, fp, "conjugate")
-            if max(r_direct, r_conj) > residual_tol:
-                raise ValueError(
+            if max(r_direct, r_conj) > SEED_RESIDUAL_TOL:
+                raise SeedResidualError(
                     f"seed {j} violates the equations: direct {r_direct:.3e}, "
-                    f"conjugate {r_conj:.3e} (tol {residual_tol:.1e})")
-        ss = cls(u, tuple(seeds), tuple(tuple(row) for row in omega))
-        _det_nodes(ss.omega_array(), u.grid, det_tol)  # raises if singular
-        return ss
+                    f"conjugate {r_conj:.3e} (tol {SEED_RESIDUAL_TOL:.1e})")
+        return cls(u, tuple(seeds), tuple(tuple(row) for row in omega))
 
     def __post_init__(self):
         n = len(self.seeds)
         if len(self.omega) != n or any(len(row) != n for row in self.omega):
             raise ShapeError("omega matrix must be N x N")
+        object.__setattr__(self, "det_min", _det_nodes(self.omega_array(), self.u.grid))
 
     def omega_array(self) -> np.ndarray:
         """Potential matrix as an (nx, ny, N, N) array, for N = 1 its im."""
@@ -94,37 +98,36 @@ def _det(om: np.ndarray) -> np.ndarray:
     return np.linalg.det(om)
 
 
-def _det_nodes(om: np.ndarray, grid, det_tol: float | None) -> float:
+def _det_nodes(om: np.ndarray, grid, tol: float | None = None) -> float:
     """Smallest |det| of the potential matrix over active nodes.
 
-    For N = 1, ``om`` is the potential's im, read a row block at a time.
-    Raises where it drops to ``det_tol``, by default DET_TOL_FACTOR
-    times the N-th power of the largest active |entry|: a vanishing
-    seed potential (N = 1) raises ZeroPotentialError, a singular matrix
-    (N >= 2) SingularOmegaError.
+    For N = 1, ``om`` is the potential's im, and a block's |det| is its
+    |im|.  Each active row block gives its largest |entry| and its
+    smallest |det| with the first node holding it, so ties and NaNs go
+    to the first node in row order.  Raises where |det| drops to
+    ``tol``, by default DET_TOL_FACTOR times the N-th power of the
+    largest active |entry|: a vanishing seed potential (N = 1) raises
+    ZeroPotentialError, a singular matrix (N >= 2) SingularOmegaError.
     """
     n = 1 if om.ndim == 2 else om.shape[-1]
-    if n == 1:  # each block's max, min and flat index of its first min
-        peaks, lows = [], []
+
+    def blocks():  # (first row, |det| raveled, entries) per active row block
         for s in grid.slabs:
             for r in _row_blocks(om[s]) if s.stop > s.start else ():
-                a = np.abs(om[s][r]).ravel()
-                peaks.append(np.max(a))
-                lows.append((a[k := int(np.argmin(a))], k + (s.start + r.start) * om.shape[1]))
-        low, k = lows[int(np.argmin([v for v, _ in lows]))]
-        scale, node = float(np.max(peaks)), tuple(map(int, np.unravel_index(k, om.shape)))
-    else:
-        det = _det(om)
-        abs_det = np.abs(det if grid.excluded_band is None else det[grid.mask]).ravel()
-        scale, k = float(_peak_abs(grid, om)), int(np.argmin(abs_det))
-        low, node = abs_det[k], tuple(int(idx[k]) for idx in np.nonzero(grid.mask))
-    tol = DET_TOL_FACTOR * scale ** n if det_tol is None else det_tol
+                b = om[s][r]
+                yield s.start + r.start, np.abs(b if n == 1 else _det(b)).ravel(), b
+
+    peaks, lows = [], []
+    for row, a, b in blocks():
+        peaks.append(np.max(a if n == 1 else np.abs(b)))
+        lows.append((a[k := int(np.argmin(a))], k + row * grid.ny))
+    low, k = lows[int(np.argmin([v for v, _ in lows]))]
+    scale, node = float(np.max(peaks)), tuple(map(int, np.unravel_index(k, grid.shape())))
+    tol = DET_TOL_FACTOR * scale ** n if tol is None else tol
     if low <= tol:
-        if n == 1:
-            abs_det = np.abs(np.concatenate(grid.views(grid.slabs, om))).ravel()
+        count = sum(np.count_nonzero(a <= tol) for _, a, _ in blocks())
         error = ZeroPotentialError if n == 1 else SingularOmegaError
-        raise error(f"{n}x{n} potential matrix is singular at "
-                    f"{np.count_nonzero(abs_det <= tol)} node(s); "
+        raise error(f"{n}x{n} potential matrix is singular at {count} node(s); "
                     f"|det| = {low:.3e} at node {node} (tol {tol:.1e})")
     return float(low)
 
@@ -159,7 +162,7 @@ def _reciprocal(w: np.ndarray) -> np.ndarray:
 
 
 def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
-               om: np.ndarray, det_tol: float | None) -> TransformResult:
+               om: np.ndarray, det_min: float) -> TransformResult:
     """The transform generated by N seeds, node by node.
 
     ``f_stack`` and ``fp_stack`` hold the direct and conjugate seeds
@@ -170,10 +173,10 @@ def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
     om^T y = (w_{f_j,psi+})_j.  Values that are non-finite inside an
     excluded band become 0 there.  For N = 1, ``om`` is the potential's
     im W: with s = 1/W, -x is (Im f+, Re f+) * s and y = w * s, the bits
-    of numpy's complex division but for zero signs.
+    of numpy's complex division but for zero signs.  ``det_min`` is the
+    caller's ``_det_nodes`` of ``om``.
     """
     grid, n = u.grid, f_stack.shape[-1]
-    det_min = _det_nodes(om, grid, det_tol)
     u_tilde = np.empty_like(u.values)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in _row_blocks(u_tilde):
@@ -209,8 +212,8 @@ def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
                            n, det_min)
 
 
-def moutard_simple(u: Field, f1: Field, f1_plus: Field, omega_ff: Potential,
-                   det_tol: float | None = None) -> TransformResult:
+def moutard_simple(u: Field, f1: Field, f1_plus: Field,
+                   omega_ff: Potential) -> TransformResult:
     """Simple (N = 1) transform generated by one seed pair.
 
     The transformed coefficient is u + f1*conj(f1+)/w, and a solution
@@ -219,21 +222,20 @@ def moutard_simple(u: Field, f1: Field, f1_plus: Field, omega_ff: Potential,
     if not u.grid == f1.grid == f1_plus.grid == omega_ff.grid:
         raise ShapeError("coefficient, seed pair and potential live on different grids")
     return _transform(u, f1.values[..., None], f1_plus.values[..., None],
-                      omega_ff.im, det_tol)
+                      omega_ff.im, _det_nodes(omega_ff.im, u.grid))
 
 
-def moutard_rank_n(seedset: SeedSet, det_tol: float | None = None) -> TransformResult:
-    """Rank-N transform from a validated seed set."""
+def moutard_rank_n(seedset: SeedSet) -> TransformResult:
+    """Rank-N transform from a seed set, whose matrix it checked on construction."""
     return _transform(seedset.u,
                       np.stack([f.values for f, _ in seedset.seeds], axis=-1),
                       np.stack([fp.values for _, fp in seedset.seeds], axis=-1),
-                      seedset.omega_array(), det_tol)
+                      seedset.omega_array(), seedset.det_min)
 
 
 def transformed_potential(omega_pp: Potential, omega_pf: Potential,
                           omega_fp: Potential, omega_ff: Potential,
-                          constant: complex = 0.0,
-                          det_tol: float | None = None) -> Potential:
+                          constant: complex = 0.0) -> Potential:
     """Potential of the transformed pair, no re-integration needed.
 
     Given the four potentials pairing (psi, psi+) and the seed pair,
@@ -241,7 +243,7 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     (w_pp * w_ff - w_pf * w_fp) / w_ff + constant, formed on the ims as
     (pp * ff - pf * fp) * (1 / ff) + Im c, the complex formula's bits.
     """
-    _det_nodes(omega_ff.im, omega_ff.grid, det_tol)
+    _det_nodes(omega_ff.im, omega_ff.grid)
     constant = complex(constant)
     pp, pf, fp, ff = (w.im for w in (omega_pp, omega_pf, omega_fp, omega_ff))
     im = np.empty_like(pp)
@@ -257,37 +259,31 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
 
 def compose_simple(u: Field, f1: Field, f1_plus: Field, f2: Field,
                    f2_plus: Field, om_f1_f1p: Potential, om_f2_f1p: Potential,
-                   om_f1_f2p: Potential, om_f2_f2p: Potential,
-                   second_stage_constant: complex = 0.0,
-                   det_tol: float | None = None) -> TransformResult:
+                   om_f1_f2p: Potential, om_f2_f2p: Potential) -> TransformResult:
     """Composition of the two simple transforms generated by the seeds.
 
     The first stage uses (f1, f1+); the second stage uses the images of
     (f2, f2+) under the first stage, with all second-stage potentials
-    derived by the transformed-potential formula (constants default to
-    zero).  Node-wise this equals the rank-2 transform on the same
-    seeds.  The returned maps take the same potential lists as the
-    rank-2 maps.
+    derived by the transformed-potential formula with zero constants.
+    Node-wise this equals the rank-2 transform on the same seeds.  The
+    returned maps take the same potential lists as the rank-2 maps.
     """
-    m1 = moutard_simple(u, f1, f1_plus, om_f1_f1p, det_tol)
+    m1 = moutard_simple(u, f1, f1_plus, om_f1_f1p)
     f2_t = m1.map_psi(f2, om_f2_f1p)
     f2p_t = m1.map_psi_plus(f2_plus, om_f1_f2p)
-    om_22_t = transformed_potential(om_f2_f2p, om_f2_f1p, om_f1_f2p, om_f1_f1p,
-                                    second_stage_constant, det_tol)
-    m2 = moutard_simple(m1.u_tilde, f2_t, f2p_t, om_22_t, det_tol)
+    om_22_t = transformed_potential(om_f2_f2p, om_f2_f1p, om_f1_f2p, om_f1_f1p)
+    m2 = moutard_simple(m1.u_tilde, f2_t, f2p_t, om_22_t)
 
     def map_psi(psi: Field, omegas) -> Field:
         om_p_f1p, om_p_f2p = _as_potential_list(omegas)
         psi_t = m1.map_psi(psi, om_p_f1p)
-        om_t = transformed_potential(om_p_f2p, om_p_f1p, om_f1_f2p, om_f1_f1p,
-                                     second_stage_constant, det_tol)
+        om_t = transformed_potential(om_p_f2p, om_p_f1p, om_f1_f2p, om_f1_f1p)
         return m2.map_psi(psi_t, om_t)
 
     def map_psi_plus(psi_plus: Field, omegas) -> Field:
         om_f1_pp, om_f2_pp = _as_potential_list(omegas)
         psi_p_t = m1.map_psi_plus(psi_plus, om_f1_pp)
-        om_t = transformed_potential(om_f2_pp, om_f2_f1p, om_f1_pp, om_f1_f1p,
-                                     second_stage_constant, det_tol)
+        om_t = transformed_potential(om_f2_pp, om_f2_f1p, om_f1_pp, om_f1_f1p)
         return m2.map_psi_plus(psi_p_t, om_t)
 
     return TransformResult(m2.u_tilde, map_psi, map_psi_plus, 2,
@@ -295,7 +291,7 @@ def compose_simple(u: Field, f1: Field, f1_plus: Field, f2: Field,
 
 
 def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
-                  omega_ff: Potential, det_tol: float | None = None) -> TransformResult:
+                  omega_ff: Potential) -> TransformResult:
     """Simple transform undoing the one generated by (f1, f1+).
 
     The inverting seeds are -i*f1/w and -i*f1+/w with pair potential
@@ -305,13 +301,13 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
     take transformed solutions together with the *original* potentials
     (the ones that fed the forward map).
     """
-    _det_nodes(omega_ff.im, omega_ff.grid, det_tol)
+    _det_nodes(omega_ff.im, omega_ff.grid)
     grid = f1.grid
     w = omega_ff.values
     f_hat = Field(grid, -1j * f1.values / w)
     f_hat_plus = Field(grid, -1j * f1_plus.values / w)
     om_hat = Potential.from_values(grid, 1.0 / w, omega_ff.basepoint)
-    m2 = moutard_simple(m1.u_tilde, f_hat, f_hat_plus, om_hat, det_tol)
+    m2 = moutard_simple(m1.u_tilde, f_hat, f_hat_plus, om_hat)
 
     def scaled(m2_map: Callable) -> Callable:
         def mapped(psi_tilde: Field, omegas) -> Field:

@@ -136,8 +136,7 @@ def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
 
 
 def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
-          constant: complex = 0.0,
-          exactness_tol: float = DEFAULT_EXACTNESS_TOL) -> Potential:
+          constant: complex = 0.0) -> Potential:
     """Integrate the pair potential from ``basepoint``.
 
     Parameters
@@ -148,18 +147,18 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
         Node index where the potential equals ``constant``.
     constant : complex
         Imaginary integration constant.
-    exactness_tol : float
-        Maximum allowed disagreement between the x-then-y and y-then-x
-        L-path orientations.  Larger disagreement raises ExactnessError,
-        which signals the pair does not solve the equations.
+
+    A disagreement above DEFAULT_EXACTNESS_TOL between the x-then-y and
+    y-then-x L-path orientations raises ExactnessError, which signals
+    the pair does not solve the equations.
     """
     constant = _check_imaginary_constant(constant)
     a, b = _form_components(psi, psi_plus)
     grid = psi.grid
     w_xy, defect = _integrate_form(a, b, grid, basepoint)
-    if defect > exactness_tol:
+    if defect > DEFAULT_EXACTNESS_TOL:
         raise ExactnessError(
-            f"path-dependence defect {defect:.3e} exceeds {exactness_tol:.1e}; "
+            f"path-dependence defect {defect:.3e} exceeds {DEFAULT_EXACTNESS_TOL:.1e}; "
             "the pair is not a solution/conjugate-solution pair")
     # constant.imag is not -0.0, so 1j * im is 1j * (w + c) projected
     np.add(w_xy, constant.imag, out=w_xy)

@@ -30,21 +30,6 @@ from .series import (FunctionOnInterval, PoleProfile, pole_order_check,
                      meromorphic_certify, series_residual, solve_recursion)
 from .singularity import remove_pole, synthesize_seeds, synthesize_singular_u
 
-PIPELINES = ("residual", "potential", "transform", "compose", "invert",
-             "conformal", "series", "remove-pole")
-
-#: the tolerance key the --tol flag overrides, per pipeline
-PRIMARY_TOLERANCE = {
-    "residual": "residual",
-    "potential": "loop_defect",
-    "transform": "residual_after",
-    "compose": "agreement",
-    "invert": "roundtrip",
-    "conformal": "commutativity",
-    "series": "defects",
-    "remove-pole": "flat",
-}
-
 _DEFAULT_TOLERANCES = {
     "residual": 1e-8,
     "loop_defect": 1e-8,
@@ -200,7 +185,7 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
             except ValueError as exc:
                 raise ScenarioError(f"scenario {name!r}: bad tolerance {key!r}: {exc}")
     if tol_override is not None:
-        tolerances[PRIMARY_TOLERANCE[pipeline]] = tol_override
+        tolerances[PIPELINES[pipeline][1]] = tol_override
     for key, val in tolerances.items():
         if not (math.isfinite(val) and val >= 0):
             raise ScenarioError(
@@ -278,11 +263,10 @@ class _Checks:
     def __init__(self):
         self.items: list[dict] = []
 
-    def add(self, name: str, value: float, threshold: float,
-            ok: bool | None = None) -> None:
-        passed = bool(value <= threshold) if ok is None else bool(ok)
+    def add(self, name: str, value: float, threshold: float) -> None:
         self.items.append({"name": name, "value": float(value),
-                           "threshold": float(threshold), "passed": passed})
+                           "threshold": float(threshold),
+                           "passed": bool(value <= threshold)})
 
     def require(self, name: str, ok: bool, detail: str = "") -> None:
         item = {"name": name, "passed": bool(ok)}
@@ -576,15 +560,17 @@ def run_remove_pole(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
     return metrics
 
 
-_RUNNERS = {
-    "residual": run_residual,
-    "potential": run_potential,
-    "transform": run_transform,
-    "compose": run_compose,
-    "invert": run_invert,
-    "conformal": run_conformal,
-    "series": run_series,
-    "remove-pole": run_remove_pole,
+#: pipeline name -> (runner, the tolerance key the --tol flag overrides),
+#: in the order ``galab --help`` lists the subcommands
+PIPELINES = {
+    "residual": (run_residual, "residual"),
+    "potential": (run_potential, "loop_defect"),
+    "transform": (run_transform, "residual_after"),
+    "compose": (run_compose, "agreement"),
+    "invert": (run_invert, "roundtrip"),
+    "conformal": (run_conformal, "commutativity"),
+    "series": (run_series, "defects"),
+    "remove-pole": (run_remove_pole, "flat"),
 }
 
 
@@ -601,7 +587,7 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, Path]:
     dumps: dict[str, np.ndarray] = {}
     error = None
     try:
-        metrics = _RUNNERS[scn.pipeline](scn, checks, dumps)
+        metrics = PIPELINES[scn.pipeline][0](scn, checks, dumps)
     except ScenarioError:
         raise
     except GalabError as exc:

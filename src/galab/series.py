@@ -35,6 +35,10 @@ SAMPLED_TOL = 1e-6
 #: y-nodes used to evaluate polynomial-mode conditions
 N_CHECK = 201
 
+#: tolerance on the leading coefficient r_-1 in the order check and
+#: in normalization
+LEAD_TOL = 1e-10
+
 _MAX_DEGREE = 16
 
 
@@ -118,10 +122,10 @@ class FunctionOnInterval:
     def interval(self) -> tuple[float, float]:
         return (self.a, self.b)
 
-    def nodes(self, n: int | None = None) -> np.ndarray:
+    def nodes(self) -> np.ndarray:
         if self.mode == "samples":
             return np.linspace(self.a, self.b, self.data.size)
-        return np.linspace(self.a, self.b, N_CHECK if n is None else n)
+        return np.linspace(self.a, self.b, N_CHECK)
 
     def values_on(self, ys: np.ndarray) -> np.ndarray:
         """Evaluate at the given y values.
@@ -297,8 +301,7 @@ def _worst(fn_values: np.ndarray, nodes: np.ndarray) -> tuple[float, float]:
     return float(nodes[k]), float(np.abs(fn_values[k]))
 
 
-def pole_order_check(profile: PoleProfile, n_prime: int,
-                     tol: float = 1e-10) -> CheckResult:
+def pole_order_check(profile: PoleProfile, n_prime: int) -> CheckResult:
     """Order constraints for a series solution with a pole of order n'.
 
     Existence of any such solution forces the coefficient pole to be
@@ -309,13 +312,13 @@ def pole_order_check(profile: PoleProfile, n_prime: int,
     lead = profile.r_fn(-1)
     nodes = lead.nodes()
     dev = np.abs(np.abs(lead.values_on(nodes)) - n_prime / 2.0)
-    if np.max(dev) > tol:
+    if np.max(dev) > LEAD_TOL:
         y, value = _worst(dev, nodes)
         return CheckResult(False, f"|r_-1| != {n_prime}/2", y, value)
     return CheckResult(True)
 
 
-def normalize_profile(profile: PoleProfile, tol: float = 1e-10) -> PoleProfile:
+def normalize_profile(profile: PoleProfile) -> PoleProfile:
     """Flip a +1/2 leading coefficient to -1/2 by a phase shift.
 
     Adds pi/2 to the phase and negates every r_j, which leaves the
@@ -326,7 +329,7 @@ def normalize_profile(profile: PoleProfile, tol: float = 1e-10) -> PoleProfile:
         raise NormalizationError(f"pole order n = {profile.n}, expected 1")
     lead = profile.r_fn(-1)
     nodes = lead.nodes()
-    if np.max(np.abs(lead.values_on(nodes) - 0.5)) > tol:
+    if np.max(np.abs(lead.values_on(nodes) - 0.5)) > LEAD_TOL:
         raise NormalizationError("leading coefficient is not identically +1/2")
     phi = profile.phi + (math.pi / 2)
     r = {j: -fn for j, fn in profile.r.items()}
@@ -376,11 +379,11 @@ def meromorphic_certify(profile: PoleProfile, tol: float | None = None) -> Check
     return CheckResult(True)
 
 
-def _require_normalized(profile: PoleProfile, tol: float = 1e-10):
+def _require_normalized(profile: PoleProfile):
     if profile.n != 1:
         raise NormalizationError(f"pole order n = {profile.n}, expected 1")
     lead = profile.r_fn(-1)
-    if np.max(np.abs(lead.values_on(lead.nodes()) + 0.5)) > tol:
+    if np.max(np.abs(lead.values_on(lead.nodes()) + 0.5)) > LEAD_TOL:
         raise NormalizationError("profile is not normalized to r_-1 = -1/2")
 
 
@@ -479,17 +482,14 @@ def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
     return CoefficientSeries(phi, series, 1, order)
 
 
-def series_residual(profile: PoleProfile, series: CoefficientSeries,
-                    order: int | None = None) -> list[float]:
+def series_residual(profile: PoleProfile, series: CoefficientSeries) -> list[float]:
     """Per-order sup-norms of the equation defect of a series.
 
     Re-expands 2*d/dzbar(psi) - 2*u*conj(psi) in powers of x by direct
     coefficient convolution (independent of the recursion that produced
     the series) and returns the sup-norm of each coefficient from order
-    -2 up to ``order - 1``.
+    -2 up to the series' order minus one.
     """
-    if order is None:
-        order = series.order
     phi_p = profile.phi.deriv()
     k_max = series.order
 
@@ -500,7 +500,7 @@ def series_residual(profile: PoleProfile, series: CoefficientSeries,
 
     defects = []
     r_top = profile.max_order()
-    for k in range(-2, order):
+    for k in range(-2, k_max):
         # 2*dbar(psi): x-derivative shifts orders down, y-derivative keeps them
         lhs = (k + 1) * beta(k + 1) + (1j) * beta(k).deriv() \
             + (-1.0) * phi_p * beta(k)

@@ -46,6 +46,9 @@ SUP_ABS = 1e-9
 RESIDUE_REL = 1e-4
 RESIDUE_ABS = 1e-8
 
+#: fewest columns a Laurent fit takes on either side of the contour
+FIT_MIN_COLUMNS = 6
+
 
 @dataclass(frozen=True)
 class SingularFieldModel:
@@ -226,13 +229,12 @@ def _window(grid: GridSpec, lo: float, hi: float) -> np.ndarray:
 
 
 def fit_laurent_profile(field: Field, orders: tuple[int, ...] = (-2, -1, 0),
-                        x_window: tuple[float, float] | None = None,
-                        min_samples: int = 6) -> LaurentFit:
+                        x_window: tuple[float, float] | None = None) -> LaurentFit:
     """Fit sum_k c_k(y) x^k to each grid row by least squares.
 
     Uses active columns on both sides of x = 0, restricted to
     ``x_window`` = (lo, hi) on |x| when given (see ``_window``).  Raises FitError with
-    fewer than ``min_samples`` columns on either side.
+    fewer than FIT_MIN_COLUMNS columns on either side.
     """
     grid = field.grid
     xs = grid.xs
@@ -242,9 +244,9 @@ def fit_laurent_profile(field: Field, orders: tuple[int, ...] = (-2, -1, 0),
         sel &= _window(grid, *x_window)
     n_right = int(np.count_nonzero(sel & (xs > 0)))
     n_left = int(np.count_nonzero(sel & (xs < 0)))
-    if min(n_right, n_left) < min_samples:
+    if min(n_right, n_left) < FIT_MIN_COLUMNS:
         raise FitError(
-            f"need >= {min_samples} columns per side, have {n_left} left / "
+            f"need >= {FIT_MIN_COLUMNS} columns per side, have {n_left} left / "
             f"{n_right} right")
     x_sel = xs[sel]
     design = np.stack([x_sel ** k for k in orders], axis=1)
@@ -287,13 +289,13 @@ class PoleRemovalResult:
 
 def remove_pole(u_star: Field, f_star: SingularFieldModel,
                 f_star_plus: SingularFieldModel, constant: complex = 0.0,
-                delta_ladder: tuple[float, ...] | None = None,
                 flat_tol: float | None = None) -> PoleRemovalResult:
     """Apply the pole-removing simple transform and check boundedness.
 
     The transformed coefficient is evaluated on a ladder of shrinking
-    sub-strips; on each rung the sup must not grow and the fitted 1/x^2
-    and 1/x coefficients must vanish relative to the constant term.
+    sub-strips (LADDER_FRACTIONS of the half-width); on each rung the
+    sup must not grow and the fitted 1/x^2 and 1/x coefficients must
+    vanish relative to the constant term.
     The 1/x coefficient of the x-derivative of the seed potential is
     fitted as well: it vanishes for a genuine seed pair and is the
     sharpest detector of seeds violating the first-order relations.
@@ -309,8 +311,7 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
                              w).u_tilde
 
     eps = min(grid.x_max, abs(grid.x_min))
-    if delta_ladder is None:
-        delta_ladder = tuple(f * eps for f in LADDER_FRACTIONS)
+    delta_ladder = tuple(f * eps for f in LADDER_FRACTIONS)
     sups, c2s, c1s, c0s = [], [], [], []
     for delta in delta_ladder:
         ring = grid.mask & _window(grid, delta / 2, delta)[:, None]
@@ -353,6 +354,6 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
         verdict = f"u_tilde == 0 within {flat_tol:g}"
     else:
         verdict = "pass"
-    return PoleRemovalResult(u_tilde, w, tuple(delta_ladder), tuple(sups),
+    return PoleRemovalResult(u_tilde, w, delta_ladder, tuple(sups),
                              tuple(c2s), tuple(c1s), tuple(c0s),
                              residue, residue_scale, verdict)

@@ -199,12 +199,23 @@ def ref_evaluate_on_grid(src, grid):
     return np.broadcast_to(np.asarray(vals, dtype=complex), grid.shape()).copy()
 
 
+def ref_abs_det(om, grid):
+    """|det| at the active nodes, from the mask copy: written out for
+    N <= 2, np.linalg.det above; N = 1 is the (nx, ny, 1, 1) complex
+    potential."""
+    n = om.shape[-1]
+    if n == 1:
+        det = om[..., 0, 0]
+    elif n == 2:
+        det = om[..., 0, 0] * om[..., 1, 1] - om[..., 0, 1] * om[..., 1, 0]
+    else:
+        det = np.linalg.det(om)
+    return np.abs(det[grid.mask])
+
+
 def ref_det_nodes(om, grid):
-    """Smallest active |det| for N <= 2 and its node, from the mask copy;
-    N = 1 is the (nx, ny, 1, 1) complex potential."""
-    det = om[..., 0, 0] if om.shape[-1] == 1 else \
-        om[..., 0, 0] * om[..., 1, 1] - om[..., 0, 1] * om[..., 1, 0]
-    abs_det = np.abs(det[grid.mask])
+    """Smallest active |det| and its node."""
+    abs_det = ref_abs_det(om, grid)
     k = int(np.argmin(abs_det))
     return float(abs_det[k]), tuple(int(idx[k]) for idx in np.nonzero(grid.mask))
 
@@ -539,6 +550,33 @@ class TestDetNodes:
         w[last], w[first] = -1.0, np.inf
         with pytest.raises(ZeroPotentialError, match=re.escape(f"at node {last}")):
             _det_nodes(w, grid, None)
+
+    @pytest.mark.parametrize("name", ["strip-480", "many-blocks", "strip-2400", "long-rows"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matrix_in_blocks(self, name, n):
+        # the rules above for N >= 2, on diag(i w, i, ...), whose |det| is |w|
+        grid = GRIDS[name]
+        om = np.zeros(grid.shape() + (n, n), dtype=complex)
+        om.imag[...] = np.eye(n)
+        assert len(_row_blocks(om)) >= 2
+        w = om.imag[..., 0, 0]
+        w[...] = 2.0 + np.random.default_rng(58).random(grid.shape())
+        active = np.argwhere(grid.mask)
+        first, last = (tuple(map(int, active[k])) for k in (len(active) // 3, -1))
+        w[first] = w[last] = -1.0
+        band = np.argwhere(~grid.mask)
+        if len(band):
+            om[tuple(band[0])] = 0.0
+        assert ref_det_nodes(om, grid) == (1.0, first) and _det_nodes(om, grid) == 1.0
+        for tol in (1.0, 2.5):
+            with pytest.raises(SingularOmegaError) as got:
+                _det_nodes(om, grid, tol)
+            count = int(np.count_nonzero(ref_abs_det(om, grid) <= tol))
+            assert f"at {count} node(s); |det| = 1.000e+00 at node {first}" in str(got.value)
+        # a NaN after a singular node still wins: no raise, NaN returned
+        w[first], w[last] = 0.0, np.nan
+        with np.errstate(invalid="ignore"):  # the LU of a NaN matrix
+            assert np.isnan(ref_det_nodes(om, grid)[0]) and np.isnan(_det_nodes(om, grid))
 
 
 def _model(grid, seed, kind="solution"):

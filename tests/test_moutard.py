@@ -3,7 +3,7 @@ import pytest
 
 from galab.errors import ShapeError, SingularOmegaError, ZeroPotentialError
 from galab.grid import Field, dbar, dz, residual
-from galab.moutard import (SeedSet, compose_simple, invert_simple,
+from galab.moutard import (SeedSet, _det_nodes, compose_simple, invert_simple,
                            moutard_rank_n, moutard_simple,
                            seed_annihilation_max, transformed_potential)
 from galab.potential import Potential, omega
@@ -209,6 +209,15 @@ class TestRankN:
         om = closed_form_potential(strip, 2j * strip.y)
         with pytest.raises(ValueError):
             SeedSet.build(zeros(strip), [(bad, bad)], [[om]])
+
+    def test_seedset_checks_its_matrix_on_construction(self, setup):
+        g, u, f1, om_ff = setup
+        with pytest.raises(SingularOmegaError):
+            SeedSet(u, [(f1, f1), (f1, f1)], [[om_ff, om_ff], [om_ff, om_ff]])
+        seeds, om = self.quadruple(g)
+        seedset = SeedSet(u, seeds, om)
+        assert seedset.det_min == _det_nodes(seedset.omega_array(), g) > 0
+        assert moutard_rank_n(seedset).det_min == seedset.det_min
 
 
 class TestTransformedPotential:

@@ -44,6 +44,17 @@ CONFIG_PROBES = {
                            "beta_plus_minus1 = poly: 1, 1i\n"), []),
 }
 
+#: model faults that must exit 2 with the typed error in the report and
+#: no traceback: the scenario run, an (old, new) edit of its text, and
+#: the error's class
+MODEL_PROBES = {
+    "seed-residual": ("compose-rank2", ("f2 = z\nf2_plus = z\n",
+                                        "f2 = exp(3*z)\nf2_plus = exp(-3*z)\n"),
+                      "SeedResidualError"),
+    "wrong-inverse": ("conformal-scaling", ("inverse = z/2\n", "inverse = z/3\n"),
+                      "DegenerateChartError"),
+}
+
 
 def run_cli(args):
     return main(list(args))
@@ -192,6 +203,34 @@ psi = z
         out = capsys.readouterr().out
         assert code == 1, out
         assert out.startswith("[config error]"), out
+
+    @pytest.mark.parametrize("probe", sorted(MODEL_PROBES))
+    def test_exit_two_on_model_fault(self, probe, tmp_path):
+        name, edit, error = MODEL_PROBES[probe]
+        text = resources.files("galab").joinpath("scenarios", f"{name}.ini").read_text()
+        assert edit[0] in text
+        path = tmp_path / "probe.ini"
+        path.write_text(text.replace(*edit))
+        proc = subprocess.run(
+            [sys.executable, "-m", "galab.cli", load_scenario(name).pipeline,
+             "--scenario", str(path), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.startswith("[FAILED]") and "Traceback" not in proc.stderr
+        report = json.loads((tmp_path / f"{name}.report.json").read_text())
+        assert report["error"].startswith(f"{error}: ")
+
+    def test_compose_scans_its_matrix_once(self, tmp_path, monkeypatch):
+        scans, det_nodes = [], galab.moutard._det_nodes
+
+        def counted(om, grid, tol=None):
+            scans.append(om.shape)
+            return det_nodes(om, grid, tol)
+
+        monkeypatch.setattr(galab.moutard, "_det_nodes", counted)
+        code, _ = run_scenario(load_scenario("compose-rank2"), tmp_path)
+        assert code == 0
+        assert [s for s in scans if len(s) == 4] == [(96, 96, 2, 2)]
 
     def test_exit_two_when_series_overflows(self, tmp_path, capsys):
         # 2 r0 conj(beta_-1) = 2e400 is not a float: the pipeline stops
