@@ -11,6 +11,7 @@ variables, which is checked numerically node by node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,7 +37,8 @@ class HolomorphicChart:
 
     All three maps are closed forms supplied by the caller (for the
     CLI: expression strings); the derivative is given, not
-    differentiated numerically.
+    differentiated numerically.  Their values on the strip are computed
+    once per chart and kept read-only.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
@@ -46,15 +48,10 @@ class HolomorphicChart:
 
     def validate(self) -> None:
         """Invertibility, injectivity and non-degeneracy on strip nodes."""
-        tau = self.strip.z
-        w = np.asarray(self.derivative(tau), dtype=complex)
-        w = np.broadcast_to(w, tau.shape)
-        if np.min(np.abs(w)) < DERIVATIVE_FLOOR:
-            raise DegenerateChartError(
-                f"chart derivative reaches {np.min(np.abs(w)):.3e}")
-        zm = np.asarray(self.forward(tau), dtype=complex)
+        self.derivative_on_strip  # computing it checks the floor
+        zm = self.mapped_nodes
         back = np.asarray(self.inverse(zm), dtype=complex)
-        gap = np.max(np.abs(back - tau))
+        gap = np.max(np.abs(back - self.strip.z))
         if gap > INVERSE_TOL:
             raise DegenerateChartError(f"inverse(forward(tau)) deviates by {gap:.3e}")
         flat = np.sort_complex(zm.ravel())
@@ -62,23 +59,39 @@ class HolomorphicChart:
         if np.min(np.abs(np.diff(flat))) < 1e-12 * scale:
             raise DegenerateChartError("chart is not injective on the sampled nodes")
 
+    @cached_property
     def derivative_on_strip(self) -> np.ndarray:
-        w = np.asarray(self.derivative(self.strip.z), dtype=complex)
-        w = np.broadcast_to(w, self.strip.shape()).copy()
+        """dz/dtau at the strip nodes; raises where it drops below the floor."""
+        w = _on_strip(self.strip, self.derivative(self.strip.z))
         if np.min(np.abs(w)) < DERIVATIVE_FLOOR:
             raise DegenerateChartError(
                 f"chart derivative reaches {np.min(np.abs(w)):.3e}")
         return w
 
+    @cached_property
+    def sqrt_derivative(self) -> np.ndarray:
+        """sqrt(dz/dtau) on the strip, its branch tracked from the center."""
+        s = tracked_sqrt(self.derivative_on_strip)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
     def mapped_nodes(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.forward(self.strip.z), dtype=complex),
-                               self.strip.shape()).copy()
+        """z(tau) at the strip nodes."""
+        return _on_strip(self.strip, self.forward(self.strip.z))
 
     def sample(self, fn: Callable[[np.ndarray], np.ndarray]) -> Field:
         """Sample a function of z at the mapped strip nodes."""
         return Field(self.strip, np.broadcast_to(
-            np.asarray(fn(self.mapped_nodes()), dtype=complex),
+            np.asarray(fn(self.mapped_nodes), dtype=complex),
             self.strip.shape()).copy())
+
+
+def _on_strip(strip: GridSpec, values) -> np.ndarray:
+    """Values broadcast to the strip's shape, as a read-only complex array."""
+    out = np.broadcast_to(np.asarray(values, dtype=complex), strip.shape()).copy()
+    out.flags.writeable = False
+    return out
 
 
 def identity_chart(strip: GridSpec) -> HolomorphicChart:
@@ -117,8 +130,7 @@ def pushforward_u(u_on_mapped: Field | Callable, chart: HolomorphicChart) -> Fie
     """Coefficient in strip coordinates: u(z(tau)) * |dz/dtau|."""
     if callable(u_on_mapped):
         u_on_mapped = chart.sample(u_on_mapped)
-    w = chart.derivative_on_strip()
-    return Field(chart.strip, u_on_mapped.values * np.abs(w))
+    return Field(chart.strip, u_on_mapped.values * np.abs(chart.derivative_on_strip))
 
 
 def pushforward_psi(psi_on_mapped: Field | Callable, chart: HolomorphicChart,
@@ -131,7 +143,7 @@ def pushforward_psi(psi_on_mapped: Field | Callable, chart: HolomorphicChart,
     """
     if callable(psi_on_mapped):
         psi_on_mapped = chart.sample(psi_on_mapped)
-    s = tracked_sqrt(chart.derivative_on_strip())
+    s = chart.sqrt_derivative
     if branch == "negative":
         s = -s
     elif branch != "principal":
@@ -178,10 +190,10 @@ def check_commutativity(chart: HolomorphicChart,
 
     if d_side_omega_ff is not None:
         om_ff_a = Potential.from_values(
-            strip, np.asarray(d_side_omega_ff(chart.mapped_nodes()), dtype=complex),
+            strip, np.asarray(d_side_omega_ff(chart.mapped_nodes), dtype=complex),
             basepoint)
         om_pf_a = Potential.from_values(
-            strip, np.asarray(d_side_omega_pf(chart.mapped_nodes()), dtype=complex),
+            strip, np.asarray(d_side_omega_pf(chart.mapped_nodes), dtype=complex),
             basepoint)
         om_ff_b = omega(f1_s, f1p_s, basepoint, om_ff_a.constant)
         om_pf_b = omega(psi_s, f1p_s, basepoint, om_pf_a.constant)

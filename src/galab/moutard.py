@@ -63,6 +63,7 @@ class SeedSet:
     u: Field
     seeds: Sequence[tuple[Field, Field]]
     omega: Sequence[Sequence[Potential]]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
     det_min: float = field(init=False)
 
     @classmethod
@@ -81,10 +82,12 @@ class SeedSet:
         n = len(self.seeds)
         if len(self.omega) != n or any(len(row) != n for row in self.omega):
             raise ShapeError("omega matrix must be N x N")
-        object.__setattr__(self, "det_min", _det_nodes(self.omega_array(), self.u.grid))
+        object.__setattr__(self, "matrix", self.omega_array())
+        object.__setattr__(self, "det_min", _det_nodes(self.matrix, self.u.grid))
 
     def omega_array(self) -> np.ndarray:
-        """Potential matrix as an (nx, ny, N, N) array, for N = 1 its im."""
+        """Potential matrix as an (nx, ny, N, N) array, for N = 1 its im;
+        construction builds it once as ``matrix``."""
         if len(self.omega) == 1:
             return self.omega[0][0].im
         rows = [[p.values for p in row] for row in self.omega]
@@ -230,7 +233,7 @@ def moutard_rank_n(seedset: SeedSet) -> TransformResult:
     return _transform(seedset.u,
                       np.stack([f.values for f, _ in seedset.seeds], axis=-1),
                       np.stack([fp.values for _, fp in seedset.seeds], axis=-1),
-                      seedset.omega_array(), seedset.det_min)
+                      seedset.matrix, seedset.det_min)
 
 
 def transformed_potential(omega_pp: Potential, omega_pf: Potential,

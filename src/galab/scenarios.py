@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -42,7 +42,6 @@ _DEFAULT_TOLERANCES = {
     "roundtrip": 1e-10,
     "commutativity": 1e-8,
     "defects": 1e-12,
-    "worst_y": None,  # defaults to one cell of the check grid
 }
 
 
@@ -53,35 +52,27 @@ class Scenario:
     claim: str
     grid: GridSpec | None
     basepoint: tuple[int, int]
-    expressions: dict[str, str]
+    expressions: dict[str, object]  # parsed expressions
     constants: dict[str, complex]
-    chart: dict[str, str]
+    chart: dict[str, object]
     profile: dict[str, object]
     tolerances: dict[str, float]
     expect: dict[str, str]
-    source: str = ""
 
     def tol(self, key: str) -> float:
         if key in self.tolerances:
             return self.tolerances[key]
         return _DEFAULT_TOLERANCES[key]
 
-    def expression(self, key: str) -> str:
+    def expression(self, key: str) -> object:
         if key not in self.expressions:
             raise ScenarioError(
                 f"scenario {self.name!r}: pipeline {self.pipeline!r} needs "
                 f"expression {key!r}")
         return self.expressions[key]
 
-    def require_grid(self) -> GridSpec:
-        if self.grid is None:
-            raise ScenarioError(
-                f"scenario {self.name!r}: pipeline {self.pipeline!r} needs "
-                f"a [grid] section")
-        return self.grid
-
     def field(self, key: str) -> Field:
-        grid = self.require_grid()
+        grid = self.grid
         try:
             return Field(grid, _scrub(grid, evaluate_on_grid(self.expression(key), grid)))
         except NonFiniteFieldError as exc:
@@ -97,13 +88,13 @@ def bundled_scenarios() -> list[str]:
     return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".ini"))
 
 
-def _scenario_text(ref: str) -> tuple[str, str]:
+def _scenario_text(ref: str) -> str:
     path = Path(ref)
     if path.exists():
-        return path.read_text(), str(path)
+        return path.read_text()
     res = resources.files("galab").joinpath("scenarios", f"{ref}.ini")
     if res.is_file():
-        return res.read_text(), f"bundled:{ref}"
+        return res.read_text()
     raise ScenarioError(f"scenario {ref!r} not found (no such file or bundled name)")
 
 
@@ -111,10 +102,9 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
                   tol_override: float | None = None,
                   order_override: int | None = None) -> Scenario:
     """Load a scenario from a path or a bundled name."""
-    text, source = _scenario_text(ref)
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(_scenario_text(ref))
     except configparser.Error as exc:
         raise ScenarioError(f"cannot parse scenario {ref!r}: {exc}") from exc
     if "scenario" not in parser:
@@ -130,14 +120,14 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
     if "grid" in parser:
         gsec = parser["grid"]
         try:
-            kwargs = dict(
-                x_min=gsec.getfloat("x_min"), x_max=gsec.getfloat("x_max"),
-                y_min=gsec.getfloat("y_min"), y_max=gsec.getfloat("y_max"),
-                nx=gsec.getint("nx"), ny=gsec.getint("ny"))
-        except (TypeError, ValueError) as exc:
+            kwargs = {k: float(gsec[k]) for k in ("x_min", "x_max", "y_min", "y_max")}
+            kwargs.update(nx=int(gsec["nx"]), ny=int(gsec["ny"]))
+            if "excluded_band" in gsec:
+                kwargs["excluded_band"] = float(gsec["excluded_band"])
+        except KeyError as exc:
+            raise ScenarioError(f"scenario {name!r}: [grid] needs {exc}")
+        except ValueError as exc:
             raise ScenarioError(f"scenario {name!r}: bad [grid] section: {exc}")
-        if gsec.get("excluded_band") is not None:
-            kwargs["excluded_band"] = gsec.getfloat("excluded_band")
         if grid_override is not None:
             kwargs["nx"], kwargs["ny"] = grid_override
         if min(kwargs["nx"], kwargs["ny"]) < 5:  # the stencils' width
@@ -156,6 +146,9 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
                 raise ScenarioError(
                     f"scenario {name!r}: basepoint {i},{j} is off the grid")
             basepoint = (i, j)
+    elif pipeline != "series":
+        raise ScenarioError(
+            f"scenario {name!r}: pipeline {pipeline!r} needs a [grid] section")
 
     constants = {}
     if "constants" in parser:
@@ -169,21 +162,14 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
                 raise ScenarioError(
                     f"scenario {name!r}: constant {key!r} is not imaginary")
 
-    expressions = dict(parser["expressions"]) if "expressions" in parser else {}
-    for key, src in expressions.items():
-        try:
-            parse_expression(src)
-        except GalabError as exc:
-            raise ScenarioError(
-                f"scenario {name!r}: expression {key!r} does not parse: {exc}")
+    expressions, chart = _parsed(parser, "expressions", name), _parsed(parser, "chart", name)
+    if ("omega_ff_z" in chart) != ("omega_pf_z" in chart):
+        raise ScenarioError(
+            f"scenario {name!r}: [chart] needs omega_ff_z and omega_pf_z together")
 
-    tolerances = {}
-    if "tolerances" in parser:
-        for key, val in parser["tolerances"].items():
-            try:
-                tolerances[key] = float(val)
-            except ValueError as exc:
-                raise ScenarioError(f"scenario {name!r}: bad tolerance {key!r}: {exc}")
+    tolerances = {key: _number(name, f"tolerance {key!r}", val)
+                  for key, val in (parser["tolerances"].items()
+                                   if "tolerances" in parser else ())}
     if tol_override is not None:
         tolerances[PIPELINES[pipeline][1]] = tol_override
     for key, val in tolerances.items():
@@ -199,13 +185,34 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
     if profile.get("order", 0) < 0:
         raise ScenarioError(f"scenario {name!r}: order {profile['order']} is below 0")
 
+    expect = dict(parser["expect"]) if "expect" in parser else {}
+    if "worst_y" in expect:
+        _number(name, "worst_y", expect["worst_y"])
+
     return Scenario(name=name, pipeline=pipeline, claim=meta.get("claim", ""),
                     grid=grid, basepoint=basepoint, expressions=expressions,
-                    constants=constants,
-                    chart=dict(parser["chart"]) if "chart" in parser else {},
-                    profile=profile, tolerances=tolerances,
-                    expect=dict(parser["expect"]) if "expect" in parser else {},
-                    source=source)
+                    constants=constants, chart=chart, profile=profile,
+                    tolerances=tolerances, expect=expect)
+
+
+def _parsed(parser, section: str, name: str) -> dict[str, object]:
+    """The section's expressions, parsed once; a syntax error is a
+    configuration error."""
+    out = {}
+    for key, src in (parser[section].items() if section in parser else ()):
+        try:
+            out[key] = parse_expression(src)
+        except GalabError as exc:
+            raise ScenarioError(
+                f"scenario {name!r}: [{section}] {key!r} does not parse: {exc}")
+    return out
+
+
+def _number(name: str, what: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario {name!r}: bad {what}: {exc}")
 
 
 def _parse_profile_section(sec, name: str) -> dict[str, object]:
@@ -232,15 +239,11 @@ def _parse_function(text: str, interval, scenario_name: str,
                     key: str) -> FunctionOnInterval:
     kind, _, body = text.partition(":")
     kind = kind.strip()
-    values = []
-    for item in body.split(","):
-        item = item.strip()
-        if item:
-            try:
-                values.append(constant_value(item))
-            except GalabError as exc:
-                raise ScenarioError(
-                    f"scenario {scenario_name!r}: bad coefficient in {key!r}: {exc}")
+    try:
+        values = [constant_value(item) for item in map(str.strip, body.split(",")) if item]
+    except GalabError as exc:
+        raise ScenarioError(
+            f"scenario {scenario_name!r}: bad coefficient in {key!r}: {exc}")
     make = {"poly": FunctionOnInterval.from_poly,
             "samples": FunctionOnInterval.from_samples}.get(kind)
     if make is not None:
@@ -258,15 +261,27 @@ def _parse_function(text: str, interval, scenario_name: str,
 # pipeline runners
 
 class _Checks:
-    """Accumulates named pass/fail checks for the report."""
+    """The record of one run of a scenario: its metrics, its named
+    pass/fail checks and the grids to dump as CSV."""
 
-    def __init__(self):
+    def __init__(self, scn: Scenario):
+        self.scn = scn
+        self.metrics: dict = {}
         self.items: list[dict] = []
+        self.dumps: dict[str, np.ndarray] = {}
 
-    def add(self, name: str, value: float, threshold: float) -> None:
+    def add(self, name: str, value: float, threshold: float | str) -> None:
+        """Check value <= threshold, a number or a tolerance key."""
+        if isinstance(threshold, str):
+            threshold = self.scn.tol(threshold)
         self.items.append({"name": name, "value": float(value),
                            "threshold": float(threshold),
                            "passed": bool(value <= threshold)})
+
+    def measure(self, name: str, value: float, key: str) -> None:
+        """Record a metric and its same-named check against tolerance ``key``."""
+        self.metrics[name] = float(value)
+        self.add(name, value, key)
 
     def require(self, name: str, ok: bool, detail: str = "") -> None:
         item = {"name": name, "passed": bool(ok)}
@@ -274,69 +289,53 @@ class _Checks:
             item["detail"] = detail
         self.items.append(item)
 
+    def expect(self, name: str, values: np.ndarray) -> None:
+        """Check values against the scenario's [expect] expression ``name``, if any."""
+        if name in self.scn.expect:
+            grid = self.scn.grid
+            expected = evaluate_on_grid(self.scn.expect[name], grid)
+            self.add(f"expect_{name}", _peak_abs(grid, values - expected), "expect")
+
     @property
     def passed(self) -> bool:
         return all(item["passed"] for item in self.items)
 
 
-def _expect_deviation(scn: Scenario, checks: _Checks, name: str,
-                      values: np.ndarray) -> None:
-    if name not in scn.expect:
-        return
-    expected = evaluate_on_grid(scn.expect[name], scn.grid)
-    dev = float(_peak_abs(scn.grid, values - expected))
-    checks.add(f"expect_{name}", dev, scn.tol("expect"))
+def _rel(a: Field, ref: Field) -> float:
+    """Peak |a - ref| over active nodes, relative to max(max |ref|, 1)."""
+    return float(_peak_abs(ref.grid, a.values - ref.values)) / max(ref.max_abs(), 1.0)
 
 
-def _grid_json(grid: GridSpec | None) -> dict | None:
-    if grid is None:
-        return None
-    out = {"x_min": grid.x_min, "x_max": grid.x_max, "y_min": grid.y_min,
-           "y_max": grid.y_max, "nx": grid.nx, "ny": grid.ny}
-    if grid.excluded_band is not None:
-        out["excluded_band"] = grid.excluded_band
-    return out
-
-
-def run_residual(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    u = scn.field("u")
-    psi = scn.field("psi")
-    metrics = {"residual_direct": residual(u, psi, "direct")}
-    checks.add("residual_direct", metrics["residual_direct"], scn.tol("residual"))
+def run_residual(scn: Scenario, run: _Checks) -> None:
+    u, psi = scn.field("u"), scn.field("psi")
+    run.measure("residual_direct", residual(u, psi, "direct"), "residual")
     if "psi_plus" in scn.expressions:
-        psi_plus = scn.field("psi_plus")
-        metrics["residual_conjugate"] = residual(u, psi_plus, "conjugate")
-        checks.add("residual_conjugate", metrics["residual_conjugate"],
-                   scn.tol("residual"))
-    return metrics
+        run.measure("residual_conjugate", residual(u, scn.field("psi_plus"), "conjugate"),
+                    "residual")
 
 
-def run_potential(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    psi = scn.field("psi")
-    psi_plus = scn.field("psi_plus")
-    metrics: dict = {"loop_defect": loop_defect(psi, psi_plus)}
+def run_potential(scn: Scenario, run: _Checks) -> None:
+    psi, psi_plus = scn.field("psi"), scn.field("psi_plus")
+    run.metrics["loop_defect"] = defect = loop_defect(psi, psi_plus)
     if "loop_defect" in scn.expect:
         target = float(constant_value(scn.expect["loop_defect"]).real)
-        checks.add("loop_defect_matches", abs(metrics["loop_defect"] - target),
-                   scn.tol("loop_defect"))
+        run.add("loop_defect_matches", abs(defect - target), "loop_defect")
     else:
-        checks.add("loop_defect", metrics["loop_defect"], scn.tol("loop_defect"))
+        run.add("loop_defect", defect, "loop_defect")
     expect_error = scn.expect.get("exactness_error", "").lower() == "true"
     try:
         pot = omega(psi, psi_plus, scn.basepoint, scn.constant("constant"))
     except ExactnessError as exc:
-        metrics["exactness_error"] = str(exc)
-        checks.require("exactness_error_raised", expect_error, str(exc))
-        return metrics
+        run.metrics["exactness_error"] = str(exc)
+        run.require("exactness_error_raised", expect_error, str(exc))
+        return
     if expect_error:
-        checks.require("exactness_error_raised", False,
-                       "expected ExactnessError was not raised")
-        return metrics
-    metrics.update(pot.summary())
-    checks.add("max_real_drift", pot.real_drift, 1e-10)
-    _expect_deviation(scn, checks, "omega", pot.values)
-    dumps["omega"] = pot.values
-    return metrics
+        run.require("exactness_error_raised", False, "expected ExactnessError was not raised")
+        return
+    run.metrics.update(pot.summary())
+    run.add("max_real_drift", pot.real_drift, 1e-10)
+    run.expect("omega", pot.values)
+    run.dumps["omega"] = pot.values
 
 
 def _pair_omegas(scn: Scenario, fields: dict[str, Field],
@@ -349,133 +348,93 @@ def _pair_omegas(scn: Scenario, fields: dict[str, Field],
             for a, b in map(str.split, pairs)]
 
 
-def run_transform(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    fields = {k: scn.field(k) for k in "u f1 f1_plus psi".split()}
-    u, f1, f1_plus, psi = fields.values()
-    om_ff, om_pf = _pair_omegas(scn, fields, "f1 f1_plus", "psi f1_plus")
+def _inputs(scn: Scenario, names: str, *pairs: str) -> list:
+    """The named fields, then the potential of each field pair."""
+    fields = {k: scn.field(k) for k in names.split()}
+    return [*fields.values(), *_pair_omegas(scn, fields, *pairs)]
+
+
+def run_transform(scn: Scenario, run: _Checks) -> None:
+    u, f1, f1_plus, psi, om_ff, om_pf = _inputs(
+        scn, "u f1 f1_plus psi", "f1 f1_plus", "psi f1_plus")
     result = moutard_simple(u, f1, f1_plus, om_ff)
     psi_t = result.map_psi(psi, om_pf)
-    metrics = {
-        "n_seeds": 1,
-        "det_omega_min": result.det_min,
-        "residual_before": residual(u, psi, "direct"),
-        "residual_after": residual(result.u_tilde, psi_t, "direct"),
-        "seed_annihilation_max": result.map_psi(f1, om_ff).max_abs(),
-    }
-    checks.add("residual_after", metrics["residual_after"],
-               scn.tol("residual_after"))
-    checks.add("seed_annihilation", metrics["seed_annihilation_max"],
-               scn.tol("seed_annihilation"))
-    _expect_deviation(scn, checks, "u_tilde", result.u_tilde.values)
-    _expect_deviation(scn, checks, "psi_tilde", psi_t.values)
+    run.metrics.update(n_seeds=1, det_omega_min=result.det_min,
+                       residual_before=residual(u, psi, "direct"))
+    run.measure("residual_after", residual(result.u_tilde, psi_t, "direct"), "residual_after")
+    run.metrics["seed_annihilation_max"] = result.map_psi(f1, om_ff).max_abs()
+    run.add("seed_annihilation", run.metrics["seed_annihilation_max"], "seed_annihilation")
+    run.expect("u_tilde", result.u_tilde.values)
+    run.expect("psi_tilde", psi_t.values)
     if "psi_plus" in scn.expressions:
-        psi_plus = fields["psi_plus"] = scn.field("psi_plus")
-        om_fp, om_pp = _pair_omegas(scn, fields, "f1 psi_plus", "psi psi_plus")
+        psi_plus = scn.field("psi_plus")
+        om_fp, om_pp = _pair_omegas(scn, {"f1": f1, "psi": psi, "psi_plus": psi_plus},
+                                    "f1 psi_plus", "psi psi_plus")
         psi_plus_t = result.map_psi_plus(psi_plus, om_fp)
-        metrics["residual_after_conjugate"] = residual(result.u_tilde, psi_plus_t,
-                                                       "conjugate")
-        checks.add("residual_after_conjugate",
-                   metrics["residual_after_conjugate"], scn.tol("residual_after"))
+        run.measure("residual_after_conjugate",
+                    residual(result.u_tilde, psi_plus_t, "conjugate"), "residual_after")
         om_t = transformed_potential(om_pp, om_pf, om_fp, om_ff)
-        defect = float(_peak_abs(scn.grid, dz_op(Field(scn.grid, om_t.values)).values
-                                 - psi_t.values * psi_plus_t.values))
-        metrics["transformed_potential_defect"] = defect
-        metrics["transformed_potential_re_max"] = float(_peak_abs(scn.grid, om_t.values.real))
-        checks.add("transformed_potential_defect", defect, scn.tol("potential_identity"))
-        checks.add("transformed_potential_re_max",
-                   metrics["transformed_potential_re_max"], scn.tol("re_omega"))
-    dumps["u_tilde"] = result.u_tilde.values
-    dumps["psi_tilde"] = psi_t.values
-    return metrics
+        d_om_t = dz_op(Field(scn.grid, om_t.values)).values
+        run.measure("transformed_potential_defect",
+                    _peak_abs(scn.grid, d_om_t - psi_t.values * psi_plus_t.values),
+                    "potential_identity")
+        run.measure("transformed_potential_re_max", _peak_abs(scn.grid, om_t.values.real),
+                    "re_omega")
+    run.dumps.update(u_tilde=result.u_tilde.values, psi_tilde=psi_t.values)
 
 
-def run_compose(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    fields = {k: scn.field(k) for k in "u f1 f1_plus f2 f2_plus psi".split()}
-    u, f1, f1p, f2, f2p, psi = fields.values()
-    om11, om21, om12, om22, om_p1, om_p2 = _pair_omegas(
-        scn, fields, "f1 f1_plus", "f2 f1_plus", "f1 f2_plus", "f2 f2_plus",
-        "psi f1_plus", "psi f2_plus")
-
+def run_compose(scn: Scenario, run: _Checks) -> None:
+    u, f1, f1p, f2, f2p, psi, om11, om21, om12, om22, om_p1, om_p2 = _inputs(
+        scn, "u f1 f1_plus f2 f2_plus psi", "f1 f1_plus", "f2 f1_plus", "f1 f2_plus",
+        "f2 f2_plus", "psi f1_plus", "psi f2_plus")
     seedset = SeedSet.build(u, [(f1, f1p), (f2, f2p)], [[om11, om21], [om12, om22]])
     rank2 = moutard_rank_n(seedset)
     composed = compose_simple(u, f1, f1p, f2, f2p, om11, om21, om12, om22)
-
-    u_a, u_b = rank2.u_tilde, composed.u_tilde
-    dev_u = float(_peak_abs(scn.grid, u_a.values - u_b.values)) / max(u_a.max_abs(), 1.0)
     psi_a = rank2.map_psi(psi, [om_p1, om_p2])
-    psi_b = composed.map_psi(psi, [om_p1, om_p2])
-    dev_p = float(_peak_abs(scn.grid, psi_a.values - psi_b.values)) / max(psi_a.max_abs(), 1.0)
-    metrics = {
-        "n_seeds": 2,
-        "det_omega_min": rank2.det_min,
-        "u_agreement": dev_u,
-        "psi_agreement": dev_p,
-        "seed_annihilation_max": seed_annihilation_max(rank2, seedset),
-        "residual_before": residual(u, psi, "direct"),
-        "residual_after": residual(rank2.u_tilde, psi_a, "direct"),
-    }
-    checks.add("u_agreement", dev_u, scn.tol("agreement"))
-    checks.add("psi_agreement", dev_p, scn.tol("agreement"))
-    dumps["u_tilde"] = rank2.u_tilde.values
-    return metrics
+    run.metrics.update(n_seeds=2, det_omega_min=rank2.det_min,
+                       seed_annihilation_max=seed_annihilation_max(rank2, seedset),
+                       residual_before=residual(u, psi, "direct"),
+                       residual_after=residual(rank2.u_tilde, psi_a, "direct"))
+    run.measure("u_agreement", _rel(composed.u_tilde, rank2.u_tilde), "agreement")
+    run.measure("psi_agreement", _rel(composed.map_psi(psi, [om_p1, om_p2]), psi_a),
+                "agreement")
+    run.dumps["u_tilde"] = rank2.u_tilde.values
 
 
-def run_invert(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
-    fields = {k: scn.field(k) for k in "u f1 f1_plus psi psi_plus".split()}
-    u, f1, f1p, psi, psi_plus = fields.values()
-    om_ff, om_pf, om_fp = _pair_omegas(scn, fields, "f1 f1_plus", "psi f1_plus",
-                                       "f1 psi_plus")
-
+def run_invert(scn: Scenario, run: _Checks) -> None:
+    u, f1, f1p, psi, psi_plus, om_ff, om_pf, om_fp = _inputs(
+        scn, "u f1 f1_plus psi psi_plus", "f1 f1_plus", "psi f1_plus", "f1 psi_plus")
     m1 = moutard_simple(u, f1, f1p, om_ff)
     psi_t = m1.map_psi(psi, om_pf)
-    psi_plus_t = m1.map_psi_plus(psi_plus, om_fp)
     inv = invert_simple(m1, f1, f1p, om_ff)
     psi_back = inv.map_psi(psi_t, om_pf)
-    psi_plus_back = inv.map_psi_plus(psi_plus_t, om_fp)
-
-    def rel(a: Field, b: Field) -> float:
-        return float(_peak_abs(scn.grid, a.values - b.values)) / max(b.max_abs(), 1.0)
-
-    metrics = {
-        "roundtrip_u": rel(inv.u_tilde, u),
-        "roundtrip_psi": rel(psi_back, psi),
-        "roundtrip_psi_plus": rel(psi_plus_back, psi_plus),
-    }
-    for key, value in metrics.items():
-        checks.add(key, value, scn.tol("roundtrip"))
-    _expect_deviation(scn, checks, "psi_tilde", psi_t.values)
-    dumps["psi_roundtrip"] = psi_back.values
-    return metrics
+    psi_plus_back = inv.map_psi_plus(m1.map_psi_plus(psi_plus, om_fp), om_fp)
+    run.measure("roundtrip_u", _rel(inv.u_tilde, u), "roundtrip")
+    run.measure("roundtrip_psi", _rel(psi_back, psi), "roundtrip")
+    run.measure("roundtrip_psi_plus", _rel(psi_plus_back, psi_plus), "roundtrip")
+    run.expect("psi_tilde", psi_t.values)
+    run.dumps["psi_roundtrip"] = psi_back.values
 
 
-def run_conformal(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
+def run_conformal(scn: Scenario, run: _Checks) -> None:
     for key in ("forward", "derivative", "inverse"):
         if key not in scn.chart:
             raise ScenarioError(
                 f"scenario {scn.name!r}: [chart] needs {key!r}")
     chart = HolomorphicChart(
-        forward=as_function_of_z(scn.chart["forward"]),
-        derivative=as_function_of_z(scn.chart["derivative"]),
-        inverse=as_function_of_z(scn.chart["inverse"]),
-        strip=scn.require_grid())
+        *(as_function_of_z(scn.chart[k]) for k in ("forward", "derivative", "inverse")),
+        strip=scn.grid)
     kwargs = {}
-    if "omega_ff_z" in scn.chart:
+    if "omega_ff_z" in scn.chart:  # load_scenario admits it only with omega_pf_z
         kwargs["d_side_omega_ff"] = as_function_of_z(scn.chart["omega_ff_z"])
         kwargs["d_side_omega_pf"] = as_function_of_z(scn.chart["omega_pf_z"])
     result = check_commutativity(
-        chart,
-        as_function_of_z(scn.expression("u")),
-        as_function_of_z(scn.expression("f1")),
-        as_function_of_z(scn.expression("f1_plus")),
-        as_function_of_z(scn.expression("psi")),
+        chart, *(as_function_of_z(scn.expression(k)) for k in ("u", "f1", "f1_plus", "psi")),
         basepoint=scn.basepoint,
         constant_ff=scn.constant("omega_f1_f1p"),
         constant_pf=scn.constant("omega_psi_f1p"), **kwargs)
-    metrics = {"u_deviation": result.u_deviation,
-               "psi_deviation": result.psi_deviation}
-    checks.add("u_deviation", result.u_deviation, scn.tol("commutativity"))
-    checks.add("psi_deviation", result.psi_deviation, scn.tol("commutativity"))
-    return metrics
+    run.measure("u_deviation", result.u_deviation, "commutativity")
+    run.measure("psi_deviation", result.psi_deviation, "commutativity")
 
 
 def _profile_from_scenario(scn: Scenario) -> PoleProfile:
@@ -484,80 +443,71 @@ def _profile_from_scenario(scn: Scenario) -> PoleProfile:
         raise ScenarioError(f"scenario {scn.name!r}: needs a [profile] section")
     if "phi" not in prof:
         raise ScenarioError(f"scenario {scn.name!r}: [profile] needs phi")
-    r = {}
-    for key, value in prof.items():
-        if key.startswith("r") and key[1:].lstrip("-").isdigit():
-            r[int(key[1:])] = value
+    r = {int(key[1:]): value for key, value in prof.items()
+         if key.startswith("r") and key[1:].lstrip("-").isdigit()}
     if -1 not in r:
         raise ScenarioError(f"scenario {scn.name!r}: [profile] needs r-1")
-    return PoleProfile(prof["phi"], r, n=1)
+    try:
+        return PoleProfile(prof["phi"], r, n=1)
+    except ValueError as exc:  # a complex phase or leading coefficient
+        raise ScenarioError(f"scenario {scn.name!r}: bad [profile] section: {exc}")
 
 
-def run_series(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
+def run_series(scn: Scenario, run: _Checks) -> None:
     profile = _profile_from_scenario(scn)
-    metrics: dict = {}
     order_res = pole_order_check(profile, n_prime=1)
-    metrics["order_constraints"] = order_res.to_json()
+    run.metrics["order_constraints"] = order_res.to_json()
     if "order_constraints" in scn.expect:
         want_pass = scn.expect["order_constraints"] == "pass"
-        checks.require("order_constraints", order_res.ok == want_pass,
-                       order_res.condition)
+        run.require("order_constraints", order_res.ok == want_pass, order_res.condition)
     cert = meromorphic_certify(profile)
-    metrics["certificate"] = cert.to_json()
+    run.metrics["certificate"] = cert.to_json()
     want = scn.expect.get("certify", "pass")
     if want == "pass":
-        checks.require("certify", cert.ok, cert.condition)
+        run.require("certify", cert.ok, cert.condition)
     else:
         detail = want.partition(":")[2]
-        checks.require("certify_rejects", (not cert.ok)
-                       and detail in cert.condition, cert.condition)
-        if "worst_y" in scn.expect:
-            target = float(scn.expect["worst_y"])
+        run.require("certify_rejects", (not cert.ok) and detail in cert.condition,
+                    cert.condition)
+        if "worst_y" in scn.expect and cert.worst_y is not None:  # None: it certified
             cell = scn.tolerances.get("worst_y")
-            if cell is None:
+            if cell is None:  # one cell of the check grid
                 a, b = profile.phi.interval
                 cell = (b - a) / (len(profile.phi.nodes()) - 1)
-            checks.add("worst_y_localized", abs(cert.worst_y - target), cell)
-        return metrics
+            run.add("worst_y_localized", abs(cert.worst_y - float(scn.expect["worst_y"])),
+                    cell)
+        return
 
     if "beta_minus1" in scn.profile:
-        order = int(scn.profile["order"])
         zero = FunctionOnInterval.constant(0.0, profile.phi)
         series = solve_recursion(profile, scn.profile["beta_minus1"],
-                                 scn.profile.get("im_beta1", zero), order)
-        defects = series_residual(profile, series)
-        metrics["series"] = series.to_json()
-        metrics["defects"] = defects
-        checks.add("series_defects", max(defects), scn.tol("defects"))
-    return metrics
+                                 scn.profile.get("im_beta1", zero), int(scn.profile["order"]))
+        run.metrics["series"] = series.to_json()
+        run.metrics["defects"] = defects = series_residual(profile, series)
+        run.add("series_defects", max(defects), "defects")
 
 
-def run_remove_pole(scn: Scenario, checks: _Checks, dumps: dict) -> dict:
+def run_remove_pole(scn: Scenario, run: _Checks) -> None:
     profile = _profile_from_scenario(scn)
-    if scn.grid is None or scn.grid.excluded_band is None:
+    if scn.grid.excluded_band is None:
         raise ScenarioError(
             f"scenario {scn.name!r}: remove-pole needs a grid with excluded_band")
-    if "beta_minus1" not in scn.profile or "beta_plus_minus1" not in scn.profile:
+    if not {"beta_minus1", "beta_plus_minus1"} <= scn.profile.keys():
         raise ScenarioError(
-            f"scenario {scn.name!r}: [profile] needs beta_minus1 and "
-            f"beta_plus_minus1")
-    order = int(scn.profile["order"])
+            f"scenario {scn.name!r}: [profile] needs beta_minus1 and beta_plus_minus1")
     u_star, _ = synthesize_singular_u(profile, scn.grid)
     f_star, f_star_plus = synthesize_seeds(
         profile, scn.profile["beta_minus1"], scn.profile["beta_plus_minus1"],
-        scn.grid, order)
+        scn.grid, int(scn.profile["order"]))
     flat_tol = scn.tolerances.get("flat")
     result = remove_pole(u_star, f_star, f_star_plus,
                          scn.constant("constant"), flat_tol=flat_tol)
-    metrics = result.to_json()
-    checks.require("verdict", result.passed, result.verdict)
+    run.metrics.update(result.to_json())
+    run.require("verdict", result.passed, result.verdict)
     if flat_tol is not None:
-        sup_full = result.u_tilde.max_abs()
-        metrics["sup_full_strip"] = sup_full
-        checks.add("flat_cancellation", sup_full, flat_tol)
-    dumps["u_tilde"] = result.u_tilde.values
-    dumps["omega"] = result.omega.values
-    return metrics
+        run.metrics["sup_full_strip"] = result.u_tilde.max_abs()
+        run.add("flat_cancellation", run.metrics["sup_full_strip"], flat_tol)
+    run.dumps.update(u_tilde=result.u_tilde.values, omega=result.omega.values)
 
 
 #: pipeline name -> (runner, the tolerance key the --tol flag overrides),
@@ -583,32 +533,32 @@ def run_scenario(scn: Scenario, out_dir: str | Path) -> tuple[int, Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checks = _Checks()
-    dumps: dict[str, np.ndarray] = {}
+    run = _Checks(scn)
     error = None
     try:
-        metrics = PIPELINES[scn.pipeline][0](scn, checks, dumps)
+        PIPELINES[scn.pipeline][0](scn, run)
     except ScenarioError:
         raise
     except GalabError as exc:
-        metrics = {}
+        run.metrics = {}
         error = f"{type(exc).__name__}: {exc}"
-        checks.require("pipeline_completed", False, error)
+        run.require("pipeline_completed", False, error)
     report = {
         "schema": reporting.SCHEMA_VERSION,
         "name": scn.name,
         "pipeline": scn.pipeline,
         "claim": scn.claim,
-        "grid": _grid_json(scn.grid),
-        "metrics": metrics,
-        "checks": checks.items,
-        "passed": checks.passed,
+        "grid": None if scn.grid is None else {
+            k: v for k, v in asdict(scn.grid).items() if v is not None},
+        "metrics": run.metrics,
+        "checks": run.items,
+        "passed": run.passed,
     }
     if error is not None:
         report["error"] = error
     report_path = out / f"{scn.name}.report.json"
     with open(report_path, "w") as fh:
         reporting.dump(report, fh)
-    for field_name, values in dumps.items():
+    for field_name, values in run.dumps.items():
         write_csv(out / f"{scn.name}.{field_name}.csv", scn.grid, values)
-    return (0 if checks.passed else 2), report_path
+    return (0 if run.passed else 2), report_path

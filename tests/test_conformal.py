@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import galab.conformal
 from galab.conformal import (HolomorphicChart, check_commutativity,
                              identity_chart, pushforward_psi, pushforward_u,
                              tracked_sqrt)
@@ -102,7 +103,7 @@ class TestPushforwards:
 
     def test_tracked_sqrt_squares_back(self):
         chart = curved_chart()
-        w = chart.derivative_on_strip()
+        w = chart.derivative_on_strip
         s = tracked_sqrt(w)
         assert np.max(np.abs(s ** 2 - w)) < 1e-13
 
@@ -135,7 +136,7 @@ class TestPotentialIdentification:
         chart = scaling_chart(2.0, g)
         psi_s = pushforward_psi(lambda zv: np.ones_like(zv), chart)
         om_pulled = Potential.from_values(
-            g, chart.mapped_nodes() - np.conj(chart.mapped_nodes()))
+            g, chart.mapped_nodes - np.conj(chart.mapped_nodes))
         lhs = dz(Field(g, om_pulled.values)).values
         rhs = psi_s.values * psi_s.values
         assert np.max(np.abs(lhs - rhs)) < 1e-11
@@ -189,3 +190,25 @@ class TestCommutativity:
         chart = curved_chart()
         res = check_commutativity(chart, *self.args(), constant_ff=2j)
         assert res.max_deviation <= 1e-11
+
+    def test_chart_values_are_computed_once(self, monkeypatch):
+        # the derivative, its tracked square root and the mapped nodes
+        # serve every pushforward of a run, read-only
+        calls, base = [], curved_chart()
+
+        def counted(name, fn):
+            def wrapped(arg):
+                calls.append(name)
+                return fn(arg)
+            return wrapped
+
+        chart = HolomorphicChart(counted("forward", base.forward),
+                                 counted("derivative", base.derivative),
+                                 base.inverse, base.strip)
+        monkeypatch.setattr(galab.conformal, "tracked_sqrt",
+                            counted("sqrt", galab.conformal.tracked_sqrt))
+        res = check_commutativity(chart, *self.args(), constant_ff=2j)
+        assert sorted(calls) == ["derivative", "forward", "sqrt"]
+        assert res == check_commutativity(base, *self.args(), constant_ff=2j)
+        for values in (chart.derivative_on_strip, chart.sqrt_derivative, chart.mapped_nodes):
+            assert not values.flags.writeable

@@ -42,6 +42,22 @@ CONFIG_PROBES = {
     "complex-beta-plus": ("canonical-pole-removal",
                           ("beta_plus_minus1 = poly: 1\n",
                            "beta_plus_minus1 = poly: 1, 1i\n"), []),
+    "grid-without-x-min": ("transform-simple-basic", ("x_min = 0.0\n", ""), []),
+    "grid-without-ny": ("transform-simple-basic", ("ny = 96\n", ""), []),
+    "band-not-a-number": ("remove-pole-generic",
+                          ("excluded_band = 0.002", "excluded_band = abc"), []),
+    "complex-phase": ("series-recursion-canonical",
+                      ("phi = poly: 0\n", "phi = poly: 0, 1i\n"), []),
+    "complex-leading-coefficient": ("series-recursion-canonical",
+                                    ("r-1 = poly: -0.5\n", "r-1 = poly: -0.5i\n"), []),
+    "profile-mixed-kinds": ("series-recursion-canonical",
+                            ("r-1 = poly: -0.5\n", "r-1 = samples: " + "-0.5, " * 4 + "-0.5\n"),
+                            []),
+    "worst-y-not-a-number": ("series-certify-reject-r0",
+                             ("worst_y = 2.0", "worst_y = abc"), []),
+    "chart-half-closed-form": ("conformal-scaling",
+                               ("omega_pf_z = 4*exp(z/4) - conj(4*exp(z/4))\n", ""), []),
+    "chart-syntax-error": ("conformal-scaling", ("forward = 2*z\n", "forward = 2*z +\n"), []),
 }
 
 #: model faults that must exit 2 with the typed error in the report and
@@ -222,15 +238,22 @@ psi = z
 
     def test_compose_scans_its_matrix_once(self, tmp_path, monkeypatch):
         scans, det_nodes = [], galab.moutard._det_nodes
+        builds, omega_array = [], galab.moutard.SeedSet.omega_array
 
         def counted(om, grid, tol=None):
             scans.append(om.shape)
             return det_nodes(om, grid, tol)
 
+        def built(seedset):
+            builds.append(len(seedset.seeds))
+            return omega_array(seedset)
+
         monkeypatch.setattr(galab.moutard, "_det_nodes", counted)
+        monkeypatch.setattr(galab.moutard.SeedSet, "omega_array", built)
         code, _ = run_scenario(load_scenario("compose-rank2"), tmp_path)
         assert code == 0
         assert [s for s in scans if len(s) == 4] == [(96, 96, 2, 2)]
+        assert builds == [2]
 
     def test_exit_two_when_series_overflows(self, tmp_path, capsys):
         # 2 r0 conj(beta_-1) = 2e400 is not a float: the pipeline stops
@@ -252,6 +275,21 @@ psi = z
         assert report["error"].startswith("NonFiniteCoefficientError")
         completed = [c for c in report["checks"] if c["name"] == "pipeline_completed"]
         assert completed and completed[0]["passed"] is False
+
+    def test_exit_two_when_an_expected_rejection_certifies(self, tmp_path):
+        # without its r0 term the profile certifies: the expected rejection
+        # fails, and there is no worst node to localize
+        text = resources.files("galab").joinpath(
+            "scenarios", "series-certify-reject-r0.ini").read_text()
+        path = tmp_path / "certifies.ini"
+        path.write_text(text.replace("r0 = poly: 0.1, -0.2, 0.1\n", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "galab.cli", "series", "--scenario", str(path),
+             "--out", str(tmp_path)], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.startswith("[FAILED]") and "Traceback" not in proc.stderr
+        report = json.loads((tmp_path / "series-certify-reject-r0.report.json").read_text())
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["certify_rejects"]
 
     def test_exit_two_on_failed_check(self, tmp_path):
         code = run_cli(["residual", "--scenario", "residual-holomorphic",
@@ -319,6 +357,39 @@ psi = z
         assert proc.stdout.splitlines()[-1] == "False"
 
 
+def _mutations(text: str):
+    """The scenario text with each `key = value` line dropped, then with
+    its value set to abc."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        key, eq, _ = line.partition("=")
+        if eq:
+            yield "".join(lines[:i] + lines[i + 1:])
+            yield "".join(lines[:i] + [f"{key.strip()} = abc\n"] + lines[i + 1:])
+
+
+class TestMutatedScenarios:
+    """Every mutation of a bundled scenario ends in exit code 0, 1 or 2,
+    never in an exception out of the CLI."""
+
+    @pytest.mark.parametrize("name", ALL_BUNDLED)
+    def test_exit_code_for_every_mutation(self, name, tmp_path, capsys):
+        pipeline = load_scenario(name).pipeline
+        # the series pipeline has no grid; pole removal needs its strip
+        flags = [] if pipeline in ("series", "remove-pole") else ["--grid", "24,24"]
+        text = resources.files("galab").joinpath("scenarios", f"{name}.ini").read_text()
+        path = tmp_path / f"{name}.ini"
+        for mutated in _mutations(text):
+            path.write_text(mutated)
+            try:
+                code = run_cli([pipeline, "--scenario", str(path),
+                                "--out", str(tmp_path / "out"), *flags])
+            except Exception as exc:
+                pytest.fail(f"{type(exc).__name__}: {exc} escaped on\n{mutated}")
+            assert code in (0, 1, 2), mutated
+        capsys.readouterr()
+
+
 class TestPoleRemovalWithANodeOnTheWindow:
     """At odd nx a node sits on |x| = delta, where linspace stores +x a
     hair past delta and -x exactly on it; the fit windows must still
@@ -328,7 +399,7 @@ class TestPoleRemovalWithANodeOnTheWindow:
     @pytest.mark.parametrize("name", ["remove-pole-generic", "canonical-pole-removal"])
     def test_residue_vanishes(self, name, grid):
         # the pipeline run_scenario reports, without the CSV dumps
-        checks = _Checks()
-        metrics = run_remove_pole(load_scenario(name, grid_override=grid), checks, {})
-        assert checks.passed, metrics["verdict"]
-        assert metrics["residue_c_minus1"] < 1e-9
+        run = _Checks(scn := load_scenario(name, grid_override=grid))
+        run_remove_pole(scn, run)
+        assert run.passed, run.metrics["verdict"]
+        assert run.metrics["residue_c_minus1"] < 1e-9
