@@ -338,8 +338,8 @@ def as_function_of_z(src_or_ast) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def constant_value(src: str) -> complex:
+def constant_value(src_or_ast) -> complex:
     """Evaluate an expression that must not reference grid variables."""
-    node = parse_expression(src)
+    node = parse_expression(src_or_ast) if isinstance(src_or_ast, str) else src_or_ast
     value = evaluate(node, {})
     return complex(value)

@@ -222,27 +222,27 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
             f"product of leading coefficients must be positive, min {np.min(bv):.3e}")
     bpv = b.deriv().values_on(ys)
 
-    # model terms from the abscissae broadcast over y, times reciprocals as numpy divides
+    # model terms from the abscissae broadcast over y, times complex-cast reciprocals
     with np.errstate(divide="ignore", invalid="ignore"):
         w_lead = 2.0 * bv.real[None, :] * (1.0 / xs)  # imaginary part of 2i b/x
-        p_model = -1j * bv[None, :] * (1.0 / xs ** 2)
-        p_model += bpv[None, :] * (1.0 / xs)
+        p_model = -1j * bv[None, :] * (1.0 / xs ** 2).astype(complex)
+        p_model += bpv[None, :] * (1.0 / xs).astype(complex)
     p_rem = np.multiply(f.evaluate().values, f_plus.evaluate().values)
     np.subtract(p_rem, p_model, out=p_rem)
-    bad = ~np.isfinite(p_rem)
-    if any(s.any() for s in grid.views(grid.slabs, bad)):
+    if not all(np.isfinite(s.view(float)).all() for s in grid.views(grid.slabs, p_rem)):
         raise NonFiniteFieldError("seed product is non-finite at active nodes")
     # for a genuine pair the remainder is bounded across the contour;
     # a node exactly on it is filled by cubic interpolation so the
     # crossing x-leg keeps its order
-    for i, j in zip(*np.nonzero(bad)):
+    rows, cols = np.nonzero(~np.isfinite(p_rem[grid.band_rows]))
+    for i, j in zip(rows + grid.band_rows.start, cols):
         if 2 <= i < grid.nx - 2 and np.all(np.isfinite(
                 p_rem[[i - 2, i - 1, i + 1, i + 2], j])):
             p_rem[i, j] = (-p_rem[i - 2, j] + 4 * p_rem[i - 1, j]
                            + 4 * p_rem[i + 1, j] - p_rem[i + 2, j]) / 6.0
         else:
             p_rem[i, j] = 0.0
-    w_lead[~np.isfinite(w_lead)] = 0.0
+    np.copyto(w_lead, 0.0, where=~np.isfinite(w_lead))
 
     bp_index = (grid.nx - 1, 0)
     w_rem, defect = _integrate_form(2.0 * p_rem.imag, 2.0 * p_rem.real, grid,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -57,7 +58,7 @@ class Scenario:
     chart: dict[str, object]
     profile: dict[str, object]
     tolerances: dict[str, float]
-    expect: dict[str, str]
+    expect: dict[str, object]  # parsed expressions and words
 
     def tol(self, key: str) -> float:
         if key in self.tolerances:
@@ -188,6 +189,13 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
     expect = dict(parser["expect"]) if "expect" in parser else {}
     if "worst_y" in expect:
         _number(name, "worst_y", expect["worst_y"])
+    for key, words, text in (("certify", "pass|fail:.*", "pass or fail:<condition>"),
+                             ("order_constraints", "pass|fail", "pass or fail"),
+                             ("exactness_error", "(?i:true|false)", "true or false")):
+        if key in expect and not re.fullmatch(words, expect[key]):
+            raise ScenarioError(f"scenario {name!r}: [expect] {key} must be {text}")
+    expect.update(_parsed(parser, "expect", name,
+                          ("omega", "u_tilde", "psi_tilde", "loop_defect")))
 
     return Scenario(name=name, pipeline=pipeline, claim=meta.get("claim", ""),
                     grid=grid, basepoint=basepoint, expressions=expressions,
@@ -195,11 +203,13 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
                     tolerances=tolerances, expect=expect)
 
 
-def _parsed(parser, section: str, name: str) -> dict[str, object]:
-    """The section's expressions, parsed once; a syntax error is a
-    configuration error."""
+def _parsed(parser, section: str, name: str, keys=None) -> dict[str, object]:
+    """The section's expressions (``keys`` only, if given), parsed once; a
+    syntax error is a configuration error."""
     out = {}
     for key, src in (parser[section].items() if section in parser else ()):
+        if keys is not None and key not in keys:
+            continue
         try:
             out[key] = parse_expression(src)
         except GalabError as exc:

@@ -21,8 +21,6 @@ from functools import partial, reduce
 from typing import Mapping
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder
-from numpy.polynomial.polyutils import trimseq
 
 from .errors import (MeromorphicViolation, NonFiniteCoefficientError,
                      NonRealCoefficientError, NormalizationError)
@@ -46,7 +44,27 @@ _MAX_DEGREE = 16
 # Poly mode reproduces numpy's polyadd, polymul and polyder bit for bit:
 # trailing exact zeros are trimmed from operands and results (one entry
 # always stays), and every product, scalar factors included, goes through
-# np.convolve.  Samples mode works elementwise.
+# np.convolve.  Samples mode works elementwise.  trimseq, polyval and the
+# polyder in _deriv are numpy.polynomial's (numpy 2.4.6) without its
+# wrappers, in the same floating-point steps; polyval casts x to complex
+# once, where numpy casts a real x in each product.
+
+def trimseq(seq: np.ndarray) -> np.ndarray:
+    """``seq`` without its trailing exact zeros; one entry always stays."""
+    n = len(seq)
+    while n > 1 and seq[n - 1] == 0:
+        n -= 1
+    return seq if n == len(seq) else seq[:n]
+
+
+def polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Horner's rule for the columns of ``c`` at ``x``, cast to complex once."""
+    x, c = np.asarray(x, dtype=complex), c.reshape(c.shape + (1,) * np.ndim(x))
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = np.add(c[-i], np.multiply(c0, x, out=c0), out=c0)
+    return c0
+
 
 def _add(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if mode == "samples":
@@ -68,9 +86,10 @@ def _mul(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _deriv(mode: str, data: np.ndarray, a: float, b: float) -> np.ndarray:
     if mode == "samples":
         return diff_axis(data, (b - a) / (data.size - 1), axis=0)
-    if data.size == 1:
-        return np.zeros(1, dtype=complex)
-    return polyder(data)
+    c, der = data * 1, np.zeros(max(data.size - 1, 1), dtype=complex)  # a constant's is [0j]
+    for j in range(data.size - 1, 0, -1):
+        der[j - 1] = j * c[j]
+    return der
 
 
 def _const(mode: str, value: complex, size: int) -> np.ndarray:
@@ -80,7 +99,7 @@ def _const(mode: str, value: complex, size: int) -> np.ndarray:
 
 
 def _check_finite(data: np.ndarray, what: str = "coefficient data") -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteCoefficientError(f"non-finite {what}")
     return data
 
@@ -135,7 +154,7 @@ class FunctionOnInterval:
         """
         ys = np.asarray(ys, dtype=float)
         if self.mode == "poly":
-            return np.polynomial.polynomial.polyval(ys, self.data)
+            return polyval(ys, self.data)
         own = self.nodes()
         if ys.shape != own.shape or not np.allclose(ys, own, atol=1e-12, rtol=0):
             raise ValueError("sampled function evaluated off its own nodes")
@@ -203,10 +222,6 @@ class FunctionOnInterval:
                 "data": [[float(v.real), float(v.imag)] for v in self.data]}
 
 
-def _zero_like(fn: FunctionOnInterval) -> FunctionOnInterval:
-    return FunctionOnInterval.constant(0.0, fn)
-
-
 @dataclass(frozen=True)
 class PoleProfile:
     """Singular coefficient data: phase phi and Laurent coefficients r_j.
@@ -237,7 +252,7 @@ class PoleProfile:
         return self.phi.mode
 
     def r_fn(self, j: int) -> FunctionOnInterval:
-        return self.r.get(j, _zero_like(self.phi))
+        return self.r[j] if j in self.r else FunctionOnInterval.constant(0.0, self.phi)
 
     def max_order(self) -> int:
         return max(self.r)
@@ -265,7 +280,7 @@ class CoefficientSeries:
         object.__setattr__(self, "beta", dict(self.beta))
 
     def beta_fn(self, j: int) -> FunctionOnInterval:
-        return self.beta.get(j, _zero_like(self.phi))
+        return self.beta[j] if j in self.beta else FunctionOnInterval.constant(0.0, self.phi)
 
     def to_json(self):
         return {
@@ -445,18 +460,22 @@ def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
         return mul(x, _const(mode, value, size))
 
     phi_p = _deriv(mode, phi.data, a, b)
-    two_r = [scale(profile.r_fn(j).data, 2.0) for j in range(max(order, 1) + 1)]
+    # 2 r_j for the j >= 0 the profile holds: np.convolve sums from +0.0, so
+    # no poly-mode term or sum holds a -0.0 that a missing r_j's [0j] would
+    # flip.  Samples mode keeps zeros, as products of zeros carry signs.
+    two_r = {j: scale(profile.r_fn(j).data, 2.0) for j in range(max(order, 1) + 1)
+             if mode == "samples" or j in profile.r}
     series = {-1: beta_minus1}
     beta = [beta_minus1.data]  # beta[j + 1] holds beta_j
     conj = [np.conj(beta[0])]
 
     def rhs(k: int) -> np.ndarray:
         """Order-k balance without its conj(beta_{k+1}) term, summed
-        left to right."""
+        left to right over the r_l the profile holds."""
         bk = beta[k + 1]
-        terms = [scale(_deriv(mode, bk, a, b), -1j), mul(phi_p, bk),
-                 mul(two_r[k + 1], conj[0])]
-        terms += [mul(two_r[l], conj[k - l + 1]) for l in range(0, k + 1)]
+        terms = [scale(_deriv(mode, bk, a, b), -1j), mul(phi_p, bk)]
+        terms += [mul(two_r[l], conj[k - l + 1]) for l in (k + 1, *range(k + 1))
+                  if l in two_r]
         return _check_finite(reduce(add, terms), f"order {k} balance")
 
     def produce(data: np.ndarray) -> None:
@@ -496,7 +515,7 @@ def series_residual(profile: PoleProfile, series: CoefficientSeries) -> list[flo
     def beta(j: int) -> FunctionOnInterval:
         if -1 <= j <= k_max:
             return series.beta_fn(j)
-        return _zero_like(series.phi)
+        return FunctionOnInterval.constant(0.0, series.phi)
 
     defects = []
     r_top = profile.max_order()
@@ -505,7 +524,7 @@ def series_residual(profile: PoleProfile, series: CoefficientSeries) -> list[flo
         lhs = (k + 1) * beta(k + 1) + (1j) * beta(k).deriv() \
             + (-1.0) * phi_p * beta(k)
         # 2*u*conj(psi): Cauchy product of r and conj(beta)
-        rhs = _zero_like(series.phi)
+        rhs = FunctionOnInterval.constant(0.0, series.phi)
         for l in range(-profile.n, min(r_top, k + 1) + 1):
             m = k - l
             if -1 <= m <= k_max:

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import (BandRequiredError, FitError, MeromorphicViolation,
                      NonFiniteFieldError, PositivityError, SingularModelError)
-from .grid import Field, GridSpec, diff_axis
+from .grid import Field, GridSpec, _scrub, diff_axis
 from .moutard import moutard_simple
 from .potential import Potential, omega_singular
 from .series import (CoefficientSeries, FunctionOnInterval, PoleProfile,
-                     conjugate_profile, meromorphic_certify, solve_recursion)
+                     conjugate_profile, meromorphic_certify, polyval, solve_recursion)
 
 #: default truncation order for synthesized seed series
 DEFAULT_ORDER = 8
@@ -72,7 +71,8 @@ class SingularFieldModel:
             raise SingularModelError(f"unknown phase kind {self.phase_kind!r}")
         if self.smooth_remainder.grid != self.grid:
             raise SingularModelError("smooth remainder lives on a different grid")
-        if not np.all(np.isfinite(self.smooth_remainder.values)):
+        vals = self.smooth_remainder.values  # checked on float views
+        if not (np.isfinite(vals.real).all() and np.isfinite(vals.imag).all()):
             raise NonFiniteFieldError("smooth remainder must be finite on the closed strip")
 
     def phase_values(self, ys: np.ndarray) -> np.ndarray:
@@ -92,13 +92,13 @@ class SingularFieldModel:
     @cached_property
     def _field(self) -> Field:
         grid = self.grid
-        phase = self.phase_values(grid.ys)
-        lead = self.leading.values_on(grid.ys)
+        lead = self.phase_values(grid.ys) * self.leading.values_on(grid.ys)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # numpy divides complex by real as a multiply by the reciprocal
-            sing = (phase * lead)[None, :] * (1.0 / grid.xs[:, None])
-        sing[~np.isfinite(sing)] = 0.0
-        return Field(grid, np.add(sing, self.smooth_remainder.values, out=sing))
+            # numpy divides complex by real as a multiply by the reciprocal,
+            # cast to complex; 1/x is infinite only on x = 0, in the band
+            sing = lead[None, :] * (1.0 / grid.xs).astype(complex)[:, None]
+        return Field(grid, np.add(_scrub(grid, sing), self.smooth_remainder.values,
+                                  out=sing))
 
 
 def _series_remainder(series: CoefficientSeries, grid: GridSpec) -> Field:

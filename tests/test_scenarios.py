@@ -58,6 +58,17 @@ CONFIG_PROBES = {
     "chart-half-closed-form": ("conformal-scaling",
                                ("omega_pf_z = 4*exp(z/4) - conj(4*exp(z/4))\n", ""), []),
     "chart-syntax-error": ("conformal-scaling", ("forward = 2*z\n", "forward = 2*z +\n"), []),
+    "expect-syntax-error": ("transform-simple-basic",
+                            ("psi_tilde = 1i*y", "psi_tilde = abc"), []),
+    "loop-defect-syntax-error": ("potential-closed-loop",
+                                 ("loop_defect = 4.0", "loop_defect = 4.0 +"), []),
+    "certify-unknown-word": ("series-recursion-canonical",
+                             ("certify = pass", "certify = maybe"), []),
+    "order-constraints-unknown-word": ("series-recursion-canonical",
+                                       ("order_constraints = pass",
+                                        "order_constraints = maybe"), []),
+    "exactness-error-unknown-word": ("potential-closed-loop",
+                                     ("exactness_error = true", "exactness_error = yes"), []),
 }
 
 #: model faults that must exit 2 with the typed error in the report and
@@ -355,6 +366,21 @@ psi = z
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_numpy_polynomial_is_not_imported(self, tmp_path):
+        # the pole layers carry their own trimseq, polyder and polyval
+        probe = ("import sys\nimport galab.cli\n"
+                 "print('numpy.polynomial' in sys.modules)\n"
+                 "code = galab.cli.main(sys.argv[1:])\n"
+                 "print('numpy.polynomial' in sys.modules)\n"
+                 "sys.exit(code)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "remove-pole", "--scenario",
+             "canonical-pole-removal", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == lines[-1] == "False"
 
 
 def _mutations(text: str):

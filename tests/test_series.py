@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from galab.errors import (GalabError, MeromorphicViolation,
@@ -355,6 +356,54 @@ def seeded_poly_case(seed):
     return prof, poly(rng.uniform(1.0, 2.0), u(0.25), u(0.2)), poly(u(0.3), u(0.3))
 
 
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+NODES = np.linspace(*IV, 21)
+
+
+def sparse_case(draw):
+    """A certified profile, its mode and an order, drawn, whose r0..r3 are
+    each absent, an exact zero (of either sign, trailing zeros in poly
+    mode), or drawn.  A ``signed`` profile is full of signed zeros: phi is
+    zero, beta_-1 real and r0 purely imaginary."""
+    mode = draw(st.sampled_from(["poly", "samples"]))
+    signed = draw(st.booleans())
+    real = SIGNED_ZEROS | st.floats(-0.5, 0.5)
+
+    def values(elements, n=2):
+        """n coefficients, or their samples; zeros are drawn node by node."""
+        if mode == "samples" and elements is SIGNED_ZEROS:
+            n = NODES.size
+        c = np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+        return P.polyval(NODES, c) if mode == "samples" and n < NODES.size else c
+
+    def fn(re, im):
+        data = np.empty(re.shape, complex)
+        data.real, data.imag = re, im
+        return FunctionOnInterval(*IV, mode, data)
+
+    kinds = {j: draw(st.sampled_from(["absent", "zero", "drawn"])) for j in range(4)}
+    curved = kinds[1] == "drawn" and not signed
+    phi = values(SIGNED_ZEROS, 1) if signed else values(real, 3 if curved else 2)
+    phi = fn(phi, 0.0 * phi)
+    r = {-1: fn(values(st.just(-0.5), 1), values(st.just(0.0), 1))}
+    for j, kind in kinds.items():
+        n = draw(st.integers(1, 3))
+        if kind == "zero":
+            r[j] = fn(values(SIGNED_ZEROS, n), values(SIGNED_ZEROS, n))
+        elif kind == "drawn" and j == 0:  # Re r0 = 0
+            r[0] = fn(values(SIGNED_ZEROS, n), values(real, n))
+        elif kind == "drawn" and j == 1:  # Im r1 = phi''/2
+            im = 0.5 * phi.deriv().deriv().data.real
+            r[1] = fn(values(real, im.size) if mode == "poly" else values(real), im)
+        elif kind == "drawn":
+            r[j] = fn(values(real, n), values(real, n))
+    lead = np.array([draw(st.floats(1.0, 2.0)), draw(st.floats(-0.4, 0.4))])
+    lead = P.polyval(NODES, lead) if mode == "samples" else lead
+    beta_minus1 = fn(lead, values(SIGNED_ZEROS, 2) if signed else 0.0 * lead)
+    im_beta1 = fn(values(real), values(SIGNED_ZEROS, 2))
+    return PoleProfile(phi, r), beta_minus1, im_beta1, draw(st.integers(0, 10))
+
+
 class TestRecursionMatchesReference:
     def check(self, prof, beta_minus1, im_beta1, order):
         series = solve_recursion(prof, beta_minus1, im_beta1, order)
@@ -378,6 +427,24 @@ class TestRecursionMatchesReference:
         self.check(prof, poly(1.0, 0.0, 0.0), poly(0.0, 0.0), 8)
         self.check(canonical_profile(), poly(1.0), poly(0.0), 8)
         self.check(conjugate_profile(canonical_profile()), poly(2.0), poly(0.0), 3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=st.data())
+    def test_sparse_sums_match_the_dense_reference(self, case):
+        self.check(*sparse_case(case.draw))
+
+    def test_absent_coefficients_skip_their_products(self, monkeypatch):
+        # an r-1-only order-8 solve forms 34 products; with r0..r8 held as
+        # zero polynomials it forms all 88, and gives the same bits
+        calls, convolve = [], np.convolve
+        monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        sparse = solve_recursion(canonical_profile(), poly(1.0), poly(0.0), 8)
+        assert len(calls) == 34
+        padded = PoleProfile(poly(0.0), {-1: poly(-0.5), **{j: poly(0.0) for j in range(9)}})
+        dense = solve_recursion(padded, poly(1.0), poly(0.0), 8)
+        assert len(calls) == 34 + 88
+        for j in range(-1, 9):
+            assert_same_bits(sparse.beta_fn(j).data, dense.beta_fn(j).data)
 
     def test_samples_profile(self):
         ys = np.linspace(*IV, 81)

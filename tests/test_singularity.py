@@ -359,6 +359,13 @@ class TestTypedErrors:
         f = self.model(GridSpec(-EPS, EPS, IV[0], IV[1], 40, 21))
         self.raises(BandRequiredError, omega_singular, f, f)
 
+    def test_pole_on_an_active_node(self):
+        # without a band the node on x = 0 is active, and the 1/x term is
+        # not finite there; only band nodes are zeroed
+        flat = GridSpec(-EPS, EPS, IV[0], IV[1], 41, 21)
+        assert (flat.xs == 0).any()
+        self.raises(NonFiniteFieldError, self.model(flat).evaluate)
+
     def test_omega_singular_non_finite_seed_product(self, grid):
         # finite remainders whose product overflows at active nodes
         f = self.model(grid, np.full(grid.shape(), 1e200))
