@@ -126,29 +126,15 @@ def tracked_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(w)) * np.exp(0.5j * phase)
 
 
-def pushforward_u(u_on_mapped: Field | Callable, chart: HolomorphicChart) -> Field:
+def pushforward_u(u_on_mapped: Field, chart: HolomorphicChart) -> Field:
     """Coefficient in strip coordinates: u(z(tau)) * |dz/dtau|."""
-    if callable(u_on_mapped):
-        u_on_mapped = chart.sample(u_on_mapped)
     return Field(chart.strip, u_on_mapped.values * np.abs(chart.derivative_on_strip))
 
 
-def pushforward_psi(psi_on_mapped: Field | Callable, chart: HolomorphicChart,
-                    branch: str = "principal") -> Field:
-    """Solution in strip coordinates: psi(z(tau)) * sqrt(dz/dtau).
-
-    ``branch`` chooses the global sign of the square root ("principal"
-    anchors the center node to the principal branch, "negative" flips
-    it); the two choices differ only by an overall sign.
-    """
-    if callable(psi_on_mapped):
-        psi_on_mapped = chart.sample(psi_on_mapped)
-    s = chart.sqrt_derivative
-    if branch == "negative":
-        s = -s
-    elif branch != "principal":
-        raise ValueError(f"unknown branch {branch!r}")
-    return Field(chart.strip, psi_on_mapped.values * s)
+def pushforward_psi(psi_on_mapped: Field, chart: HolomorphicChart) -> Field:
+    """Solution in strip coordinates: psi(z(tau)) * sqrt(dz/dtau), the
+    square root anchored to the principal branch at the center node."""
+    return Field(chart.strip, psi_on_mapped.values * chart.sqrt_derivative)
 
 
 @dataclass(frozen=True)

@@ -109,12 +109,6 @@ class GridSpec:
         return [values[max(r.start, a) - a:min(r.stop, b) - a] for r in ranges
                 if max(r.start, a) < min(r.stop, b)]
 
-    def node_index(self, x: float, y: float) -> tuple[int, int]:
-        """Index of the grid node nearest to (x, y)."""
-        i = int(round((x - self.x_min) / self.hx))
-        j = int(round((y - self.y_min) / self.hy))
-        return min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1)
-
 
 @dataclass(frozen=True)
 class Field:
@@ -140,53 +134,9 @@ class Field:
             vals = np.asarray(fn(grid.z), dtype=complex)
         return cls(grid, _scrub(grid, np.broadcast_to(vals, grid.shape()).copy()))
 
-    def conj(self) -> "Field":
-        return Field(self.grid, np.conj(self.values))
-
     def max_abs(self) -> float:
         """Max modulus over active nodes."""
         return float(_peak_abs(self.grid, self.values))
-
-    def _coerce(self, other):
-        if isinstance(other, Field):
-            if other.grid != self.grid:
-                raise ShapeError("fields live on different grids")
-            return other.values
-        if np.isscalar(other) or isinstance(other, np.ndarray):
-            return other
-        return NotImplemented
-
-    def _binary(self, other, op):
-        vals = self._coerce(other)
-        if vals is NotImplemented:
-            return NotImplemented
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = op(self.values, vals)
-        return Field(self.grid, _scrub(self.grid, np.asarray(out, dtype=complex)))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __radd__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binary(other, np.multiply)
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
 
 
 #: bytes of one row block in a full-grid pass: a block's temporaries stay

@@ -165,32 +165,20 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
     return Potential(grid, w_xy, constant, basepoint, path_defect=defect)
 
 
-def loop_defect(psi: Field, psi_plus: Field,
-                rectangle: tuple[float, float, float, float] | None = None) -> float:
-    """|closed-loop integral| of the potential form around a rectangle.
-
-    ``rectangle`` is (x0, x1, y0, y1), snapped to grid nodes; the whole
-    grid is used when omitted.  Near zero iff the pair is compatible.
+def loop_defect(psi: Field, psi_plus: Field) -> float:
+    """|closed-loop integral| of the potential form around the grid's
+    border.  Near zero iff the pair is compatible.
     """
     if psi.grid != psi_plus.grid:
         raise ShapeError("pair lives on different grids")
-    grid = psi.grid
-    if rectangle is None:
-        i0, j0, i1, j1 = 0, 0, grid.nx - 1, grid.ny - 1
-    else:
-        x0, x1, y0, y1 = rectangle
-        i0, j0 = grid.node_index(x0, y0)
-        i1, j1 = grid.node_index(x1, y1)
-    if i1 - i0 < 3 or j1 - j0 < 3:
-        raise ValueError("rectangle must span at least 4 nodes per side")
+    grid, every = psi.grid, slice(None)
     # the product is formed on the border only; as in _form_components,
     # x-edges integrate 2 Im p and y-edges 2 Re p
     p = lambda i, j: psi.values[i, j] * psi_plus.values[i, j]
-    xs, ys = slice(i0, i1 + 1), slice(j0, j1 + 1)
-    bottom = integral(2.0 * p(xs, j0).imag, grid.hx)
-    top = integral(2.0 * p(xs, j1).imag, grid.hx)
-    right = integral(2.0 * p(i1, ys).real, grid.hy)
-    left = integral(2.0 * p(i0, ys).real, grid.hy)
+    bottom = integral(2.0 * p(every, 0).imag, grid.hx)
+    top = integral(2.0 * p(every, -1).imag, grid.hx)
+    right = integral(2.0 * p(-1, every).real, grid.hy)
+    left = integral(2.0 * p(0, every).real, grid.hy)
     return float(abs(bottom + right - top - left))
 
 

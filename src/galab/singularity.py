@@ -137,7 +137,7 @@ def synthesize_singular_u(profile: PoleProfile, grid: GridSpec,
     1/x part and the bounded remainder.
     """
     cert = meromorphic_certify(profile, tol)
-    if not cert:
+    if not cert.ok:
         raise MeromorphicViolation(
             f"profile fails certification: {cert.condition} "
             f"(worst |value| {cert.worst_value:.3e} at y = {cert.worst_y})")

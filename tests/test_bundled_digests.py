@@ -39,5 +39,6 @@ def test_the_record_covers_every_report_and_dump():
 
 def test_bundled_outputs_are_byte_identical(written):
     assert sorted(written) == sorted(RECORD["files"])
-    changed = [name for name, digest in RECORD["files"].items() if written[name] != digest]
-    assert not changed, f"bytes changed in {changed}"
+    changed = {name: written[name] for name, digest in RECORD["files"].items()
+               if written[name] != digest}
+    assert not changed, f"bytes changed; new SHA-256 of each: {changed}"

@@ -82,24 +82,18 @@ class TestPushforwards:
 
     def test_scaling_weight_on_coefficient(self):
         chart = scaling_chart(3.0)
-        out = pushforward_u(lambda zv: np.ones_like(zv), chart)
+        out = pushforward_u(chart.sample(lambda zv: np.ones_like(zv)), chart)
         assert np.allclose(out.values, 3.0)
 
     def test_rotation_weight_is_unit(self):
         chart = rotation_chart(0.9)
-        out = pushforward_u(lambda zv: np.ones_like(zv), chart)
+        out = pushforward_u(chart.sample(lambda zv: np.ones_like(zv)), chart)
         assert np.allclose(out.values, 1.0)
 
     def test_sqrt_weight_principal(self):
         chart = scaling_chart(4.0)
-        out = pushforward_psi(lambda zv: np.ones_like(zv), chart)
+        out = pushforward_psi(chart.sample(lambda zv: np.ones_like(zv)), chart)
         assert np.allclose(out.values, 2.0)
-
-    def test_branch_choice_flips_sign(self):
-        chart = scaling_chart(4.0)
-        a = pushforward_psi(lambda zv: np.ones_like(zv), chart, "principal")
-        b = pushforward_psi(lambda zv: np.ones_like(zv), chart, "negative")
-        assert np.allclose(a.values, -b.values)
 
     def test_tracked_sqrt_squares_back(self):
         chart = curved_chart()
@@ -120,11 +114,11 @@ class TestPushforwards:
                          lambda g: rotation_chart(0.5, g), curved_chart):
             g = strip()
             chart = chart_fn(g)
-            u_s = pushforward_u(lambda zv: np.zeros_like(zv), chart)
+            u_s = pushforward_u(chart.sample(lambda zv: np.zeros_like(zv)), chart)
             h4 = max(g.hx, g.hy) ** 4
             for probe in (lambda zv: zv, lambda zv: zv ** 2 + 1,
                           lambda zv: zv ** 3):
-                psi_s = pushforward_psi(probe, chart)
+                psi_s = pushforward_psi(chart.sample(probe), chart)
                 scale = max(1.0, psi_s.max_abs())
                 assert residual(u_s, psi_s) <= 10 * h4 * scale
 
@@ -134,7 +128,7 @@ class TestPotentialIdentification:
         # w*(tau) = w(z(tau)) satisfies d/dtau w* = psi* psi*+
         g = strip()
         chart = scaling_chart(2.0, g)
-        psi_s = pushforward_psi(lambda zv: np.ones_like(zv), chart)
+        psi_s = pushforward_psi(chart.sample(lambda zv: np.ones_like(zv)), chart)
         om_pulled = Potential.from_values(
             g, chart.mapped_nodes - np.conj(chart.mapped_nodes))
         lhs = dz(Field(g, om_pulled.values)).values

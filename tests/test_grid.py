@@ -33,11 +33,6 @@ class TestGridSpec:
         assert not g.mask[np.abs(g.xs) < 0.25].any()
         assert g.mask[np.abs(g.xs) >= 0.25].all()
 
-    def test_node_index_snaps(self):
-        g = make_grid(11, 11)
-        assert g.node_index(0.52, 1.48) == (5, 5)
-        assert g.node_index(-3.0, 7.0) == (0, 10)
-
 
 class TestField:
     def test_shape_mismatch(self, strip):
@@ -62,26 +57,17 @@ class TestField:
         f = Field.from_callable(g, lambda z: 1.0 / np.real(z))
         assert np.all(np.isfinite(f.values[g.mask]))
 
-    def test_arithmetic(self, strip):
-        f = sample(strip, lambda z: z)
-        g = sample(strip, lambda z: z ** 2)
-        assert np.allclose((f * f).values, g.values)
-        assert np.allclose((g / f - f).max_abs(), 0.0, atol=1e-12)
-        assert np.allclose((2.0 * f - f - f).max_abs(), 0.0)
-        with pytest.raises(ShapeError):
-            f + sample(make_grid(16, 16), lambda z: z)
-
 
 class TestWirtinger:
     def test_dbar_holomorphic_vanishes(self, strip):
         assert dbar(sample(strip, lambda z: z)).max_abs() < 1e-12
 
     def test_dbar_antiholomorphic(self, strip):
-        err = (dbar(sample(strip, np.conj)) - 1.0).max_abs()
+        err = np.max(np.abs(dbar(sample(strip, np.conj)).values - 1.0))
         assert err < 1e-12
 
     def test_dz_on_z_and_zbar(self, strip):
-        assert (dz(sample(strip, lambda z: z)) - 1.0).max_abs() < 1e-12
+        assert np.max(np.abs(dz(sample(strip, lambda z: z)).values - 1.0)) < 1e-12
         assert dz(sample(strip, np.conj)).max_abs() < 1e-12
 
     def test_dbar_z_zbar_symbolic(self):
@@ -90,12 +76,12 @@ class TestWirtinger:
         for n in (32, 64, 128):
             g = make_grid(n, n)
             f = sample(g, lambda z: z * np.conj(z))
-            errs.append((dbar(f) - Field(g, g.z)).max_abs())
+            errs.append(np.max(np.abs(dbar(f).values - g.z)))
         assert max(errs) < 1e-11
 
     def test_dz_square_symbolic(self, strip):
         f = sample(strip, lambda z: z ** 2)
-        assert (dz(f) - Field(strip, 2 * strip.z)).max_abs() < 1e-11
+        assert np.max(np.abs(dz(f).values - 2 * strip.z)) < 1e-11
 
     def test_fourth_order_on_transcendental(self):
         # mixed powers excite the truncation term of the stencils
@@ -103,8 +89,8 @@ class TestWirtinger:
         for n in (32, 64, 128):
             g = make_grid(n, n)
             f = sample(g, lambda z: z ** 3 * np.conj(z) ** 2)
-            exact = Field(g, 2 * g.z ** 3 * np.conj(g.z))
-            errs.append((dbar(f) - exact).max_abs())
+            exact = 2 * g.z ** 3 * np.conj(g.z)
+            errs.append(np.max(np.abs(dbar(f).values - exact)))
         assert_fourth_order(errs)
 
     def test_stencil_needs_five_nodes(self):
@@ -128,7 +114,7 @@ class TestWirtinger:
         fx = diff_axis(f.values, strip.hx, axis=0)
         scale = np.maximum(np.abs(fx), 1.0)
         assert np.max(np.abs(left - fx) / scale) < 1e-12
-        lhs = dbar(f.conj()).values
+        lhs = dbar(Field(strip, np.conj(f.values))).values
         rhs = np.conj(dz(f).values)
         scale = np.maximum(np.abs(rhs), 1.0)
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-12

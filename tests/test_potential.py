@@ -6,7 +6,7 @@ import pytest
 
 from galab._integrate import integral
 from galab.errors import ExactnessError
-from galab.grid import GridSpec, diff_axis
+from galab.grid import Field, GridSpec, diff_axis
 from galab.potential import Potential, loop_defect, omega
 
 from conftest import (assert_same_bits, make_grid, ones,
@@ -69,7 +69,7 @@ class TestOmega:
     def test_real_scaling_bilinearity(self, strip):
         psi = sample(strip, lambda z: z)
         base = omega(psi, ones(strip), constant=0.0)
-        scaled = omega(3.0 * psi, ones(strip), constant=0.0)
+        scaled = omega(Field(strip, 3.0 * psi.values), ones(strip), constant=0.0)
         assert np.max(np.abs(scaled.values - 3.0 * base.values)) < 1e-10
 
     def test_constant_must_be_imaginary(self, strip):
@@ -126,14 +126,6 @@ class TestLoopDefect:
         assert defect == pytest.approx(oracle, rel=5e-3)
         assert defect == pytest.approx(4.0, abs=1e-9)  # 4 * area, area = 1
 
-    def test_sub_rectangle(self, strip):
-        d = loop_defect(sample(strip, np.conj), ones(strip),
-                        rectangle=(0.25, 0.75, 1.25, 1.75))
-        i0, j0 = strip.node_index(0.25, 1.25)
-        i1, j1 = strip.node_index(0.75, 1.75)
-        area = (strip.xs[i1] - strip.xs[i0]) * (strip.ys[j1] - strip.ys[j0])
-        assert d == pytest.approx(4.0 * area, abs=1e-9)
-
 
 # --------------------------------------------------------------------------
 # Reference: the potential form integrated as complex arrays, as written
@@ -154,15 +146,10 @@ def reference_omega(psi, psi_plus, basepoint, constant):
                      path_defect=defect)
 
 
-def reference_loop_defect(psi, psi_plus, rectangle=None):
+def reference_loop_defect(psi, psi_plus):
     a, b = reference_form(psi, psi_plus)
     grid = psi.grid
-    if rectangle is None:
-        i0, j0, i1, j1 = 0, 0, grid.nx - 1, grid.ny - 1
-    else:
-        x0, x1, y0, y1 = rectangle
-        i0, j0 = grid.node_index(x0, y0)
-        i1, j1 = grid.node_index(x1, y1)
+    i0, j0, i1, j1 = 0, 0, grid.nx - 1, grid.ny - 1
     bottom = integral(a[i0:i1 + 1, j0], grid.hx)
     top = integral(a[i0:i1 + 1, j1], grid.hx)
     right = integral(b[i1, j0:j1 + 1], grid.hy)
@@ -199,9 +186,6 @@ class TestFloatFormMatchesReference:
     def test_loop_defect(self, seed):
         for psi, psi_plus, _, _ in seeded_exponential_pairs(seed, 64):
             assert loop_defect(psi, psi_plus) == reference_loop_defect(psi, psi_plus)
-            rect = (-0.3, 0.2, -0.4, 0.1)
-            assert (loop_defect(psi, psi_plus, rect)
-                    == reference_loop_defect(psi, psi_plus, rect))
             # an incompatible pair has a defect far from zero
             bad = sample(psi.grid, np.conj)
             assert loop_defect(bad, psi_plus) == reference_loop_defect(bad, psi_plus)

@@ -62,6 +62,8 @@ CONFIG_PROBES = {
                             ("psi_tilde = 1i*y", "psi_tilde = abc"), []),
     "loop-defect-syntax-error": ("potential-closed-loop",
                                  ("loop_defect = 4.0", "loop_defect = 4.0 +"), []),
+    "loop-defect-grid-variable": ("potential-closed-loop",
+                                  ("loop_defect = 4.0", "loop_defect = x"), []),
     "certify-unknown-word": ("series-recursion-canonical",
                              ("certify = pass", "certify = maybe"), []),
     "order-constraints-unknown-word": ("series-recursion-canonical",

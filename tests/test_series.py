@@ -117,6 +117,15 @@ class TestNormalize:
             assert np.allclose(got, u_in, atol=1e-12)
             assert np.allclose(u_out, u_in, atol=1e-12)
 
+    def test_large_phase_keeps_coefficients(self):
+        # rounding phi + pi/2 at |phi| ~ 1e4 moves u by about |phi| * eps
+        prof = PoleProfile(poly(1e4, 1.0), {-1: poly(0.5), 0: poly(1j)})
+        out = normalize_profile(prof)
+        assert np.array_equal(out.phi.data, [1e4 + np.pi / 2, 1.0])
+        assert sorted(out.r) == [-1, 0]
+        assert np.array_equal(out.r[-1].data, [-0.5])
+        assert np.array_equal(out.r[0].data, [-1j])
+
 
 class TestCertify:
     def test_canonical_and_phase_profiles_pass(self):

@@ -135,7 +135,8 @@ class TestOmegaSingular:
         f, fp = synthesize_seeds(canonical_profile(), poly(1.0), poly(1.0),
                                  grid, order=4)
         flipped = SingularFieldModel(grid, -1.0 * fp.leading, fp.phi,
-                                     fp.phase_kind, -1.0 * fp.smooth_remainder,
+                                     fp.phase_kind,
+                                     Field(grid, -1.0 * fp.smooth_remainder.values),
                                      None)
         with pytest.raises(PositivityError):
             omega_singular(f, flipped)
