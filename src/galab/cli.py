@@ -44,26 +44,23 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
+    flags = argparse.ArgumentParser(add_help=False)  # shared by every subcommand
+    flags.add_argument("--scenario", action="append", required=True, metavar="FILE_OR_NAME",
+                       help="scenario file path or bundled scenario name (repeatable)")
+    flags.add_argument("--out", default=None, help="report directory")
+    flags.add_argument("--grid", default=None, metavar="NX,NY", help="override grid resolution")
+    flags.add_argument("--tol", type=float, default=None,
+                       help="override the pipeline's primary tolerance")
+    flags.add_argument("--order", type=int, default=None,
+                       help="override the series truncation order")
+    flags.add_argument("--jobs", type=int, default=1, help="run scenarios concurrently")
     parser = argparse.ArgumentParser(
         prog="galab",
         description="verification pipelines for quadrature-generated "
                     "transforms of generalized analytic functions")
     sub = parser.add_subparsers(dest="pipeline", required=True)
     for name in PIPELINES:
-        sp = sub.add_parser(name, help=f"run a {name} scenario")
-        sp.add_argument("--scenario", action="append", required=True,
-                        metavar="FILE_OR_NAME",
-                        help="scenario file path or bundled scenario name "
-                             "(repeatable)")
-        sp.add_argument("--out", default=None, help="report directory")
-        sp.add_argument("--grid", default=None, metavar="NX,NY",
-                        help="override grid resolution")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override the pipeline's primary tolerance")
-        sp.add_argument("--order", type=int, default=None,
-                        help="override the series truncation order")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="run scenarios concurrently")
+        sub.add_parser(name, help=f"run a {name} scenario", parents=[flags])
     args = parser.parse_args(argv)
 
     out = args.out or os.environ.get("GALAB_OUT") or "galab-out"
@@ -76,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         grid = (nx, ny)
 
     refs = args.scenario
-    results = []
     if args.jobs > 1 and len(refs) > 1:
         # the process pool pulls in multiprocessing, socket and logging;
         # a single-scenario run does not pay for importing them

@@ -10,8 +10,7 @@ positions.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass, is_dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ _NUM_RE = _re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # number | imag | ident | op | end
     text: str
     line: int
@@ -66,11 +64,8 @@ def tokenize(src: str) -> list[Token]:
             is_imag = (pos < n and src[pos] == "i"
                        and (pos + 1 >= n
                             or not (src[pos + 1].isalnum() or src[pos + 1] == "_")))
-            if is_imag:
-                pos += 1
-                tokens.append(Token("imag", text, line, col))
-            else:
-                tokens.append(Token("number", text, line, col))
+            pos += is_imag
+            tokens.append(Token("imag" if is_imag else "number", text, line, col))
             continue
         m = _IDENT_RE.match(src, pos)
         if m:
@@ -86,37 +81,31 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
-# AST nodes
-@dataclass(frozen=True)
-class Num:
+# AST nodes: tuples whose fields are the node's data and its child nodes
+class Num(NamedTuple):
     value: complex
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     arg: object
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
@@ -140,8 +129,7 @@ class _Parser:
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
+        if (tok := self.peek()).kind != "end":
             self.error(f"unexpected {tok.text!r} after expression")
         return node
 
@@ -180,9 +168,7 @@ class _Parser:
             self.advance()
             sign = -sign
         tok = self.peek()
-        if tok.kind != "number":
-            self.error("exponent must be an integer literal")
-        if "." in tok.text or "e" in tok.text or "E" in tok.text:
+        if tok.kind != "number" or not tok.text.isdigit():  # no point, no exponent
             self.error("exponent must be an integer literal")
         digits = tok.text.lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
@@ -210,41 +196,42 @@ class _Parser:
 
     def atom(self):
         tok = self.peek()
-        if tok.kind == "number":
+        if tok.kind in ("number", "imag"):
             self.advance()
-            return Num(complex(float(tok.text)))
-        if tok.kind == "imag":
-            self.advance()
-            return Num(complex(0.0, float(tok.text)))
+            value = float(tok.text)
+            return Num(complex(0.0, value) if tok.kind == "imag" else complex(value))
         if tok.kind == "ident":
             self.advance()
             if self.peek().kind == "op" and self.peek().text == "(":
                 if tok.text not in FUNCTIONS:
                     self.error(f"unknown function {tok.text!r}", tok)
                 self.advance()
-                arg = self.expr()
-                closing = self.peek()
-                if closing.kind != "op" or closing.text != ")":
-                    self.error("expected ')'")
-                self.advance()
-                return Call(tok.text, arg)
+                return Call(tok.text, self.closed(self.expr()))
             if tok.text not in VARIABLES:
                 self.error(f"unknown identifier {tok.text!r}", tok)
             return Var(tok.text)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expr()
-            closing = self.peek()
-            if closing.kind != "op" or closing.text != ")":
-                self.error("expected ')'")
-            self.advance()
-            return node
+            return self.closed(self.expr())
         self.error("expected operand")
+
+    def closed(self, node):
+        """``node``, once the ``)`` that follows it is consumed."""
+        closing = self.peek()
+        if closing.kind != "op" or closing.text != ")":
+            self.error("expected ')'")
+        self.advance()
+        return node
 
 
 def parse_expression(src: str):
     """Parse a source string into an AST; positions feed error messages."""
-    return _Parser(tokenize(src)).parse()
+    try:
+        node = _Parser(tokenize(src)).parse()
+        _variables(node)  # a tree this walk can recurse through evaluates too
+    except RecursionError:
+        raise ExpressionError("expression nests too deeply") from None
+    return node
 
 
 def evaluate(node, env: dict, out: np.ndarray | None = None) -> np.ndarray | complex:
@@ -288,8 +275,7 @@ def _variables(node) -> set[str]:
     """Names of the variables an AST references."""
     if isinstance(node, Var):
         return {node.name}
-    return set().union(*(_variables(v) for v in vars(node).values()
-                         if is_dataclass(v)))
+    return set().union(*(_variables(v) for v in node if isinstance(v, tuple)))
 
 
 def _z(g, rows: slice = slice(None)) -> np.ndarray:

@@ -19,17 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting
-from .conformal import HolomorphicChart, check_commutativity
 from .errors import ExactnessError, GalabError, NonFiniteFieldError, ScenarioError
 from .expressions import as_function_of_z, constant_value, evaluate_on_grid, \
     parse_expression
 from .grid import Field, GridSpec, _peak_abs, _scrub, dz as dz_op, residual, write_csv
-from .moutard import (SeedSet, compose_simple, invert_simple, moutard_rank_n,
-                      moutard_simple, seed_annihilation_max, transformed_potential)
 from .potential import REAL_DRIFT_TOL, Potential, loop_defect, omega
-from .series import (FunctionOnInterval, PoleProfile, pole_order_check,
-                     meromorphic_certify, series_residual, solve_recursion)
-from .singularity import remove_pole, synthesize_seeds, synthesize_singular_u
 
 _DEFAULT_TOLERANCES = {
     "residual": 1e-8,
@@ -60,9 +54,7 @@ class Scenario:
     expect: dict[str, object]  # parsed expressions and words
 
     def tol(self, key: str) -> float:
-        if key in self.tolerances:
-            return self.tolerances[key]
-        return _DEFAULT_TOLERANCES[key]
+        return self.tolerances[key] if key in self.tolerances else _DEFAULT_TOLERANCES[key]
 
     def expression(self, key: str) -> object:
         if key not in self.expressions:
@@ -197,9 +189,10 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
                           ("omega", "u_tilde", "psi_tilde", "loop_defect")))
     if "loop_defect" in expect:
         try:
-            expect["loop_defect"] = constant_value(expect["loop_defect"]).real
+            value = constant_value(expect["loop_defect"]).real
         except GalabError as exc:
             raise ScenarioError(f"scenario {name!r}: [expect] loop_defect: {exc}")
+        expect["loop_defect"] = _number(name, "[expect] loop_defect", value)
 
     return Scenario(name=name, pipeline=pipeline, claim=meta.get("claim", ""),
                     grid=grid, basepoint=basepoint, expressions=expressions,
@@ -222,11 +215,14 @@ def _parsed(parser, section: str, name: str, keys=None) -> dict[str, object]:
     return out
 
 
-def _number(name: str, what: str, text: str) -> float:
+def _number(name: str, what: str, text: str | float) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ScenarioError(f"scenario {name!r}: bad {what}: {exc}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"scenario {name!r}: {what} = {value} is not finite")
+    return value
 
 
 def _parse_profile_section(sec, name: str) -> dict[str, object]:
@@ -251,6 +247,7 @@ def _parse_profile_section(sec, name: str) -> dict[str, object]:
 
 def _parse_function(text: str, interval, scenario_name: str,
                     key: str) -> FunctionOnInterval:
+    from .series import FunctionOnInterval
     kind, _, body = text.partition(":")
     kind = kind.strip()
     try:
@@ -369,6 +366,7 @@ def _inputs(scn: Scenario, names: str, *pairs: str) -> list:
 
 
 def run_transform(scn: Scenario, run: _Checks) -> None:
+    from .moutard import moutard_simple, transformed_potential
     u, f1, f1_plus, psi, om_ff, om_pf = _inputs(
         scn, "u f1 f1_plus psi", "f1 f1_plus", "psi f1_plus")
     result = moutard_simple(u, f1, f1_plus, om_ff)
@@ -396,6 +394,7 @@ def run_transform(scn: Scenario, run: _Checks) -> None:
 
 
 def run_compose(scn: Scenario, run: _Checks) -> None:
+    from .moutard import SeedSet, compose_simple, moutard_rank_n, seed_annihilation_max
     u, f1, f1p, f2, f2p, psi, om11, om21, om12, om22, om_p1, om_p2 = _inputs(
         scn, "u f1 f1_plus f2 f2_plus psi", "f1 f1_plus", "f2 f1_plus", "f1 f2_plus",
         "f2 f2_plus", "psi f1_plus", "psi f2_plus")
@@ -414,6 +413,7 @@ def run_compose(scn: Scenario, run: _Checks) -> None:
 
 
 def run_invert(scn: Scenario, run: _Checks) -> None:
+    from .moutard import invert_simple, moutard_simple
     u, f1, f1p, psi, psi_plus, om_ff, om_pf, om_fp = _inputs(
         scn, "u f1 f1_plus psi psi_plus", "f1 f1_plus", "psi f1_plus", "f1 psi_plus")
     m1 = moutard_simple(u, f1, f1p, om_ff)
@@ -429,6 +429,7 @@ def run_invert(scn: Scenario, run: _Checks) -> None:
 
 
 def run_conformal(scn: Scenario, run: _Checks) -> None:
+    from .conformal import HolomorphicChart, check_commutativity
     for key in ("forward", "derivative", "inverse"):
         if key not in scn.chart:
             raise ScenarioError(
@@ -450,6 +451,7 @@ def run_conformal(scn: Scenario, run: _Checks) -> None:
 
 
 def _profile_from_scenario(scn: Scenario) -> PoleProfile:
+    from .series import PoleProfile
     prof = scn.profile
     if not prof:
         raise ScenarioError(f"scenario {scn.name!r}: needs a [profile] section")
@@ -466,6 +468,8 @@ def _profile_from_scenario(scn: Scenario) -> PoleProfile:
 
 
 def run_series(scn: Scenario, run: _Checks) -> None:
+    from .series import (FunctionOnInterval, meromorphic_certify, pole_order_check,
+                         series_residual, solve_recursion)
     profile = _profile_from_scenario(scn)
     order_res = pole_order_check(profile, n_prime=1)
     run.metrics["order_constraints"] = order_res.to_json()
@@ -500,6 +504,7 @@ def run_series(scn: Scenario, run: _Checks) -> None:
 
 
 def run_remove_pole(scn: Scenario, run: _Checks) -> None:
+    from .singularity import remove_pole, synthesize_seeds, synthesize_singular_u
     profile = _profile_from_scenario(scn)
     if scn.grid.excluded_band is None:
         raise ScenarioError(

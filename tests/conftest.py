@@ -1,8 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
+import galab
 from galab._integrate import cumulative_integral
 from galab.grid import Field, GridSpec
+
+
+def child_env() -> dict:
+    """This process's environment with galab's source root on PYTHONPATH,
+    which pytest's ``pythonpath`` setting does not pass to children."""
+    src = os.path.dirname(os.path.dirname(galab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def make_grid(nx=64, ny=64, x=(0.0, 1.0), y=(1.0, 2.0), band=None):

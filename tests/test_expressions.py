@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galab.errors import ExpressionError
-from galab.expressions import (MAX_EXPONENT, as_function_of_z, constant_value,
-                               evaluate, evaluate_on_grid, parse_expression,
-                               point_env)
+from galab.expressions import (MAX_EXPONENT, BinOp, Call, Neg, Num, Pow, Var, _variables,
+                               as_function_of_z, constant_value, evaluate, evaluate_on_grid,
+                               parse_expression, point_env)
 
 from conftest import make_grid
 
@@ -132,6 +133,15 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse_expression("1 2")
 
+    @pytest.mark.parametrize("src", [
+        "(" * 400 + "x" + ")" * 400, "exp(" * 400 + "x" + ")" * 400,
+        "-" * 3000 + "x", "x+" * 3000 + "x", "z^" + "1^" * 3000 + "1"],
+        ids=["parentheses", "calls", "negations", "sum", "tower"])
+    def test_deep_nesting_is_an_expression_error(self, src):
+        # the parser and the tree walks recurse once or twice per level
+        with pytest.raises(ExpressionError, match="nests too deeply"):
+            parse_expression(src)
+
 
 class TestEvaluation:
     def test_on_grid(self):
@@ -157,3 +167,62 @@ class TestEvaluation:
         assert constant_value("-2i/3") == pytest.approx(-2j / 3)
         with pytest.raises(ExpressionError):
             constant_value("2*x")
+
+
+#: pieces of token soups: every token kind, words that are not names,
+#: characters outside the language, and literals that overflow
+_SOUP = ["0", "1", "2", "10", "1024", "2.5", ".5", "1e3", "1e400", "2i", "1.5i", "1e400i",
+         "x", "y", "z", "zbar", "w", "i", "inf", "exp", "conj", "re", "im", "sqrt", "sin",
+         "+", "-", "*", "/", "^", "(", ")", "@", ",", "_", ".", " ", "\n"]
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        inner.map("-{}".format), inner.map("({})".format),
+        st.tuples(st.sampled_from(["exp", "conj", "re", "im", "sqrt"]), inner)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.sampled_from(["2", "-1", "3^2", "1024"])).map("^".join))
+
+
+#: expressions that parse, or mostly do: a soup is one with pieces put in
+_GRAMMATICAL = st.recursive(st.sampled_from(["2", "2.5", "1e400", "2i", "x", "y", "z", "zbar"]),
+                            _compound, max_leaves=8)
+
+
+def _reference_variables(node) -> set[str]:
+    """Variable names of a tree, walked node type by node type."""
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Num):
+        return set()
+    if isinstance(node, BinOp):
+        return _reference_variables(node.left) | _reference_variables(node.right)
+    child = {Call: "arg", Neg: "operand", Pow: "base"}[type(node)]
+    return _reference_variables(getattr(node, child))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(expr=_GRAMMATICAL,
+       pieces=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_SOUP)), max_size=4))
+def test_token_soup(expr, pieces):
+    """Only ExpressionError leaves the parser or the grid evaluator, and
+    a parsed tree names the variables a node-by-node walk finds."""
+    src = expr
+    for at, piece in pieces:
+        at %= len(src) + 1
+        src = src[:at] + piece + src[at:]
+    try:
+        node = parse_expression(src)
+    except ExpressionError:
+        return
+    assert _variables(node) == _reference_variables(node), src
+    with np.errstate(all="ignore"):
+        try:
+            values = evaluate_on_grid(node, _SOUP_GRID)
+        except ExpressionError:
+            return
+    assert values.shape == _SOUP_GRID.shape(), src
+
+
+_SOUP_GRID = make_grid(6, 5, x=(-1.0, 1.0))

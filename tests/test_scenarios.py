@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
@@ -11,6 +10,8 @@ from galab.cli import main
 from galab.errors import ScenarioError
 from galab.scenarios import _Checks, bundled_scenarios, load_scenario, run_remove_pole, \
     run_scenario
+
+from conftest import child_env
 
 ALL_BUNDLED = bundled_scenarios()
 
@@ -25,6 +26,8 @@ CONFIG_PROBES = {
     "grid-below-stencil": ("transform-simple-basic", None, ["--grid", "4,4"]),
     "nan-tolerance": ("transform-simple-basic", None, ["--tol", "nan"]),
     "pole-at-active-node": ("residual-holomorphic", ("u = 0", "u = 1/x"), []),
+    "expression-nests-too-deeply": ("residual-holomorphic",
+                                    ("u = 0", "u = " + "(" * 300 + "0" + ")" * 300), []),
     "exponent-overflow": ("transform-simple-basic",
                           ("psi = z\n", "psi = z^10^30\n"), []),
     "coefficient-overflow": ("series-recursion-canonical",
@@ -55,6 +58,8 @@ CONFIG_PROBES = {
                             []),
     "worst-y-not-a-number": ("series-certify-reject-r0",
                              ("worst_y = 2.0", "worst_y = abc"), []),
+    "worst-y-not-finite": ("series-certify-reject-r0",
+                           ("worst_y = 2.0", "worst_y = inf"), []),
     "chart-half-closed-form": ("conformal-scaling",
                                ("omega_pf_z = 4*exp(z/4) - conj(4*exp(z/4))\n", ""), []),
     "chart-syntax-error": ("conformal-scaling", ("forward = 2*z\n", "forward = 2*z +\n"), []),
@@ -64,6 +69,8 @@ CONFIG_PROBES = {
                                  ("loop_defect = 4.0", "loop_defect = 4.0 +"), []),
     "loop-defect-grid-variable": ("potential-closed-loop",
                                   ("loop_defect = 4.0", "loop_defect = x"), []),
+    "loop-defect-not-finite": ("potential-closed-loop",
+                               ("loop_defect = 4.0", "loop_defect = 1/0"), []),
     "certify-unknown-word": ("series-recursion-canonical",
                              ("certify = pass", "certify = maybe"), []),
     "order-constraints-unknown-word": ("series-recursion-canonical",
@@ -87,16 +94,6 @@ MODEL_PROBES = {
 
 def run_cli(args):
     return main(list(args))
-
-
-def _child_env() -> dict:
-    """This process's environment with galab's source root on PYTHONPATH,
-    which pytest's ``pythonpath`` setting does not pass to children."""
-    src = os.path.dirname(os.path.dirname(galab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 class TestLoading:
@@ -243,7 +240,7 @@ psi = z
         proc = subprocess.run(
             [sys.executable, "-m", "galab.cli", load_scenario(name).pipeline,
              "--scenario", str(path), "--out", str(tmp_path)],
-            capture_output=True, text=True, env=_child_env())
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout.startswith("[FAILED]") and "Traceback" not in proc.stderr
         report = json.loads((tmp_path / f"{name}.report.json").read_text())
@@ -298,7 +295,7 @@ psi = z
         path.write_text(text.replace("r0 = poly: 0.1, -0.2, 0.1\n", ""))
         proc = subprocess.run(
             [sys.executable, "-m", "galab.cli", "series", "--scenario", str(path),
-             "--out", str(tmp_path)], capture_output=True, text=True, env=_child_env())
+             "--out", str(tmp_path)], capture_output=True, text=True, env=child_env())
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout.startswith("[FAILED]") and "Traceback" not in proc.stderr
         report = json.loads((tmp_path / "series-certify-reject-r0.report.json").read_text())
@@ -340,7 +337,7 @@ psi = z
         proc = subprocess.run(
             [sys.executable, "-m", "galab.cli", "series", "--scenario",
              "series-recursion-canonical", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=_child_env())
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert "series-recursion-canonical" in proc.stdout
 
@@ -349,7 +346,7 @@ psi = z
         proc = subprocess.run(
             [sys.executable, "-m", "galab.cli", "transform", "--scenario",
              "transform-simple-basic", "--grid", "4000000,4000000", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=_child_env())
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.startswith("[config error] transform-simple-basic: Unable to allocate")
@@ -365,7 +362,7 @@ psi = z
         proc = subprocess.run(
             [sys.executable, "-c", probe, "series", "--scenario",
              "series-recursion-canonical", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=_child_env())
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
@@ -379,7 +376,7 @@ psi = z
         proc = subprocess.run(
             [sys.executable, "-c", probe, "remove-pole", "--scenario",
              "canonical-pole-removal", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=_child_env())
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == lines[-1] == "False"
