@@ -38,6 +38,11 @@ _DEFAULT_TOLERANCES = {
     "defects": 1e-12,
 }
 
+#: pipeline -> the [profile] seed functions it reads besides interval, order,
+#: phi and r<j>; remove-pole needs both, series recurses given beta_minus1
+_PROFILE_SEEDS = {"series": ("beta_minus1", "im_beta1"),
+                  "remove-pole": ("beta_minus1", "beta_plus_minus1")}
+
 
 @dataclass
 class Scenario:
@@ -49,7 +54,7 @@ class Scenario:
     expressions: dict[str, object]  # parsed expressions
     constants: dict[str, complex]
     chart: dict[str, object]
-    profile: dict[str, object]
+    profile: dict[str, object]  # order, the PoleProfile as "pole", seed functions
     tolerances: dict[str, float]
     expect: dict[str, object]  # parsed expressions and words
 
@@ -165,13 +170,17 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
     if tol_override is not None:
         tolerances[PIPELINES[pipeline][1]] = tol_override
     for key, val in tolerances.items():
+        if key not in _DEFAULT_TOLERANCES and key not in ("flat", "worst_y"):
+            raise ScenarioError(f"scenario {name!r}: unknown tolerance {key!r}")
         if not (math.isfinite(val) and val >= 0):
             raise ScenarioError(
                 f"scenario {name!r}: tolerance {key!r} = {val} is not >= 0")
 
     profile: dict[str, object] = {}
-    if "profile" in parser:
-        profile = _parse_profile_section(parser["profile"], name)
+    if pipeline in _PROFILE_SEEDS:
+        profile = _parse_profile_section(parser, name, pipeline)
+    elif "profile" in parser:
+        raise ScenarioError(f"scenario {name!r}: pipeline {pipeline!r} reads no [profile]")
     if order_override is not None:
         profile["order"] = order_override
     if profile.get("order", 0) < 0:
@@ -189,10 +198,12 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
                           ("omega", "u_tilde", "psi_tilde", "loop_defect")))
     if "loop_defect" in expect:
         try:
-            value = constant_value(expect["loop_defect"]).real
+            value = constant_value(expect["loop_defect"])
         except GalabError as exc:
             raise ScenarioError(f"scenario {name!r}: [expect] loop_defect: {exc}")
-        expect["loop_defect"] = _number(name, "[expect] loop_defect", value)
+        if abs(value.imag) > REAL_DRIFT_TOL:  # a loop defect is real
+            raise ScenarioError(f"scenario {name!r}: [expect] loop_defect is not real")
+        expect["loop_defect"] = _number(name, "[expect] loop_defect", value.real)
 
     return Scenario(name=name, pipeline=pipeline, claim=meta.get("claim", ""),
                     grid=grid, basepoint=basepoint, expressions=expressions,
@@ -225,23 +236,36 @@ def _number(name: str, what: str, text: str | float) -> float:
     return value
 
 
-def _parse_profile_section(sec, name: str) -> dict[str, object]:
-    out: dict[str, object] = {}
-    if sec.get("interval") is None:
-        raise ScenarioError(f"scenario {name!r}: [profile] needs interval = a,b")
+def _parse_profile_section(parser, name: str, pipeline: str) -> dict[str, object]:
+    """The pole profile and the seed functions ``pipeline`` reads, built
+    and checked against phi; a key the pipeline does not read is an error."""
+    from .series import PoleProfile, _check_seed
+    if "profile" not in parser:
+        raise ScenarioError(f"scenario {name!r}: needs a [profile] section")
+    sec, seeds, r = parser["profile"], _PROFILE_SEEDS[pipeline], {}
     try:
-        a, b = (float(v) for v in sec.get("interval").split(","))
-        out["order"] = int(sec.get("order", "8"))
+        a, b = (float(v) for v in sec["interval"].split(","))
+        out: dict[str, object] = {"order": int(sec.get("order", "8"))}
+        for key, val in sec.items():
+            if key in ("interval", "order"):
+                continue
+            index = re.fullmatch(r"r(-?[0-9]+)", key)
+            if not (index or key in ("phi", *seeds)):
+                raise ScenarioError(
+                    f"scenario {name!r}: pipeline {pipeline!r} reads no [profile] key {key!r}")
+            fn = _parse_function(val, (a, b), name, key)
+            if index:
+                r[int(index[1])] = fn
+            else:
+                out[key] = fn
+        out["pole"] = PoleProfile(out["phi"], r)  # checks each r_j against phi
+        for key in seeds:
+            if key in out or pipeline == "remove-pole":  # which needs both seeds
+                _check_seed(out["phi"], out[key], key)
+    except KeyError as exc:
+        raise ScenarioError(f"scenario {name!r}: [profile] needs {exc}")
     except ValueError as exc:
         raise ScenarioError(f"scenario {name!r}: bad [profile] section: {exc}")
-    out["interval"] = (a, b)
-    for key, val in sec.items():
-        if key in ("interval", "order"):
-            continue
-        out[key] = _parse_function(val, (a, b), name, key)
-        if (key in ("beta_minus1", "beta_plus_minus1", "im_beta1")
-                and not out[key].is_real(1e-12)):
-            raise ScenarioError(f"scenario {name!r}: {key!r} must be real-valued")
     return out
 
 
@@ -249,23 +273,17 @@ def _parse_function(text: str, interval, scenario_name: str,
                     key: str) -> FunctionOnInterval:
     from .series import FunctionOnInterval
     kind, _, body = text.partition(":")
-    kind = kind.strip()
-    try:
-        values = [constant_value(item) for item in map(str.strip, body.split(",")) if item]
-    except GalabError as exc:
-        raise ScenarioError(
-            f"scenario {scenario_name!r}: bad coefficient in {key!r}: {exc}")
     make = {"poly": FunctionOnInterval.from_poly,
-            "samples": FunctionOnInterval.from_samples}.get(kind)
-    if make is not None:
-        try:
-            return make(values, interval)
-        except ValueError as exc:  # degree cap, too few samples, non-finite
-            raise ScenarioError(
-                f"scenario {scenario_name!r}: bad function {key!r}: {exc}")
-    raise ScenarioError(
-        f"scenario {scenario_name!r}: function {key!r} must start with "
-        f"'poly:' or 'samples:'")
+            "samples": FunctionOnInterval.from_samples}.get(kind.strip())
+    if make is None:
+        raise ScenarioError(
+            f"scenario {scenario_name!r}: function {key!r} must start with "
+            f"'poly:' or 'samples:'")
+    try:
+        return make([constant_value(item) for item in map(str.strip, body.split(",")) if item],
+                    interval)
+    except (GalabError, ValueError) as exc:  # a bad coefficient, degree cap, too few samples
+        raise ScenarioError(f"scenario {scenario_name!r}: bad function {key!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,27 +468,10 @@ def run_conformal(scn: Scenario, run: _Checks) -> None:
     run.measure("psi_deviation", result.psi_deviation, "commutativity")
 
 
-def _profile_from_scenario(scn: Scenario) -> PoleProfile:
-    from .series import PoleProfile
-    prof = scn.profile
-    if not prof:
-        raise ScenarioError(f"scenario {scn.name!r}: needs a [profile] section")
-    if "phi" not in prof:
-        raise ScenarioError(f"scenario {scn.name!r}: [profile] needs phi")
-    r = {int(key[1:]): value for key, value in prof.items()
-         if key.startswith("r") and key[1:].lstrip("-").isdigit()}
-    if -1 not in r:
-        raise ScenarioError(f"scenario {scn.name!r}: [profile] needs r-1")
-    try:
-        return PoleProfile(prof["phi"], r, n=1)
-    except ValueError as exc:  # a complex phase or leading coefficient
-        raise ScenarioError(f"scenario {scn.name!r}: bad [profile] section: {exc}")
-
-
 def run_series(scn: Scenario, run: _Checks) -> None:
     from .series import (FunctionOnInterval, meromorphic_certify, pole_order_check,
                          series_residual, solve_recursion)
-    profile = _profile_from_scenario(scn)
+    profile = scn.profile["pole"]
     order_res = pole_order_check(profile, n_prime=1)
     run.metrics["order_constraints"] = order_res.to_json()
     if "order_constraints" in scn.expect:
@@ -497,7 +498,7 @@ def run_series(scn: Scenario, run: _Checks) -> None:
     if "beta_minus1" in scn.profile:
         zero = FunctionOnInterval.constant(0.0, profile.phi)
         series = solve_recursion(profile, scn.profile["beta_minus1"],
-                                 scn.profile.get("im_beta1", zero), int(scn.profile["order"]))
+                                 scn.profile.get("im_beta1", zero), scn.profile["order"])
         run.metrics["series"] = series.to_json()
         run.metrics["defects"] = defects = series_residual(profile, series)
         run.add("series_defects", max(defects), "defects")
@@ -505,17 +506,14 @@ def run_series(scn: Scenario, run: _Checks) -> None:
 
 def run_remove_pole(scn: Scenario, run: _Checks) -> None:
     from .singularity import remove_pole, synthesize_seeds, synthesize_singular_u
-    profile = _profile_from_scenario(scn)
+    profile = scn.profile["pole"]
     if scn.grid.excluded_band is None:
         raise ScenarioError(
             f"scenario {scn.name!r}: remove-pole needs a grid with excluded_band")
-    if not {"beta_minus1", "beta_plus_minus1"} <= scn.profile.keys():
-        raise ScenarioError(
-            f"scenario {scn.name!r}: [profile] needs beta_minus1 and beta_plus_minus1")
     u_star, _ = synthesize_singular_u(profile, scn.grid)
     f_star, f_star_plus = synthesize_seeds(
         profile, scn.profile["beta_minus1"], scn.profile["beta_plus_minus1"],
-        scn.grid, int(scn.profile["order"]))
+        scn.grid, scn.profile["order"])
     flat_tol = scn.tolerances.get("flat")
     result = remove_pole(u_star, f_star, f_star_plus,
                          scn.constant("constant"), flat_tol=flat_tol)

@@ -124,8 +124,8 @@ class FunctionOnInterval:
     @classmethod
     def from_poly(cls, coeffs, interval: tuple[float, float]) -> "FunctionOnInterval":
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        if coeffs.size - 1 > _MAX_DEGREE:
-            raise ValueError(f"polynomial degree limited to {_MAX_DEGREE}")
+        if not 1 <= coeffs.size <= _MAX_DEGREE + 1:  # an empty one has no value
+            raise ValueError(f"a polynomial has degree 0 to {_MAX_DEGREE}")
         return cls(interval[0], interval[1], "poly", coeffs)
 
     @classmethod
@@ -222,19 +222,16 @@ class FunctionOnInterval:
 class PoleProfile:
     """Singular coefficient data: phase phi and Laurent coefficients r_j.
 
-    ``n`` is the pole order (the lowest index is -n).  Coefficients not
-    listed in ``r`` are zero.
+    Coefficients not listed in ``r`` are zero; the lowest listed index
+    is the pole order ``n``, negated.
     """
 
     phi: FunctionOnInterval
     r: Mapping[int, FunctionOnInterval]
-    n: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("pole order must be >= 1")
-        if -self.n not in self.r:
-            raise ValueError(f"profile must supply the order {-self.n} coefficient")
+        if min(self.r, default=0) >= 0:
+            raise ValueError("profile must supply a negative-order coefficient")
         if not self.phi.is_real(1e-12):
             raise ValueError("phase must be real-valued")
         if not self.r[-self.n].is_real(1e-12):
@@ -242,6 +239,10 @@ class PoleProfile:
         for fn in self.r.values():
             self.phi._check_compatible(fn)
         object.__setattr__(self, "r", dict(self.r))
+
+    @property
+    def n(self) -> int:
+        return -min(self.r)
 
     @property
     def mode(self) -> str:
@@ -309,21 +310,28 @@ def _worst(fn_values: np.ndarray, nodes: np.ndarray) -> tuple[float, float]:
     return float(nodes[k]), float(np.abs(fn_values[k]))
 
 
+def _lead_check(profile: PoleProfile, target: float, condition: str,
+                modulus: bool = False) -> CheckResult:
+    """Whether the pole is simple and r_-1 (|r_-1| with ``modulus``) is
+    ``target`` within LEAD_TOL; a failed value check is named ``condition``."""
+    if profile.n != 1:
+        return CheckResult(False, f"pole order n = {profile.n}, expected 1")
+    lead = profile.r[-1]
+    nodes = lead.nodes()
+    values = lead.values_on(nodes)
+    dev = np.abs((np.abs(values) if modulus else values) - target)
+    if np.max(dev) > LEAD_TOL:
+        return CheckResult(False, condition, *_worst(dev, nodes))
+    return CheckResult(True)
+
+
 def pole_order_check(profile: PoleProfile, n_prime: int) -> CheckResult:
     """Order constraints for a series solution with a pole of order n'.
 
     Existence of any such solution forces the coefficient pole to be
     simple and its leading modulus to equal n'/2 identically.
     """
-    if profile.n != 1:
-        return CheckResult(False, f"pole order n = {profile.n}, expected 1")
-    lead = profile.r_fn(-1)
-    nodes = lead.nodes()
-    dev = np.abs(np.abs(lead.values_on(nodes)) - n_prime / 2.0)
-    if np.max(dev) > LEAD_TOL:
-        y, value = _worst(dev, nodes)
-        return CheckResult(False, f"|r_-1| != {n_prime}/2", y, value)
-    return CheckResult(True)
+    return _lead_check(profile, n_prime / 2.0, f"|r_-1| != {n_prime}/2", modulus=True)
 
 
 def normalize_profile(profile: PoleProfile) -> PoleProfile:
@@ -333,15 +341,12 @@ def normalize_profile(profile: PoleProfile) -> PoleProfile:
     represented coefficient u unchanged.  Profiles whose leading
     coefficient is not +1/2 are rejected.
     """
-    if profile.n != 1:
-        raise NormalizationError(f"pole order n = {profile.n}, expected 1")
-    lead = profile.r_fn(-1)
-    nodes = lead.nodes()
-    if np.max(np.abs(lead.values_on(nodes) - 0.5)) > LEAD_TOL:
-        raise NormalizationError("leading coefficient is not identically +1/2")
+    lead = _lead_check(profile, 0.5, "leading coefficient is not identically +1/2")
+    if not lead.ok:
+        raise NormalizationError(lead.condition)
     phi = profile.phi + (math.pi / 2)
     r = {j: -fn for j, fn in profile.r.items()}
-    return PoleProfile(phi, r, profile.n)
+    return PoleProfile(phi, r)
 
 
 def meromorphic_certify(profile: PoleProfile, tol: float | None = None) -> CheckResult:
@@ -351,7 +356,9 @@ def meromorphic_certify(profile: PoleProfile, tol: float | None = None) -> Check
     second derivative of the phase.  Requires a normalized profile
     (n = 1, r_-1 = -1/2).
     """
-    _require_normalized(profile)
+    lead = _lead_check(profile, -0.5, "profile is not normalized to r_-1 = -1/2")
+    if not lead.ok:
+        raise NormalizationError(lead.condition)
     tol = profile.tolerance(tol)
     nodes = profile.phi.nodes()
     re_r0 = profile.r_fn(0).values_on(nodes).real
@@ -366,12 +373,20 @@ def meromorphic_certify(profile: PoleProfile, tol: float | None = None) -> Check
     return CheckResult(True)
 
 
-def _require_normalized(profile: PoleProfile):
-    if profile.n != 1:
-        raise NormalizationError(f"pole order n = {profile.n}, expected 1")
-    lead = profile.r_fn(-1)
-    if np.max(np.abs(lead.values_on(lead.nodes()) + 0.5)) > LEAD_TOL:
-        raise NormalizationError("profile is not normalized to r_-1 = -1/2")
+def _require_certified(profile: PoleProfile, tol: float | None = None) -> None:
+    """Raise MeromorphicViolation unless ``meromorphic_certify`` passes."""
+    cert = meromorphic_certify(profile, tol)
+    if not cert.ok:
+        raise MeromorphicViolation(
+            f"profile fails certification: {cert.condition} "
+            f"(worst |value| {cert.worst_value:.3e} at y = {cert.worst_y})")
+
+
+def _check_seed(phi: FunctionOnInterval, fn: FunctionOnInterval, name: str) -> None:
+    """A seed function lives on phi's interval and nodes, and is real."""
+    phi._check_compatible(fn)
+    if not fn.is_real(1e-12):
+        raise NonRealCoefficientError(f"{name} must be real-valued")
 
 
 def conjugate_profile(profile: PoleProfile) -> PoleProfile:
@@ -382,7 +397,7 @@ def conjugate_profile(profile: PoleProfile) -> PoleProfile:
     """
     phi = -(profile.phi + (math.pi / 2))
     r = {j: fn.conj() for j, fn in profile.r.items()}
-    return PoleProfile(phi, r, profile.n)
+    return PoleProfile(phi, r)
 
 
 def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
@@ -409,19 +424,11 @@ def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
     higher equation splits into real and imaginary parts that determine
     the next coefficient.
     """
-    cert = meromorphic_certify(profile, tol)
-    if not cert.ok:
-        raise MeromorphicViolation(
-            f"profile fails certification: {cert.condition} "
-            f"(worst |value| {cert.worst_value:.3e} at y = {cert.worst_y})")
+    _require_certified(profile, tol)
     tol = profile.tolerance(tol)
-    if not beta_minus1.is_real(1e-12):
-        raise NonRealCoefficientError("beta_minus1 must be real-valued")
-    if not im_beta1.is_real(1e-12):
-        raise NonRealCoefficientError("im_beta1 must be real-valued")
     phi = profile.phi
-    phi._check_compatible(beta_minus1)
-    phi._check_compatible(im_beta1)
+    _check_seed(phi, beta_minus1, "beta_minus1")
+    _check_seed(phi, im_beta1, "im_beta1")
 
     # one pass over raw coefficient arrays; each beta_j is wrapped in a
     # FunctionOnInterval, which checks it is finite, once, when produced

@@ -10,7 +10,7 @@ together with per-row Laurent fits of the transformed coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,7 @@ from .grid import Field, GridSpec, _scrub, diff_axis
 from .moutard import moutard_simple
 from .potential import Potential, omega_singular
 from .series import (CoefficientSeries, FunctionOnInterval, PoleProfile,
-                     conjugate_profile, meromorphic_certify, polyval, solve_recursion)
+                     _require_certified, conjugate_profile, polyval, solve_recursion)
 
 #: default truncation order for synthesized seed series
 DEFAULT_ORDER = 8
@@ -51,24 +51,19 @@ FIT_MIN_COLUMNS = 6
 
 @dataclass(frozen=True)
 class SingularFieldModel:
-    """Field of the form phase(y) * leading(y) / x + smooth remainder.
+    """Field of the form exp(i*phi(y)) * leading(y) / x + smooth remainder.
 
-    ``phase_kind`` selects the phase factor: "solution" uses
-    exp(i*phi(y)) and "coefficient" uses exp(2i*phi(y)); conjugate-side
-    seeds carry their own shifted phi, so they are "solution" models
-    too.
+    A coefficient's model carries twice its profile's phase, and a
+    conjugate-side seed the conjugate profile's shifted phase.
     """
 
     grid: GridSpec
     leading: FunctionOnInterval
     phi: FunctionOnInterval
-    phase_kind: str
     smooth_remainder: Field
     series: CoefficientSeries | None = None
 
     def __post_init__(self):
-        if self.phase_kind not in ("solution", "coefficient"):
-            raise SingularModelError(f"unknown phase kind {self.phase_kind!r}")
         if self.smooth_remainder.grid != self.grid:
             raise SingularModelError("smooth remainder lives on a different grid")
         vals = self.smooth_remainder.values  # checked on float views
@@ -76,10 +71,7 @@ class SingularFieldModel:
             raise NonFiniteFieldError("smooth remainder must be finite on the closed strip")
 
     def phase_values(self, ys: np.ndarray) -> np.ndarray:
-        phi = self.phi.values_on(ys).real
-        if self.phase_kind == "solution":
-            return np.exp(1j * phi)
-        return np.exp(2j * phi)
+        return np.exp(1j * self.phi.values_on(ys).real)
 
     def evaluate(self) -> Field:
         """Full values on the grid; the in-band 1/x blowup is zeroed
@@ -101,11 +93,13 @@ class SingularFieldModel:
                                   out=sing))
 
 
-def _series_remainder(series: CoefficientSeries, grid: GridSpec) -> Field:
-    """exp(i*phi) * sum_{j>=0} beta_j x^j sampled on the grid."""
-    phase = np.exp(1j * series.phi.values_on(grid.ys).real)
-    return Field(grid, _power_sum(
-        grid, phase, [series.beta_fn(j) for j in range(series.order + 1)]))
+def _laurent_model(grid: GridSpec, phi: FunctionOnInterval, coeff, top: int,
+                   series: CoefficientSeries | None = None) -> SingularFieldModel:
+    """exp(i*phi) * sum_{j=-1..top} coeff(j) x^j as a model on the grid:
+    leading coeff(-1), the terms j >= 0 summed into the remainder."""
+    phase = np.exp(1j * phi.values_on(grid.ys).real)
+    remainder = _power_sum(grid, phase, [coeff(j) for j in range(top + 1)])
+    return SingularFieldModel(grid, coeff(-1), phi, Field(grid, remainder), series)
 
 
 def _power_sum(grid: GridSpec, phase: np.ndarray,
@@ -136,16 +130,9 @@ def synthesize_singular_u(profile: PoleProfile, grid: GridSpec,
     Returns the full field together with its split into the explicit
     1/x part and the bounded remainder.
     """
-    cert = meromorphic_certify(profile, tol)
-    if not cert.ok:
-        raise MeromorphicViolation(
-            f"profile fails certification: {cert.condition} "
-            f"(worst |value| {cert.worst_value:.3e} at y = {cert.worst_y})")
-    phase = np.exp(2j * profile.phi.values_on(grid.ys).real)
-    remainder = Field(grid, _power_sum(
-        grid, phase, [profile.r_fn(j) for j in range(profile.max_order() + 1)]))
-    model = SingularFieldModel(grid, profile.r_fn(-1), profile.phi,
-                               "coefficient", remainder)
+    _require_certified(profile, tol)
+    # u = exp(2i*phi) * sum_j r_j x^j; doubling phi is exact
+    model = _laurent_model(grid, 2.0 * profile.phi, profile.r_fn, profile.max_order())
     return model.evaluate(), model
 
 
@@ -173,8 +160,7 @@ def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
     series_f = solve_recursion(profile, beta_minus1,
                                im_beta1 if im_beta1 is not None else zero,
                                order, tol)
-    conj_prof = conjugate_profile(profile)
-    series_fp = solve_recursion(conj_prof, beta_plus_minus1,
+    series_fp = solve_recursion(conjugate_profile(profile), beta_plus_minus1,
                                 im_beta1_plus if im_beta1_plus is not None else zero,
                                 order, tol)
 
@@ -190,11 +176,8 @@ def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
             f"order-0 coefficients disagree with the first-order relations: "
             f"direct {gap:.3e}, conjugate {gap_plus:.3e}")
 
-    f_model = SingularFieldModel(grid, beta_minus1, profile.phi, "solution",
-                                 _series_remainder(series_f, grid), series_f)
-    fp_model = SingularFieldModel(grid, beta_plus_minus1, conj_prof.phi, "solution",
-                                  _series_remainder(series_fp, grid), series_fp)
-    return f_model, fp_model
+    return tuple(_laurent_model(grid, series.phi, series.beta_fn, series.order, series)
+                 for series in (series_f, series_fp))
 
 
 @dataclass(frozen=True)
@@ -275,16 +258,9 @@ class PoleRemovalResult:
         return not self.verdict.startswith("fail")
 
     def to_json(self) -> dict:
-        return {
-            "delta_ladder": list(self.delta_ladder),
-            "sup_u_tilde": list(self.sup_u_tilde),
-            "fitted_c_minus2": list(self.fitted_c_minus2),
-            "fitted_c_minus1": list(self.fitted_c_minus1),
-            "fitted_c0": list(self.fitted_c0),
-            "residue_c_minus1": self.residue_c_minus1,
-            "residue_scale": self.residue_scale,
-            "verdict": self.verdict,
-        }
+        """The diagnostics: every field but the two grids, tuples as they are."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("u_tilde", "omega")}
 
 
 def remove_pole(u_star: Field, f_star: SingularFieldModel,

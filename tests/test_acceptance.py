@@ -300,8 +300,7 @@ def test_criterion_7_pole_removal():
     u_star, f, fp = _removal_case(profile, *leadings[0], grid)
     phase = np.exp(1j * profile.phi.values_on(grid.ys).real)
     sab = Field(grid, f.smooth_remainder.values + phase[None, :])
-    f_sab = SingularFieldModel(grid, f.leading, f.phi, f.phase_kind, sab,
-                               f.series)
+    f_sab = SingularFieldModel(grid, f.leading, f.phi, sab, f.series)
     res_sab = remove_pole(u_star, f_sab, fp)
     assert not res_sab.passed
 

@@ -35,6 +35,8 @@ CONFIG_PROBES = {
                               "beta_minus1 = poly: 1e400\n"), []),
     "profile-degree-cap": ("series-recursion-canonical",
                            ("phi = poly: 0\n", "phi = poly: " + "0," * 17 + "0\n"), []),
+    "profile-empty-poly": ("series-recursion-canonical",
+                           ("phi = poly: 0\n", "phi = poly:\n"), []),
     "profile-few-samples": ("series-recursion-canonical",
                             ("phi = poly: 0\n", "phi = samples: 0,0,0\n"), []),
     "complex-beta-minus1": ("series-recursion-canonical",
@@ -71,6 +73,22 @@ CONFIG_PROBES = {
                                   ("loop_defect = 4.0", "loop_defect = x"), []),
     "loop-defect-not-finite": ("potential-closed-loop",
                                ("loop_defect = 4.0", "loop_defect = 1/0"), []),
+    "loop-defect-not-real": ("potential-closed-loop",
+                             ("loop_defect = 4.0", "loop_defect = 4.0 + 7i"), []),
+    "tolerance-unknown-key": ("transform-simple-basic",
+                              ("residual_after = 1e-10", "residual_afterr = 1e-30"), []),
+    "profile-seed-mixed-kinds": ("series-recursion-canonical",
+                                 ("beta_minus1 = poly: 1\n",
+                                  "beta_minus1 = samples: 1,1,1,1,1\n"), []),
+    "profile-unknown-key": ("series-recursion-canonical",
+                            ("beta_minus1 = poly: 1\n", "beta_minus_1 = poly: 1\n"), []),
+    "profile-key-not-read": ("series-recursion-canonical",
+                             ("beta_minus1 = poly: 1\n",
+                              "beta_minus1 = poly: 1\nbeta_plus_minus1 = poly: 1\n"), []),
+    "profile-key-not-read-by-remove-pole": ("canonical-pole-removal",
+                                            ("beta_plus_minus1 = poly: 1\n",
+                                             "beta_plus_minus1 = poly: 1\nim_beta1 = poly: 0\n"),
+                                            []),
     "certify-unknown-word": ("series-recursion-canonical",
                              ("certify = pass", "certify = maybe"), []),
     "order-constraints-unknown-word": ("series-recursion-canonical",
@@ -89,6 +107,9 @@ MODEL_PROBES = {
                       "SeedResidualError"),
     "wrong-inverse": ("conformal-scaling", ("inverse = z/2\n", "inverse = z/3\n"),
                       "DegenerateChartError"),
+    "profile-double-pole": ("series-recursion-canonical",
+                            ("r-1 = poly: -0.5\n", "r-2 = poly: 7\nr-1 = poly: -0.5\n"),
+                            "NormalizationError"),
 }
 
 
@@ -384,13 +405,19 @@ psi = z
 
 def _mutations(text: str):
     """The scenario text with each `key = value` line dropped, then with
-    its value set to abc."""
+    its value set to abc, and each `poly: c0, ...` value rewritten as the
+    five samples c0, so that one profile function is in the other mode."""
     lines = text.splitlines(keepends=True)
     for i, line in enumerate(lines):
-        key, eq, _ = line.partition("=")
+        key, eq, value = line.partition("=")
         if eq:
             yield "".join(lines[:i] + lines[i + 1:])
             yield "".join(lines[:i] + [f"{key.strip()} = abc\n"] + lines[i + 1:])
+            kind, _, coeffs = value.partition(":")
+            if kind.strip() == "poly":
+                samples = ", ".join([coeffs.split(",")[0].strip()] * 5)
+                yield "".join(lines[:i] + [f"{key.strip()} = samples: {samples}\n"]
+                              + lines[i + 1:])
 
 
 class TestMutatedScenarios:

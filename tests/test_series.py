@@ -76,7 +76,7 @@ class TestLemma1:
         assert pole_order_check(canonical_profile(), 1).ok
 
     def test_wrong_pole_order(self):
-        prof = PoleProfile(poly(0.0), {-2: poly(-0.5)}, n=2)
+        prof = PoleProfile(poly(0.0), {-2: poly(-0.5)})
         res = pole_order_check(prof, 1)
         assert not res.ok and "n = 2" in res.condition
 

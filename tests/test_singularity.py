@@ -11,8 +11,7 @@ from galab.errors import (BandRequiredError, FitError, GalabError,
 from galab.grid import Field, GridSpec
 from galab.potential import Potential, omega_singular
 from galab.series import FunctionOnInterval, PoleProfile
-from galab.singularity import (SingularFieldModel, _series_remainder,
-                               fit_laurent_profile, remove_pole,
+from galab.singularity import (SingularFieldModel, fit_laurent_profile, remove_pole,
                                synthesize_seeds, synthesize_singular_u)
 
 from conftest import assert_same_bits, reference_integrate_form
@@ -47,12 +46,13 @@ class TestSynthesizeU:
         u, model = synthesize_singular_u(canonical_profile(), grid)
         expected = -1.0 / (2 * grid.x[grid.mask])
         assert np.max(np.abs(u.values[grid.mask] - expected)) == 0.0
-        assert model.phase_kind == "coefficient"
+        assert np.array_equal(model.phi.data, 2.0 * canonical_profile().phi.data)
 
     def test_phase_profile_evaluation(self, grid):
         prof = PoleProfile(poly(0.0, 0.0, 1.0),
                            {-1: poly(-0.5), 1: poly(1j)})
-        u, _ = synthesize_singular_u(prof, grid)
+        u, model = synthesize_singular_u(prof, grid)
+        assert np.array_equal(model.phi.data, [0, 0, 2])  # the coefficient's phase 2*phi
         mask = grid.mask
         expected = np.exp(2j * grid.y ** 2) * (-1 / (2 * grid.x) + 1j * grid.x)
         assert np.max(np.abs(u.values[mask] - expected[mask])) < 1e-13
@@ -135,7 +135,6 @@ class TestOmegaSingular:
         f, fp = synthesize_seeds(canonical_profile(), poly(1.0), poly(1.0),
                                  grid, order=4)
         flipped = SingularFieldModel(grid, -1.0 * fp.leading, fp.phi,
-                                     fp.phase_kind,
                                      Field(grid, -1.0 * fp.smooth_remainder.values),
                                      None)
         with pytest.raises(PositivityError):
@@ -298,8 +297,7 @@ class TestRemovePole:
                                  grid, order=8)
         phase = np.exp(1j * prof.phi.values_on(grid.ys).real)
         sab = Field(grid, f.smooth_remainder.values + phase[None, :])
-        f_sab = SingularFieldModel(grid, f.leading, f.phi, f.phase_kind, sab,
-                                   f.series)
+        f_sab = SingularFieldModel(grid, f.leading, f.phi, sab, f.series)
         result = remove_pole(u, f_sab, fp)
         assert not result.passed
         assert result.residue_c_minus1 > 1e3 * (
@@ -330,21 +328,18 @@ class TestTypedErrors:
     still ValueErrors."""
 
     @staticmethod
-    def model(grid, remainder=None, kind="solution"):
+    def model(grid, remainder=None):
         values = np.zeros(grid.shape()) if remainder is None else remainder
-        return SingularFieldModel(grid, poly(1.0), poly(0.0), kind, Field(grid, values))
+        return SingularFieldModel(grid, poly(1.0), poly(0.0), Field(grid, values))
 
     def raises(self, error, fn, *args):
         with pytest.raises(error) as info:
             fn(*args)
         assert isinstance(info.value, GalabError) and isinstance(info.value, ValueError)
 
-    def test_unknown_phase_kind(self, grid):
-        self.raises(SingularModelError, self.model, grid, None, "spinor")
-
     def test_remainder_on_another_grid(self, grid):
         self.raises(SingularModelError, SingularFieldModel, grid, poly(1.0), poly(0.0),
-                    "solution", Field(strip_grid(nx=481), np.zeros((481, 61))))
+                    Field(strip_grid(nx=481), np.zeros((481, 61))))
 
     def test_remainder_non_finite_in_the_band(self, grid):
         vals = np.zeros(grid.shape())
@@ -491,8 +486,9 @@ class TestStripMatchesReference:
         cases = [(model.smooth_remainder.values, 2j, prof.phi,
                   [prof.r_fn(j) for j in range(2)])]
         f, fp = synthesize_seeds(prof, lead, lead_plus, grid, 8, im_beta1=im_beta1)
-        for series in (f.series, fp.series):
-            cases.append((_series_remainder(series, grid).values, 1j, series.phi,
+        for seed_model in (f, fp):
+            series = seed_model.series
+            cases.append((seed_model.smooth_remainder.values, 1j, series.phi,
                           [series.beta_fn(j) for j in range(9)]))
         nodes = oracle_nodes(grid, seed)
         for got, kind, phi, fns in cases:
