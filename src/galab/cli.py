@@ -4,8 +4,8 @@ Usage:  galab <pipeline> --scenario FILE_OR_NAME [--out DIR] [--grid NX,NY]
         [--tol T] [--order K] [--jobs N]
         galab --list-scenarios
 
-Exit codes: 0 all checks passed, 1 configuration error, 2 check failed.
-The output directory defaults to $GALAB_OUT, then ./galab-out.
+Exit codes: 0 all checks passed, 1 configuration or usage error, 2 check
+failed. The output directory defaults to $GALAB_OUT, then ./galab-out.
 """
 
 from __future__ import annotations
@@ -18,12 +18,15 @@ from .errors import GalabError, ScenarioError
 from .scenarios import PIPELINES, bundled_scenarios, load_scenario, run_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a configuration error: exit 1, not 2
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def _run_one(ref: str, pipeline: str, out: str,
-             grid: tuple[int, int] | None, tol: float | None,
-             order: int | None) -> tuple[int, str]:
+             overrides: dict[str, dict[str, str]]) -> tuple[int, str]:
     try:
-        scn = load_scenario(ref, grid_override=grid, tol_override=tol,
-                            order_override=order)
+        scn = load_scenario(ref, overrides)
         if scn.pipeline != pipeline:
             raise ScenarioError(
                 f"scenario {scn.name!r} declares pipeline {scn.pipeline!r}, "
@@ -49,28 +52,31 @@ def main(argv: list[str] | None = None) -> int:
                        help="scenario file path or bundled scenario name (repeatable)")
     flags.add_argument("--out", default=None, help="report directory")
     flags.add_argument("--grid", default=None, metavar="NX,NY", help="override grid resolution")
-    flags.add_argument("--tol", type=float, default=None,
-                       help="override the pipeline's primary tolerance")
-    flags.add_argument("--order", type=int, default=None,
-                       help="override the series truncation order")
+    flags.add_argument("--tol", default=None, help="override the pipeline's primary tolerance")
+    flags.add_argument("--order", default=None, help="override the series truncation order")
     flags.add_argument("--jobs", type=int, default=1, help="run scenarios concurrently")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galab",
         description="verification pipelines for quadrature-generated "
                     "transforms of generalized analytic functions")
     sub = parser.add_subparsers(dest="pipeline", required=True)
     for name in PIPELINES:
         sub.add_parser(name, help=f"run a {name} scenario", parents=[flags])
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.jobs < 1:
+            sub.choices[args.pipeline].error(f"argument --jobs: {args.jobs} is below 1")
+    except ScenarioError as exc:
+        print(f"[config error] {exc}")
+        return 1
 
     out = args.out or os.environ.get("GALAB_OUT") or "galab-out"
-    grid = None
-    if args.grid:
-        try:
-            nx, ny = (int(v) for v in args.grid.split(","))
-        except ValueError:
-            parser.error("--grid expects NX,NY")
-        grid = (nx, ny)
+    # each flag is the text of a scenario value, read and checked by the loader
+    nx, _, ny = (args.grid or "").partition(",")  # "30,30,4" leaves ny = "30,4", not an int
+    overrides = {section: values for section, values, flag in (
+        ("grid", {"nx": nx, "ny": ny}, args.grid),
+        ("tolerances", {PIPELINES[args.pipeline][1]: args.tol}, args.tol),
+        ("profile", {"order": args.order}, args.order)) if flag is not None}
 
     refs = args.scenario
     if args.jobs > 1 and len(refs) > 1:
@@ -78,12 +84,11 @@ def main(argv: list[str] | None = None) -> int:
         # a single-scenario run does not pay for importing them
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_one, ref, args.pipeline, out, grid,
-                                   args.tol, args.order) for ref in refs]
+            futures = [pool.submit(_run_one, ref, args.pipeline, out, overrides)
+                       for ref in refs]
             results = [f.result() for f in futures]
     else:
-        results = [_run_one(ref, args.pipeline, out, grid, args.tol, args.order)
-                   for ref in refs]
+        results = [_run_one(ref, args.pipeline, out, overrides) for ref in refs]
 
     worst = 0
     for code, message in results:

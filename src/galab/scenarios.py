@@ -38,6 +38,22 @@ _DEFAULT_TOLERANCES = {
     "defects": 1e-12,
 }
 
+#: section -> the keys it may hold: [DEFAULT] none, as configparser would
+#: copy them into every section; [constants] names are free, and
+#: _parse_profile_section checks [profile] keys against the pipeline
+_SECTION_KEYS = {
+    "DEFAULT": (),
+    "scenario": ("name", "pipeline", "claim"),
+    "grid": ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "excluded_band", "basepoint"),
+    "expressions": ("u", "psi", "psi_plus", "f1", "f1_plus", "f2", "f2_plus"),
+    "constants": None,
+    "chart": ("forward", "derivative", "inverse", "omega_ff_z", "omega_pf_z"),
+    "profile": None,
+    "tolerances": (*_DEFAULT_TOLERANCES, "flat", "worst_y"),
+    "expect": ("omega", "u_tilde", "psi_tilde", "loop_defect",
+               "worst_y", "certify", "order_constraints", "exactness_error"),
+}
+
 #: pipeline -> the [profile] seed functions it reads besides interval, order,
 #: phi and r<j>; remove-pole needs both, series recurses given beta_minus1
 _PROFILE_SEEDS = {"series": ("beta_minus1", "im_beta1"),
@@ -55,11 +71,8 @@ class Scenario:
     constants: dict[str, complex]
     chart: dict[str, object]
     profile: dict[str, object]  # order, the PoleProfile as "pole", seed functions
-    tolerances: dict[str, float]
+    tolerances: dict[str, float]  # the defaults, updated by the file's
     expect: dict[str, object]  # parsed expressions and words
-
-    def tol(self, key: str) -> float:
-        return self.tolerances[key] if key in self.tolerances else _DEFAULT_TOLERANCES[key]
 
     def expression(self, key: str) -> object:
         if key not in self.expressions:
@@ -95,13 +108,14 @@ def _scenario_text(ref: str) -> str:
     raise ScenarioError(f"scenario {ref!r} not found (no such file or bundled name)")
 
 
-def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
-                  tol_override: float | None = None,
-                  order_override: int | None = None) -> Scenario:
-    """Load a scenario from a path or a bundled name."""
+def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) -> Scenario:
+    """Load a scenario from a path or a bundled name; ``overrides``
+    ({section: {key: text}}, the CLI flags) is merged into the file's
+    text and read and checked as if it were written there."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(_scenario_text(ref))
+        parser.read_dict(overrides or {})
     except configparser.Error as exc:
         raise ScenarioError(f"cannot parse scenario {ref!r}: {exc}") from exc
     if "scenario" not in parser:
@@ -112,6 +126,18 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
     if pipeline not in PIPELINES:
         raise ScenarioError(f"scenario {name!r}: unknown pipeline {pipeline!r}")
 
+    for section in parser:  # [DEFAULT] first, before its keys show in every section
+        if section not in _SECTION_KEYS:
+            raise ScenarioError(f"scenario {name!r}: unknown section [{section}]")
+        for key in parser[section] if _SECTION_KEYS[section] is not None else ():
+            if key not in _SECTION_KEYS[section]:
+                raise ScenarioError(f"scenario {name!r}: [{section}] has no key {key!r}")
+    for section, readers in (("grid", set(PIPELINES) - {"series"}), ("chart", {"conformal"}),
+                             ("profile", _PROFILE_SEEDS)):
+        if (section in parser) != (pipeline in readers):
+            raise ScenarioError(f"scenario {name!r}: pipeline {pipeline!r} "
+                                f"{'needs a' if pipeline in readers else 'reads no'} [{section}]")
+
     grid = None
     basepoint = (0, 0)
     if "grid" in parser:
@@ -119,70 +145,48 @@ def load_scenario(ref: str, grid_override: tuple[int, int] | None = None,
         try:
             kwargs = {k: float(gsec[k]) for k in ("x_min", "x_max", "y_min", "y_max")}
             kwargs.update(nx=int(gsec["nx"]), ny=int(gsec["ny"]))
-            if "excluded_band" in gsec:
+            if "excluded_band" in gsec or pipeline == "remove-pole":  # its fits need the band
                 kwargs["excluded_band"] = float(gsec["excluded_band"])
+            i, j = (int(v) for v in gsec.get("basepoint", "0,0").split(","))
         except KeyError as exc:
             raise ScenarioError(f"scenario {name!r}: [grid] needs {exc}")
         except ValueError as exc:
             raise ScenarioError(f"scenario {name!r}: bad [grid] section: {exc}")
-        if grid_override is not None:
-            kwargs["nx"], kwargs["ny"] = grid_override
         if min(kwargs["nx"], kwargs["ny"]) < 5:  # the stencils' width
             raise ScenarioError(f"scenario {name!r}: grid needs >= 5 nodes per axis")
         try:
             grid = GridSpec(**kwargs)
         except ValueError as exc:
             raise ScenarioError(f"scenario {name!r}: invalid grid: {exc}")
-        if gsec.get("basepoint"):
-            try:
-                i, j = (int(v) for v in gsec.get("basepoint").split(","))
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"scenario {name!r}: basepoint must be i,j: {exc}")
-            if not (0 <= i < grid.nx and 0 <= j < grid.ny):
-                raise ScenarioError(
-                    f"scenario {name!r}: basepoint {i},{j} is off the grid")
-            basepoint = (i, j)
-    elif pipeline != "series":
-        raise ScenarioError(
-            f"scenario {name!r}: pipeline {pipeline!r} needs a [grid] section")
+        if not (0 <= i < grid.nx and 0 <= j < grid.ny):
+            raise ScenarioError(f"scenario {name!r}: basepoint {i},{j} is off the grid")
+        basepoint = (i, j)
 
     constants = {}
-    if "constants" in parser:
-        for key, val in parser["constants"].items():
-            try:
-                constants[key] = constant_value(val)
-            except GalabError as exc:
-                raise ScenarioError(
-                    f"scenario {name!r}: bad constant {key!r}: {exc}")
-            if abs(constants[key].real) > REAL_DRIFT_TOL:
-                raise ScenarioError(
-                    f"scenario {name!r}: constant {key!r} is not imaginary")
+    for key, val in parser["constants"].items() if "constants" in parser else ():
+        try:
+            constants[key] = constant_value(val)
+        except GalabError as exc:
+            raise ScenarioError(
+                f"scenario {name!r}: bad constant {key!r}: {exc}")
+        if abs(constants[key].real) > REAL_DRIFT_TOL:
+            raise ScenarioError(
+                f"scenario {name!r}: constant {key!r} is not imaginary")
 
     expressions, chart = _parsed(parser, "expressions", name), _parsed(parser, "chart", name)
     if ("omega_ff_z" in chart) != ("omega_pf_z" in chart):
         raise ScenarioError(
             f"scenario {name!r}: [chart] needs omega_ff_z and omega_pf_z together")
+    if pipeline == "conformal" and not {"forward", "derivative", "inverse"} <= chart.keys():
+        raise ScenarioError(f"scenario {name!r}: [chart] needs forward, derivative and inverse")
 
-    tolerances = {key: _number(name, f"tolerance {key!r}", val)
-                  for key, val in (parser["tolerances"].items()
-                                   if "tolerances" in parser else ())}
-    if tol_override is not None:
-        tolerances[PIPELINES[pipeline][1]] = tol_override
-    for key, val in tolerances.items():
-        if key not in _DEFAULT_TOLERANCES and key not in ("flat", "worst_y"):
-            raise ScenarioError(f"scenario {name!r}: unknown tolerance {key!r}")
-        if not (math.isfinite(val) and val >= 0):
-            raise ScenarioError(
-                f"scenario {name!r}: tolerance {key!r} = {val} is not >= 0")
+    tolerances = dict(_DEFAULT_TOLERANCES)
+    for key, text in parser["tolerances"].items() if "tolerances" in parser else ():
+        tolerances[key] = val = _number(name, f"tolerance {key!r}", text)
+        if val < 0:
+            raise ScenarioError(f"scenario {name!r}: tolerance {key!r} = {val} is not >= 0")
 
-    profile: dict[str, object] = {}
-    if pipeline in _PROFILE_SEEDS:
-        profile = _parse_profile_section(parser, name, pipeline)
-    elif "profile" in parser:
-        raise ScenarioError(f"scenario {name!r}: pipeline {pipeline!r} reads no [profile]")
-    if order_override is not None:
-        profile["order"] = order_override
+    profile = _parse_profile_section(parser, name, pipeline) if "profile" in parser else {}
     if profile.get("order", 0) < 0:
         raise ScenarioError(f"scenario {name!r}: order {profile['order']} is below 0")
 
@@ -240,8 +244,6 @@ def _parse_profile_section(parser, name: str, pipeline: str) -> dict[str, object
     """The pole profile and the seed functions ``pipeline`` reads, built
     and checked against phi; a key the pipeline does not read is an error."""
     from .series import PoleProfile, _check_seed
-    if "profile" not in parser:
-        raise ScenarioError(f"scenario {name!r}: needs a [profile] section")
     sec, seeds, r = parser["profile"], _PROFILE_SEEDS[pipeline], {}
     try:
         a, b = (float(v) for v in sec["interval"].split(","))
@@ -302,7 +304,7 @@ class _Checks:
     def add(self, name: str, value: float, threshold: float | str) -> None:
         """Check value <= threshold, a number or a tolerance key."""
         if isinstance(threshold, str):
-            threshold = self.scn.tol(threshold)
+            threshold = self.scn.tolerances[threshold]
         self.items.append({"name": name, "value": float(value),
                            "threshold": float(threshold),
                            "passed": bool(value <= threshold)})
@@ -448,10 +450,6 @@ def run_invert(scn: Scenario, run: _Checks) -> None:
 
 def run_conformal(scn: Scenario, run: _Checks) -> None:
     from .conformal import HolomorphicChart, check_commutativity
-    for key in ("forward", "derivative", "inverse"):
-        if key not in scn.chart:
-            raise ScenarioError(
-                f"scenario {scn.name!r}: [chart] needs {key!r}")
     chart = HolomorphicChart(
         *(as_function_of_z(scn.chart[k]) for k in ("forward", "derivative", "inverse")),
         strip=scn.grid)
@@ -507,9 +505,6 @@ def run_series(scn: Scenario, run: _Checks) -> None:
 def run_remove_pole(scn: Scenario, run: _Checks) -> None:
     from .singularity import remove_pole, synthesize_seeds, synthesize_singular_u
     profile = scn.profile["pole"]
-    if scn.grid.excluded_band is None:
-        raise ScenarioError(
-            f"scenario {scn.name!r}: remove-pole needs a grid with excluded_band")
     u_star, _ = synthesize_singular_u(profile, scn.grid)
     f_star, f_star_plus = synthesize_seeds(
         profile, scn.profile["beta_minus1"], scn.profile["beta_plus_minus1"],

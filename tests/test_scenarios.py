@@ -96,6 +96,30 @@ CONFIG_PROBES = {
                                         "order_constraints = maybe"), []),
     "exactness-error-unknown-word": ("potential-closed-loop",
                                      ("exactness_error = true", "exactness_error = yes"), []),
+    "order-flag-on-residual": ("residual-holomorphic", None, ["--order", "5"]),
+    "grid-flag-on-series": ("series-recursion-canonical", None, ["--grid", "30,30"]),
+    "grid-flag-not-numbers": ("transform-simple-basic", None, ["--grid", "foo"]),
+    "grid-flag-three-values": ("transform-simple-basic", None, ["--grid", "30,30,4"]),
+    "tol-flag-not-a-number": ("transform-simple-basic", None, ["--tol", "abc"]),
+    "order-flag-not-an-int": ("series-recursion-canonical", None, ["--order", "5.5"]),
+    "grid-section-in-series": ("series-recursion-canonical", ("[expect]", (
+        "[grid]\nx_min = 0.0\nx_max = 1.0\ny_min = 1.0\ny_max = 2.0\nnx = 30\nny = 30\n\n"
+        "[expect]")), []),
+    "chart-section-in-transform": ("transform-simple-basic",
+                                   ("[expressions]", "[chart]\nforward = z\n\n[expressions]"),
+                                   []),
+    "chart-without-inverse": ("conformal-scaling", ("inverse = z/2\n", ""), []),
+    "band-missing-for-remove-pole": ("remove-pole-generic", ("excluded_band = 0.002\n", ""),
+                                     []),
+    "expression-misspelled": ("residual-holomorphic", ("psi_plus =", "psi_plsu ="), []),
+    "expect-misspelled": ("invert-roundtrip", ("psi_tilde =", "psi_tilda ="), []),
+    "tolerances-section-misspelled": ("residual-holomorphic",
+                                      ("[tolerances]\nresidual = 1e-8",
+                                       "[tolerance]\nresidual = 1e-30"), []),
+    "default-section": ("residual-holomorphic",
+                        ("[scenario]", "[DEFAULT]\nresidual = 1e-30\n\n[scenario]"), []),
+    "unknown-flag": ("residual-holomorphic", None, ["--bogus"]),
+    "jobs-below-one": ("residual-holomorphic", None, ["--jobs", "0"]),
 }
 
 #: model faults that must exit 2 with the typed error in the report and
@@ -148,11 +172,11 @@ psi = 1 +
             load_scenario(str(path))
 
     def test_grid_override(self):
-        scn = load_scenario("transform-simple-basic", grid_override=(32, 48))
+        scn = load_scenario("transform-simple-basic", {"grid": {"nx": "32", "ny": "48"}})
         assert scn.grid.nx == 32 and scn.grid.ny == 48
 
     def test_order_override(self):
-        scn = load_scenario("canonical-pole-removal", order_override=5)
+        scn = load_scenario("canonical-pole-removal", {"profile": {"order": "5"}})
         assert scn.profile["order"] == 5
 
     def test_order_flag_end_to_end(self, tmp_path):
@@ -229,6 +253,16 @@ psi = z
         code = run_cli(["residual", "--scenario", "invert-roundtrip",
                         "--out", str(tmp_path)])
         assert code == 1
+
+    def test_usage_errors_are_config_errors(self, capsys):
+        # no --scenario, an unknown pipeline, no pipeline; the flag probes
+        # in CONFIG_PROBES cover an unknown flag and --jobs 0
+        for args in (["residual"], ["nope"], []):
+            assert run_cli(args) == 1
+            assert capsys.readouterr().out.startswith("[config error] galab")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["residual", "--help"])
+        assert exc.value.code == 0
 
     def test_exit_one_on_unknown_scenario(self, tmp_path):
         code = run_cli(["residual", "--scenario", "nope",
@@ -404,25 +438,32 @@ psi = z
 
 
 def _mutations(text: str):
-    """The scenario text with each `key = value` line dropped, then with
-    its value set to abc, and each `poly: c0, ...` value rewritten as the
-    five samples c0, so that one profile function is in the other mode."""
+    """Pairs of a mutation of the scenario text and the exit codes it may
+    end in. With each `key = value` line dropped, its value set to abc, or
+    a `poly: c0, ...` value rewritten as the five samples c0 (so that one
+    profile function is in the other mode), any code; with the key
+    renamed by appending x, outside [constants], exactly 1."""
     lines = text.splitlines(keepends=True)
+    section = ""
     for i, line in enumerate(lines):
+        section = line.strip() if line.startswith("[") else section
         key, eq, value = line.partition("=")
         if eq:
-            yield "".join(lines[:i] + lines[i + 1:])
-            yield "".join(lines[:i] + [f"{key.strip()} = abc\n"] + lines[i + 1:])
+            yield "".join(lines[:i] + lines[i + 1:]), (0, 1, 2)
+            yield "".join(lines[:i] + [f"{key.strip()} = abc\n"] + lines[i + 1:]), (0, 1, 2)
             kind, _, coeffs = value.partition(":")
             if kind.strip() == "poly":
                 samples = ", ".join([coeffs.split(",")[0].strip()] * 5)
                 yield "".join(lines[:i] + [f"{key.strip()} = samples: {samples}\n"]
-                              + lines[i + 1:])
+                              + lines[i + 1:]), (0, 1, 2)
+            if section != "[constants]":
+                yield "".join(lines[:i] + [f"{key.strip()}x ={value}"] + lines[i + 1:]), (1,)
 
 
 class TestMutatedScenarios:
-    """Every mutation of a bundled scenario ends in exit code 0, 1 or 2,
-    never in an exception out of the CLI."""
+    """Every mutation of a bundled scenario ends in an exit code it may
+    end in, never in an exception out of the CLI; an unknown key is a
+    configuration error."""
 
     @pytest.mark.parametrize("name", ALL_BUNDLED)
     def test_exit_code_for_every_mutation(self, name, tmp_path, capsys):
@@ -431,14 +472,14 @@ class TestMutatedScenarios:
         flags = [] if pipeline in ("series", "remove-pole") else ["--grid", "24,24"]
         text = resources.files("galab").joinpath("scenarios", f"{name}.ini").read_text()
         path = tmp_path / f"{name}.ini"
-        for mutated in _mutations(text):
+        for mutated, codes in _mutations(text):
             path.write_text(mutated)
             try:
                 code = run_cli([pipeline, "--scenario", str(path),
                                 "--out", str(tmp_path / "out"), *flags])
             except Exception as exc:
                 pytest.fail(f"{type(exc).__name__}: {exc} escaped on\n{mutated}")
-            assert code in (0, 1, 2), mutated
+            assert code in codes, mutated
         capsys.readouterr()
 
 
@@ -447,11 +488,11 @@ class TestPoleRemovalWithANodeOnTheWindow:
     hair past delta and -x exactly on it; the fit windows must still
     take mirror-image columns on the two sides of the contour."""
 
-    @pytest.mark.parametrize("grid", [(481, 81), (961, 161)])
+    @pytest.mark.parametrize("grid", [{"nx": "481", "ny": "81"}, {"nx": "961", "ny": "161"}])
     @pytest.mark.parametrize("name", ["remove-pole-generic", "canonical-pole-removal"])
     def test_residue_vanishes(self, name, grid):
         # the pipeline run_scenario reports, without the CSV dumps
-        run = _Checks(scn := load_scenario(name, grid_override=grid))
+        run = _Checks(scn := load_scenario(name, {"grid": grid}))
         run_remove_pole(scn, run)
         assert run.passed, run.metrics["verdict"]
         assert run.metrics["residue_c_minus1"] < 1e-9
