@@ -75,7 +75,8 @@ def main(argv: list[str] | None = None) -> int:
     nx, _, ny = (args.grid or "").partition(",")  # "30,30,4" leaves ny = "30,4", not an int
     overrides = {section: values for section, values, flag in (
         ("grid", {"nx": nx, "ny": ny}, args.grid),
-        ("tolerances", {PIPELINES[args.pipeline][1]: args.tol}, args.tol),
+        ("tolerances", {PIPELINES[args.pipeline][1]["tolerances"].split()[0]: args.tol},
+         args.tol),
         ("profile", {"order": args.order}, args.order)) if flag is not None}
 
     refs = args.scenario

@@ -38,27 +38,6 @@ _DEFAULT_TOLERANCES = {
     "defects": 1e-12,
 }
 
-#: section -> the keys it may hold: [DEFAULT] none, as configparser would
-#: copy them into every section; [constants] names are free, and
-#: _parse_profile_section checks [profile] keys against the pipeline
-_SECTION_KEYS = {
-    "DEFAULT": (),
-    "scenario": ("name", "pipeline", "claim"),
-    "grid": ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "excluded_band", "basepoint"),
-    "expressions": ("u", "psi", "psi_plus", "f1", "f1_plus", "f2", "f2_plus"),
-    "constants": None,
-    "chart": ("forward", "derivative", "inverse", "omega_ff_z", "omega_pf_z"),
-    "profile": None,
-    "tolerances": (*_DEFAULT_TOLERANCES, "flat", "worst_y"),
-    "expect": ("omega", "u_tilde", "psi_tilde", "loop_defect",
-               "worst_y", "certify", "order_constraints", "exactness_error"),
-}
-
-#: pipeline -> the [profile] seed functions it reads besides interval, order,
-#: phi and r<j>; remove-pole needs both, series recurses given beta_minus1
-_PROFILE_SEEDS = {"series": ("beta_minus1", "im_beta1"),
-                  "remove-pole": ("beta_minus1", "beta_plus_minus1")}
-
 
 @dataclass
 class Scenario:
@@ -74,17 +53,10 @@ class Scenario:
     tolerances: dict[str, float]  # the defaults, updated by the file's
     expect: dict[str, object]  # parsed expressions and words
 
-    def expression(self, key: str) -> object:
-        if key not in self.expressions:
-            raise ScenarioError(
-                f"scenario {self.name!r}: pipeline {self.pipeline!r} needs "
-                f"expression {key!r}")
-        return self.expressions[key]
-
     def field(self, key: str) -> Field:
         grid = self.grid
         try:
-            return Field(grid, _scrub(grid, evaluate_on_grid(self.expression(key), grid)))
+            return Field(grid, _scrub(grid, evaluate_on_grid(self.expressions[key], grid)))
         except NonFiniteFieldError as exc:
             raise ScenarioError(
                 f"scenario {self.name!r}: expression {key!r}: {exc}") from exc
@@ -126,17 +98,20 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
     if pipeline not in PIPELINES:
         raise ScenarioError(f"scenario {name!r}: unknown pipeline {pipeline!r}")
 
-    for section in parser:  # [DEFAULT] first, before its keys show in every section
-        if section not in _SECTION_KEYS:
-            raise ScenarioError(f"scenario {name!r}: unknown section [{section}]")
-        for key in parser[section] if _SECTION_KEYS[section] is not None else ():
-            if key not in _SECTION_KEYS[section]:
-                raise ScenarioError(f"scenario {name!r}: [{section}] has no key {key!r}")
-    for section, readers in (("grid", set(PIPELINES) - {"series"}), ("chart", {"conformal"}),
-                             ("profile", _PROFILE_SEEDS)):
-        if (section in parser) != (pipeline in readers):
-            raise ScenarioError(f"scenario {name!r}: pipeline {pipeline!r} "
-                                f"{'needs a' if pipeline in readers else 'reads no'} [{section}]")
+    reads = {"DEFAULT": "", "scenario": "name? pipeline claim?", **PIPELINES[pipeline][1]}
+    # [DEFAULT] first, before its keys show in every section; then the
+    # sections the pipeline reads that the file lacks
+    for section in dict.fromkeys([*parser, *reads]):
+        if section not in reads:
+            raise ScenarioError(f"scenario {name!r}: pipeline {pipeline!r} reads no [{section}]")
+        keys, given = reads[section].split(), parser[section] if section in parser else {}
+        for key in given:
+            if re.sub(r"^r-?[0-9]+$", "r<j>", key) not in {k.rstrip("?") for k in keys}:
+                raise ScenarioError(f"scenario {name!r}: pipeline {pipeline!r} "
+                                    f"reads no [{section}] key {key!r}")
+        for key in keys if section not in ("constants", "tolerances", "expect") else ():
+            if not key.endswith("?") and key not in given:
+                raise ScenarioError(f"scenario {name!r}: [{section}] needs {key!r}")
 
     grid = None
     basepoint = (0, 0)
@@ -145,11 +120,9 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
         try:
             kwargs = {k: float(gsec[k]) for k in ("x_min", "x_max", "y_min", "y_max")}
             kwargs.update(nx=int(gsec["nx"]), ny=int(gsec["ny"]))
-            if "excluded_band" in gsec or pipeline == "remove-pole":  # its fits need the band
+            if "excluded_band" in gsec:
                 kwargs["excluded_band"] = float(gsec["excluded_band"])
             i, j = (int(v) for v in gsec.get("basepoint", "0,0").split(","))
-        except KeyError as exc:
-            raise ScenarioError(f"scenario {name!r}: [grid] needs {exc}")
         except ValueError as exc:
             raise ScenarioError(f"scenario {name!r}: bad [grid] section: {exc}")
         if min(kwargs["nx"], kwargs["ny"]) < 5:  # the stencils' width
@@ -177,8 +150,6 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
     if ("omega_ff_z" in chart) != ("omega_pf_z" in chart):
         raise ScenarioError(
             f"scenario {name!r}: [chart] needs omega_ff_z and omega_pf_z together")
-    if pipeline == "conformal" and not {"forward", "derivative", "inverse"} <= chart.keys():
-        raise ScenarioError(f"scenario {name!r}: [chart] needs forward, derivative and inverse")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     for key, text in parser["tolerances"].items() if "tolerances" in parser else ():
@@ -186,7 +157,7 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
         if val < 0:
             raise ScenarioError(f"scenario {name!r}: tolerance {key!r} = {val} is not >= 0")
 
-    profile = _parse_profile_section(parser, name, pipeline) if "profile" in parser else {}
+    profile = _parse_profile_section(parser["profile"], name) if "profile" in parser else {}
     if profile.get("order", 0) < 0:
         raise ScenarioError(f"scenario {name!r}: order {profile['order']} is below 0")
 
@@ -198,6 +169,10 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
                              ("exactness_error", "(?i:true|false)", "true or false")):
         if key in expect and not re.fullmatch(words, expect[key]):
             raise ScenarioError(f"scenario {name!r}: [expect] {key} must be {text}")
+    if "worst_y" in expect and not expect.get("certify", "").startswith("fail:"):
+        raise ScenarioError(f"scenario {name!r}: [expect] worst_y needs certify = fail:...")
+    if "omega" in expect and expect.get("exactness_error", "").lower() == "true":
+        raise ScenarioError(f"scenario {name!r}: [expect] omega needs exactness_error = false")
     expect.update(_parsed(parser, "expect", name,
                           ("omega", "u_tilde", "psi_tilde", "loop_defect")))
     if "loop_defect" in expect:
@@ -240,32 +215,25 @@ def _number(name: str, what: str, text: str | float) -> float:
     return value
 
 
-def _parse_profile_section(parser, name: str, pipeline: str) -> dict[str, object]:
-    """The pole profile and the seed functions ``pipeline`` reads, built
-    and checked against phi; a key the pipeline does not read is an error."""
+def _parse_profile_section(sec, name: str) -> dict[str, object]:
+    """The pole profile and the section's seed functions, built and
+    checked against phi."""
     from .series import PoleProfile, _check_seed
-    sec, seeds, r = parser["profile"], _PROFILE_SEEDS[pipeline], {}
+    r = {}
     try:
         a, b = (float(v) for v in sec["interval"].split(","))
         out: dict[str, object] = {"order": int(sec.get("order", "8"))}
         for key, val in sec.items():
             if key in ("interval", "order"):
                 continue
-            index = re.fullmatch(r"r(-?[0-9]+)", key)
-            if not (index or key in ("phi", *seeds)):
-                raise ScenarioError(
-                    f"scenario {name!r}: pipeline {pipeline!r} reads no [profile] key {key!r}")
             fn = _parse_function(val, (a, b), name, key)
-            if index:
+            if index := re.fullmatch(r"r(-?[0-9]+)", key):
                 r[int(index[1])] = fn
             else:
                 out[key] = fn
         out["pole"] = PoleProfile(out["phi"], r)  # checks each r_j against phi
-        for key in seeds:
-            if key in out or pipeline == "remove-pole":  # which needs both seeds
-                _check_seed(out["phi"], out[key], key)
-    except KeyError as exc:
-        raise ScenarioError(f"scenario {name!r}: [profile] needs {exc}")
+        for key in sorted(out.keys() - {"order", "phi", "pole"}):
+            _check_seed(out["phi"], out[key], key)
     except ValueError as exc:
         raise ScenarioError(f"scenario {name!r}: bad [profile] section: {exc}")
     return out
@@ -458,7 +426,7 @@ def run_conformal(scn: Scenario, run: _Checks) -> None:
         kwargs["d_side_omega_ff"] = as_function_of_z(scn.chart["omega_ff_z"])
         kwargs["d_side_omega_pf"] = as_function_of_z(scn.chart["omega_pf_z"])
     result = check_commutativity(
-        chart, *(as_function_of_z(scn.expression(k)) for k in ("u", "f1", "f1_plus", "psi")),
+        chart, *(as_function_of_z(scn.expressions[k]) for k in ("u", "f1", "f1_plus", "psi")),
         basepoint=scn.basepoint,
         constant_ff=scn.constant("omega_f1_f1p"),
         constant_pf=scn.constant("omega_psi_f1p"), **kwargs)
@@ -520,17 +488,42 @@ def run_remove_pole(scn: Scenario, run: _Checks) -> None:
     run.dumps.update(u_tilde=result.u_tilde.values, omega=result.omega.values)
 
 
-#: pipeline name -> (runner, the tolerance key the --tol flag overrides),
-#: in the order ``galab --help`` lists the subcommands
+_GRID = "x_min x_max y_min y_max nx ny excluded_band?"
+
+#: pipeline name -> (runner, {section: the keys it reads}), in the order
+#: ``galab --help`` lists the subcommands. Keys in [constants],
+#: [tolerances] and [expect] are optional, the others required unless
+#: marked "?"; r<j> stands for r-1, r0, r1, ...; the first [tolerances] key
+#: is the one the --tol flag sets
 PIPELINES = {
-    "residual": (run_residual, "residual"),
-    "potential": (run_potential, "loop_defect"),
-    "transform": (run_transform, "residual_after"),
-    "compose": (run_compose, "agreement"),
-    "invert": (run_invert, "roundtrip"),
-    "conformal": (run_conformal, "commutativity"),
-    "series": (run_series, "defects"),
-    "remove-pole": (run_remove_pole, "flat"),
+    "residual": (run_residual, {"grid": _GRID, "expressions": "u psi psi_plus?",
+                                "tolerances": "residual"}),
+    "potential": (run_potential, {
+        "grid": f"{_GRID} basepoint?", "expressions": "psi psi_plus", "constants": "constant",
+        "tolerances": "loop_defect expect", "expect": "omega loop_defect exactness_error"}),
+    "transform": (run_transform, {
+        "grid": f"{_GRID} basepoint?", "expressions": "u f1 f1_plus psi psi_plus?",
+        "constants": "omega_f1_f1p omega_psi_f1p omega_f1_psip omega_psi_psip",
+        "tolerances": "residual_after seed_annihilation potential_identity expect",
+        "expect": "u_tilde psi_tilde"}),
+    "compose": (run_compose, {
+        "grid": f"{_GRID} basepoint?", "expressions": "u f1 f1_plus f2 f2_plus psi",
+        "constants": "omega_f1_f1p omega_f2_f1p omega_f1_f2p omega_f2_f2p omega_psi_f1p "
+                     "omega_psi_f2p", "tolerances": "agreement"}),
+    "invert": (run_invert, {
+        "grid": f"{_GRID} basepoint?", "expressions": "u f1 f1_plus psi psi_plus",
+        "constants": "omega_f1_f1p omega_psi_f1p omega_f1_psip",
+        "tolerances": "roundtrip expect", "expect": "psi_tilde"}),
+    "conformal": (run_conformal, {
+        "grid": f"{_GRID} basepoint?", "expressions": "u f1 f1_plus psi",
+        "chart": "forward derivative inverse omega_ff_z? omega_pf_z?",
+        "constants": "omega_f1_f1p omega_psi_f1p", "tolerances": "commutativity"}),
+    "series": (run_series, {"profile": "interval phi order? r<j>? beta_minus1? im_beta1?",
+                            "tolerances": "defects worst_y",
+                            "expect": "certify order_constraints worst_y"}),
+    "remove-pole": (run_remove_pole, {  # its fits need the band
+        "grid": _GRID.rstrip("?"), "constants": "constant", "tolerances": "flat",
+        "profile": "interval phi order? r<j>? beta_minus1 beta_plus_minus1"}),
 }
 
 

@@ -8,8 +8,8 @@ import pytest
 import galab
 from galab.cli import main
 from galab.errors import ScenarioError
-from galab.scenarios import _Checks, bundled_scenarios, load_scenario, run_remove_pole, \
-    run_scenario
+from galab.scenarios import PIPELINES, _Checks, bundled_scenarios, load_scenario, \
+    run_remove_pole, run_scenario
 
 from conftest import child_env
 
@@ -118,6 +118,32 @@ CONFIG_PROBES = {
                                        "[tolerance]\nresidual = 1e-30"), []),
     "default-section": ("residual-holomorphic",
                         ("[scenario]", "[DEFAULT]\nresidual = 1e-30\n\n[scenario]"), []),
+    "constant-misspelled-in-transform": ("transform-simple-basic",
+                                         ("omega_psi_f1p =", "omega_psi_f1px ="), []),
+    "constant-misspelled-in-compose": ("compose-rank2", ("omega_f2_f1p =", "omega_f2_f1px ="),
+                                       []),
+    "constant-misspelled-in-invert": ("invert-roundtrip", ("omega_f1_psip =", "omega_f1_psipx ="),
+                                      []),
+    "expect-not-read-by-invert": ("invert-roundtrip",
+                                  ("[expect]\n", "[expect]\nu_tilde = 12345\n"), []),
+    "tolerance-of-invert-in-transform": ("transform-simple-basic",
+                                         ("[tolerances]\n", "[tolerances]\nroundtrip = 1e-30\n"),
+                                         []),
+    "tolerance-of-residual-in-transform": ("transform-simple-basic",
+                                           ("[tolerances]\n",
+                                            "[tolerances]\nresidual = 1e-30\n"), []),
+    "expression-of-compose-in-transform": ("transform-simple-basic",
+                                           ("[expressions]\n", "[expressions]\nf2 = 1e300\n"),
+                                           []),
+    "profile-without-phi": ("series-recursion-canonical", ("phi = poly: 0\n", ""), []),
+    "profile-without-interval": ("series-recursion-canonical", ("interval = 1.0, 2.0\n", ""),
+                                 []),
+    "worst-y-without-expected-rejection": ("series-recursion-canonical",
+                                           ("certify = pass", "certify = pass\nworst_y = 1.5"),
+                                           []),
+    "omega-with-expected-exactness-error": ("potential-closed-loop",
+                                            ("exactness_error = true",
+                                             "exactness_error = true\nomega = 0"), []),
     "unknown-flag": ("residual-holomorphic", None, ["--bogus"]),
     "jobs-below-one": ("residual-holomorphic", None, ["--jobs", "0"]),
 }
@@ -437,12 +463,57 @@ psi = z
         assert lines[0] == lines[-1] == "False"
 
 
+class _Recorder(dict):
+    """A dict that adds (section, key) to ``seen`` for each key looked up in it."""
+
+    def __init__(self, data, section, seen):
+        super().__init__(data)
+        self.section, self.seen = section, seen
+
+    def __getitem__(self, key):
+        self.seen.add((self.section, key))
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.seen.add((self.section, key))
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.seen.add((self.section, key))
+        return super().get(key, default)
+
+
+def test_pipeline_rows_cover_what_the_runners_read():
+    # every key a runner looks up in a scenario section, through
+    # Scenario.constant, _Checks.add or the section itself, is in its
+    # pipeline's row, and --tol sets a tolerance the runner reads
+    seen = {pipeline: set() for pipeline in PIPELINES}
+    for name in ALL_BUNDLED:
+        scn = load_scenario(name)
+        for section in ("expressions", "constants", "chart", "tolerances", "expect"):
+            setattr(scn, section, _Recorder(getattr(scn, section), section, seen[scn.pipeline]))
+        run = _Checks(scn)
+        PIPELINES[scn.pipeline][0](scn, run)
+        assert run.passed, name
+    tol_keys = {}
+    for pipeline, (_, row) in PIPELINES.items():
+        keys = {(section, key.rstrip("?")) for section, text in row.items()
+                for key in text.split()}
+        assert seen[pipeline] <= keys, sorted(seen[pipeline] - keys)
+        tol_keys[pipeline] = row["tolerances"].split()[0]
+        assert ("tolerances", tol_keys[pipeline]) in seen[pipeline]
+    assert tol_keys == {"residual": "residual", "potential": "loop_defect",
+                        "transform": "residual_after", "compose": "agreement",
+                        "invert": "roundtrip", "conformal": "commutativity",
+                        "series": "defects", "remove-pole": "flat"}
+
+
 def _mutations(text: str):
     """Pairs of a mutation of the scenario text and the exit codes it may
     end in. With each `key = value` line dropped, its value set to abc, or
     a `poly: c0, ...` value rewritten as the five samples c0 (so that one
     profile function is in the other mode), any code; with the key
-    renamed by appending x, outside [constants], exactly 1."""
+    renamed by appending x, exactly 1."""
     lines = text.splitlines(keepends=True)
     section = ""
     for i, line in enumerate(lines):
@@ -456,8 +527,7 @@ def _mutations(text: str):
                 samples = ", ".join([coeffs.split(",")[0].strip()] * 5)
                 yield "".join(lines[:i] + [f"{key.strip()} = samples: {samples}\n"]
                               + lines[i + 1:]), (0, 1, 2)
-            if section != "[constants]":
-                yield "".join(lines[:i] + [f"{key.strip()}x ={value}"] + lines[i + 1:]), (1,)
+            yield "".join(lines[:i] + [f"{key.strip()}x ={value}"] + lines[i + 1:]), (1,)
 
 
 class TestMutatedScenarios:
