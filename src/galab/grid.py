@@ -341,11 +341,11 @@ def write_csv(path, grid: GridSpec, values: np.ndarray) -> None:
     if values.shape != grid.shape():
         raise ShapeError(
             f"values shape {values.shape} does not match grid {grid.shape()}")
-    re_rows = np.asarray(np.real(values), dtype=float).T
-    im_rows = np.asarray(np.imag(values), dtype=float).T
-    xs = [repr(x) for x in grid.xs.tolist()]
+    # one y-row is re, im, re, im, ... along x; its text is the file's row
+    # template, with y put in for "\0" and the row's numbers %-formatted
+    rows = np.ascontiguousarray(values.T, dtype=complex).view(float)
+    template = "".join(f"{x!r},\0,%r,%r\r\n" for x in grid.xs.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("x,y,re,im\r\n")
-        for y, re_row, im_row in zip(grid.ys.tolist(), re_rows, im_rows):
-            line = ("{},%r,{!r},{!r}\r\n" % y).format
-            fh.write("".join(map(line, xs, re_row.tolist(), im_row.tolist())))
+        for y, row in zip(grid.ys.tolist(), rows):
+            fh.write(template.replace("\0", repr(y)) % tuple(row.tolist()))

@@ -23,7 +23,7 @@ from .errors import ExactnessError, GalabError, NonFiniteFieldError, ScenarioErr
 from .expressions import as_function_of_z, constant_value, evaluate_on_grid, \
     parse_expression
 from .grid import Field, GridSpec, _peak_abs, _scrub, dz as dz_op, residual, write_csv
-from .potential import REAL_DRIFT_TOL, Potential, loop_defect, omega
+from .potential import REAL_DRIFT_TOL, loop_defect, omega
 
 _DEFAULT_TOLERANCES = {
     "residual": 1e-8,
@@ -171,6 +171,14 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
             raise ScenarioError(f"scenario {name!r}: [expect] {key} must be {text}")
     if "worst_y" in expect and not expect.get("certify", "").startswith("fail:"):
         raise ScenarioError(f"scenario {name!r}: [expect] worst_y needs certify = fail:...")
+    if expect.get("certify", "").startswith("fail:"):  # the run stops at the rejection
+        for section, key in (("profile", "beta_minus1"), ("tolerances", "defects")):
+            if parser.has_option(section, key):
+                raise ScenarioError(f"scenario {name!r}: [{section}] {key} is not read "
+                                    "with certify = fail:...")
+    for key in ("im_beta1", "order"):  # read by the recursion, which needs beta_minus1
+        if parser.has_option("profile", key) and "beta_minus1" not in profile:
+            raise ScenarioError(f"scenario {name!r}: [profile] {key} needs beta_minus1")
     if "omega" in expect and expect.get("exactness_error", "").lower() == "true":
         raise ScenarioError(f"scenario {name!r}: [expect] omega needs exactness_error = false")
     expect.update(_parsed(parser, "expect", name,
@@ -337,26 +345,21 @@ def run_potential(scn: Scenario, run: _Checks) -> None:
     run.dumps["omega"] = pot.values
 
 
-def _pair_omegas(scn: Scenario, fields: dict[str, Field],
-                 *pairs: str) -> list[Potential]:
-    """Potential of each "a b" field pair, with the scenario constant
-    omega_<a>_<b> where ``_plus`` is written ``p`` ("psi f1_plus" reads
-    omega_psi_f1p)."""
-    return [omega(fields[a], fields[b], scn.basepoint,
-                  scn.constant(f"omega_{a}_{b.replace('_plus', 'p')}"))
-            for a, b in map(str.split, pairs)]
-
-
 def _inputs(scn: Scenario, names: str, *pairs: str) -> list:
-    """The named fields, then the potential of each field pair."""
+    """The named fields, then the potential of each "a b" field pair, with
+    the scenario constant omega_<a>_<b> where ``_plus`` is written ``p``
+    ("psi f1_plus" reads omega_psi_f1p)."""
     fields = {k: scn.field(k) for k in names.split()}
-    return [*fields.values(), *_pair_omegas(scn, fields, *pairs)]
+    return [*fields.values(), *(omega(fields[a], fields[b], scn.basepoint,
+                                      scn.constant(f"omega_{a}_{b.replace('_plus', 'p')}"))
+                                for a, b in map(str.split, pairs))]
 
 
 def run_transform(scn: Scenario, run: _Checks) -> None:
     from .moutard import moutard_simple, transformed_potential
-    u, f1, f1_plus, psi, om_ff, om_pf = _inputs(
-        scn, "u f1 f1_plus psi", "f1 f1_plus", "psi f1_plus")
+    u, f1, f1_plus, psi, psi_plus, om_ff, om_pf, om_fp, om_pp = _inputs(
+        scn, "u f1 f1_plus psi psi_plus", "f1 f1_plus", "psi f1_plus", "f1 psi_plus",
+        "psi psi_plus")
     result = moutard_simple(u, f1, f1_plus, om_ff)
     psi_t = result.map_psi(psi, om_pf)
     run.metrics.update(n_seeds=1, det_omega_min=result.det_min,
@@ -366,18 +369,14 @@ def run_transform(scn: Scenario, run: _Checks) -> None:
     run.add("seed_annihilation", run.metrics["seed_annihilation_max"], "seed_annihilation")
     run.expect("u_tilde", result.u_tilde.values)
     run.expect("psi_tilde", psi_t.values)
-    if "psi_plus" in scn.expressions:
-        psi_plus = scn.field("psi_plus")
-        om_fp, om_pp = _pair_omegas(scn, {"f1": f1, "psi": psi, "psi_plus": psi_plus},
-                                    "f1 psi_plus", "psi psi_plus")
-        psi_plus_t = result.map_psi_plus(psi_plus, om_fp)
-        run.measure("residual_after_conjugate",
-                    residual(result.u_tilde, psi_plus_t, "conjugate"), "residual_after")
-        om_t = transformed_potential(om_pp, om_pf, om_fp, om_ff)
-        d_om_t = dz_op(Field(scn.grid, om_t.values)).values
-        run.measure("transformed_potential_defect",
-                    _peak_abs(scn.grid, d_om_t - psi_t.values * psi_plus_t.values),
-                    "potential_identity")
+    psi_plus_t = result.map_psi_plus(psi_plus, om_fp)
+    run.measure("residual_after_conjugate",
+                residual(result.u_tilde, psi_plus_t, "conjugate"), "residual_after")
+    om_t = transformed_potential(om_pp, om_pf, om_fp, om_ff)
+    d_om_t = dz_op(Field(scn.grid, om_t.values)).values
+    run.measure("transformed_potential_defect",
+                _peak_abs(scn.grid, d_om_t - psi_t.values * psi_plus_t.values),
+                "potential_identity")
     run.dumps.update(u_tilde=result.u_tilde.values, psi_tilde=psi_t.values)
 
 
@@ -502,7 +501,7 @@ PIPELINES = {
         "grid": f"{_GRID} basepoint?", "expressions": "psi psi_plus", "constants": "constant",
         "tolerances": "loop_defect expect", "expect": "omega loop_defect exactness_error"}),
     "transform": (run_transform, {
-        "grid": f"{_GRID} basepoint?", "expressions": "u f1 f1_plus psi psi_plus?",
+        "grid": f"{_GRID} basepoint?", "expressions": "u f1 f1_plus psi psi_plus",
         "constants": "omega_f1_f1p omega_psi_f1p omega_f1_psip omega_psi_psip",
         "tolerances": "residual_after seed_annihilation potential_identity expect",
         "expect": "u_tilde psi_tilde"}),

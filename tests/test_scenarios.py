@@ -116,6 +116,24 @@ CONFIG_PROBES = {
     "tolerances-section-misspelled": ("residual-holomorphic",
                                       ("[tolerances]\nresidual = 1e-8",
                                        "[tolerance]\nresidual = 1e-30"), []),
+    "transform-without-psi-plus": ("transform-simple-basic", ("psi_plus = 1\n", ""), []),
+    "im-beta1-without-beta-minus1": ("series-recursion-canonical",
+                                     ("beta_minus1 = poly: 1\norder = 8\n",
+                                      "im_beta1 = poly: 7\n"), []),
+    "order-without-beta-minus1": ("series-recursion-canonical",
+                                  ("beta_minus1 = poly: 1\n", ""), []),
+    "beta-minus1-with-certify-fail": ("series-certify-reject-r0",
+                                      ("r0 = poly: 0.1, -0.2, 0.1\n",
+                                       "r0 = poly: 0.1, -0.2, 0.1\nbeta_minus1 = poly: 1\n"),
+                                      []),
+    "im-beta1-with-certify-fail": ("series-certify-reject-r0",
+                                   ("r0 = poly: 0.1, -0.2, 0.1\n",
+                                    "r0 = poly: 0.1, -0.2, 0.1\nim_beta1 = poly: 0\n"), []),
+    "defects-with-certify-fail": ("series-certify-reject-r0",
+                                  ("worst_y = 2.0\n",
+                                   "worst_y = 2.0\n\n[tolerances]\ndefects = 1e-30\n"), []),
+    "order-flag-on-certify-fail": ("series-certify-reject-r0", None, ["--order", "5"]),
+    "tol-flag-on-certify-fail": ("series-certify-reject-r0", None, ["--tol", "1e-30"]),
     "default-section": ("residual-holomorphic",
                         ("[scenario]", "[DEFAULT]\nresidual = 1e-30\n\n[scenario]"), []),
     "constant-misspelled-in-transform": ("transform-simple-basic",

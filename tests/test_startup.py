@@ -1,8 +1,10 @@
-"""What a command-line run loads and builds before it computes: the
-package's public names, the modules each pipeline pulls in, and the
-help text of the argument parsers."""
+"""What a command-line run loads and builds before it computes, and how
+its process ends: the package's public names, the modules each pipeline
+pulls in, the help text of the argument parsers and the ``run`` entry
+point that freezes the collector at exit."""
 
 import contextlib
+import gc
 import importlib
 import io
 import subprocess
@@ -138,3 +140,44 @@ def test_help_text_is_unchanged(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     want = (Path(__file__).parent / "data" / "cli_help.txt").read_text()
     assert _help_texts() == want
+
+
+#: ``python -m galab.cli ARGS``, then the exit code and whether the
+#: collector's objects were frozen on the way out
+_RUN_AS_MAIN = """
+import gc, runpy
+try:
+    runpy.run_module("galab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code, "frozen", gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["residual", "--scenario", "residual-holomorphic"], 0),  # passes
+    (["residual", "--scenario", "nope"], 1),  # a config error
+    (["transform", "--scenario", "transform-simple-basic", "--tol", "1e-30"], 2),  # fails
+])
+def test_run_freezes_the_collector_at_exit(args, code, tmp_path):
+    args = [*args, "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN, *args],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.stdout.splitlines()[-1] == f"exit {code} frozen True", proc.stderr
+    # in process, main() gives the same code and freezes nothing
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == code
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_help_exits_zero():
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN, "--help"],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.stdout.splitlines()[-1] == "exit 0 frozen True", proc.stderr
+    assert proc.stdout.startswith("usage: galab")
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {
+        "galab": "galab.cli:run"}
