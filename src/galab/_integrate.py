@@ -22,17 +22,18 @@ _W_MID = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
 _W_LAST = _W_FIRST[::-1]
 
 
-def _interior(flat: np.ndarray, st: int, lo: int, hi: int, h: float,
-              dest: np.ndarray, tmp: np.ndarray) -> None:
-    """Interior increments at flat positions lo .. hi-1 into ``dest``.
+def _interior(src: np.ndarray, dst: np.ndarray, st: int, lo: int, hi: int,
+              h: float, tmp: np.ndarray) -> None:
+    """Interior steps into flat positions lo .. hi-1 of ``dst``.
 
-    The step at i uses the samples st before i, at i, and st and 2 st
-    after it, summed in that order; ``tmp`` is scratch of hi - lo.
+    The step stored at p is the one that ends there, from p - st to p; it
+    uses the samples of ``src`` at p - 2 st, p - st, p and p + st, summed
+    in that order.  ``tmp`` is scratch of at least hi - lo.
     """
-    w = _W_MID
-    np.multiply(w[0], flat[lo - st:hi - st], out=dest)
-    for k, wk in enumerate(w[1:]):
-        np.add(dest, np.multiply(wk, flat[lo + k * st:hi + k * st], out=tmp), out=dest)
+    w, dest, tmp = _W_MID, dst[lo:hi], tmp[:hi - lo]
+    np.multiply(w[0], src[lo - 2 * st:hi - 2 * st], out=dest)
+    for k, wk in enumerate(w[1:], -1):
+        np.add(dest, np.multiply(wk, src[lo + k * st:hi + k * st], out=tmp), out=dest)
     np.multiply(h, dest, out=dest)
 
 
@@ -46,43 +47,29 @@ def _last(fm: np.ndarray, h: float) -> np.ndarray:
     return h * (wl[0] * fm[-4] + wl[1] * fm[-3] + wl[2] * fm[-2] + wl[3] * fm[-1])
 
 
-def _running_rows(c: np.ndarray, h: float, out: np.ndarray, a: int, b: int,
-                  by_rows: bool, inc: np.ndarray) -> None:
-    """Rows a .. b-1 of the running integral of ``c`` along axis 0.
+def _sum_steps(fm: np.ndarray, om: np.ndarray, h: float, a: int, b: int,
+               by_rows: bool) -> None:
+    """Nodes a .. b-1 of the running integral of ``fm`` along axis 0.
 
-    Needs ``out[a - 1]`` when a > 0; reads ``c`` from row a - 2 to row
-    b + 1.  ``inc`` is scratch for the increments feeding these rows,
-    with one spare row in front when a > 0, and ``out[a:b]`` is scratch
-    until the sums.  ``by_rows`` adds a row at a time, else cumsum runs
-    the same sequential sums.
+    ``om[k]`` holds the interior step ending at node k; this sets node 0
+    and the two edge steps that fall in a .. b-1, then sums in place on
+    from ``om[a - 1]``.  The sums start at node 1, whose value is its
+    step as it is: 0 + step would turn a -0.0 step into +0.0.  ``by_rows``
+    adds a row at a time, else cumsum runs the same sequential sums.
     """
-    n = c.shape[0]
-    m0 = max(a - 1, 0)  # increments m0 .. b-2, step[j] is increment m0 + j
-    step = inc[1:b - a + 1] if a else inc[:b - 1]
-    lo, hi = max(m0, 1), min(b - 1, n - 2)
-    if lo < hi:
-        row = c[0].size
-        _interior(c.reshape(-1), row, lo * row, hi * row, h,
-                  step[lo - m0:hi - m0].reshape(-1), out[a:a + hi - lo].reshape(-1))
-    if m0 == 0 and b > 1:
-        step[0] = _first(c, h)
-    if b == n:
-        step[-1] = _last(c, h)
+    n = fm.shape[0]
     if a == 0:
-        out[0] = 0.0
+        om[0] = 0.0
+    if a <= 1 < b:
+        om[1] = _first(fm, h)
+    if b == n:
+        om[n - 1] = _last(fm, h)
     if by_rows:
-        k = max(a, 1)
-        if k == 1 and b > 1:
-            out[1] = step[0]
-            k = 2
-        for k in range(k, b):
-            np.add(out[k - 1], step[k - 1 - m0], out=out[k])
-    elif a <= 1:
-        np.cumsum(step, axis=0, out=out[1:b])
+        for k in range(max(a, 2), b):
+            np.add(om[k - 1], om[k], out=om[k])
     else:
-        # the sums go on from out[a - 1], which cumsum copies unchanged
-        inc[0] = out[a - 1]
-        np.cumsum(inc[:b - a + 1], axis=0, out=out[a - 1:b])
+        sums = om[max(a - 1, 1):b]
+        np.cumsum(sums, axis=0, out=sums)
 
 
 def cumulative_integral(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
@@ -99,31 +86,27 @@ def cumulative_integral(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     c = np.ascontiguousarray(f)
     out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
     blocks = _row_blocks(c)
-    if axis == 0:
-        # blocks along the integral: each forms its increments from a
-        # 3-row halo and sums them on from the row before it; cumsum steps
-        # down columns, which is slower once each step crosses a page
-        by_rows = c.ndim > 1 and out[0].nbytes >= 4096
-        inc = np.empty_like(out[:max(s.stop - s.start + (1 if s.start else -1)
-                                     for s in blocks)])
-        for rows in blocks:
-            _running_rows(c, h, out, rows.start, rows.stop, by_rows, inc)
-        return out
-    # blocks across it: each block of rows is integrated whole, its
-    # interior increments in one flat pass; the junk this leaves where the
-    # axis index is 0, n-2 or n-1 is overwritten or never summed
     row, st = c[0].size, math.prod(c.shape[axis + 1:])
-    inc = np.empty_like(out[:_largest(blocks)])
+    src, dst = c.reshape(-1), out.reshape(-1)
+    tmp = np.empty_like(dst[:_largest(blocks) * row])
+    # cumsum steps down columns, which is slower once each step crosses a page
+    by_rows = axis == 0 and c.ndim > 1 and out[0].nbytes >= 4096
     for rows in blocks:
-        size = (rows.stop - rows.start) * row
-        ib, ob = inc[:rows.stop - rows.start], out[rows]
-        _interior(c[rows].reshape(-1), st, st, size - 2 * st, h,
-                  ib.reshape(-1)[st:size - 2 * st], ob.reshape(-1)[:size - 3 * st])
-        fm, step, om = (np.moveaxis(x, axis, 0) for x in (c[rows], ib, ob))
-        step[0] = _first(fm, h)
-        step[n - 2] = _last(fm, h)
-        om[0] = 0.0
-        np.cumsum(step[:n - 1], axis=0, out=om[1:])
+        a, b = rows.start, rows.stop
+        if axis == 0:
+            # blocks along the integral: the interior steps of nodes
+            # a .. b-1 read c from row a - 2 to row b, and the sums go on
+            # from out[a - 1]
+            lo, hi, fm, om = max(a, 2) * row, min(b, n - 1) * row, c, out
+        else:
+            # blocks across it, each integrated whole: the junk steps
+            # stored where the axis index is 0, 1 or n-1 are overwritten
+            lo, hi = a * row + 2 * st, b * row - st
+            fm, om = (np.moveaxis(x[rows], axis, 0) for x in (c, out))
+            a, b = 0, n
+        if lo < hi:
+            _interior(src, dst, st, lo, hi, h, tmp)
+        _sum_steps(fm, om, h, a, b, by_rows)
     return out
 
 

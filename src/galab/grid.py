@@ -41,15 +41,18 @@ class GridSpec:
     excluded_band: float | None = None
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("grid rectangle is empty")
         if self.nx < 4 or self.ny < 4:
             raise ValueError("need at least 4 nodes per axis")
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max,
+                                       self.hx, self.hy))):
+            raise ValueError("grid bounds and spacings must be finite")
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError("grid rectangle is empty")
         if self.excluded_band is not None:
-            band = self.excluded_band
-            if band <= 0:
+            band = self.excluded_band  # written so that nan fails
+            if not band > 0:
                 raise ValueError("excluded_band must be positive")
-            if band >= max(abs(self.x_min), self.x_max):
+            if not band < max(abs(self.x_min), self.x_max):
                 raise ValueError("excluded_band covers the whole x-range")
 
     @property

@@ -171,6 +171,8 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
             raise ScenarioError(f"scenario {name!r}: [expect] {key} must be {text}")
     if "worst_y" in expect and not expect.get("certify", "").startswith("fail:"):
         raise ScenarioError(f"scenario {name!r}: [expect] worst_y needs certify = fail:...")
+    if parser.has_option("tolerances", "worst_y") and "worst_y" not in expect:
+        raise ScenarioError(f"scenario {name!r}: [tolerances] worst_y needs [expect] worst_y")
     if expect.get("certify", "").startswith("fail:"):  # the run stops at the rejection
         for section, key in (("profile", "beta_minus1"), ("tolerances", "defects")):
             if parser.has_option(section, key):
@@ -434,8 +436,7 @@ def run_conformal(scn: Scenario, run: _Checks) -> None:
 
 
 def run_series(scn: Scenario, run: _Checks) -> None:
-    from .series import (FunctionOnInterval, meromorphic_certify, pole_order_check,
-                         series_residual, solve_recursion)
+    from .series import meromorphic_certify, pole_order_check, series_residual, solve_recursion
     profile = scn.profile["pole"]
     order_res = pole_order_check(profile, n_prime=1)
     run.metrics["order_constraints"] = order_res.to_json()
@@ -461,9 +462,8 @@ def run_series(scn: Scenario, run: _Checks) -> None:
         return
 
     if "beta_minus1" in scn.profile:
-        zero = FunctionOnInterval.constant(0.0, profile.phi)
         series = solve_recursion(profile, scn.profile["beta_minus1"],
-                                 scn.profile.get("im_beta1", zero), scn.profile["order"])
+                                 scn.profile.get("im_beta1"), scn.profile["order"])
         run.metrics["series"] = series.to_json()
         run.metrics["defects"] = defects = series_residual(profile, series)
         run.add("series_defects", max(defects), "defects")

@@ -401,7 +401,7 @@ def conjugate_profile(profile: PoleProfile) -> PoleProfile:
 
 
 def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
-                    im_beta1: FunctionOnInterval, order: int = 8,
+                    im_beta1: FunctionOnInterval | None = None, order: int = 8,
                     tol: float | None = None) -> CoefficientSeries:
     """Solve the coefficient recursion up to the given truncation order.
 
@@ -412,9 +412,9 @@ def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
         MeromorphicViolation).
     beta_minus1 : FunctionOnInterval
         Real leading coefficient of the solution series.
-    im_beta1 : FunctionOnInterval
-        Real free parameter: the imaginary part of beta_1.  Together
-        with beta_minus1 it parametrizes all series solutions.
+    im_beta1 : FunctionOnInterval, optional
+        Real free parameter: the imaginary part of beta_1, 0 by default.
+        Together with beta_minus1 it parametrizes all series solutions.
     order : int
         Highest beta index produced.
 
@@ -427,6 +427,8 @@ def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
     _require_certified(profile, tol)
     tol = profile.tolerance(tol)
     phi = profile.phi
+    if im_beta1 is None:
+        im_beta1 = FunctionOnInterval.constant(0.0, phi)
     _check_seed(phi, beta_minus1, "beta_minus1")
     _check_seed(phi, im_beta1, "im_beta1")
 

@@ -156,13 +156,9 @@ def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
         if np.min(vals) <= 0.0:
             raise PositivityError(f"{name} must be strictly positive "
                                   f"(min {np.min(vals):.3e})")
-    zero = FunctionOnInterval.constant(0.0, beta_minus1)
-    series_f = solve_recursion(profile, beta_minus1,
-                               im_beta1 if im_beta1 is not None else zero,
-                               order, tol)
+    series_f = solve_recursion(profile, beta_minus1, im_beta1, order, tol)
     series_fp = solve_recursion(conjugate_profile(profile), beta_plus_minus1,
-                                im_beta1_plus if im_beta1_plus is not None else zero,
-                                order, tol)
+                                im_beta1_plus, order, tol)
 
     check_tol = profile.tolerance(tol) * 10
     phi_p = profile.phi.deriv()
@@ -300,10 +296,8 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
         c1s.append(fit.max_abs(-1))
         c0s.append(fit.max_abs(0))
 
-    dw_dx = diff_axis(w.values, grid.hx, axis=0)
-    res_fit = fit_laurent_profile(
-        Field(grid, np.where(grid.mask, dw_dx, 0.0)),
-        orders=FIT_ORDERS,
+    res_fit = fit_laurent_profile(  # it reads no band row of dw/dx
+        Field(grid, diff_axis(w.values, grid.hx, axis=0)), orders=FIT_ORDERS,
         x_window=(min(delta_ladder) / 2, max(delta_ladder)))
     residue = res_fit.max_abs(-1)
     residue_scale = res_fit.max_abs(-2)

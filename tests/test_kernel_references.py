@@ -232,6 +232,15 @@ def _data(shape, dtype, seed):
     return data
 
 
+def _signed_zeros(shape, dtype):
+    """+0.0, except -0.0 at the first, second and fourth node along
+    either axis: most lines' first step is then -0.0, which node 1
+    of a running integral keeps only as that step, not as 0 + step."""
+    f = np.zeros(shape, dtype)
+    f[[0, 1, 3]] = f[:, [0, 1, 3]] = -0.0
+    return f
+
+
 def _strip(nx):
     return GridSpec(-0.1, 0.1, 1.0, 2.0, nx, 81, excluded_band=0.002)
 
@@ -270,6 +279,11 @@ ARRAYS = {  # name -> (maker of the array from its dtype, axes)
     "strip-2400": (lambda dt: _poisoned(STRIPS[2], dt, 14), (0, 1)),
     # each row is over a block's worth of bytes, so every block is one row
     "long-rows": (lambda dt: _data((6, 40000), dt, 15), (0, 1)),
+    # each row fills a page: 2 blocks as float, 5 as complex
+    "3d-blocks": (lambda dt: _data((40, 64, 64), dt, 16), (0, 1, 2)),
+    # summed by cumsum on both axes, and by row adds on axis 0
+    "signed-zeros": (lambda dt: _signed_zeros((37, 23), dt), (0, 1)),
+    "signed-zeros-blocks": (lambda dt: _signed_zeros((240, 703), dt), (0, 1)),
 }
 CASES = [(name, dt, ax) for name, (_, axes) in ARRAYS.items()
          for dt in (float, complex) for ax in axes]
@@ -327,7 +341,8 @@ GRIDS = {"small": make_grid(37, 23), "square-256": make_grid(256, 256),
 def test_the_multi_block_inputs_are_many_blocks():
     # a merged tail, a strip of several blocks, and one row per block,
     # each block above the 256 KB from which numpy reuses temporaries
-    for name, rows in (("many-blocks", 240), ("strip-2400", 2400), ("long-rows", 6)):
+    for name, rows in (("many-blocks", 240), ("strip-2400", 2400), ("long-rows", 6),
+                       ("3d-blocks", 40)):
         for dt in (float, complex):
             a = ARRAYS[name][0](dt)
             blocks = _row_blocks(a)
@@ -336,6 +351,7 @@ def test_the_multi_block_inputs_are_many_blocks():
     sizes = [b.stop - b.start for b in _row_blocks(ARRAYS["many-blocks"][0](complex))]
     assert sizes[-1] > sizes[0]
     assert len(_row_blocks(ARRAYS["long-rows"][0](float))) == 6
+    assert [len(_row_blocks(ARRAYS["3d-blocks"][0](dt))) for dt in (float, complex)] == [2, 5]
 
 
 class TestStencilsAndResidual:

@@ -51,6 +51,9 @@ CONFIG_PROBES = {
     "grid-without-ny": ("transform-simple-basic", ("ny = 96\n", ""), []),
     "band-not-a-number": ("remove-pole-generic",
                           ("excluded_band = 0.002", "excluded_band = abc"), []),
+    "band-not-finite": ("remove-pole-generic",
+                        ("excluded_band = 0.002", "excluded_band = nan"), []),
+    "grid-bound-not-finite": ("remove-pole-generic", ("x_max = 0.1", "x_max = inf"), []),
     "complex-phase": ("series-recursion-canonical",
                       ("phi = poly: 0\n", "phi = poly: 0, 1i\n"), []),
     "complex-leading-coefficient": ("series-recursion-canonical",
@@ -159,6 +162,9 @@ CONFIG_PROBES = {
     "worst-y-without-expected-rejection": ("series-recursion-canonical",
                                            ("certify = pass", "certify = pass\nworst_y = 1.5"),
                                            []),
+    "worst-y-tolerance-without-expected-worst-y": ("series-recursion-canonical",
+                                                   ("defects = 1e-12",
+                                                    "defects = 1e-12\nworst_y = 1e-30"), []),
     "omega-with-expected-exactness-error": ("potential-closed-loop",
                                             ("exactness_error = true",
                                              "exactness_error = true\nomega = 0"), []),

@@ -214,6 +214,23 @@ class TestLaurentFit:
         fit = fit_laurent_profile(fld)
         assert np.max(np.abs(fit.coeff(-2) - grid.ys)) < 1e-10
 
+    @pytest.mark.parametrize("fill", ["nan", "inf", "random"])
+    def test_band_rows_are_not_read(self, grid, fill):
+        # remove_pole passes dw/dx with whatever its band rows hold
+        vals = Field.from_callable(
+            grid, lambda z: np.imag(z) / np.real(z) ** 2 + 2j / np.real(z)).values.copy()
+        band, window = grid.band_rows, (EPS / 32, EPS / 2)
+        vals[band] = 0.0
+        want = fit_laurent_profile(Field(grid, vals.copy()), x_window=window)
+        if fill == "nan":
+            vals[band] = np.nan
+        elif fill == "inf":
+            vals[band, ::2], vals[band, 1::2] = np.inf, -np.inf
+        else:
+            vals[band] = np.random.default_rng(3).standard_normal(vals[band].shape) * 1e6
+        got = fit_laurent_profile(Field(grid, vals), x_window=window)
+        assert_same_bits(got.coeffs, want.coeffs)
+
     def test_too_few_samples(self, grid):
         fld = Field.from_callable(grid, lambda z: 1.0 / np.real(z))
         with pytest.raises(FitError):
