@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SeedResidualError, ShapeError, SingularOmegaError, ZeroPotentialError
-from .grid import Field, _row_blocks, _scrub, residual
+from .grid import Field, _largest, _row_blocks, _scrub, residual
 from .potential import Potential
 
 #: relative floor (times the potential scale) below which a potential
@@ -40,7 +40,8 @@ class TransformResult:
     ``map_psi(psi, omegas)`` expects the potentials pairing psi with
     each conjugate seed (one per seed, in seed order); likewise
     ``map_psi_plus(psi_plus, omegas)`` expects the potentials pairing
-    each direct seed with psi_plus.
+    each direct seed with psi_plus.  The maps are module-level functions
+    bound with ``functools.partial``, so a result pickles.
     """
 
     u_tilde: Field
@@ -55,9 +56,10 @@ class SeedSet:
     """N seed pairs with their potential matrix.
 
     ``omega[j][k]`` must hold the potential pairing the k-th direct
-    seed with the j-th conjugate seed.  Construction checks that the
-    matrix is invertible at every active node and keeps its smallest
-    |det| as ``det_min``.
+    seed with the j-th conjugate seed.  Construction stacks the
+    potentials' ims into ``matrix``, the real matrix W of
+    omega = i W, checks that W is invertible at every active node and
+    keeps its smallest |det| as ``det_min``.
     """
 
     u: Field
@@ -86,43 +88,43 @@ class SeedSet:
         object.__setattr__(self, "det_min", _det_nodes(self.matrix, self.u.grid))
 
     def omega_array(self) -> np.ndarray:
-        """Potential matrix as an (nx, ny, N, N) array, for N = 1 its im;
+        """The (nx, ny, N, N) real stack of the potentials' ims;
         construction builds it once as ``matrix``."""
-        if len(self.omega) == 1:
-            return self.omega[0][0].im
-        rows = [[p.values for p in row] for row in self.omega]
-        return np.transpose(np.array(rows), (2, 3, 0, 1))
+        return np.transpose(np.array([[p.im for p in row] for row in self.omega]),
+                            (2, 3, 0, 1))
 
 
-def _det(om: np.ndarray) -> np.ndarray:
-    """Node-wise determinant for N >= 2; a closed form for N = 2."""
-    if om.shape[-1] == 2:
-        return om[..., 0, 0] * om[..., 1, 1] - om[..., 0, 1] * om[..., 1, 0]
-    return np.linalg.det(om)
+def _det(w: np.ndarray) -> np.ndarray:
+    """Node-wise determinant of the real (..., N, N) W: its entry for
+    N = 1, a closed form for N = 2, LU above."""
+    if w.shape[-1] == 1:
+        return w[..., 0, 0]
+    if w.shape[-1] == 2:
+        return w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
+    return np.linalg.det(w)
 
 
-def _det_nodes(om: np.ndarray, grid, tol: float | None = None) -> float:
-    """Smallest |det| of the potential matrix over active nodes.
+def _det_nodes(w: np.ndarray, grid, tol: float | None = None) -> float:
+    """Smallest |det W| = |det omega| over active nodes, for W the real
+    (nx, ny, N, N) matrix of the potentials' ims.
 
-    For N = 1, ``om`` is the potential's im, and a block's |det| is its
-    |im|.  Each active row block gives its largest |entry| and its
-    smallest |det| with the first node holding it, so ties and NaNs go
-    to the first node in row order.  Raises where |det| drops to
-    ``tol``, by default DET_TOL_FACTOR times the N-th power of the
-    largest active |entry|: a vanishing seed potential (N = 1) raises
+    Each active row block gives its largest |entry| and its smallest
+    |det| with the first node holding it, so ties and NaNs go to the
+    first node in row order.  Raises where |det| drops to ``tol``, by
+    default DET_TOL_FACTOR times the N-th power of the largest active
+    |entry|: a vanishing seed potential (N = 1) raises
     ZeroPotentialError, a singular matrix (N >= 2) SingularOmegaError.
     """
-    n = 1 if om.ndim == 2 else om.shape[-1]
+    n = w.shape[-1]
 
     def blocks():  # (first row, |det| raveled, entries) per active row block
         for s in grid.slabs:
-            for r in _row_blocks(om[s]) if s.stop > s.start else ():
-                b = om[s][r]
-                yield s.start + r.start, np.abs(b if n == 1 else _det(b)).ravel(), b
+            for r in _row_blocks(w[s]) if s.stop > s.start else ():
+                yield s.start + r.start, np.abs(_det(w[s][r])).ravel(), w[s][r]
 
     peaks, lows = [], []
     for row, a, b in blocks():
-        peaks.append(np.max(a if n == 1 else np.abs(b)))
+        peaks.append(np.max(np.abs(b)))
         lows.append((a[k := int(np.argmin(a))], k + row * grid.ny))
     low, k = lows[int(np.argmin([v for v, _ in lows]))]
     scale, node = float(np.max(peaks)), tuple(map(int, np.unravel_index(k, grid.shape())))
@@ -135,84 +137,86 @@ def _det_nodes(om: np.ndarray, grid, tol: float | None = None) -> float:
     return float(low)
 
 
-def _solve_nodes(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve om @ x = rhs per node for N >= 2; a closed form for N = 2."""
-    if om.shape[-1] == 2:
-        det = _det(om)
-        x0 = (om[..., 1, 1] * rhs[..., 0] - om[..., 0, 1] * rhs[..., 1]) / det
-        x1 = (om[..., 0, 0] * rhs[..., 1] - om[..., 1, 0] * rhs[..., 0]) / det
-        return np.stack([x0, x1], axis=-1)
-    return np.linalg.solve(om, rhs[..., None])[..., 0]
+def _solve_nodes(w: np.ndarray, systems, s: np.ndarray | None) -> None:
+    """Solve W x = b per node for each (b, x) of ``systems``: b and x
+    are lists of N per-seed arrays, the x perhaps strided views.
 
-
-def _dot(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j stack[..., j] * x[..., j], accumulated in seed order."""
-    out = stack[..., 0] * x[..., 0]
-    for j in range(1, stack.shape[-1]):
-        out += stack[..., j] * x[..., j]
-    return out
+    N >= 3 solves by real LU.  N = 1 multiplies b, and N = 2 its closed
+    form, by one reciprocal of det W for all systems, NaN where det W is
+    infinite: numpy's complex 1 / (1j * inf), as 1j * inf has a NaN real part.
+    The reciprocal is formed in ``s`` if not None: the output written last.
+    """
+    n = w.shape[-1]
+    if n > 2:
+        for b, x in systems:
+            sol = np.linalg.solve(w, np.stack(b, axis=-1)[..., None])
+            for j in range(n):
+                x[j][...] = sol[..., j, 0]
+        return
+    det = _det(w)
+    s = np.divide(1.0, det, out=s)
+    np.copyto(s, np.nan, where=np.isinf(det))
+    for b, x in systems:
+        if n == 1:
+            np.multiply(b[0], s, out=x[0])
+        else:
+            np.multiply(w[..., 1, 1] * b[0] - w[..., 0, 1] * b[1], s, out=x[0])
+            np.multiply(w[..., 0, 0] * b[1] - w[..., 1, 0] * b[0], s, out=x[1])
 
 
 def _as_potential_list(omegas) -> list[Potential]:
     return [omegas] if isinstance(omegas, Potential) else list(omegas)
 
 
-def _reciprocal(w: np.ndarray) -> np.ndarray:
-    """1 / w: numpy divides by 1j * w as a multiply by it, giving NaN where w is infinite."""
-    s = np.divide(1.0, w)
-    np.copyto(s, np.nan, where=np.isinf(w))
-    return s
-
-
-def _transform(u: Field, f_stack: np.ndarray, fp_stack: np.ndarray,
-               om: np.ndarray, det_min: float) -> TransformResult:
-    """The transform generated by N seeds, node by node.
-
-    ``f_stack`` and ``fp_stack`` hold the direct and conjugate seeds
-    along a last axis of length N and ``om`` is the (nx, ny, N, N)
-    potential matrix.  The coefficient becomes u + sum_j f_j x_j with
-    om x = conj(f+); psi maps to psi - sum_j f_j y_j with
-    om y = (w_{psi,f_j+})_j, and psi+ to psi+ - sum_j f_j+ y_j with
-    om^T y = (w_{f_j,psi+})_j.  Values that are non-finite inside an
-    excluded band become 0 there.  For N = 1, ``om`` is the potential's
-    im W: with s = 1/W, -x is (Im f+, Re f+) * s and y = w * s, the bits
-    of numpy's complex division but for zero signs.  ``det_min`` is the
-    caller's ``_det_nodes`` of ``om``.
-    """
-    grid, n = u.grid, f_stack.shape[-1]
-    u_tilde = np.empty_like(u.values)
+def _subtract_solved(grid, w: np.ndarray, seeds, base: np.ndarray, rhs) -> Field:
+    """base - sum_j seeds[j] x_j node by node, where W x = b for b the
+    sets of N per-seed arrays in ``rhs``: one for a real x, the real and
+    the imaginary part's for a complex x.  Non-finite values inside an
+    excluded band become 0 there."""
+    vals = np.empty_like(base)
+    blocks = _row_blocks(vals)
+    cx = len(rhs) > 1  # a complex x_0 is solved in the rows it is subtracted into
+    scratch = np.empty((w.shape[-1] - cx, _largest(blocks), grid.ny), complex if cx else float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows in _row_blocks(u_tilde):
-            if n == 1:
-                s, fp, x = _reciprocal(om[rows]), fp_stack[rows, :, 0], u_tilde[rows]
-                np.multiply(fp.imag, s, out=x.real)
-                np.multiply(fp.real, s, out=x.imag)
-                np.subtract(u.values[rows], np.multiply(f_stack[rows, :, 0], x, out=x), out=x)
-            else:
-                x = _dot(f_stack[rows], _solve_nodes(om[rows], np.conj(fp_stack[rows])))
-                np.add(u.values[rows], x, out=u_tilde[rows])
-            _scrub(grid, u_tilde[rows], rows)
+        for rows in blocks:
+            x = [vals[rows]] * cx + list(scratch[:, :rows.stop - rows.start])
+            _solve_nodes(w[rows], [([a[rows] for a in b], [part(v) for v in x])
+                                   for b, part in zip(rhs, (np.real, np.imag))],
+                         None if cx else x[-1])  # a real x overwrites the reciprocal
+            sx = np.multiply(seeds[0][rows], x[0], out=vals[rows])
+            for j in range(1, len(seeds)):  # accumulated in seed order
+                sx += seeds[j][rows] * x[j]
+            _scrub(grid, np.subtract(base[rows], sx, out=sx), rows)
+    return Field(grid, vals)
 
-    def mapped(stack: np.ndarray, matrix: np.ndarray, base: Field, omegas) -> Field:
-        pots = _as_potential_list(omegas)
-        if len(pots) != n or base.grid != grid:
-            raise ShapeError(f"a map takes a field on the transform's grid and "
-                             f"{n} potential(s), one per seed")
-        ims = [p.im for p in pots]
-        vals = np.empty_like(base.values)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for rows in _row_blocks(vals):
-                # for N = 1 the product is formed in the rows it is subtracted into
-                sy = (np.multiply(stack[rows, :, 0], ims[0][rows] * _reciprocal(matrix[rows]),
-                                  out=vals[rows]) if n == 1 else _dot(stack[rows], _solve_nodes(
-                          matrix[rows], np.stack([1j * w[rows] for w in ims], axis=-1))))
-                _scrub(grid, np.subtract(base.values[rows], sy, out=vals[rows]), rows)
-        return Field(grid, vals)
 
-    return TransformResult(Field(grid, u_tilde),
-                           partial(mapped, f_stack, om),
-                           partial(mapped, fp_stack, om if n == 1 else np.swapaxes(om, -1, -2)),
-                           n, det_min)
+def _mapped(grid, seeds, w: np.ndarray, base: Field, omegas) -> Field:
+    """A solution map of ``_transform``, bound to its seeds and matrix."""
+    pots = _as_potential_list(omegas)
+    if len(pots) != w.shape[-1] or base.grid != grid:
+        raise ShapeError(f"a map takes a field on the transform's grid and "
+                         f"{w.shape[-1]} potential(s), one per seed")
+    return _subtract_solved(grid, w, seeds, base.values, [[p.im for p in pots]])
+
+
+def _transform(u: Field, fs, fps, w: np.ndarray, det_min: float) -> TransformResult:
+    """The transform generated by N seeds, in real arithmetic on W.
+
+    ``fs`` and ``fps`` are the N direct and conjugate seeds' values and
+    ``w`` the real (nx, ny, N, N) matrix W of their potentials' ims,
+    omega = i W.  The coefficient becomes u - sum_j f_j x_j with
+    W x = Im f+ + i Re f+; psi maps to psi - sum_j f_j y_j with
+    W y = (Im w_{psi,f_j+})_j, and psi+ to psi+ - sum_j f_j+ y_j with
+    W^T y = (Im w_{f_j,psi+})_j.  These are numpy's complex formulas on
+    omega bit for bit, up to the sign of zeros, as numpy divides by a
+    complex number with a zero part by multiplying with the reciprocal
+    of the other.  ``det_min`` is the caller's ``_det_nodes`` of ``w``.
+    """
+    u_tilde = _subtract_solved(u.grid, w, fs, u.values, [[v.imag for v in fps],
+                                                         [v.real for v in fps]])
+    return TransformResult(u_tilde, partial(_mapped, u.grid, fs, w),
+                           partial(_mapped, u.grid, fps, np.swapaxes(w, -1, -2)),
+                           w.shape[-1], det_min)
 
 
 def moutard_simple(u: Field, f1: Field, f1_plus: Field,
@@ -224,15 +228,14 @@ def moutard_simple(u: Field, f1: Field, f1_plus: Field,
     """
     if not u.grid == f1.grid == f1_plus.grid == omega_ff.grid:
         raise ShapeError("coefficient, seed pair and potential live on different grids")
-    return _transform(u, f1.values[..., None], f1_plus.values[..., None],
-                      omega_ff.im, _det_nodes(omega_ff.im, u.grid))
+    w = omega_ff.im[..., None, None]
+    return _transform(u, [f1.values], [f1_plus.values], w, _det_nodes(w, u.grid))
 
 
 def moutard_rank_n(seedset: SeedSet) -> TransformResult:
     """Rank-N transform from a seed set, whose matrix it checked on construction."""
-    return _transform(seedset.u,
-                      np.stack([f.values for f, _ in seedset.seeds], axis=-1),
-                      np.stack([fp.values for _, fp in seedset.seeds], axis=-1),
+    return _transform(seedset.u, [f.values for f, _ in seedset.seeds],
+                      [fp.values for _, fp in seedset.seeds],
                       seedset.matrix, seedset.det_min)
 
 
@@ -246,7 +249,7 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     (w_pp * w_ff - w_pf * w_fp) / w_ff + constant, formed on the ims as
     (pp * ff - pf * fp) * (1 / ff) + Im c, the complex formula's bits.
     """
-    _det_nodes(omega_ff.im, omega_ff.grid)
+    _det_nodes(omega_ff.im[..., None, None], omega_ff.grid)
     constant = complex(constant)
     pp, pf, fp, ff = (w.im for w in (omega_pp, omega_pf, omega_fp, omega_ff))
     im = np.empty_like(pp)
@@ -258,6 +261,15 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     bp = omega_pp.basepoint
     return Potential(omega_pp.grid, im, complex(constant.real + 0.0, im[bp]), bp,
                      real_drift=abs(constant.real))
+
+
+def _chained(first: Callable, second: Callable, fixed: Potential, om_ff: Potential,
+             psi: Field, omegas) -> Field:
+    """Chained map of a composition: psi through ``first`` with the first
+    of ``omegas``, then ``second`` with the transformed potential of the
+    second, taking ``fixed`` as either middle factor (real products commute)."""
+    om_1, om_2 = _as_potential_list(omegas)
+    return second(first(psi, om_1), transformed_potential(om_2, om_1, fixed, om_ff))
 
 
 def compose_simple(u: Field, f1: Field, f1_plus: Field, f2: Field,
@@ -276,21 +288,16 @@ def compose_simple(u: Field, f1: Field, f1_plus: Field, f2: Field,
     f2p_t = m1.map_psi_plus(f2_plus, om_f1_f2p)
     om_22_t = transformed_potential(om_f2_f2p, om_f2_f1p, om_f1_f2p, om_f1_f1p)
     m2 = moutard_simple(m1.u_tilde, f2_t, f2p_t, om_22_t)
+    return TransformResult(
+        m2.u_tilde, partial(_chained, m1.map_psi, m2.map_psi, om_f1_f2p, om_f1_f1p),
+        partial(_chained, m1.map_psi_plus, m2.map_psi_plus, om_f2_f1p, om_f1_f1p),
+        2, det_min=min(m1.det_min, m2.det_min))
 
-    def map_psi(psi: Field, omegas) -> Field:
-        om_p_f1p, om_p_f2p = _as_potential_list(omegas)
-        psi_t = m1.map_psi(psi, om_p_f1p)
-        om_t = transformed_potential(om_p_f2p, om_p_f1p, om_f1_f2p, om_f1_f1p)
-        return m2.map_psi(psi_t, om_t)
 
-    def map_psi_plus(psi_plus: Field, omegas) -> Field:
-        om_f1_pp, om_f2_pp = _as_potential_list(omegas)
-        psi_p_t = m1.map_psi_plus(psi_plus, om_f1_pp)
-        om_t = transformed_potential(om_f2_pp, om_f2_f1p, om_f1_pp, om_f1_f1p)
-        return m2.map_psi_plus(psi_p_t, om_t)
-
-    return TransformResult(m2.u_tilde, map_psi, map_psi_plus, 2,
-                           det_min=min(m1.det_min, m2.det_min))
+def _scaled(grid, w: np.ndarray, m2_map: Callable, psi_tilde: Field, omegas) -> Field:
+    """``m2_map`` of psi~ with the original potential times -i/w."""
+    (om,) = _as_potential_list(omegas)
+    return m2_map(psi_tilde, Potential.from_values(grid, -1j * om.values / w, om.basepoint))
 
 
 def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
@@ -304,23 +311,15 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
     take transformed solutions together with the *original* potentials
     (the ones that fed the forward map).
     """
-    _det_nodes(omega_ff.im, omega_ff.grid)
+    _det_nodes(omega_ff.im[..., None, None], omega_ff.grid)
     grid = f1.grid
     w = omega_ff.values
     f_hat = Field(grid, -1j * f1.values / w)
     f_hat_plus = Field(grid, -1j * f1_plus.values / w)
     om_hat = Potential.from_values(grid, 1.0 / w, omega_ff.basepoint)
     m2 = moutard_simple(m1.u_tilde, f_hat, f_hat_plus, om_hat)
-
-    def scaled(m2_map: Callable) -> Callable:
-        def mapped(psi_tilde: Field, omegas) -> Field:
-            (om,) = _as_potential_list(omegas)
-            return m2_map(psi_tilde, Potential.from_values(grid, -1j * om.values / w,
-                                                           om.basepoint))
-        return mapped
-
-    return TransformResult(m2.u_tilde, scaled(m2.map_psi), scaled(m2.map_psi_plus), 1,
-                           m2.det_min)
+    return TransformResult(m2.u_tilde, partial(_scaled, grid, w, m2.map_psi),
+                           partial(_scaled, grid, w, m2.map_psi_plus), 1, m2.det_min)
 
 
 def seed_annihilation_max(result: TransformResult, seedset: SeedSet) -> float:

@@ -181,7 +181,6 @@ class LaurentFit:
     """Per-row least-squares Laurent coefficients of a grid field."""
 
     orders: tuple[int, ...]
-    ys: np.ndarray
     coeffs: np.ndarray  # shape (len(orders), ny)
 
     def coeff(self, order: int) -> np.ndarray:
@@ -231,7 +230,7 @@ def fit_laurent_profile(field: Field, orders: tuple[int, ...] = (-2, -1, 0),
     design = np.stack([x_sel ** k for k in orders], axis=1)
     sol, *_ = np.linalg.lstsq(design.astype(complex), field.values[sel, :],
                               rcond=None)
-    return LaurentFit(tuple(orders), grid.ys.copy(), sol)
+    return LaurentFit(tuple(orders), sol)
 
 
 @dataclass(frozen=True)

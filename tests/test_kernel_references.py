@@ -28,7 +28,8 @@ from galab.expressions import (_GRID_VARIABLES, BinOp, Var, _variables, evaluate
                                evaluate_on_grid, parse_expression)
 from galab.grid import (_EDGE0, _EDGE1, Field, GridSpec, _peak_abs, _row_blocks,
                         _scrub, dbar, diff_axis, dz, residual)
-from galab.moutard import _det_nodes, moutard_simple, transformed_potential
+from galab.moutard import (SeedSet, _det_nodes, moutard_rank_n, moutard_simple,
+                           transformed_potential)
 from galab.potential import (Potential, _check_imaginary_constant, _form_components,
                              _integrate_form, omega, omega_singular)
 from galab.series import FunctionOnInterval
@@ -147,6 +148,33 @@ def ref_transform(u, f, fp, w):
     return ref_scrub(grid, u_tilde), map_psi
 
 
+def ref_rank_two(u, seeds, om):
+    """u_tilde and both maps of the rank-2 transform in complex arithmetic
+    on omega = 1j * W, whole-array: the closed form divided by det omega,
+    the right-hand sides conj(f+) and the potentials' complex values."""
+    grid = u.grid
+    mat = np.transpose(np.array([[p.values for p in row] for row in om]), (2, 3, 0, 1))
+    f, fp = [a.values for a, _ in seeds], [b.values for _, b in seeds]
+
+    def solve(m, rhs):
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        return [(m[..., 1, 1] * rhs[0] - m[..., 0, 1] * rhs[1]) / det,
+                (m[..., 0, 0] * rhs[1] - m[..., 1, 0] * rhs[0]) / det]
+
+    def dot(stack, x):
+        out = stack[0] * x[0]
+        out += stack[1] * x[1]
+        return out
+
+    def mapper(stack, m):
+        return lambda psi, pots: ref_scrub(
+            grid, psi.values - dot(stack, solve(m, [p.values for p in pots])))
+
+    u_tilde = u.values + dot(f, solve(mat, [np.conj(v) for v in fp]))
+    return (ref_scrub(grid, u_tilde), mapper(f, mat),
+            mapper(fp, np.swapaxes(mat, -1, -2)))
+
+
 def ref_field(model):
     """A singular model's field, exp(i*phi) * leading / x + remainder,
     its 1/x term a complex division."""
@@ -203,8 +231,8 @@ def ref_evaluate_on_grid(src, grid):
 
 def ref_abs_det(om, grid):
     """|det| at the active nodes, from the mask copy: written out for
-    N <= 2, np.linalg.det above; N = 1 is the (nx, ny, 1, 1) complex
-    potential."""
+    N <= 2, np.linalg.det above; N = 1 is the (nx, ny, 1, 1) matrix of
+    one potential."""
     n = om.shape[-1]
     if n == 1:
         det = om[..., 0, 0]
@@ -516,13 +544,47 @@ class TestPotentialsAndTransform:
         assert_same_bits(got.values, want)
 
 
+def _matrix(grid, seed):
+    """A nonsymmetric, diagonally dominant 2 x 2 potential matrix: ims in
+    [2, 3] on the diagonal and in [-0.5, 0.5] off it; on a strip each
+    entry is inf, -inf, nan or 0 at every fourth node of a band row."""
+    rng = np.random.default_rng(seed)
+    band = np.nonzero(~grid.mask[:, 0])[0]
+    rows = [[None, None], [None, None]]
+    for k, (j, m) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        im = rng.random(grid.shape()) + (2.0 if j == m else -0.5)
+        if len(band):
+            im[band[len(band) // 2], k::4] = [np.inf, -np.inf, np.nan, 0.0][k]
+        rows[j][m] = Potential(grid, im, 0j, (0, 0))
+    return rows
+
+
+class TestRankTwo:
+    @pytest.mark.parametrize("name", ["many-blocks", "strip-2400", "long-rows"])
+    def test_matches_complex_closed_form(self, name):
+        # the real kernel on W against the complex closed form on 1j * W,
+        # with the conjugate map through the transpose
+        grid = GRIDS[name]
+        u, psi = _fields(grid, 90)
+        seeds = list(zip(_fields(grid, 92), _fields(grid, 94)))
+        om = _matrix(grid, 96)
+        pots = [_potential(grid, 97), _potential(grid, 98)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            result = moutard_rank_n(SeedSet(u, seeds, om))
+            u_tilde, map_psi, map_psi_plus = ref_rank_two(u, seeds, om)
+            _same_up_to_nan(result.u_tilde.values, u_tilde)
+            _same_up_to_nan(result.map_psi(psi, pots).values, map_psi(psi, pots))
+            _same_up_to_nan(result.map_psi_plus(psi, pots).values,
+                            map_psi_plus(psi, pots))
+
+
 class TestDetNodes:
     @pytest.mark.parametrize("name", ["small", "square-256", "strip-480", "strip-481"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_minimum_and_node_match_reference(self, name, n):
         grid = GRIDS[name]
         rng = np.random.default_rng(50 + n)
-        om = 1.0 + rng.random(grid.shape() + (n, n)) + 0j
+        om = 1.0 + rng.random(grid.shape() + (n, n))
         if n == 2:
             om[..., 0, 1] = om[..., 1, 0] = 0.0
         active = np.argwhere(grid.mask)
@@ -533,14 +595,12 @@ class TestDetNodes:
         if len(band):
             om[tuple(band[0])] = 0.0
         assert ref_det_nodes(om, grid) == (0.0, (i, j))
-        # N = 1 takes the potential's (nx, ny) imaginary part
-        arg = (lambda m: m[..., 0, 0].real.copy()) if n == 1 else (lambda m: m)
         error = ZeroPotentialError if n == 1 else SingularOmegaError
         with pytest.raises(error, match=re.escape(f"at node {(i, j)}")):
-            _det_nodes(arg(om), grid, None)
+            _det_nodes(om, grid, None)
         om[i, j] = np.eye(n) * 1e-3
         det_min, node = ref_det_nodes(om, grid)
-        assert node == (i, j) and _det_nodes(arg(om), grid, None) == det_min
+        assert node == (i, j) and _det_nodes(om, grid, None) == det_min
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_simple_potential_in_blocks(self, name):
@@ -556,28 +616,29 @@ class TestDetNodes:
         band = np.argwhere(~grid.mask)
         if len(band):
             w[tuple(band[0])] = 0.0
-        want = ref_det_nodes(1j * w[..., None, None], grid)
-        assert want == (1.0, first) and _det_nodes(w, grid, None) == 1.0
+        om = w[..., None, None]  # the (nx, ny, 1, 1) matrix of one potential's im
+        want = ref_det_nodes(om, grid)
+        assert want == (1.0, first) and _det_nodes(om, grid, None) == 1.0
         for tol in (1.0, 2.5):
             with pytest.raises(ZeroPotentialError) as got:
-                _det_nodes(w, grid, tol)
+                _det_nodes(om, grid, tol)
             count = int(np.count_nonzero(np.abs(w[grid.mask]) <= tol))
             assert f"at {count} node(s); |det| = 1.000e+00 at node {first}" in str(got.value)
         w[last] = np.nan
-        assert np.isnan(_det_nodes(w, grid, None))
+        assert np.isnan(_det_nodes(om, grid, None))
         w[last], w[first] = -1.0, np.inf
         with pytest.raises(ZeroPotentialError, match=re.escape(f"at node {last}")):
-            _det_nodes(w, grid, None)
+            _det_nodes(om, grid, None)
 
     @pytest.mark.parametrize("name", ["strip-480", "many-blocks", "strip-2400", "long-rows"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_matrix_in_blocks(self, name, n):
-        # the rules above for N >= 2, on diag(i w, i, ...), whose |det| is |w|
+        # the rules above for N >= 2, on diag(w, 1, ...), whose |det| is |w|
         grid = GRIDS[name]
-        om = np.zeros(grid.shape() + (n, n), dtype=complex)
-        om.imag[...] = np.eye(n)
+        om = np.zeros(grid.shape() + (n, n))
+        om[...] = np.eye(n)
         assert len(_row_blocks(om)) >= 2
-        w = om.imag[..., 0, 0]
+        w = om[..., 0, 0]
         w[...] = 2.0 + np.random.default_rng(58).random(grid.shape())
         active = np.argwhere(grid.mask)
         first, last = (tuple(map(int, active[k])) for k in (len(active) // 3, -1))

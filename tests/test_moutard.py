@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from galab.moutard import (SeedSet, _det_nodes, compose_simple, invert_simple,
                            seed_annihilation_max, transformed_potential)
 from galab.potential import Potential, omega
 
-from conftest import make_grid, ones, sample, zeros
+from conftest import assert_same_bits, make_grid, ones, sample, zeros
 
 
 def closed_form_potential(grid, values, basepoint=(0, 0)):
@@ -95,12 +97,12 @@ class TestRankN:
         seedset = SeedSet.build(u, [(f1, f1)], [[om_ff]])
         rank1 = moutard_rank_n(seedset)
         simple = moutard_simple(u, f1, f1, om_ff)
-        assert np.max(np.abs(rank1.u_tilde.values - simple.u_tilde.values)) < 1e-15
+        assert_same_bits(rank1.u_tilde.values, simple.u_tilde.values)
         psi = sample(g, lambda z: z)
         om_pf = closed_form_potential(g, 2j * g.x * g.y)
         a = rank1.map_psi(psi, [om_pf]).values
         b = simple.map_psi(psi, om_pf).values
-        assert np.max(np.abs(a - b)) < 1e-15
+        assert_same_bits(a, b)
 
         # both share one kernel, so the oracle is the written-out formula
         # on seeded random fields and potentials bounded away from zero
@@ -120,7 +122,7 @@ class TestRankN:
                          ("psi_plus", result.map_psi_plus(psi_plus, w_fp))):
             assert np.max(np.abs(got.values - hand[key])) < 1e-13, key
         rank1 = moutard_rank_n(SeedSet(u, [(f, fp)], [[w]]))
-        assert np.max(np.abs(rank1.u_tilde.values - result.u_tilde.values)) < 1e-13
+        assert_same_bits(rank1.u_tilde.values, result.u_tilde.values)
 
     def test_rank_two_matches_linalg_solve(self, strip):
         # oracle for the N = 2 closed-form solve and for the transposed
@@ -381,3 +383,34 @@ class TestInversion:
         z0 = zeros(g)
         assert m1.map_psi(z0, zero_pot).max_abs() == 0.0
         assert inv.map_psi(z0, zero_pot).max_abs() == 0.0
+
+
+class TestPickling:
+    def test_results_pickle_and_map_the_same(self, strip):
+        # every constructor's maps are module-level functions bound with
+        # partial, so a result survives pickling and maps bit for bit
+        g = strip
+        f1, f2 = ones(g), sample(g, lambda z: z)
+        om11 = closed_form_potential(g, 2j * g.y)
+        om21 = om12 = closed_form_potential(g, 2j * g.x * g.y)
+        om22 = closed_form_potential(g, 2j * (g.x ** 2 * g.y - g.y ** 3 / 3))
+        u = zeros(g)
+        m1 = moutard_simple(u, f1, f1, om11)
+        results = {
+            "simple": (m1, om12, om21),
+            "rank_n": (moutard_rank_n(SeedSet.build(u, [(f1, f1), (f2, f2)],
+                                                    [[om11, om21], [om12, om22]])),
+                       [om21, om22], [om12, om22]),
+            "compose": (compose_simple(u, f1, f1, f2, f2, om11, om21, om12, om22),
+                        [om21, om22], [om12, om22]),
+            "invert": (invert_simple(m1, f1, f1, om11), om12, om21),
+        }
+        psi = sample(g, lambda z: z ** 2 + 0.5)
+        for name, (result, oms, oms_plus) in results.items():
+            back = pickle.loads(pickle.dumps(result))
+            assert_same_bits(back.u_tilde.values, result.u_tilde.values)
+            assert_same_bits(back.map_psi(psi, oms).values,
+                             result.map_psi(psi, oms).values)
+            assert_same_bits(back.map_psi_plus(psi, oms_plus).values,
+                             result.map_psi_plus(psi, oms_plus).values)
+            assert (back.n_seeds, back.det_min) == (result.n_seeds, result.det_min), name

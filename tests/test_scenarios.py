@@ -367,7 +367,7 @@ psi = z
         monkeypatch.setattr(galab.moutard.SeedSet, "omega_array", built)
         code, _ = run_scenario(load_scenario("compose-rank2"), tmp_path)
         assert code == 0
-        assert [s for s in scans if len(s) == 4] == [(96, 96, 2, 2)]
+        assert [s for s in scans if s[-1] == 2] == [(96, 96, 2, 2)]
         assert builds == [2]
 
     def test_exit_two_when_series_overflows(self, tmp_path, capsys):
