@@ -35,7 +35,9 @@ def _run_one(ref: str, pipeline: str, out: str,
         code, report = run_scenario(scn, out)
         status = "ok" if code == 0 else "FAILED"
         return code, f"[{status}] {scn.name}: report {report}"
-    except (ScenarioError, MemoryError) as exc:  # a grid numpy cannot allocate
+    # MemoryError: a grid numpy cannot allocate; OSError: an --out, report
+    # or CSV path that cannot be written
+    except (ScenarioError, MemoryError, OSError) as exc:
         return 1, f"[config error] {ref}: {exc}"
     except GalabError as exc:
         return 2, f"[error] {ref}: {type(exc).__name__}: {exc}"

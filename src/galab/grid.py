@@ -9,7 +9,9 @@ which is how fields with a pole along the contour x = 0 are handled.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -17,6 +19,33 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteFieldError, ShapeError, StencilError
+
+
+def _keep_freed_heap() -> tuple[int, int] | None:
+    """On glibc, keep the memory that freed grid arrays leave in the process.
+
+    glibc unmaps freed blocks above its adaptive mmap threshold and trims
+    the top of the heap, so the next call faults every page of the same
+    grids in again: about 1200 minor faults per pole-strip item, at about
+    3 us each.  The mmap threshold is pinned at 32 MiB, glibc's ceiling for
+    the adaptive one on 64-bit, and the trim threshold raised to 2**31 - 1.
+    Setting either stops the adaptation, so the trim threshold is raised
+    only once the mmap threshold is set.  Returns both ``mallopt`` results
+    (1 is success), or None, setting nothing, on any other C library.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return None
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    pinned = mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    return pinned, pinned and mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
+#: the process memory policy, set once when the array layer is imported
+_HEAP_POLICY = _keep_freed_heap()
 
 # 4th-order first-derivative stencil rows (edge, sub-edge), unit spacing
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0

@@ -94,6 +94,8 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
         raise ScenarioError(f"scenario {ref!r} has no [scenario] section")
     meta = parser["scenario"]
     name = meta.get("name", Path(ref).stem)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ScenarioError(f"scenario name {name!r} is not a plain file name")
     pipeline = meta.get("pipeline", "")
     if pipeline not in PIPELINES:
         raise ScenarioError(f"scenario {name!r}: unknown pipeline {pipeline!r}")

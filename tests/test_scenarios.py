@@ -168,6 +168,10 @@ CONFIG_PROBES = {
     "omega-with-expected-exactness-error": ("potential-closed-loop",
                                             ("exactness_error = true",
                                              "exactness_error = true\nomega = 0"), []),
+    "name-with-separator": ("residual-holomorphic",
+                            ("name = residual-holomorphic", "name = sub/x"), []),
+    "name-escapes-out": ("residual-holomorphic",
+                         ("name = residual-holomorphic", "name = ../escaped"), []),
     "unknown-flag": ("residual-holomorphic", None, ["--bogus"]),
     "jobs-below-one": ("residual-holomorphic", None, ["--jobs", "0"]),
 }
@@ -219,6 +223,16 @@ u = 0
 psi = 1 +
 """)
         with pytest.raises(ScenarioError):
+            load_scenario(str(path))
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "sub/x", "../escaped", "a\\b", "a\0b"])
+    def test_name_must_be_a_plain_file_name(self, name, tmp_path):
+        # run_scenario joins the name to --out
+        text = resources.files("galab").joinpath(
+            "scenarios", "residual-holomorphic.ini").read_text()
+        path = tmp_path / "probe.ini"
+        path.write_text(text.replace("name = residual-holomorphic", f"name = {name}"))
+        with pytest.raises(ScenarioError, match="not a plain file name"):
             load_scenario(str(path))
 
     def test_grid_override(self):
@@ -429,6 +443,30 @@ psi = z
         assert code == 0
         assert (tmp_path / "series-recursion-canonical.report.json").exists()
         assert (tmp_path / "series-certify-reject-r0.report.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_below_a_file_is_a_config_error(self, jobs, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = run_cli(["potential", "--scenario", "potential-unit-pair",
+                        "--scenario", "potential-closed-loop", "--grid", "32,32",
+                        "--jobs", jobs, "--out", str(tmp_path / "file" / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line.split(":")[0] for line in lines] == [
+            "[config error] potential-unit-pair", "[config error] potential-closed-loop"]
+        assert all("Not a directory" in line for line in lines), lines
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_csv_path_taken_by_a_directory_is_a_config_error(self, jobs, tmp_path, capsys):
+        (tmp_path / "potential-unit-pair.omega.csv").mkdir()
+        code = run_cli(["potential", "--scenario", "potential-unit-pair",
+                        "--scenario", "potential-closed-loop", "--grid", "32,32",
+                        "--jobs", jobs, "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("[config error] potential-unit-pair: "), lines
+        assert "potential-unit-pair.omega.csv" in lines[0]
+        assert lines[1].startswith("[ok] potential-closed-loop"), lines
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GALAB_OUT", str(tmp_path / "env-out"))
