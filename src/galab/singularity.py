@@ -10,7 +10,7 @@ together with per-row Laurent fits of the transformed coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (BandRequiredError, FitError, MeromorphicViolation,
                      NonFiniteFieldError, PositivityError, SingularModelError)
 from .grid import Field, GridSpec, _scrub, diff_axis
-from .moutard import moutard_simple
+from .moutard import TransformResult, moutard_simple
 from .potential import Potential, omega_singular
 from .series import (CoefficientSeries, FunctionOnInterval, PoleProfile,
                      _require_certified, conjugate_profile, polyval, solve_recursion)
@@ -44,6 +44,9 @@ SUP_ABS = 1e-9
 #: 1/x coefficient of dw/dx must be below REL * |its 1/x^2 coefficient| + ABS
 RESIDUE_REL = 1e-4
 RESIDUE_ABS = 1e-8
+
+#: largest path defect of the seed potential (certified: 9.9e-7 at order 6)
+PATH_DEFECT_TOL = 1e-5
 
 #: fewest columns a Laurent fit takes on either side of the contour
 FIT_MIN_COLUMNS = 6
@@ -182,6 +185,7 @@ class LaurentFit:
 
     orders: tuple[int, ...]
     coeffs: np.ndarray  # shape (len(orders), ny)
+    sup: float  # max |field| on the fitted nodes
 
     def coeff(self, order: int) -> np.ndarray:
         return self.coeffs[self.orders.index(order)]
@@ -226,18 +230,50 @@ def fit_laurent_profile(field: Field, orders: tuple[int, ...] = (-2, -1, 0),
         raise FitError(
             f"need >= {FIT_MIN_COLUMNS} columns per side, have {n_left} left / "
             f"{n_right} right")
-    x_sel = xs[sel]
+    x_sel, rows = xs[sel], field.values[sel, :]
     design = np.stack([x_sel ** k for k in orders], axis=1)
-    sol, *_ = np.linalg.lstsq(design.astype(complex), field.values[sel, :],
-                              rcond=None)
-    return LaurentFit(tuple(orders), sol)
+    sol, *_ = np.linalg.lstsq(design.astype(complex), rows, rcond=None)
+    return LaurentFit(tuple(orders), sol, float(np.max(np.abs(rows))))
+
+
+@dataclass(frozen=True)
+class ContourProfile:
+    """Sup and fitted |c_-2|, |c_-1|, |c_0| of a field per rung delta/2 <= |x| <= delta."""
+
+    delta_ladder: tuple[float, ...]
+    sup: tuple[float, ...]
+    c_minus2: tuple[float, ...]
+    c_minus1: tuple[float, ...]
+    c0: tuple[float, ...]
+
+    def reasons(self) -> tuple[tuple[str, str], ...]:
+        """(name, text) of each failed test at its first failing rung: a
+        fitted pole coefficient above CANCEL_REL * |c_0| + CANCEL_ABS, and
+        a sup that grows towards the contour."""
+        bounds = [CANCEL_REL * c0 + CANCEL_ABS for c0 in self.c0]
+        persist = [f"pole coefficients persist at delta = {delta:g} (|c-2| = {c2:.3e}, "
+                   f"|c-1| = {c1:.3e}, bound {bound:.3e})" for delta, c2, c1, bound
+                   in zip(self.delta_ladder, self.c_minus2, self.c_minus1, bounds)
+                   if c2 > bound or c1 > bound]
+        grows = [f"sup grows towards the contour ({a:.6e} -> {b:.6e})"
+                 for a, b in zip(self.sup, self.sup[1:]) if b > a * SUP_GROWTH + SUP_ABS]
+        return tuple((name, texts[0]) for name, texts
+                     in (("pole_persists", persist), ("sup_grows", grows)) if texts)
+
+
+def contour_profile(field: Field, delta_ladder: tuple[float, ...]) -> ContourProfile:
+    """One Laurent fit per rung; a rung with too few columns raises FitError."""
+    fits = [fit_laurent_profile(field, orders=FIT_ORDERS, x_window=(delta / 2, delta))
+            for delta in delta_ladder]
+    return ContourProfile(tuple(delta_ladder), tuple(fit.sup for fit in fits),
+                          *(tuple(fit.max_abs(k) for fit in fits) for k in (-2, -1, 0)))
 
 
 @dataclass(frozen=True)
 class PoleRemovalResult:
-    """Transformed coefficient with the boundedness diagnostics."""
+    """The pole-removing transform, its diagnostics and failed checks."""
 
-    u_tilde: Field
+    transform: TransformResult
     omega: Potential
     delta_ladder: tuple[float, ...]
     sup_u_tilde: tuple[float, ...]
@@ -247,15 +283,20 @@ class PoleRemovalResult:
     residue_c_minus1: float
     residue_scale: float
     verdict: str
+    reasons: tuple[tuple[str, str], ...]
+
+    @property
+    def u_tilde(self) -> Field:
+        return self.transform.u_tilde
 
     @property
     def passed(self) -> bool:
-        return not self.verdict.startswith("fail")
+        return not self.reasons
 
     def to_json(self) -> dict:
-        """The diagnostics: every field but the two grids, tuples as they are."""
+        """The diagnostics from ``delta_ladder`` to ``verdict``, tuples as they are."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("u_tilde", "omega")}
+                if f.name not in ("transform", "omega", "reasons")}
 
 
 def remove_pole(u_star: Field, f_star: SingularFieldModel,
@@ -263,13 +304,12 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
                 flat_tol: float | None = None) -> PoleRemovalResult:
     """Apply the pole-removing simple transform and check boundedness.
 
-    The transformed coefficient is evaluated on a ladder of shrinking
-    sub-strips (LADDER_FRACTIONS of the half-width); on each rung the
-    sup must not grow and the fitted 1/x^2 and 1/x coefficients must
-    vanish relative to the constant term.
+    The transformed coefficient's ``contour_profile`` is read on a ladder
+    of shrinking sub-strips (LADDER_FRACTIONS of the half-width).
     The 1/x coefficient of the x-derivative of the seed potential is
     fitted as well: it vanishes for a genuine seed pair and is the
     sharpest detector of seeds violating the first-order relations.
+    The potential must also be closed to PATH_DEFECT_TOL.
 
     When ``flat_tol`` is given and the transformed coefficient stays
     below it everywhere, the verdict reports exact cancellation.
@@ -278,51 +318,28 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
     if grid.excluded_band is None:
         raise BandRequiredError("pole removal needs a grid with an excluded band")
     w = omega_singular(f_star, f_star_plus, constant)
-    u_tilde = moutard_simple(u_star, f_star.evaluate(), f_star_plus.evaluate(),
-                             w).u_tilde
-
+    transform = moutard_simple(u_star, f_star.evaluate(), f_star_plus.evaluate(), w)
     eps = min(grid.x_max, abs(grid.x_min))
-    delta_ladder = tuple(f * eps for f in LADDER_FRACTIONS)
-    sups, c2s, c1s, c0s = [], [], [], []
-    for delta in delta_ladder:
-        ring = grid.mask & _window(grid, delta / 2, delta)[:, None]
-        if not ring.any():
-            raise FitError(f"ladder rung delta = {delta} has no active nodes")
-        sups.append(float(np.max(np.abs(u_tilde.values[ring]))))
-        fit = fit_laurent_profile(u_tilde, orders=FIT_ORDERS,
-                                  x_window=(delta / 2, delta))
-        c2s.append(fit.max_abs(-2))
-        c1s.append(fit.max_abs(-1))
-        c0s.append(fit.max_abs(0))
+    ladder = contour_profile(transform.u_tilde, tuple(f * eps for f in LADDER_FRACTIONS))
 
     res_fit = fit_laurent_profile(  # it reads no band row of dw/dx
         Field(grid, diff_axis(w.values, grid.hx, axis=0)), orders=FIT_ORDERS,
-        x_window=(min(delta_ladder) / 2, max(delta_ladder)))
-    residue = res_fit.max_abs(-1)
-    residue_scale = res_fit.max_abs(-2)
+        x_window=(min(ladder.delta_ladder) / 2, max(ladder.delta_ladder)))
+    residue, residue_scale = res_fit.max_abs(-1), res_fit.max_abs(-2)
 
-    problems = []
-    for delta, c2, c1, c0 in zip(delta_ladder, c2s, c1s, c0s):
-        bound = CANCEL_REL * c0 + CANCEL_ABS
-        if c2 > bound or c1 > bound:
-            problems.append(f"pole coefficients persist at delta = {delta:g} "
-                            f"(|c-2| = {c2:.3e}, |c-1| = {c1:.3e}, bound {bound:.3e})")
-            break
-    for k in range(1, len(sups)):
-        if sups[k] > sups[k - 1] * SUP_GROWTH + SUP_ABS:
-            problems.append(f"sup grows towards the contour "
-                            f"({sups[k - 1]:.6e} -> {sups[k]:.6e})")
-            break
+    reasons = ladder.reasons()
     if residue > RESIDUE_REL * residue_scale + RESIDUE_ABS:
-        problems.append(f"potential derivative has a 1/x part "
-                        f"({residue:.3e} vs scale {residue_scale:.3e})")
+        reasons += (("residue", f"potential derivative has a 1/x part "
+                                f"({residue:.3e} vs scale {residue_scale:.3e})"),)
+    if w.path_defect > PATH_DEFECT_TOL:
+        reasons += (("path_defect", f"potential is not closed (path defect "
+                                    f"{w.path_defect:.3e}, bound {PATH_DEFECT_TOL:g})"),)
 
-    if problems:
-        verdict = "fail: " + "; ".join(problems)
-    elif flat_tol is not None and u_tilde.max_abs() <= flat_tol:
+    if reasons:
+        verdict = "fail: " + "; ".join(text for _, text in reasons)
+    elif flat_tol is not None and transform.u_tilde.max_abs() <= flat_tol:
         verdict = f"u_tilde == 0 within {flat_tol:g}"
     else:
         verdict = "pass"
-    return PoleRemovalResult(u_tilde, w, delta_ladder, tuple(sups),
-                             tuple(c2s), tuple(c1s), tuple(c0s),
-                             residue, residue_scale, verdict)
+    return PoleRemovalResult(transform, w, *astuple(ladder), residue, residue_scale,
+                             verdict, reasons)

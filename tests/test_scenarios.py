@@ -251,6 +251,15 @@ psi = 1 +
             (tmp_path / "series-recursion-canonical.report.json").read_text())
         assert report["metrics"]["series"]["K"] == 5
 
+    @pytest.mark.parametrize("order, code", [(5, 2), (6, 0)])
+    def test_seed_order_closes_the_potential(self, order, code, tmp_path):
+        # the seed potential's path defect is the seed series' truncation:
+        # 5.3e-5 at order 5 and 9.9e-7 at order 6, against a bound of 1e-5
+        assert run_cli(["remove-pole", "--scenario", "remove-pole-generic",
+                        "--out", str(tmp_path), "--order", str(order)]) == code
+        report = json.loads((tmp_path / "remove-pole-generic.report.json").read_text())
+        assert ("not closed" in report["metrics"]["verdict"]) == (code == 2)
+
 
 class TestBundledScenarios:
     @pytest.mark.parametrize("name", ALL_BUNDLED)

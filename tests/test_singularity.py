@@ -9,9 +9,11 @@ from galab.errors import (BandRequiredError, FitError, GalabError,
                           MeromorphicViolation, NonFiniteFieldError, PositivityError,
                           SingularModelError, ZeroPotentialError)
 from galab.grid import Field, GridSpec
-from galab.potential import Potential, omega_singular
+from galab.moutard import moutard_simple
+from galab.potential import Potential, omega, omega_singular
 from galab.series import FunctionOnInterval, PoleProfile
-from galab.singularity import (SingularFieldModel, fit_laurent_profile, remove_pole,
+from galab.singularity import (LADDER_FRACTIONS, PATH_DEFECT_TOL, SingularFieldModel,
+                               contour_profile, fit_laurent_profile, remove_pole,
                                synthesize_seeds, synthesize_singular_u)
 
 from conftest import assert_same_bits, reference_integrate_form
@@ -338,6 +340,80 @@ class TestRemovePole:
         assert set(data) >= {"delta_ladder", "sup_u_tilde", "fitted_c_minus1",
                              "fitted_c_minus2", "verdict"}
         assert len(data["delta_ladder"]) == 4
+
+    def test_result_keeps_its_transform(self, grid):
+        prof = canonical_profile()
+        u, _ = synthesize_singular_u(prof, grid)
+        f, fp = synthesize_seeds(prof, poly(1.0), poly(1.0), grid, order=8)
+        result = remove_pole(u, f, fp)
+        assert result.u_tilde is result.transform.u_tilde
+        assert result.transform.n_seeds == 1
+        assert result.reasons == () and result.passed
+
+
+def generic_strip():
+    # remove-pole-generic's strip
+    return GridSpec(-EPS, EPS, IV[0], IV[1], 480, 81, excluded_band=0.002)
+
+
+class TestPathDefect:
+    """Im r1 = phi''/2 + eps leaves the seed potential single-valued but
+    not closed: no residue sees it, the path defect grows as 6.51 eps."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-5, 1e-4, 1e-3])
+    def test_second_condition_violated(self, eps):
+        grid = generic_strip()
+        prof = PoleProfile(poly(0.0, 0.0, 1.0), {-1: poly(-0.5), 1: poly(1j * (1 + eps))})
+        u, _ = synthesize_singular_u(prof, grid, tol=1.0)
+        f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05), grid,
+                                 order=8, tol=1.0)
+        result = remove_pole(u, f, fp)
+        defect = result.omega.path_defect
+        if eps == 0.0:
+            assert result.passed and result.verdict == "pass"
+            assert defect < PATH_DEFECT_TOL / 100
+            return
+        assert abs(defect / eps - 6.51) <= 0.651
+        assert [name for name, _ in result.reasons] == ["path_defect"]
+        assert not result.passed
+        assert result.verdict == "fail: " + result.reasons[0][1]
+        assert "not closed" in result.verdict
+
+
+class TestContourProfile:
+    """The contour check reads any field, not only a transformed coefficient."""
+
+    LADDER = tuple(fraction * EPS for fraction in LADDER_FRACTIONS)
+
+    @pytest.mark.parametrize("nx, ny, tol", [(480, 81, 1e-10), (960, 161, 2e-10)])
+    def test_a_vanishing_potential_creates_a_simplest_pole(self, nx, ny, tol):
+        # u = 0, f = 1, f+ = i: omega = 2ix vanishes on the contour and
+        # the transform puts the pole -1/(2x) there
+        grid = GridSpec(-EPS, EPS, IV[0], IV[1], nx, ny, excluded_band=0.002)
+        ones = np.ones(grid.shape(), dtype=complex)
+        f, fp = Field(grid, ones), Field(grid, 1j * ones)
+        w = omega(f, fp, (0, 0), -0.2j)
+        m = grid.mask
+        assert np.max(np.abs(w.values[m] - 2j * grid.x[m])) < 1e-13
+        u_tilde = moutard_simple(Field(grid, 0 * ones), f, fp, w).u_tilde
+        assert np.max(np.abs(u_tilde.values[m] + 1 / (2 * grid.x[m]))) < tol
+        profile = contour_profile(u_tilde, self.LADDER)
+        assert profile.delta_ladder == self.LADDER
+        assert np.allclose(profile.c_minus1, 0.5, rtol=0, atol=1e-12)
+        assert profile.reasons()[0][0] == "pole_persists"
+
+    def test_the_singular_coefficient_keeps_its_pole(self):
+        grid = generic_strip()
+        u, _ = synthesize_singular_u(generic_profile(), grid)
+        profile = contour_profile(u, self.LADDER)
+        assert np.allclose(profile.c_minus1, 0.5, rtol=0, atol=1e-12)
+        assert profile.reasons()[0][0] == "pole_persists"
+
+    def test_an_empty_rung_raises_the_fits_error(self):
+        grid = generic_strip()
+        u, _ = synthesize_singular_u(generic_profile(), grid)
+        with pytest.raises(FitError, match="0 left / 0 right"):
+            contour_profile(u, (0.001,))
 
 
 class TestTypedErrors:
