@@ -122,9 +122,11 @@ class GridSpec:
 
     @cached_property
     def band_rows(self) -> slice:
-        """Rows with |x| < band: one range, as the abscissae are sorted."""
-        inside = np.flatnonzero(np.abs(self.xs) < (self.excluded_band or 0.0))
-        return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
+        """Rows with |x| < band, one range as the abscissae are sorted; empty
+        without a band, and at x = 0 where the band covers no node."""
+        band = self.excluded_band
+        return slice(0, 0) if band is None else slice(
+            *(int(np.searchsorted(self.xs, b, s)) for b, s in ((-band, "right"), (band, "left"))))
 
     @property
     def slabs(self) -> tuple[slice, slice]:

@@ -21,13 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SeedResidualError, ShapeError, SingularOmegaError, ZeroPotentialError
+from .errors import SeedResidualError, ShapeError
 from .grid import Field, _largest, _row_blocks, _scrub, residual
-from .potential import Potential
-
-#: relative floor (times the potential scale) below which a potential
-#: or seed-matrix determinant counts as vanishing
-DET_TOL_FACTOR = 1e-8
+from .potential import Potential, _det, _det_nodes
 
 #: largest equation residual of a seed admitted to a seed set
 SEED_RESIDUAL_TOL = 1e-6
@@ -56,8 +52,8 @@ class SeedSet:
     """N seed pairs with their potential matrix.
 
     ``omega[j][k]`` must hold the potential pairing the k-th direct
-    seed with the j-th conjugate seed.  Construction stacks the
-    potentials' ims into ``matrix``, the real matrix W of
+    seed with the j-th conjugate seed, all on u's grid.  Construction
+    stacks the potentials' ims into ``matrix``, the real matrix W of
     omega = i W, checks that W is invertible at every active node and
     keeps its smallest |det| as ``det_min``.
     """
@@ -84,6 +80,8 @@ class SeedSet:
         n = len(self.seeds)
         if len(self.omega) != n or any(len(row) != n for row in self.omega):
             raise ShapeError("omega matrix must be N x N")
+        if any(a.grid != self.u.grid for row in (*self.seeds, *self.omega) for a in row):
+            raise ShapeError("coefficient, seeds and potentials live on different grids")
         object.__setattr__(self, "matrix", self.omega_array())
         object.__setattr__(self, "det_min", _det_nodes(self.matrix, self.u.grid))
 
@@ -92,49 +90,6 @@ class SeedSet:
         construction builds it once as ``matrix``."""
         return np.transpose(np.array([[p.im for p in row] for row in self.omega]),
                             (2, 3, 0, 1))
-
-
-def _det(w: np.ndarray) -> np.ndarray:
-    """Node-wise determinant of the real (..., N, N) W: its entry for
-    N = 1, a closed form for N = 2, LU above."""
-    if w.shape[-1] == 1:
-        return w[..., 0, 0]
-    if w.shape[-1] == 2:
-        return w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
-    return np.linalg.det(w)
-
-
-def _det_nodes(w: np.ndarray, grid, tol: float | None = None) -> float:
-    """Smallest |det W| = |det omega| over active nodes, for W the real
-    (nx, ny, N, N) matrix of the potentials' ims.
-
-    Each active row block gives its largest |entry| and its smallest
-    |det| with the first node holding it, so ties and NaNs go to the
-    first node in row order.  Raises where |det| drops to ``tol``, by
-    default DET_TOL_FACTOR times the N-th power of the largest active
-    |entry|: a vanishing seed potential (N = 1) raises
-    ZeroPotentialError, a singular matrix (N >= 2) SingularOmegaError.
-    """
-    n = w.shape[-1]
-
-    def blocks():  # (first row, |det| raveled, entries) per active row block
-        for s in grid.slabs:
-            for r in _row_blocks(w[s]) if s.stop > s.start else ():
-                yield s.start + r.start, np.abs(_det(w[s][r])).ravel(), w[s][r]
-
-    peaks, lows = [], []
-    for row, a, b in blocks():
-        peaks.append(np.max(np.abs(b)))
-        lows.append((a[k := int(np.argmin(a))], k + row * grid.ny))
-    low, k = lows[int(np.argmin([v for v, _ in lows]))]
-    scale, node = float(np.max(peaks)), tuple(map(int, np.unravel_index(k, grid.shape())))
-    tol = DET_TOL_FACTOR * scale ** n if tol is None else tol
-    if low <= tol:
-        count = sum(np.count_nonzero(a <= tol) for _, a, _ in blocks())
-        error = ZeroPotentialError if n == 1 else SingularOmegaError
-        raise error(f"{n}x{n} potential matrix is singular at {count} node(s); "
-                    f"|det| = {low:.3e} at node {node} (tol {tol:.1e})")
-    return float(low)
 
 
 def _solve_nodes(w: np.ndarray, systems, s: np.ndarray | None) -> None:
@@ -210,7 +165,7 @@ def _transform(u: Field, fs, fps, w: np.ndarray, det_min: float) -> TransformRes
     W^T y = (Im w_{f_j,psi+})_j.  These are numpy's complex formulas on
     omega bit for bit, up to the sign of zeros, as numpy divides by a
     complex number with a zero part by multiplying with the reciprocal
-    of the other.  ``det_min`` is the caller's ``_det_nodes`` of ``w``.
+    of the other.  ``det_min`` is the caller's scan of ``w``.
     """
     u_tilde = _subtract_solved(u.grid, w, fs, u.values, [[v.imag for v in fps],
                                                          [v.real for v in fps]])
@@ -228,8 +183,8 @@ def moutard_simple(u: Field, f1: Field, f1_plus: Field,
     """
     if not u.grid == f1.grid == f1_plus.grid == omega_ff.grid:
         raise ShapeError("coefficient, seed pair and potential live on different grids")
-    w = omega_ff.im[..., None, None]
-    return _transform(u, [f1.values], [f1_plus.values], w, _det_nodes(w, u.grid))
+    return _transform(u, [f1.values], [f1_plus.values], omega_ff.im[..., None, None],
+                      omega_ff.det_min)
 
 
 def moutard_rank_n(seedset: SeedSet) -> TransformResult:
@@ -249,7 +204,7 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     (w_pp * w_ff - w_pf * w_fp) / w_ff + constant, formed on the ims as
     (pp * ff - pf * fp) * (1 / ff) + Im c, the complex formula's bits.
     """
-    _det_nodes(omega_ff.im[..., None, None], omega_ff.grid)
+    omega_ff.det_min  # raises where omega_ff vanishes
     constant = complex(constant)
     pp, pf, fp, ff = (w.im for w in (omega_pp, omega_pf, omega_fp, omega_ff))
     im = np.empty_like(pp)
@@ -311,7 +266,7 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
     take transformed solutions together with the *original* potentials
     (the ones that fed the forward map).
     """
-    _det_nodes(omega_ff.im[..., None, None], omega_ff.grid)
+    omega_ff.det_min  # raises where omega_ff vanishes
     grid = f1.grid
     w = omega_ff.values
     f_hat = Field(grid, -1j * f1.values / w)

@@ -11,13 +11,14 @@ up to a caller-chosen imaginary constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._integrate import cumulative_integral, integral
 from .errors import (BandRequiredError, ExactnessError, NonFiniteFieldError,
-                     PositivityError, ShapeError)
+                     PositivityError, ShapeError, SingularOmegaError, ZeroPotentialError)
 from .grid import Field, GridSpec, _peak_abs, _row_blocks, _scrub
 
 if TYPE_CHECKING:
@@ -29,6 +30,52 @@ DEFAULT_EXACTNESS_TOL = 1e-6
 
 #: admissible real part of an "imaginary-valued" array
 REAL_DRIFT_TOL = 1e-10
+
+#: relative floor (times the potential scale) below which a potential
+#: or seed-matrix determinant counts as vanishing
+DET_TOL_FACTOR = 1e-8
+
+
+def _det(w: np.ndarray) -> np.ndarray:
+    """Node-wise determinant of the real (..., N, N) W: its entry for
+    N = 1, a closed form for N = 2, LU above."""
+    if w.shape[-1] == 1:
+        return w[..., 0, 0]
+    if w.shape[-1] == 2:
+        return w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
+    return np.linalg.det(w)
+
+
+def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float:
+    """Smallest active |det W|, W the real (nx, ny, N, N) matrix of the potentials' ims.
+
+    det W keeps one sign on each slab of active rows, or omega vanishes
+    between two of its nodes (it may flip across the band, as a pole
+    seed's 2b/x does); the smallest |det| is then a slab extreme, at the
+    first node holding it, so ties and NaNs go to the first node in row
+    order.  Raises where a slab takes both signs, naming its extremes,
+    or where |det| drops to ``tol``, by default DET_TOL_FACTOR times the
+    N-th power of the largest active |entry|: ZeroPotentialError for
+    N = 1, SingularOmegaError for N >= 2.
+    """
+    n, slabs, lows, peaks = w.shape[-1], [s for s in grid.slabs if s.stop > s.start], [], []
+    error = ZeroPotentialError if n == 1 else SingularOmegaError
+    for s in slabs:
+        d, at = _det(w[s]).ravel(), lambda k: (s.start + k // grid.ny, k % grid.ny)
+        lo, hi = int(np.argmin(d)), int(np.argmax(d))
+        if d[lo] < 0 < d[hi]:
+            raise error(f"{n}x{n} potential matrix vanishes between nodes: det = "
+                        f"{d[lo]:.3e} at node {at(lo)}, {d[hi]:.3e} at node {at(hi)}")
+        k = hi if d[hi] <= 0 else lo  # the extreme nearest zero
+        lows.append((abs(d[k]), at(k)))
+        peaks += [np.max(w[s]), -np.min(w[s])]
+    low, node = lows[int(np.argmin([v for v, _ in lows]))]
+    tol = DET_TOL_FACTOR * float(np.max(peaks)) ** n if tol is None else tol
+    if low <= tol:
+        count = sum(np.count_nonzero(np.abs(_det(w[s])) <= tol) for s in slabs)
+        raise error(f"{n}x{n} potential matrix is singular at {count} node(s); "
+                    f"|det| = {low:.3e} at node {node} (tol {tol:.1e})")
+    return float(low)
 
 
 @dataclass(frozen=True)
@@ -62,6 +109,12 @@ class Potential:
                 f"potential has real drift {drift:.3e} above {REAL_DRIFT_TOL:.1e}")
         object.__setattr__(self, "im", np.asarray(vals, dtype=float))
         object.__setattr__(self, "real_drift", drift)
+        self.im.flags.writeable = False  # so a cached det_min holds
+
+    @cached_property
+    def det_min(self) -> float:
+        """Smallest active |im|; the one ``_det_nodes`` scan raises where im vanishes."""
+        return _det_nodes(self.im[..., None, None], self.grid)
 
     @property
     def values(self) -> np.ndarray:

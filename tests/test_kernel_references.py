@@ -612,7 +612,7 @@ class TestDetNodes:
         w = 2.0 + rng.random(grid.shape())
         active = np.argwhere(grid.mask)
         first, last = (tuple(map(int, active[k])) for k in (len(active) // 3, -1))
-        w[first] = w[last] = -1.0
+        w[first] = w[last] = 1.0
         band = np.argwhere(~grid.mask)
         if len(band):
             w[tuple(band[0])] = 0.0
@@ -626,7 +626,7 @@ class TestDetNodes:
             assert f"at {count} node(s); |det| = 1.000e+00 at node {first}" in str(got.value)
         w[last] = np.nan
         assert np.isnan(_det_nodes(om, grid, None))
-        w[last], w[first] = -1.0, np.inf
+        w[last], w[first] = 1.0, np.inf
         with pytest.raises(ZeroPotentialError, match=re.escape(f"at node {last}")):
             _det_nodes(om, grid, None)
 
@@ -642,7 +642,7 @@ class TestDetNodes:
         w[...] = 2.0 + np.random.default_rng(58).random(grid.shape())
         active = np.argwhere(grid.mask)
         first, last = (tuple(map(int, active[k])) for k in (len(active) // 3, -1))
-        w[first] = w[last] = -1.0
+        w[first] = w[last] = 1.0
         band = np.argwhere(~grid.mask)
         if len(band):
             om[tuple(band[0])] = 0.0
@@ -656,6 +656,63 @@ class TestDetNodes:
         w[first], w[last] = 0.0, np.nan
         with np.errstate(invalid="ignore"):  # the LU of a NaN matrix
             assert np.isnan(ref_det_nodes(om, grid)[0]) and np.isnan(_det_nodes(om, grid))
+
+
+    def test_a_band_between_nodes_splits_the_slabs(self):
+        # a band that covers no node still parts the contour's two sides,
+        # so a pole seed's 2b/x may flip sign across it
+        grid = GridSpec(-0.1, 0.1, 1.0, 2.0, 480, 81, excluded_band=1e-4)
+        assert grid.band_rows == slice(240, 240) and grid.mask.all()
+        om = (2.0 / grid.x + 0.1 * grid.y)[..., None, None]
+        assert _det_nodes(om, grid) == ref_det_nodes(om, grid)[0] > 0
+
+
+@st.composite
+def _one_sign_per_slab(draw):
+    """A banded or unbanded grid and diag(w, 1, ...) for N = 1 to 3, with
+    |w| in {0.5, 1, 1.5}, so ties are common, one sign of w drawn per
+    slab, and an active node."""
+    nx, ny = draw(st.integers(5, 60)), draw(st.integers(4, 24))
+    x_min = draw(st.sampled_from([-0.1, -0.037, 0.0, 0.02]))
+    band = draw(st.none() | st.floats(1e-4, 0.09))
+    grid = GridSpec(x_min, 0.1, 1.0, 2.0, nx, ny, excluded_band=band)
+    om = np.zeros(grid.shape() + (draw(st.integers(1, 3)),) * 2)
+    om[...] = np.eye(om.shape[-1])
+    om[..., 0, 0] = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        1, 4, grid.shape()) / 2
+    for s in grid.slabs:
+        om[s, :, 0, 0] *= draw(st.sampled_from([-1.0, 1.0]))
+    active = np.argwhere(grid.mask)
+    return grid, om, tuple(map(int, active[draw(st.integers(0, len(active) - 1))]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_one_sign_per_slab())
+def test_det_keeps_one_sign_per_slab(case):
+    """With one sign per slab the scan is the mask gather's minimum, and
+    flipping a slab whole keeps it: a pole seed's 2b/x flips across the
+    band.  Flipping one active node plants a sign change between it and
+    each active neighbour, so det omega vanishes between nodes though no
+    node holds a zero: that raises, naming the slab's first minimum and
+    first maximum."""
+    grid, om, (i, j) = case
+    w = om[..., 0, 0]
+    error = ZeroPotentialError if om.shape[-1] == 1 else SingularOmegaError
+    low, node = ref_det_nodes(om, grid)
+    assert _det_nodes(om, grid) == low
+    with pytest.raises(error, match=re.escape(f"|det| = {low:.3e} at node {node}")):
+        _det_nodes(om, grid, low)
+    for s in grid.slabs:
+        w[s] *= -1.0
+        assert _det_nodes(om, grid) == low
+    w[i, j] *= -1.0
+    s = next(s for s in grid.slabs if s.start <= i < s.stop)
+    lo, hi = ((s.start + int(a), int(b)) for a, b in
+              (np.argwhere(w[s] == w[s].min())[0], np.argwhere(w[s] == w[s].max())[0]))
+    with pytest.raises(error, match=re.escape(
+            f"vanishes between nodes: det = {w[lo]:.3e} at node {lo}, {w[hi]:.3e} at node {hi}")):
+        _det_nodes(om, grid)
 
 
 def _model(grid, seed, phase=1.0):
@@ -876,6 +933,9 @@ def test_real_arithmetic_kernels_with_signed_zeros(case):
     for k in range(4):
         w = _zeroed(rng, grid.shape(), 1e-12) + 1j * (2.0 + rng.random(grid.shape())) \
             * np.where(rng.random(grid.shape()) < 0.5, -1.0, 1.0)
+        if k in (0, 3):  # the scanned ones: one sign per slab, flipping across a band
+            sign = np.where(grid.x < 0, -1.0, 1.0) if grid.excluded_band else 1.0
+            w.imag = np.abs(w.imag) * sign
         w[band, k::4] = complex(0.0, [np.inf, -np.inf, np.nan, 0.0][k])
         pots.append(Potential(grid, w, 0j, (0, 0)))
     with np.errstate(all="ignore"):

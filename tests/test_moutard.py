@@ -53,6 +53,28 @@ class TestSimpleTransform:
         with pytest.raises(ZeroPotentialError):
             moutard_simple(zeros(g), ones(g), ones(g), om_zero)
 
+    def test_potential_vanishing_between_nodes_rejected(self):
+        # 64 nodes put y = 1.5 between two grid lines: |2(y - 1.5)| is
+        # 1/63 or more at every node, but it takes both signs
+        g = make_grid(64, 64)
+        u, f1 = zeros(g), ones(g)
+        om = closed_form_potential(g, 2j * (g.y - 1.5))
+        m1 = moutard_simple(u, f1, f1, closed_form_potential(g, 2j * g.y))
+        for call in (lambda: moutard_simple(u, f1, f1, om),
+                     lambda: transformed_potential(om, om, om, om),
+                     lambda: invert_simple(m1, f1, f1, om)):
+            with pytest.raises(ZeroPotentialError, match="vanishes between nodes"):
+                call()
+
+    def test_potential_is_scanned_once(self, setup, monkeypatch):
+        g, u, f1, om_ff = setup
+        assert om_ff.det_min == _det_nodes(om_ff.im[..., None, None], g) > 0
+        monkeypatch.setattr("galab.potential._det_nodes", None)  # no second scan
+        assert moutard_simple(u, f1, f1, om_ff).det_min == om_ff.det_min
+        transformed_potential(om_ff, om_ff, om_ff, om_ff)
+        with pytest.raises(ValueError, match="read-only"):  # so the scan stays true
+            om_ff.im[0, 0] = 0.0
+
     def test_mismatched_inputs_rejected(self, setup):
         g, u, f1, om_ff = setup
         other = make_grid(64, 64, x=(1.0, 2.0))
@@ -211,6 +233,19 @@ class TestRankN:
         om = closed_form_potential(strip, 2j * strip.y)
         with pytest.raises(ValueError):
             SeedSet.build(zeros(strip), [(bad, bad)], [[om]])
+
+    def test_seedset_checks_grids(self):
+        # a potential on a wider strip with as many nodes, or on a finer
+        # grid whose 24 x 24 corner the scan would read
+        g = make_grid(24, 24)
+        u, f1 = zeros(g), ones(g)
+        for other in (make_grid(24, 24, x=(0.0, 2.0)), make_grid(30, 30)):
+            om = closed_form_potential(other, 2j * other.y)
+            for build in (SeedSet, SeedSet.build):
+                with pytest.raises(ShapeError, match="different grids"):
+                    build(u, [(f1, f1)], [[om]])
+            with pytest.raises(ShapeError, match="different grids"):
+                SeedSet(u, [(ones(other), f1)], [[closed_form_potential(g, 2j * g.y)]])
 
     def test_seedset_checks_its_matrix_on_construction(self, setup):
         g, u, f1, om_ff = setup

@@ -188,7 +188,22 @@ MODEL_PROBES = {
     "profile-double-pole": ("series-recursion-canonical",
                             ("r-1 = poly: -0.5\n", "r-2 = poly: 7\nr-1 = poly: -0.5\n"),
                             "NormalizationError"),
+    # omega vanishes between nodes: Im omega = 2b/x + ... + 30 changes sign
+    # inside the left slab, and 2(y - 1) - 1 at y = 1.5, between grid lines
+    "pole-seed-vanishes": ("remove-pole-generic",
+                           ("order = 8\n", "order = 8\n\n[constants]\nconstant = 30i\n"),
+                           "ZeroPotentialError"),
+    "seed-potential-vanishes": ("transform-simple-basic",
+                                ("omega_f1_f1p = 2i\n", "omega_f1_f1p = -1i\n"),
+                                "ZeroPotentialError"),
 }
+
+#: _det_nodes calls per bundled scenario: one per potential or matrix a
+#: transform divides by, however many functions read it
+SCANS = {"canonical-pole-removal": 1, "compose-rank2": 3, "conformal-identity": 1,
+         "conformal-rotation": 2, "conformal-scaling": 2, "invert-roundtrip": 2,
+         "remove-pole-generic": 1, "transform-potential-identity": 1,
+         "transform-simple-basic": 1}
 
 
 def run_cli(args):
@@ -392,6 +407,19 @@ psi = z
         assert code == 0
         assert [s for s in scans if s[-1] == 2] == [(96, 96, 2, 2)]
         assert builds == [2]
+
+    @pytest.mark.parametrize("name", ALL_BUNDLED)
+    def test_each_potential_is_scanned_once(self, name, tmp_path, monkeypatch):
+        scans, det_nodes = [], galab.potential._det_nodes
+
+        def counted(w, grid, tol=None):
+            scans.append(w.shape)
+            return det_nodes(w, grid, tol)
+
+        for module in (galab.moutard, galab.potential):
+            monkeypatch.setattr(module, "_det_nodes", counted)
+        code, _ = run_scenario(load_scenario(name), tmp_path)
+        assert code == 0 and len(scans) == SCANS.get(name, 0), scans
 
     def test_exit_two_when_series_overflows(self, tmp_path, capsys):
         # 2 r0 conj(beta_-1) = 2e400 is not a float: the pipeline stops
