@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .grid import _largest, _row_blocks
+from .grid import _each_block, _row_blocks
 
 # Interval weights for the cubic through four consecutive samples.
 _W_FIRST = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
@@ -47,28 +47,21 @@ def _last(fm: np.ndarray, h: float) -> np.ndarray:
     return h * (wl[0] * fm[-4] + wl[1] * fm[-3] + wl[2] * fm[-2] + wl[3] * fm[-1])
 
 
-def _sum_steps(fm: np.ndarray, om: np.ndarray, h: float, a: int, b: int,
-               by_rows: bool) -> None:
-    """Nodes a .. b-1 of the running integral of ``fm`` along axis 0.
+def _sum_steps(fm: np.ndarray, om: np.ndarray, h: float, by_rows: bool) -> None:
+    """The running integral of ``fm`` along axis 0, in place in ``om``.
 
-    ``om[k]`` holds the interior step ending at node k; this sets node 0
-    and the two edge steps that fall in a .. b-1, then sums in place on
-    from ``om[a - 1]``.  The sums start at node 1, whose value is its
-    step as it is: 0 + step would turn a -0.0 step into +0.0.  ``by_rows``
-    adds a row at a time, else cumsum runs the same sequential sums.
+    ``om[k]`` holds the interior step ending at node k; this sets node 0 and
+    the two edge steps, then sums in place.  The sums start at node 1, whose
+    value is its step as it is: 0 + step would turn a -0.0 step into +0.0.
+    ``by_rows`` adds a row at a time, else cumsum runs the same sequential sums.
     """
     n = fm.shape[0]
-    if a == 0:
-        om[0] = 0.0
-    if a <= 1 < b:
-        om[1] = _first(fm, h)
-    if b == n:
-        om[n - 1] = _last(fm, h)
+    om[0], om[1], om[n - 1] = 0.0, _first(fm, h), _last(fm, h)
     if by_rows:
-        for k in range(max(a, 2), b):
+        for k in range(2, n):
             np.add(om[k - 1], om[k], out=om[k])
     else:
-        sums = om[max(a - 1, 1):b]
+        sums = om[1:]
         np.cumsum(sums, axis=0, out=sums)
 
 
@@ -85,28 +78,28 @@ def cumulative_integral(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     axis %= f.ndim
     c = np.ascontiguousarray(f)
     out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
-    blocks = _row_blocks(c)
     row, st = c[0].size, math.prod(c.shape[axis + 1:])
     src, dst = c.reshape(-1), out.reshape(-1)
-    tmp = np.empty_like(dst[:_largest(blocks) * row])
     # cumsum steps down columns, which is slower once each step crosses a page
     by_rows = axis == 0 and c.ndim > 1 and out[0].nbytes >= 4096
-    for rows in blocks:
+
+    def steps(rows, tmp):
         a, b = rows.start, rows.stop
         if axis == 0:
             # blocks along the integral: the interior steps of nodes
-            # a .. b-1 read c from row a - 2 to row b, and the sums go on
-            # from out[a - 1]
-            lo, hi, fm, om = max(a, 2) * row, min(b, n - 1) * row, c, out
+            # a .. b-1 read c from row a - 2 to row b; the sums run after
+            lo, hi = max(a, 2) * row, min(b, n - 1) * row
         else:
             # blocks across it, each integrated whole: the junk steps
             # stored where the axis index is 0, 1 or n-1 are overwritten
             lo, hi = a * row + 2 * st, b * row - st
-            fm, om = (np.moveaxis(x[rows], axis, 0) for x in (c, out))
-            a, b = 0, n
         if lo < hi:
             _interior(src, dst, st, lo, hi, h, tmp)
-        _sum_steps(fm, om, h, a, b, by_rows)
+        if axis:
+            _sum_steps(*(np.moveaxis(x[rows], axis, 0) for x in (c, out)), h, by_rows)
+    _each_block(steps, _row_blocks(c), lambda m: (np.empty_like(dst[:m * row]),))
+    if axis == 0:
+        _sum_steps(c, out, h, by_rows)
     return out
 
 

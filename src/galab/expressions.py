@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ExpressionError
-from .grid import _row_blocks
+from .grid import _each_block, _row_blocks
 
 VARIABLES = ("x", "y", "z", "zbar")
 FUNCTIONS: dict[str, Callable] = {
@@ -29,8 +29,10 @@ FUNCTIONS: dict[str, Callable] = {
 #: largest exponent magnitude, for a literal and for a tower's value
 MAX_EXPONENT = 1024
 
-_NUM_RE = _re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+#: a number, then an ``i`` that starts no identifier: an imaginary literal
+_NUM_RE = _re.compile(r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(i(?!\w))?")
+#: an identifier, or one operator or parenthesis
+_WORD_RE = _re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|[-+*/^()]")
 
 
 class Token(NamedTuple):
@@ -41,40 +43,22 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    n = len(src)
-    line = 1
-    line_start = 0
+    tokens, pos, n, line, line_start = [], 0, len(src), 1, 0
     while pos < n:
         ch = src[pos]
-        if ch == "\n":
-            line += 1
-            line_start = pos + 1
-            pos += 1
-            continue
         if ch.isspace():
+            if ch == "\n":
+                line, line_start = line + 1, pos + 1
             pos += 1
             continue
         col = pos - line_start + 1
-        m = _NUM_RE.match(src, pos)
-        if m:
-            text = m.group(0)
-            pos = m.end()
-            is_imag = (pos < n and src[pos] == "i"
-                       and (pos + 1 >= n
-                            or not (src[pos + 1].isalnum() or src[pos + 1] == "_")))
-            pos += is_imag
-            tokens.append(Token("imag" if is_imag else "number", text, line, col))
-            continue
-        m = _IDENT_RE.match(src, pos)
-        if m:
-            tokens.append(Token("ident", m.group(0), line, col))
+        if m := _NUM_RE.match(src, pos):
+            tokens.append(Token("imag" if m[2] else "number", m[1], line, col))
             pos = m.end()
             continue
-        if ch in "+-*/^()":
-            tokens.append(Token("op", ch, line, col))
-            pos += 1
+        if m := _WORD_RE.match(src, pos):
+            tokens.append(Token("ident" if m[1] else "op", m[0], line, col))
+            pos = m.end()
             continue
         raise ExpressionError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("end", "", line, n - line_start + 1))
@@ -112,8 +96,7 @@ class Pow(NamedTuple):
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens, self.pos = tokens, 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -122,6 +105,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def take(self, ops: str) -> str:
+        """The next token's text if it is one of the operators ``ops``, consumed; else ""."""
+        tok = self.peek()
+        return self.advance().text if tok.kind == "op" and tok.text in ops else ""
 
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
@@ -135,50 +123,37 @@ class _Parser:
 
     def expr(self):
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while op := self.take("+-"):
             node = BinOp(op, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.take("*/"):
             node = BinOp(op, node, self.factor())
         return node
 
     def factor(self):
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
+        return Neg(self.factor()) if self.take("-") else self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return Pow(base, self.exponent())
-        return base
+        return Pow(base, self.exponent()) if self.take("^") else base
 
     def exponent(self) -> int:
         # integer literals only; towers associate to the right and are
         # bounded by MAX_EXPONENT before they are computed
         sign = 1
-        while self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
+        while self.take("-"):
             sign = -sign
         tok = self.peek()
         if tok.kind != "number" or not tok.text.isdigit():  # no point, no exponent
             self.error("exponent must be an integer literal")
-        digits = tok.text.lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
+        if len(tok.text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
             self.error(f"exponent magnitude exceeds {MAX_EXPONENT}")
         self.advance()
         value = sign * int(tok.text)
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            value = self._tower(value, self.exponent(), tok)
-        return value
+        return self._tower(value, self.exponent(), tok) if self.take("^") else value
 
     def _tower(self, base: int, power: int, tok: Token) -> int:
         """``base ** power`` when it is an integer of magnitude at most
@@ -202,25 +177,21 @@ class _Parser:
             return Num(complex(0.0, value) if tok.kind == "imag" else complex(value))
         if tok.kind == "ident":
             self.advance()
-            if self.peek().kind == "op" and self.peek().text == "(":
+            if self.take("("):
                 if tok.text not in FUNCTIONS:
                     self.error(f"unknown function {tok.text!r}", tok)
-                self.advance()
                 return Call(tok.text, self.closed(self.expr()))
             if tok.text not in VARIABLES:
                 self.error(f"unknown identifier {tok.text!r}", tok)
             return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if self.take("("):
             return self.closed(self.expr())
         self.error("expected operand")
 
     def closed(self, node):
         """``node``, once the ``)`` that follows it is consumed."""
-        closing = self.peek()
-        if closing.kind != "op" or closing.text != ")":
+        if not self.take(")"):
             self.error("expected ')'")
-        self.advance()
         return node
 
 
@@ -258,8 +229,7 @@ def evaluate(node, env: dict, out: np.ndarray | None = None) -> np.ndarray | com
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.asarray(base, dtype=complex) ** node.exponent
     if isinstance(node, BinOp):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
+        left, right = evaluate(node.left, env), evaluate(node.right, env)
         with np.errstate(divide="ignore", invalid="ignore"):
             if node.op == "+":
                 return left + right
@@ -304,11 +274,13 @@ def evaluate_on_grid(src_or_ast, grid) -> np.ndarray:
     node = parse_expression(src_or_ast) if isinstance(src_or_ast, str) else src_or_ast
     named = _variables(node)
     out = np.empty(grid.shape(), dtype=complex)
-    for rows in _row_blocks(out):
+
+    def fill(rows):
         env = {name: build(grid, rows) for name, build in _GRID_VARIABLES.items()
                if name in named}
         if (value := evaluate(node, env, block := out[rows])) is not block:
             block[...] = value
+    _each_block(fill, _row_blocks(out))
     return out
 
 

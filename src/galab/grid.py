@@ -9,9 +9,11 @@ which is how fields with a pole along the contour x = 0 are handled.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -193,6 +195,63 @@ def _row_blocks(a: np.ndarray) -> list[slice]:
             for k in range(count)]
 
 
+class _Worker(threading.Thread):
+    """The daemon thread that runs the second half of a block map: ``busy``
+    is held while a map uses it, ``go`` and ``done`` hand a job over."""
+
+    def __init__(self):
+        super().__init__(name="galab-blocks", daemon=True)
+        self.busy, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
+        self.go.acquire(), self.done.acquire()
+
+    def run(self):
+        while self.go.acquire():
+            try:  # busy is held, so the blocks run in this thread
+                self.out = self.job[0].run(_each_block, *self.job[1]), None
+            except BaseException as exc:  # raised in the caller, after its half
+                self.out = None, exc
+            self.job = None  # holds no array past its map
+            self.done.release()
+
+
+#: process id -> its worker, started on first use (a forked child starts
+#: its own), or None where the process may use one CPU only
+_WORKERS: dict[int, _Worker | None] = {}
+
+
+def _each_block(fn, blocks: list[slice], scratch=None, here: bool = False) -> list:
+    """[fn(rows, *s) for rows in blocks], with ``s = scratch(m)`` made once
+    per thread (or none), m the rows of the thread's last and largest block.
+
+    With two or more blocks and CPUs, the caller runs the first half and
+    the worker the second, in a copy of the caller's context (numpy's
+    errstate lives there).  Both end before the map returns, and the first
+    failing block in row order raises.  Else, inside a map, or with ``here``
+    (blocks whose LAPACK calls contend across threads), all run in the caller.
+    """
+    if len(blocks) > 1 and not here and (pid := os.getpid()) not in _WORKERS:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        new = _Worker() if (cpus or 1) > 1 else None
+        if _WORKERS.setdefault(pid, new) is new and new:  # one start where threads race here
+            new.start()
+    worker = len(blocks) > 1 and not here and _WORKERS[os.getpid()]
+    if not worker or not worker.busy.acquire(blocking=False):
+        s = scratch(blocks[-1].stop - blocks[-1].start) if scratch else ()
+        return [fn(rows, *s) for rows in blocks]
+    k = (len(blocks) + 1) // 2
+    worker.job = contextvars.copy_context(), (fn, blocks[k:], scratch)
+    worker.go.release()
+    try:
+        head = _each_block(fn, blocks[:k], scratch)  # busy is held: runs here
+    finally:
+        worker.done.acquire()  # if interrupted, busy stays held: later maps run here
+        (tail, exc), worker.out = worker.out, None
+        worker.busy.release()
+    if exc is not None:
+        raise exc
+    return head + tail
+
+
 def _stencil_edges(fm: np.ndarray, h: float) -> tuple:
     """(index, entry) for entries 0, 1, n-1 and n-2 of the 4th-order
     d/dx along axis 0, by tensordot over the whole array."""
@@ -235,10 +294,6 @@ def _check_stencil(values: np.ndarray, axis: int) -> None:
             f"need >= 5 nodes along axis {axis}, got {values.shape[axis]}")
 
 
-def _largest(blocks: list[slice]) -> int:
-    return max(rows.stop - rows.start for rows in blocks)
-
-
 def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """4th-order first derivative of uniformly sampled values."""
     values = np.asarray(values)
@@ -247,11 +302,9 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     c = np.ascontiguousarray(values)
     out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
     flat, dest, row = c.reshape(-1), out.reshape(-1), c[0].size
-    blocks = _row_blocks(c)
-    tmp = np.empty_like(dest[:_largest(blocks) * row])
-    for rows in blocks:
-        _stencil_block(flat, c.shape, axis, (np.divide, 12 * h), rows,
-                       dest[rows.start * row:rows.stop * row], tmp)
+    _each_block(lambda rows, tmp: _stencil_block(flat, c.shape, axis, (np.divide, 12 * h), rows,
+                                                 dest[rows.start * row:rows.stop * row], tmp),
+                _row_blocks(c), lambda m: (np.empty_like(dest[:m * row]),))
     om = np.moveaxis(out, axis, 0)
     # on the input as given: tensordot's bits depend on its strides
     for k, entry in _stencil_edges(np.moveaxis(values, axis, 0), h):
@@ -259,11 +312,12 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def _wirtinger(f: Field, combine, out: np.ndarray | None = None):
-    """Yield (rows, block) of 0.5 * combine(dx, 1j * dy), band scrubbed.
+def _wirtinger(f: Field, combine, finish, out: np.ndarray | None = None) -> list:
+    """finish(rows, block) for each row block, in row order, of
+    0.5 * combine(dx, 1j * dy), band scrubbed.
 
-    Each block is formed in ``out``'s rows (C-ordered), or in one reused
-    scratch block when ``out`` is None, from dx and dy of those rows;
+    Each block is formed in ``out``'s rows (C-ordered), or in a scratch
+    block of its thread when ``out`` is None, from dx and dy of those rows;
     the edge entries come from the whole array, the rest from float views.
     """
     vals, grid = np.ascontiguousarray(f.values), f.grid
@@ -272,13 +326,14 @@ def _wirtinger(f: Field, combine, out: np.ndarray | None = None):
     flat, shape = vals.reshape(-1).view(float), vals.shape + (2,)
     dx_edges = _stencil_edges(f.values, grid.hx)
     dy_edges = _stencil_edges(np.moveaxis(f.values, 1, 0), grid.hy)
-    blocks = _row_blocks(vals)
-    dy = np.empty_like(vals[:_largest(blocks)])
-    tmp = np.empty(2 * dy.size)
-    scratch = np.empty_like(dy) if out is None else None
-    for rows in blocks:
+
+    def scratch(m):  # dy, the stencils' tmp and, without ``out``, a block
+        dy = np.empty_like(vals[:m])
+        return (dy, np.empty(2 * dy.size)) + ((np.empty_like(dy),) if out is None else ())
+
+    def block(rows, dy, tmp, d=None):
         a, b = rows.start, rows.stop
-        d = scratch[:b - a] if out is None else out[rows]
+        d = out[rows] if d is None else d[:b - a]
         dv = d.reshape(-1).view(float)
         _stencil_block(flat, shape, 0, (np.multiply, 1.0 / (12 * grid.hx)), rows, dv, tmp)
         for k, entry in dx_edges:
@@ -293,13 +348,13 @@ def _wirtinger(f: Field, combine, out: np.ndarray | None = None):
         combine(dv[0::2], np.negative(dyv[1::2], out=dyv[1::2]), out=dv[0::2])
         combine(dv[1::2], dyv[0::2], out=dv[1::2])
         np.multiply(0.5, dv, out=dv)
-        yield rows, _scrub(grid, d, rows)
+        return finish(rows, _scrub(grid, d, rows))
+    return _each_block(block, _row_blocks(vals), scratch)
 
 
 def _stencil_field(f: Field, combine) -> Field:
     out = np.empty(f.values.shape, dtype=complex)
-    for _ in _wirtinger(f, combine, out):
-        pass
+    _wirtinger(f, combine, lambda rows, d: None, out)
     return Field(f.grid, out)
 
 
@@ -335,7 +390,7 @@ def _peak_abs(grid: GridSpec, values: np.ndarray, rows: slice = slice(None)) -> 
 def _check_finite(grid: GridSpec, values: np.ndarray, rows: slice = slice(None)) -> None:
     for s in grid.views(grid.slabs, values, rows):
         s = s.view(float) if np.iscomplexobj(s) and s.strides[-1] == s.itemsize else s
-        if not all(np.isfinite(s[r]).all() for r in _row_blocks(s)):
+        if not all(_each_block(lambda r: np.isfinite(s[r]).all(), _row_blocks(s))):
             raise NonFiniteFieldError("field has non-finite values at active nodes")
 
 
@@ -349,8 +404,8 @@ def residual(u: Field, psi: Field, kind: str = "direct") -> float:
     if u.grid != psi.grid:
         raise ShapeError("u and psi live on different grids")
     grid = u.grid
-    peaks = []
-    for rows, d in _wirtinger(psi, np.add):
+
+    def defect(rows, d):
         _check_finite(grid, d, rows)
         # products as written: numpy may swap their operands to reuse the
         # temporary conjugate, and complex products differ in the last bit
@@ -360,8 +415,8 @@ def residual(u: Field, psi: Field, kind: str = "direct") -> float:
             np.add(d, np.conj(u.values[rows]) * np.conj(psi.values[rows]), out=d)
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        peaks.append(_peak_abs(grid, d, rows))
-    return float(np.max(peaks))
+        return _peak_abs(grid, d, rows)
+    return float(np.max(_wirtinger(psi, np.add, defect)))
 
 
 def write_csv(path, grid: GridSpec, values: np.ndarray) -> None:

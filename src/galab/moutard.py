@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SeedResidualError, ShapeError
-from .grid import Field, _largest, _row_blocks, _scrub, residual
+from .grid import Field, _each_block, _row_blocks, _scrub, residual
 from .potential import Potential, _det, _det_nodes
 
 #: largest equation residual of a seed admitted to a seed set
@@ -129,19 +129,20 @@ def _subtract_solved(grid, w: np.ndarray, seeds, base: np.ndarray, rhs) -> Field
     the imaginary part's for a complex x.  Non-finite values inside an
     excluded band become 0 there."""
     vals = np.empty_like(base)
-    blocks = _row_blocks(vals)
     cx = len(rhs) > 1  # a complex x_0 is solved in the rows it is subtracted into
-    scratch = np.empty((w.shape[-1] - cx, _largest(blocks), grid.ny), complex if cx else float)
+
+    def block(rows, scratch):
+        x = [vals[rows]] * cx + list(scratch[:, :rows.stop - rows.start])
+        _solve_nodes(w[rows], [([a[rows] for a in b], [part(v) for v in x])
+                               for b, part in zip(rhs, (np.real, np.imag))],
+                     None if cx else x[-1])  # a real x overwrites the reciprocal
+        sx = np.multiply(seeds[0][rows], x[0], out=vals[rows])
+        for j in range(1, len(seeds)):  # accumulated in seed order
+            sx += seeds[j][rows] * x[j]
+        _scrub(grid, np.subtract(base[rows], sx, out=sx), rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows in blocks:
-            x = [vals[rows]] * cx + list(scratch[:, :rows.stop - rows.start])
-            _solve_nodes(w[rows], [([a[rows] for a in b], [part(v) for v in x])
-                                   for b, part in zip(rhs, (np.real, np.imag))],
-                         None if cx else x[-1])  # a real x overwrites the reciprocal
-            sx = np.multiply(seeds[0][rows], x[0], out=vals[rows])
-            for j in range(1, len(seeds)):  # accumulated in seed order
-                sx += seeds[j][rows] * x[j]
-            _scrub(grid, np.subtract(base[rows], sx, out=sx), rows)
+        _each_block(block, _row_blocks(vals), lambda m: (np.empty(
+            (w.shape[-1] - cx, m, grid.ny), complex if cx else float),), here=w.shape[-1] > 2)
     return Field(grid, vals)
 
 
@@ -208,11 +209,13 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     constant = complex(constant)
     pp, pf, fp, ff = (w.im for w in (omega_pp, omega_pf, omega_fp, omega_ff))
     im = np.empty_like(pp)
-    for r in _row_blocks(im):
+
+    def block(r):
         v = np.multiply(pp[r], ff[r], out=im[r])
         np.subtract(v, pf[r] * fp[r], out=v)
         np.multiply(v, np.divide(1.0, ff[r]), out=v)
         np.add(v, constant.imag + 0.0, out=v)  # never -0.0, as projected
+    _each_block(block, _row_blocks(im))
     bp = omega_pp.basepoint
     return Potential(omega_pp.grid, im, complex(constant.real + 0.0, im[bp]), bp,
                      real_drift=abs(constant.real))

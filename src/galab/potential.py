@@ -11,7 +11,7 @@ up to a caller-chosen imaginary constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from ._integrate import cumulative_integral, integral
 from .errors import (BandRequiredError, ExactnessError, NonFiniteFieldError,
                      PositivityError, ShapeError, SingularOmegaError, ZeroPotentialError)
-from .grid import Field, GridSpec, _peak_abs, _row_blocks, _scrub
+from .grid import Field, GridSpec, _each_block, _peak_abs, _row_blocks, _scrub
 
 if TYPE_CHECKING:
     from .singularity import SingularFieldModel
@@ -46,29 +46,39 @@ def _det(w: np.ndarray) -> np.ndarray:
     return np.linalg.det(w)
 
 
+def _det_extremes(w: np.ndarray, ny: int, rows: slice) -> tuple:
+    """(det, flat node) at the first minimum and the first maximum of
+    det W over ``rows`` of ``w``, then the largest entry of W and of -W."""
+    d, at = _det(w[rows]).ravel(), rows.start * ny
+    lo, hi = int(np.argmin(d)), int(np.argmax(d))
+    return (d[lo], at + lo), (d[hi], at + hi), np.max(w[rows]), -np.min(w[rows])
+
+
 def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float:
     """Smallest active |det W|, W the real (nx, ny, N, N) matrix of the potentials' ims.
 
-    det W keeps one sign on each slab of active rows, or omega vanishes
-    between two of its nodes (it may flip across the band, as a pole
-    seed's 2b/x does); the smallest |det| is then a slab extreme, at the
-    first node holding it, so ties and NaNs go to the first node in row
-    order.  Raises where a slab takes both signs, naming its extremes,
-    or where |det| drops to ``tol``, by default DET_TOL_FACTOR times the
-    N-th power of the largest active |entry|: ZeroPotentialError for
-    N = 1, SingularOmegaError for N >= 2.
+    det W keeps one sign on each slab of active rows, or omega vanishes between
+    two of its nodes (it may flip across the band, as a pole seed's 2b/x does);
+    the smallest |det| is then a slab extreme, at the first node holding it, so
+    ties and NaNs go to the first node in row order, block by block as each slab
+    is scanned.  Raises where a slab takes both signs, naming its extremes, or
+    where |det| drops to ``tol``, by default DET_TOL_FACTOR times the N-th power
+    of the largest active |entry|: ZeroPotentialError for N = 1,
+    SingularOmegaError for N >= 2.
     """
     n, slabs, lows, peaks = w.shape[-1], [s for s in grid.slabs if s.stop > s.start], [], []
     error = ZeroPotentialError if n == 1 else SingularOmegaError
     for s in slabs:
-        d, at = _det(w[s]).ravel(), lambda k: (s.start + k // grid.ny, k % grid.ny)
-        lo, hi = int(np.argmin(d)), int(np.argmax(d))
-        if d[lo] < 0 < d[hi]:
+        los, his, tops, bottoms = zip(*_each_block(partial(_det_extremes, w[s], grid.ny),
+                                                   _row_blocks(w[s]), here=n > 2))
+        lo, hi = los[int(np.argmin([v for v, _ in los]))], his[int(np.argmax([v for v, _ in his]))]
+        at = lambda k: (s.start + k // grid.ny, k % grid.ny)
+        if lo[0] < 0 < hi[0]:
             raise error(f"{n}x{n} potential matrix vanishes between nodes: det = "
-                        f"{d[lo]:.3e} at node {at(lo)}, {d[hi]:.3e} at node {at(hi)}")
-        k = hi if d[hi] <= 0 else lo  # the extreme nearest zero
-        lows.append((abs(d[k]), at(k)))
-        peaks += [np.max(w[s]), -np.min(w[s])]
+                        f"{lo[0]:.3e} at node {at(lo[1])}, {hi[0]:.3e} at node {at(hi[1])}")
+        d, k = hi if hi[0] <= 0 else lo  # the extreme nearest zero
+        lows.append((abs(d), at(k)))
+        peaks += tops + bottoms
     low, node = lows[int(np.argmin([v for v, _ in lows]))]
     tol = DET_TOL_FACTOR * float(np.max(peaks)) ** n if tol is None else tol
     if low <= tol:
@@ -99,17 +109,22 @@ class Potential:
         if vals.shape != self.grid.shape():
             raise ShapeError("potential values do not match grid shape")
         if np.iscomplexobj(vals):
-            im, peaks = np.empty(vals.shape), []
-            for rows in _row_blocks(vals):
-                peaks.append(_peak_abs(self.grid, vals.real[rows], rows))
+            im = np.empty(vals.shape)
+
+            def project(rows):
                 np.add(vals.imag[rows], 0.0, out=im[rows])  # -0.0 reads +0.0, as in 1j * imag
-            vals, drift = im, max(float(np.max(peaks)), drift)
+                return _peak_abs(self.grid, vals.real[rows], rows)
+            vals, drift = im, max(float(np.max(_each_block(project, _row_blocks(vals)))), drift)
         if drift > REAL_DRIFT_TOL:
             raise ExactnessError(
                 f"potential has real drift {drift:.3e} above {REAL_DRIFT_TOL:.1e}")
         object.__setattr__(self, "im", np.asarray(vals, dtype=float))
         object.__setattr__(self, "real_drift", drift)
         self.im.flags.writeable = False  # so a cached det_min holds
+
+    def __setstate__(self, state: dict):
+        self.__dict__.update(state)
+        self.im.flags.writeable = False  # unpickled arrays are writeable
 
     @cached_property
     def det_min(self) -> float:
@@ -154,10 +169,12 @@ def _form_components(psi: Field, psi_plus: Field) -> tuple[np.ndarray, np.ndarra
     if psi.grid != psi_plus.grid:
         raise ShapeError("pair lives on different grids")
     a, b = np.empty(psi.values.shape), np.empty(psi.values.shape)
-    for rows in _row_blocks(psi.values):
+
+    def form(rows):
         p = psi.values[rows] * psi_plus.values[rows]
         np.multiply(2.0, p.imag, out=a[rows])
         np.multiply(2.0, p.real, out=b[rows])
+    _each_block(form, _row_blocks(psi.values))
     return a, b
 
 
@@ -177,15 +194,15 @@ def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
     leg = cumulative_integral(b[i0, :], grid.hy)
     w_yx = cumulative_integral(a, grid.hx, axis=0)
     leg_yx, ref_yx = leg - leg[j0], w_yx[i0, :].copy()
-    peaks = []
-    for rows in _row_blocks(w_xy):
+
+    def combine(rows):
         xy, yx = w_xy[rows], w_yx[rows]
         np.add(leg_xy[rows, None], xy, out=xy)
         np.subtract(xy, ref_xy[rows, None], out=xy)
         np.add(leg_yx[None, :], yx, out=yx)
         np.subtract(yx, ref_yx[None, :], out=yx)
-        peaks.append(_peak_abs(grid, np.subtract(xy, yx, out=yx), rows))
-    return w_xy, float(np.max(peaks))
+        return _peak_abs(grid, np.subtract(xy, yx, out=yx), rows)
+    return w_xy, float(np.max(_each_block(combine, _row_blocks(w_xy))))
 
 
 def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),

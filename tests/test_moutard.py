@@ -449,3 +449,13 @@ class TestPickling:
             assert_same_bits(back.map_psi_plus(psi, oms_plus).values,
                              result.map_psi_plus(psi, oms_plus).values)
             assert (back.n_seeds, back.det_min) == (result.n_seeds, result.det_min), name
+
+    def test_unpickled_potential_keeps_its_scan_valid(self, strip):
+        # the cached det_min comes back with the potential, so its im must
+        # come back read-only for the scan to hold
+        pot = closed_form_potential(strip, 2j * strip.y)
+        pot.det_min
+        back = pickle.loads(pickle.dumps(pot))
+        with pytest.raises(ValueError, match="read-only"):
+            back.im[3, 4] = 0.0
+        assert back.det_min == _det_nodes(back.im[..., None, None], strip) == pot.det_min
