@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SeedResidualError, ShapeError
 from .grid import Field, _each_block, _row_blocks, _scrub, residual
-from .potential import Potential, _det, _det_nodes
+from .potential import Potential, _check_imaginary_constant, _det, _det_nodes
 
 #: largest equation residual of a seed admitted to a seed set
 SEED_RESIDUAL_TOL = 1e-6
@@ -119,8 +119,13 @@ def _solve_nodes(w: np.ndarray, systems, s: np.ndarray | None) -> None:
             np.multiply(w[..., 0, 0] * b[1] - w[..., 1, 0] * b[0], s, out=x[1])
 
 
-def _as_potential_list(omegas) -> list[Potential]:
-    return [omegas] if isinstance(omegas, Potential) else list(omegas)
+def _as_potential_list(omegas, n: int, on_grid: bool = True) -> list[Potential]:
+    """A map's ``omegas`` as the list of its n potentials, one per seed."""
+    pots = [omegas] if isinstance(omegas, Potential) else list(omegas)
+    if len(pots) != n or not on_grid:
+        raise ShapeError(f"a map takes a field on the transform's grid and "
+                         f"{n} potential(s), one per seed")
+    return pots
 
 
 def _subtract_solved(grid, w: np.ndarray, seeds, base: np.ndarray, rhs) -> Field:
@@ -148,10 +153,7 @@ def _subtract_solved(grid, w: np.ndarray, seeds, base: np.ndarray, rhs) -> Field
 
 def _mapped(grid, seeds, w: np.ndarray, base: Field, omegas) -> Field:
     """A solution map of ``_transform``, bound to its seeds and matrix."""
-    pots = _as_potential_list(omegas)
-    if len(pots) != w.shape[-1] or base.grid != grid:
-        raise ShapeError(f"a map takes a field on the transform's grid and "
-                         f"{w.shape[-1]} potential(s), one per seed")
+    pots = _as_potential_list(omegas, w.shape[-1], base.grid == grid)
     return _subtract_solved(grid, w, seeds, base.values, [[p.im for p in pots]])
 
 
@@ -206,7 +208,7 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     (pp * ff - pf * fp) * (1 / ff) + Im c, the complex formula's bits.
     """
     omega_ff.det_min  # raises where omega_ff vanishes
-    constant = complex(constant)
+    constant = _check_imaginary_constant(constant)
     pp, pf, fp, ff = (w.im for w in (omega_pp, omega_pf, omega_fp, omega_ff))
     im = np.empty_like(pp)
 
@@ -217,8 +219,7 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
         np.add(v, constant.imag + 0.0, out=v)  # never -0.0, as projected
     _each_block(block, _row_blocks(im))
     bp = omega_pp.basepoint
-    return Potential(omega_pp.grid, im, complex(constant.real + 0.0, im[bp]), bp,
-                     real_drift=abs(constant.real))
+    return Potential(omega_pp.grid, im, complex(0.0, im[bp]), bp)
 
 
 def _chained(first: Callable, second: Callable, fixed: Potential, om_ff: Potential,
@@ -226,7 +227,7 @@ def _chained(first: Callable, second: Callable, fixed: Potential, om_ff: Potenti
     """Chained map of a composition: psi through ``first`` with the first
     of ``omegas``, then ``second`` with the transformed potential of the
     second, taking ``fixed`` as either middle factor (real products commute)."""
-    om_1, om_2 = _as_potential_list(omegas)
+    om_1, om_2 = _as_potential_list(omegas, 2)
     return second(first(psi, om_1), transformed_potential(om_2, om_1, fixed, om_ff))
 
 
@@ -252,10 +253,12 @@ def compose_simple(u: Field, f1: Field, f1_plus: Field, f2: Field,
         2, det_min=min(m1.det_min, m2.det_min))
 
 
-def _scaled(grid, w: np.ndarray, m2_map: Callable, psi_tilde: Field, omegas) -> Field:
-    """``m2_map`` of psi~ with the original potential times -i/w."""
-    (om,) = _as_potential_list(omegas)
-    return m2_map(psi_tilde, Potential.from_values(grid, -1j * om.values / w, om.basepoint))
+def _scaled(grid, r: np.ndarray, m2_map: Callable, psi_tilde: Field, omegas) -> Field:
+    """``m2_map`` of psi~ with V times -i/w: im V * r, a zero read as +0.0 as projected."""
+    (om,) = _as_potential_list(omegas, 1)
+    with np.errstate(invalid="ignore"):  # 0 * inf where W = 0 in the band
+        im = om.im * r + 0.0
+    return m2_map(psi_tilde, Potential(grid, im, complex(0.0, im[om.basepoint]), om.basepoint))
 
 
 def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
@@ -267,17 +270,18 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
     are -i/w times the original ones; with these choices the
     composition returns u, psi and psi+ identically.  The returned maps
     take transformed solutions together with the *original* potentials
-    (the ones that fed the forward map).
+    (the ones that fed the forward map).  With w = i W all are real
+    multiples by r = Im(1/w) = -1/W, numpy's complex quotients bit for bit
+    up to the sign of a zero part where the field mapped has one too.
     """
-    omega_ff.det_min  # raises where omega_ff vanishes
-    grid = f1.grid
-    w = omega_ff.values
-    f_hat = Field(grid, -1j * f1.values / w)
-    f_hat_plus = Field(grid, -1j * f1_plus.values / w)
-    om_hat = Potential.from_values(grid, 1.0 / w, omega_ff.basepoint)
-    m2 = moutard_simple(m1.u_tilde, f_hat, f_hat_plus, om_hat)
-    return TransformResult(m2.u_tilde, partial(_scaled, grid, w, m2.map_psi),
-                           partial(_scaled, grid, w, m2.map_psi_plus), 1, m2.det_min)
+    omega_ff.det_min  # raises where omega_ff vanishes or is infinite
+    grid, bp = f1.grid, omega_ff.basepoint
+    with np.errstate(divide="ignore", invalid="ignore"):  # W = 0 in the band, which outputs scrub
+        r = np.divide(-1.0, omega_ff.im)
+        f_hat, f_hat_plus = Field(grid, f1.values * r), Field(grid, f1_plus.values * r)
+    m2 = moutard_simple(m1.u_tilde, f_hat, f_hat_plus, Potential(grid, r, complex(0.0, r[bp]), bp))
+    return TransformResult(m2.u_tilde, partial(_scaled, grid, r, m2.map_psi),
+                           partial(_scaled, grid, r, m2.map_psi_plus), 1, m2.det_min)
 
 
 def seed_annihilation_max(result: TransformResult, seedset: SeedSet) -> float:

@@ -28,8 +28,8 @@ from galab.expressions import (_GRID_VARIABLES, BinOp, Var, _variables, evaluate
                                evaluate_on_grid, parse_expression)
 from galab.grid import (_EDGE0, _EDGE1, Field, GridSpec, _peak_abs, _row_blocks,
                         _scrub, dbar, diff_axis, dz, residual)
-from galab.moutard import (SeedSet, _det_nodes, moutard_rank_n, moutard_simple,
-                           transformed_potential)
+from galab.moutard import (SeedSet, _det_nodes, invert_simple, moutard_rank_n,
+                           moutard_simple, transformed_potential)
 from galab.potential import (Potential, _check_imaginary_constant, _form_components,
                              _integrate_form, omega, omega_singular)
 from galab.series import FunctionOnInterval
@@ -213,6 +213,25 @@ def ref_omega_singular(f, f_plus, constant=0.0):
 
 def ref_transformed_values(pp, pf, fp, ff, constant):
     return (pp.values * ff.values - pf.values * fp.values) / ff.values + constant
+
+
+def ref_invert(m1, f, fp, w):
+    """u_tilde and both maps of the inverse in complex arithmetic on
+    omega: seeds -i f / omega, potential 1 / omega and mapped potentials
+    -i V / omega, each potential projected through ``from_values``."""
+    grid, om = f.grid, w.values
+    with np.errstate(all="ignore"):
+        m2 = moutard_simple(m1.u_tilde, Field(grid, -1j * f.values / om),
+                            Field(grid, -1j * fp.values / om),
+                            Potential.from_values(grid, 1.0 / om, w.basepoint))
+
+    def scaled(m2_map):
+        def mapped(psi, v):
+            with np.errstate(all="ignore"):
+                return m2_map(psi, Potential.from_values(grid, -1j * v.values / om,
+                                                         v.basepoint))
+        return mapped
+    return m2.u_tilde, scaled(m2.map_psi), scaled(m2.map_psi_plus)
 
 
 def ref_grid_env(grid):
@@ -576,6 +595,59 @@ class TestRankTwo:
             _same_up_to_nan(result.map_psi(psi, pots).values, map_psi(psi, pots))
             _same_up_to_nan(result.map_psi_plus(psi, pots).values,
                             map_psi_plus(psi, pots))
+
+
+def _inverse_inputs(grid, seed, zero_bases):
+    """Seeds with a third of their parts +-0.0 and inf inside the band, a
+    seed potential W of one sign per slab holding 0, +-0.0, +-inf and NaN
+    inside the band, two potentials for the maps with the same band values
+    and zeros at a third of their nodes, and u, psi and psi+, with zero
+    parts too if ``zero_bases``."""
+    rng = np.random.default_rng(seed)
+    band = np.nonzero(~grid.mask[:, 0])[0]
+    u, psi, psi_plus = (_zeroed(rng, grid.shape()) if zero_bases
+                        else _data(grid.shape(), complex, seed + k) for k in range(3))
+    f, fp = (_zeroed(rng, grid.shape()) for _ in range(2))
+    for vals in (f, fp):
+        vals[band[len(band) // 2], ::4] = np.inf
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    pots = []
+    for k in range(3):
+        im = (2.0 + rng.random(grid.shape())) * np.where(grid.x < 0, -1.0, 1.0)
+        if k:
+            im[rng.random(grid.shape()) < 1 / 3] = 0.0
+        for j, v in enumerate(specials):
+            im[band, j::len(specials)] = v
+        pots.append(Potential(grid, im, 0j, (0, 0)))
+    return [Field(grid, v) for v in (u, f, fp, psi, psi_plus)], pots
+
+
+class TestInverse:
+    @pytest.mark.parametrize("zero_bases", [False, True], ids=["zero-seeds", "zero-bases"])
+    @pytest.mark.parametrize("grid", [STRIPS[1], GridSpec(-1.0, 1.0, 1.0, 2.0, 600, 256,
+                                                          excluded_band=0.01)],
+                             ids=["strip-481", "two-blocks-600x256"])
+    def test_matches_complex_formulas(self, grid, zero_bases):
+        # the inverse on r = -1/W against numpy's complex divisions by
+        # omega = 1j * W; the band's specials end as values the outputs
+        # scrub.  The seeds f r keep the quotients' bits but for the sign
+        # of a zero part, which shows only where the field they are
+        # subtracted from has a zero part too
+        assert (grid.xs == 0).any() == (grid.nx % 2 == 1)
+        assert len(_row_blocks(np.empty(grid.shape()))) == (2 if grid.nx == 600 else 1)
+        (u, f, fp, psi, psi_plus), (w, v, v_plus) = _inverse_inputs(grid, 99, zero_bases)
+        with np.errstate(all="ignore"):
+            m1 = moutard_simple(u, f, fp, w)
+            psi_t, psi_plus_t = m1.map_psi(psi, v), m1.map_psi_plus(psi_plus, v_plus)
+            got = invert_simple(m1, f, fp, w)
+            got = [got.u_tilde, got.map_psi(psi_t, v), got.map_psi_plus(psi_plus_t, v_plus)]
+        u_tilde, map_psi, map_psi_plus = ref_invert(m1, f, fp, w)
+        want = [u_tilde, map_psi(psi_t, v), map_psi_plus(psi_plus_t, v_plus)]
+        for g, ref in zip(got, want):
+            if zero_bases:
+                _same_up_to_nan(g.values, ref.values, zeros=True)
+            else:
+                assert_same_bits(g.values, ref.values)
 
 
 class TestDetNodes:

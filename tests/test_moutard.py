@@ -8,7 +8,7 @@ from galab.grid import Field, dbar, dz, residual
 from galab.moutard import (SeedSet, _det_nodes, compose_simple, invert_simple,
                            moutard_rank_n, moutard_simple,
                            seed_annihilation_max, transformed_potential)
-from galab.potential import Potential, omega
+from galab.potential import REAL_DRIFT_TOL, Potential, omega
 
 from conftest import assert_same_bits, make_grid, ones, sample, zeros
 
@@ -307,6 +307,21 @@ class TestTransformedPotential:
         assert np.max(np.abs(om_t.values.real)) < 1e-10
 
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_constant_follows_the_integrators_rule(self, setup, sign):
+        # as in omega: a real part up to REAL_DRIFT_TOL is dropped, one
+        # above it is refused as a constant, not blamed on the pair
+        g, u, f1, om_ff = setup
+        pots = (om_ff, om_ff, om_ff, om_ff)
+        want = transformed_potential(*pots, constant=0.5j)
+        got = transformed_potential(*pots, constant=complex(sign * 0.99 * REAL_DRIFT_TOL, 0.5))
+        assert_same_bits(got.im, want.im)
+        assert got.constant == want.constant and got.real_drift == 0.0
+        for constant in (complex(sign * 1.01 * REAL_DRIFT_TOL, 0.5), 1 + 2j):
+            with pytest.raises(ValueError, match="integration constant must be imaginary"):
+                transformed_potential(*pots, constant=constant)
+
+
 class TestComposition:
     def quadruples(self):
         """Three seed quadruples with nonvanishing potential matrices."""
@@ -410,6 +425,20 @@ class TestInversion:
             scale = max(want.max_abs(), 1.0)
             assert np.max(np.abs(got.values - want.values)) / scale < 1e-10
 
+    def test_a_zero_of_omega_in_the_band_is_silent(self):
+        # as in the forward transform, the inverse's 1/0 and 0 * inf at a
+        # band node raise no warning (a RuntimeWarning fails this suite)
+        g = make_grid(65, 33, x=(-1.0, 1.0), band=0.05)
+        u, f1 = zeros(g), ones(g)
+        im = np.where(g.x < 0, -2.0, 2.0)
+        im[32] = 0.0  # x = 0
+        om_ff = Potential(g, im, 2j, (64, 0))
+        m1 = moutard_simple(u, f1, f1, om_ff)
+        inv = invert_simple(m1, f1, f1, om_ff)
+        assert inv.u_tilde.max_abs() == 0.0
+        back = inv.map_psi(m1.map_psi(f1, om_ff), om_ff)
+        assert np.max(np.abs(back.values[g.mask] - 1.0)) < 1e-15
+
     def test_zero_maps_to_zero(self, setup):
         g, u, f1, om_ff = setup
         m1 = moutard_simple(u, f1, f1, om_ff)
@@ -418,6 +447,30 @@ class TestInversion:
         z0 = zeros(g)
         assert m1.map_psi(z0, zero_pot).max_abs() == 0.0
         assert inv.map_psi(z0, zero_pot).max_abs() == 0.0
+
+
+class TestPotentialCounts:
+    """The forward, composed and inverse maps take one potential per seed."""
+
+    def results(self):
+        g, f1, f1p, f2, f2p, oms = TestComposition().quadruples()[0]
+        u = zeros(g)
+        pots = [closed_form_potential(g, oms[k]) for k in ("om11", "om21", "om12", "om22")]
+        m1 = moutard_simple(u, f1, f1p, pots[0])
+        return g, pots[0], {"forward": (m1, 1),
+                            "composed": (compose_simple(u, f1, f1p, f2, f2p, *pots), 2),
+                            "inverse": (invert_simple(m1, f1, f1p, pots[0]), 1)}
+
+    @pytest.mark.parametrize("kind", ["forward", "composed", "inverse"])
+    def test_a_wrong_count_raises_shape_error(self, kind):
+        g, om, results = self.results()
+        result, n = results[kind]
+        psi = sample(g, lambda z: z)
+        for count in (n - 1, n + 1):
+            for mapped in (result.map_psi, result.map_psi_plus):
+                with pytest.raises(ShapeError, match=f"and {n} potential\\(s\\), one per seed"):
+                    mapped(psi, [om] * count)
+        assert result.map_psi(psi, [om] * n).grid == g
 
 
 class TestPickling:

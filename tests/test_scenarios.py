@@ -3,11 +3,13 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import galab
 from galab.cli import main
 from galab.errors import ScenarioError
+from galab.potential import Potential
 from galab.scenarios import PIPELINES, _Checks, bundled_scenarios, load_scenario, \
     run_remove_pole, run_scenario
 
@@ -302,6 +304,22 @@ class TestBundledScenarios:
         lines = csv.read_text().splitlines()
         assert lines[0] == "x,y,re,im"
         assert len(lines) == 1 + scn.grid.nx * scn.grid.ny
+
+
+def test_no_transform_projects_a_complex_potential(tmp_path, monkeypatch):
+    # the transforms hand Potential real ims; only the conformal
+    # scenarios' closed-form curved-side potentials come in complex,
+    # through Potential.from_values
+    seen, post_init = [], Potential.__post_init__
+    monkeypatch.setattr(Potential, "__post_init__",
+                        lambda self: (seen.append(np.iscomplexobj(self.im)), post_init(self)))
+    projected = set()
+    for name in ALL_BUNDLED:
+        seen.clear()
+        run_scenario(load_scenario(name), tmp_path)
+        if any(seen):
+            projected.add(name)
+    assert projected == {"conformal-rotation", "conformal-scaling"}
 
 
 class TestCliBehavior:

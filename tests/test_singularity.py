@@ -380,6 +380,34 @@ class TestPathDefect:
         assert "not closed" in result.verdict
 
 
+class TestResidueDefect:
+    """Re r0 = eps (1 + y) breaks the certificate's first condition: the
+    seed potential's derivative gains a 1/x part of 18.48 eps and the
+    path defect grows as 68.5 eps, so the path defect fails first."""
+
+    @pytest.mark.parametrize("eps, names", [
+        (0.0, []), (1e-6, ["path_defect"]), (1e-5, ["path_defect"]),
+        (1e-4, ["residue", "path_defect"]),
+        (1e-3, ["pole_persists", "residue", "path_defect"])])
+    def test_first_condition_violated(self, eps, names):
+        grid = generic_strip()
+        prof = PoleProfile(poly(0.0, 0.0, 1.0),
+                           {-1: poly(-0.5), 0: poly(eps, eps), 1: poly(1j)})
+        u, _ = synthesize_singular_u(prof, grid, tol=1.0)
+        f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05), grid,
+                                 order=8, tol=1.0)
+        result = remove_pole(u, f, fp)
+        residue, defect = result.residue_c_minus1, result.omega.path_defect
+        assert [name for name, _ in result.reasons] == names
+        if eps == 0.0:
+            assert result.verdict == "pass"
+            assert residue < 1e-9 and defect < PATH_DEFECT_TOL / 100
+            return
+        assert abs(residue / eps - 18.48) <= 1.848
+        assert abs(defect / eps - 68.5) <= 6.85
+        assert result.verdict == "fail: " + "; ".join(text for _, text in result.reasons)
+
+
 class TestContourProfile:
     """The contour check reads any field, not only a transformed coefficient."""
 
