@@ -65,6 +65,37 @@ def _sum_steps(fm: np.ndarray, om: np.ndarray, h: float, by_rows: bool) -> None:
         np.cumsum(sums, axis=0, out=sums)
 
 
+def _integrate_into(f: np.ndarray, out: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """The running integral of ``f`` along ``axis`` (>= 0), written into ``out``.
+
+    A block map forms the interior steps; the running sums then run once
+    over the whole array.  numpy holds the GIL through an accumulate of
+    up to 500 outer iterations, so a cumsum per row block would keep two
+    threads taking turns.
+    """
+    c = np.ascontiguousarray(f)
+    n, row, st = c.shape[axis], c[0].size, math.prod(c.shape[axis + 1:])
+    src, dst = c.reshape(-1), out.reshape(-1)
+
+    def steps(rows, tmp):
+        a, b = rows.start, rows.stop
+        if axis == 0:
+            # blocks along the integral: the interior steps of nodes
+            # a .. b-1 read c from row a - 2 to row b
+            lo, hi = max(a, 2) * row, min(b, n - 1) * row
+        else:
+            # blocks across it: the junk steps stored where the axis index
+            # is 0, 1 or n-1 are overwritten by the sums
+            lo, hi = a * row + 2 * st, b * row - st
+        if lo < hi:
+            _interior(src, dst, st, lo, hi, h, tmp)
+    _each_block(steps, _row_blocks(c), lambda m: (np.empty_like(dst[:m * row]),))
+    # cumsum steps down columns, which is slower once each step crosses a page
+    by_rows = axis == 0 and c.ndim > 1 and out[0].nbytes >= 4096
+    _sum_steps(np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0), h, by_rows)
+    return out
+
+
 def cumulative_integral(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     """Running integral of samples ``f`` from index 0 along ``axis``.
 
@@ -75,32 +106,8 @@ def cumulative_integral(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     n = f.shape[axis]
     if n < 4:
         raise ValueError(f"cumulative_integral needs >= 4 samples, got {n}")
-    axis %= f.ndim
-    c = np.ascontiguousarray(f)
-    out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
-    row, st = c[0].size, math.prod(c.shape[axis + 1:])
-    src, dst = c.reshape(-1), out.reshape(-1)
-    # cumsum steps down columns, which is slower once each step crosses a page
-    by_rows = axis == 0 and c.ndim > 1 and out[0].nbytes >= 4096
-
-    def steps(rows, tmp):
-        a, b = rows.start, rows.stop
-        if axis == 0:
-            # blocks along the integral: the interior steps of nodes
-            # a .. b-1 read c from row a - 2 to row b; the sums run after
-            lo, hi = max(a, 2) * row, min(b, n - 1) * row
-        else:
-            # blocks across it, each integrated whole: the junk steps
-            # stored where the axis index is 0, 1 or n-1 are overwritten
-            lo, hi = a * row + 2 * st, b * row - st
-        if lo < hi:
-            _interior(src, dst, st, lo, hi, h, tmp)
-        if axis:
-            _sum_steps(*(np.moveaxis(x[rows], axis, 0) for x in (c, out)), h, by_rows)
-    _each_block(steps, _row_blocks(c), lambda m: (np.empty_like(dst[:m * row]),))
-    if axis == 0:
-        _sum_steps(c, out, h, by_rows)
-    return out
+    return _integrate_into(f, np.empty(f.shape, dtype=np.result_type(f.dtype, float)),
+                           h, axis % f.ndim)
 
 
 def integral(f: np.ndarray, h: float) -> np.ndarray:

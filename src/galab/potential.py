@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._integrate import cumulative_integral, integral
+from ._integrate import _integrate_into, cumulative_integral, integral
 from .errors import (BandRequiredError, ExactnessError, NonFiniteFieldError,
                      PositivityError, ShapeError, SingularOmegaError, ZeroPotentialError)
 from .grid import Field, GridSpec, _each_block, _peak_abs, _row_blocks, _scrub
@@ -46,6 +46,27 @@ def _det(w: np.ndarray) -> np.ndarray:
     return np.linalg.det(w)
 
 
+def _det_reciprocal(w: np.ndarray) -> np.ndarray:
+    """1 / det W at every node of the real (..., N, N) W, N <= 2, read-only.
+
+    It is NaN where det W is infinite, as numpy's complex 1 / (1j * inf),
+    since 1j * inf has a NaN real part: the NaN of 0 * inf, so an inf times
+    it reads as an inf times the quotient 1 / inf.  It is formed silently:
+    a zero det W can only lie in an excluded band, whose outputs are
+    scrubbed, and at active nodes the scan of W raises first.
+    """
+    s = np.empty(w.shape[:-2])
+
+    def block(rows):
+        det = _det(w[rows])
+        np.divide(1.0, det, out=s[rows])
+        np.multiply(s[rows], np.inf, out=s[rows], where=np.isinf(det))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _each_block(block, _row_blocks(w))
+    s.flags.writeable = False
+    return s
+
+
 def _det_extremes(w: np.ndarray, ny: int, rows: slice) -> tuple:
     """(det, flat node) at the first minimum and the first maximum of
     det W over ``rows`` of ``w``, then the largest entry of W and of -W."""
@@ -61,10 +82,10 @@ def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float
     two of its nodes (it may flip across the band, as a pole seed's 2b/x does);
     the smallest |det| is then a slab extreme, at the first node holding it, so
     ties and NaNs go to the first node in row order, block by block as each slab
-    is scanned.  Raises where a slab takes both signs, naming its extremes, or
-    where |det| drops to ``tol``, by default DET_TOL_FACTOR times the N-th power
-    of the largest active |entry|: ZeroPotentialError for N = 1,
-    SingularOmegaError for N >= 2.
+    is scanned.  Raises where a slab takes both signs, naming its extremes, at
+    the first NaN det, or where |det| drops to ``tol``, by default
+    DET_TOL_FACTOR times the N-th power of the largest active |entry|:
+    ZeroPotentialError for N = 1, SingularOmegaError for N >= 2.
     """
     n, slabs, lows, peaks = w.shape[-1], [s for s in grid.slabs if s.stop > s.start], [], []
     error = ZeroPotentialError if n == 1 else SingularOmegaError
@@ -80,6 +101,8 @@ def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float
         lows.append((abs(d), at(k)))
         peaks += tops + bottoms
     low, node = lows[int(np.argmin([v for v, _ in lows]))]
+    if np.isnan(low):
+        raise error(f"{n}x{n} potential matrix has det = nan at node {node}")
     tol = DET_TOL_FACTOR * float(np.max(peaks)) ** n if tol is None else tol
     if low <= tol:
         count = sum(np.count_nonzero(np.abs(_det(w[s])) <= tol) for s in slabs)
@@ -119,18 +142,29 @@ class Potential:
 
     def __setstate__(self, state: dict):
         self.__dict__.update(state)
-        self.im.flags.writeable = False  # unpickled arrays are writeable
+        for a in (self.im, state.get("recip")):  # unpickled arrays are writeable
+            if a is not None:
+                a.flags.writeable = False
 
     @cached_property
     def det_min(self) -> float:
         """Smallest active |im|; the one ``_det_nodes`` scan raises where im vanishes."""
         return _det_nodes(self.im[..., None, None], self.grid)
 
+    @cached_property
+    def recip(self) -> np.ndarray:
+        """1 / im, NaN where im is infinite: what every transform with this
+        seed potential multiplies by.  Read-only."""
+        return _det_reciprocal(self.im[..., None, None])
+
     @property
     def values(self) -> np.ndarray:
         """1j * im: its real parts are signed zeros, or NaN where im is not finite."""
+        out = np.empty(self.im.shape, complex)
         with np.errstate(invalid="ignore"):
-            return np.multiply(1j, self.im)
+            _each_block(lambda rows: np.multiply(1j, self.im[rows], out=out[rows]),
+                        _row_blocks(out))
+        return out
 
     @classmethod
     def from_values(cls, grid: GridSpec, values: np.ndarray,
@@ -173,22 +207,28 @@ def _form_components(psi: Field, psi_plus: Field) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
-                    basepoint: tuple[int, int]) -> tuple[np.ndarray, float]:
-    """Integral of a dx + b dy from ``basepoint`` along x-then-y L-paths.
+def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec, basepoint: tuple[int, int],
+                    shift: float | None = None) -> tuple[np.ndarray, float]:
+    """Integral of a dx + b dy from ``basepoint`` along x-then-y L-paths,
+    plus ``shift`` if given.
 
     Also returns the largest disagreement, over active nodes, with the
     y-then-x orientation: zero up to quadrature error for a closed form.
     The components are real arrays, the imaginary parts of the form.
+    Arrays of two or more row blocks integrate the two orientations at
+    once, x-then-y in the caller and y-then-x in the block map's worker,
+    each into an array allocated here: what a worker allocates stays in
+    its own malloc arena.
     """
     i0, j0 = basepoint
     # each orientation is (leg - leg[start]) + w - w[ref], in place in w
-    leg = cumulative_integral(a[:, j0], grid.hx)
-    w_xy = cumulative_integral(b, grid.hy, axis=1)
-    leg_xy, ref_xy = leg - leg[i0], w_xy[:, j0].copy()
-    leg = cumulative_integral(b[i0, :], grid.hy)
-    w_yx = cumulative_integral(a, grid.hx, axis=0)
-    leg_yx, ref_yx = leg - leg[j0], w_yx[i0, :].copy()
+    leg_xy = cumulative_integral(a[:, j0], grid.hx)
+    leg_yx = cumulative_integral(b[i0, :], grid.hy)
+    leg_xy, leg_yx = leg_xy - leg_xy[i0], leg_yx - leg_yx[j0]
+    w_xy, w_yx = np.empty(a.shape), np.empty(a.shape)
+    _each_block(lambda task: _integrate_into(*task),
+                [(b, w_xy, grid.hy, 1), (a, w_yx, grid.hx, 0)], here=len(_row_blocks(a)) < 2)
+    ref_xy, ref_yx = w_xy[:, j0].copy(), w_yx[i0, :].copy()
 
     def combine(rows):
         xy, yx = w_xy[rows], w_yx[rows]
@@ -196,7 +236,10 @@ def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
         np.subtract(xy, ref_xy[rows, None], out=xy)
         np.add(leg_yx[None, :], yx, out=yx)
         np.subtract(yx, ref_yx[None, :], out=yx)
-        return _peak_abs(grid, np.subtract(xy, yx, out=yx), rows)
+        peak = _peak_abs(grid, np.subtract(xy, yx, out=yx), rows)
+        if shift is not None:
+            np.add(xy, shift, out=xy)
+        return peak
     return w_xy, float(np.max(_each_block(combine, _row_blocks(w_xy))))
 
 
@@ -220,13 +263,12 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
     constant = _check_imaginary_constant(constant)
     a, b = _form_components(psi, psi_plus)
     grid = psi.grid
-    w_xy, defect = _integrate_form(a, b, grid, basepoint)
+    # constant.imag is not -0.0, so 1j * im is 1j * (w + c) projected
+    w_xy, defect = _integrate_form(a, b, grid, basepoint, constant.imag)
     if defect > DEFAULT_EXACTNESS_TOL:
         raise ExactnessError(
             f"path-dependence defect {defect:.3e} exceeds {DEFAULT_EXACTNESS_TOL:.1e}; "
             "the pair is not a solution/conjugate-solution pair")
-    # constant.imag is not -0.0, so 1j * im is 1j * (w + c) projected
-    np.add(w_xy, constant.imag, out=w_xy)
     return Potential(grid, w_xy, constant, basepoint, path_defect=defect)
 
 

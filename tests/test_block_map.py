@@ -5,11 +5,14 @@ errors in the same order, the caller's numpy errstate, a worker of its
 own in a forked child, and no thread at all for one-block arrays."""
 
 import contextvars
+import importlib
+import importlib.util
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from galab._integrate import cumulative_integral
 from galab.errors import NonFiniteFieldError
 from galab.expressions import evaluate_on_grid
 from galab.grid import Field, GridSpec, _each_block, _row_blocks, dbar, residual
+from galab import potential
+from galab.potential import _integrate_form
 
 from conftest import assert_same_bits, child_env, sample, zeros
 
@@ -29,6 +34,27 @@ TWO_CPUS = len(os.sched_getaffinity(0)) > 1 if hasattr(os, "sched_getaffinity") 
     else (os.cpu_count() or 1) > 1
 
 _NONFINITE = "field has non-finite values at active nodes"
+
+#: source run both here and in a one-CPU child: dbar, the four potentials
+#: of a probe pair and a seed pair, the simple transform, both its maps and
+#: the transformed potential on GRID, gathered in ``outputs``
+_KERNELS = """
+import numpy as np
+from galab.grid import Field, GridSpec, dbar
+from galab.moutard import moutard_simple, transformed_potential
+from galab.potential import omega
+g = GridSpec(-1.0, 1.0, 1.0, 2.0, 600, 256)
+rates = (1 + 2j, 0.3 - 0.2j, 0.5 + 0.4j, -0.6 + 0.3j)
+f, fp, psi, psip = (Field(g, np.exp(g.z * c)) for c in rates)
+u = Field(g, np.zeros(g.shape(), complex))
+om_ff, om_pf, om_fp, om_pp = (omega(a, b, bp, c) for a, b, bp, c in (
+    (f, fp, (0, 0), 20j), (psi, fp, (300, 9), 0), (f, psip, (599, 255), 0.5j),
+    (psi, psip, (7, 100), 0)))
+m = moutard_simple(u, f, fp, om_ff)
+outputs = [dbar(f).values, om_ff.im, om_pf.im, om_fp.im, om_pp.im, m.u_tilde.values,
+           m.map_psi(psi, om_pf).values, m.map_psi_plus(psip, om_fp).values,
+           transformed_potential(om_pp, om_pf, om_fp, om_ff).im]
+"""
 
 
 def test_the_fixture_array_splits_between_caller_and_worker():
@@ -116,6 +142,19 @@ class TestWorkerHalf:
         with np.errstate(all="ignore"):
             assert np.isinf(cumulative_integral(big, 1e10, axis=1)[WORKER_ROW:]).any()
 
+    def test_floating_point_faults_in_the_workers_orientation(self):
+        # the worker integrates y-then-x, a down its columns: 1e308 off the
+        # basepoint's column overflows in those running sums alone
+        assert len(_row_blocks(np.empty(GRID.shape()))) >= 2
+        a, b = np.zeros(GRID.shape()), np.zeros(GRID.shape())
+        a[:, 1:] = 1e308
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                _integrate_form(a, b, GRID, (0, 0))
+        with np.errstate(all="ignore"):
+            w, defect = _integrate_form(a, b, GRID, (0, 0))
+        assert not w.any() and defect == np.inf
+
     def test_outputs_match_a_one_cpu_process(self):
         # the same kernels with the map held in the caller, in a child
         # pinned to one CPU, where no worker starts
@@ -123,22 +162,68 @@ class TestWorkerHalf:
             pytest.skip("needs sched_setaffinity")
         probe = ("import os, sys, threading\n"
                  "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-                 "import numpy as np\n"
-                 "from galab.grid import Field, GridSpec, dbar\n"
-                 "g = GridSpec(-1.0, 1.0, 1.0, 2.0, 600, 256)\n"
                  "before = threading.active_count()\n"
-                 "out = dbar(Field(g, np.exp(g.z * (1 + 2j)))).values\n"
+                 f"{_KERNELS}\n"
                  "print(before, threading.active_count())\n"
                  "sys.stdout.flush()\n"
-                 "os.write(1, out.tobytes())\n")
+                 "for out in outputs:\n"
+                 "    os.write(1, out.tobytes())\n")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               env=child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr.decode()
         line, data = proc.stdout.split(b"\n", 1)
         before, after = map(int, line.split())
         assert before == after
-        want = dbar(Field(GRID, np.exp(GRID.z * (1 + 2j)))).values
-        assert_same_bits(np.frombuffer(data, complex).reshape(GRID.shape()), want)
+        here = {}
+        exec(_KERNELS, here)
+        assert here["g"] == GRID and len(_row_blocks(here["om_ff"].im)) >= 2
+        for want in here["outputs"]:
+            got, data = data[:want.nbytes], data[want.nbytes:]
+            assert_same_bits(np.frombuffer(got, want.dtype).reshape(GRID.shape()), want)
+        assert not data
+
+
+def _traced_functions() -> list[tuple[str, str]]:
+    """(module, function) of every public galab function bench/tracing.py wraps."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("galab_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return list(tracing.LAYERS)
+
+
+def test_traced_functions_run_in_the_calling_thread(monkeypatch):
+    # the tracer keeps one span stack per process, so a traced function
+    # called from the worker would be timed inside the caller's open span;
+    # the worker runs only private block functions, one L-path orientation
+    # of each potential among them
+    calls, wrappers = [], {}
+    for mod_name, attr in _traced_functions():
+        fn = getattr(importlib.import_module(f"galab.{mod_name}"), attr)
+
+        def guarded(*args, _fn=fn, _name=attr, **kwargs):
+            calls.append((_name, threading.current_thread() is threading.main_thread()))
+            return _fn(*args, **kwargs)
+        wrappers[id(fn)] = fn, guarded
+    for name, mod in list(sys.modules.items()):  # every binding, as the tracer rebinds
+        if name == "galab" or name.startswith("galab."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in wrappers and wrappers[id(value)][0] is value:
+                    monkeypatch.setattr(mod, attr, wrappers[id(value)][1])
+    orientations, integrate_into = [], potential._integrate_into
+
+    def recorded(*args):
+        orientations.append(threading.current_thread() is threading.main_thread())
+        return integrate_into(*args)
+    monkeypatch.setattr(potential, "_integrate_into", recorded)
+    assert threading.current_thread() is threading.main_thread()
+    here = {}
+    exec(_KERNELS, here)
+    names = {name for name, _ in calls}
+    assert {"omega", "cumulative_integral", "moutard_simple", "transformed_potential"} <= names
+    assert all(main for _, main in calls)
+    assert len(orientations) == 8
+    assert orientations.count(False) == (4 if TWO_CPUS else 0)
 
 
 def _fork_child(conn) -> None:

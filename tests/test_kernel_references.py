@@ -234,6 +234,38 @@ def ref_invert(m1, f, fp, w):
     return m2.u_tilde, scaled(m2.map_psi), scaled(m2.map_psi_plus)
 
 
+def ref_divided_simple(u, f, fp, w):
+    """u_tilde and both maps of the simple transform in the real kernel on
+    W as it stood while each call divided: 1 / W formed per call, NaN
+    where W is infinite, on whole arrays, products in the kernel's order."""
+    grid, im = u.grid, w.im
+
+    def recip():
+        with np.errstate(divide="ignore"):
+            s = np.divide(1.0, im)
+        np.copyto(s, np.nan, where=np.isinf(im))
+        return s
+
+    def subtract(seed, base, x):
+        return ref_scrub(grid, np.subtract(base, np.multiply(seed, x, out=x), out=x))
+
+    x = np.empty(grid.shape(), complex)
+    x.real, x.imag = fp.values.imag * recip(), fp.values.real * recip()
+    u_tilde = subtract(f.values, u.values, x)
+
+    def mapper(seed):
+        return lambda psi, v: ref_scrub(grid, psi.values - seed.values * (v.im * recip()))
+    return u_tilde, mapper(f), mapper(fp)
+
+
+def ref_divided_transformed_potential(pp, pf, fp, ff, constant):
+    """The transformed potential's im with 1 / ff formed in the call."""
+    v = pp.im * ff.im
+    v = v - pf.im * fp.im
+    v = v * np.divide(1.0, ff.im)
+    return v + (constant.imag + 0.0)
+
+
 def ref_grid_env(grid):
     # the coordinates as the 2-D copies GridSpec used to cache
     x = np.broadcast_to(grid.xs[:, None], grid.shape()).copy()
@@ -469,6 +501,69 @@ class TestIntegrateForm:
         assert pot.path_defect == defect
 
 
+# where the block map now splits: blocks of two or more per array and,
+# across the integral, more than the 500 outer iterations from which
+# numpy's accumulate releases the GIL; the strip keeps its band's specials
+SPLIT_GRIDS = {"1024x128": make_grid(1024, 128), "600x256": make_grid(600, 256),
+               "strip-2400": STRIPS[2]}
+
+
+def _split_array(name, dt, seed):
+    grid = SPLIT_GRIDS[name]
+    return (_poisoned(grid, dt, seed) if grid.excluded_band
+            else _data(grid.shape(), dt, seed))
+
+
+class TestSplitPoints:
+    def test_the_inputs_span_blocks_and_release_the_gil(self):
+        for name, grid in SPLIT_GRIDS.items():
+            for dt in (float, complex):
+                assert len(_row_blocks(np.empty(grid.shape(), dt))) >= 2
+            assert grid.nx > 500
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("dt", [float, complex], ids=["float", "complex"])
+    @pytest.mark.parametrize("name", sorted(SPLIT_GRIDS))
+    def test_cumulative_integral(self, name, dt, axis):
+        f = _split_array(name, dt, 110)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = cumulative_integral(f, 0.011, axis=axis)
+            want = ref_cumulative_integral(f, 0.011, axis=axis)
+        assert got.dtype == want.dtype
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("name, basepoint", [
+        ("1024x128", (0, 0)), ("1024x128", (700, 101)), ("600x256", (599, 0)),
+        ("600x256", (250, 128)), ("strip-2400", (2399, 0)), ("strip-2400", (600, 70))])
+    def test_integrate_form(self, name, basepoint):
+        grid = SPLIT_GRIDS[name]
+        a, b = _split_array(name, float, 111), _split_array(name, float, 112)
+        with np.errstate(invalid="ignore"):
+            w, defect = _integrate_form(a, b, grid, basepoint)
+            w_ref, defect_ref = ref_integrate_form(a, b, grid, basepoint)
+        assert_same_bits(w, w_ref)
+        assert_same_bits(np.float64(defect), np.float64(defect_ref))
+
+    @pytest.mark.parametrize("name", ["1024x128", "600x256"])
+    def test_omega_adds_its_constant_in_the_combine(self, name):
+        grid = SPLIT_GRIDS[name]
+        psi = Field.from_callable(grid, lambda z: np.exp((0.7 + 0.4j) * z))
+        psi_plus = Field.from_callable(grid, lambda z: np.exp((-0.3 + 1.1j) * z))
+        pot = omega(psi, psi_plus, (101, 17), -0.75j)
+        p = psi.values * psi_plus.values
+        w, defect = ref_integrate_form(2.0 * p.imag, 2.0 * p.real, grid, (101, 17))
+        assert_same_bits(pot.im, (1j * (w - 0.75)).imag)
+        assert pot.path_defect == defect
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_GRIDS))
+    def test_potential_values_and_field_max_abs(self, name):
+        grid = SPLIT_GRIDS[name]
+        im, vals = _split_array(name, float, 113), _split_array(name, complex, 114)
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(Potential(grid, im, 0j, (0, 0)).values, np.multiply(1j, im))
+        assert Field(grid, vals).max_abs() == ref_max_abs(grid, vals)
+
+
 EXPRESSIONS = ["x", "y", "zbar", "z", "2 - 3i", "exp(0.5) * 2i",
                "x*y + zbar^2 - z", "re(z) + im(zbar) * x", "conj(x) / (y + 2)",
                "exp((0.3-0.8i)*z) * sqrt(y + 3)", "-x^3 + y^-2", "z*exp((1+2i)*z)"]
@@ -650,6 +745,40 @@ class TestInverse:
                 assert_same_bits(g.values, ref.values)
 
 
+def _specials_in_band(grid, seed, sign):
+    """A potential of |im| in [2, 3], times ``sign``, with inf, -inf, NaN,
+    0.0 and -0.0 across one band row, the row chosen by the seed."""
+    rng = np.random.default_rng(seed)
+    band = np.nonzero(~grid.mask[:, 0])[0]
+    im = (2.0 + rng.random(grid.shape())) * sign
+    for j, v in enumerate([np.inf, -np.inf, np.nan, 0.0, -0.0]):
+        im[band[len(band) // 2 - 1 + seed % 3], j::5] = v
+    return Potential(grid, im, 0j, (0, 0))
+
+
+class TestReciprocalOnce:
+    """The transforms multiply by the seed potential's own reciprocal; they
+    keep the bytes of the kernel that divided in every call."""
+
+    @pytest.mark.parametrize("grid", [STRIPS[1], STRIPS[2]], ids=["strip-481", "strip-2400"])
+    def test_simple_transform_maps_and_transformed_potential(self, grid):
+        u, f = _fields(grid, 120)
+        fp, psi = _fields(grid, 122)
+        w = _specials_in_band(grid, 124, np.where(grid.x < 0, -1.0, 1.0))
+        v, v_plus, pp = (_specials_in_band(grid, 125 + k, 1.0) for k in range(3))
+        with np.errstate(all="ignore"):
+            result = moutard_simple(u, f, fp, w)
+            u_tilde, map_psi, map_psi_plus = ref_divided_simple(u, f, fp, w)
+            assert_same_bits(result.u_tilde.values, u_tilde)
+            assert_same_bits(result.map_psi(psi, v).values, map_psi(psi, v))
+            assert_same_bits(result.map_psi_plus(psi, v_plus).values, map_psi_plus(psi, v_plus))
+            got = transformed_potential(pp, v, v_plus, w, constant=0.5j)
+            want = ref_divided_transformed_potential(pp, v, v_plus, w, 0.5j)
+            assert_same_bits(got.im, want)
+            assert_same_bits(got.values, np.multiply(1j, want))
+        assert np.isnan(got.im[np.isinf(w.im)]).all()
+
+
 class TestDetNodes:
     @pytest.mark.parametrize("name", ["small", "square-256", "strip-480", "strip-481"])
     @pytest.mark.parametrize("n", [1, 2])
@@ -677,8 +806,8 @@ class TestDetNodes:
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_simple_potential_in_blocks(self, name):
         # ties go to the first node in row order, across blocks; a NaN
-        # wins both the minimum and the scale; the count in the message
-        # is over active nodes only
+        # wins the minimum and raises; the count in the message is over
+        # active nodes only
         grid = GRIDS[name]
         rng = np.random.default_rng(57)
         w = 2.0 + rng.random(grid.shape())
@@ -697,7 +826,8 @@ class TestDetNodes:
             count = int(np.count_nonzero(np.abs(w[grid.mask]) <= tol))
             assert f"at {count} node(s); |det| = 1.000e+00 at node {first}" in str(got.value)
         w[last] = np.nan
-        assert np.isnan(_det_nodes(om, grid, None))
+        with pytest.raises(ZeroPotentialError, match=re.escape(f"det = nan at node {last}")):
+            _det_nodes(om, grid, None)
         w[last], w[first] = 1.0, np.inf
         with pytest.raises(ZeroPotentialError, match=re.escape(f"at node {last}")):
             _det_nodes(om, grid, None)
@@ -724,10 +854,12 @@ class TestDetNodes:
                 _det_nodes(om, grid, tol)
             count = int(np.count_nonzero(ref_abs_det(om, grid) <= tol))
             assert f"at {count} node(s); |det| = 1.000e+00 at node {first}" in str(got.value)
-        # a NaN after a singular node still wins: no raise, NaN returned
+        # a NaN after a singular node still wins, and raises naming its node
         w[first], w[last] = 0.0, np.nan
         with np.errstate(invalid="ignore"):  # the LU of a NaN matrix
-            assert np.isnan(ref_det_nodes(om, grid)[0]) and np.isnan(_det_nodes(om, grid))
+            assert np.isnan(ref_det_nodes(om, grid)[0])
+            with pytest.raises(SingularOmegaError, match=re.escape(f"det = nan at node {last}")):
+                _det_nodes(om, grid)
 
 
     def test_a_band_between_nodes_splits_the_slabs(self):
