@@ -171,10 +171,8 @@ class Field:
         return cls(grid, _scrub(grid, np.broadcast_to(vals, grid.shape()).copy()))
 
     def max_abs(self) -> float:
-        """Max modulus over active nodes, one row block at a time."""
-        vals = self.values
-        return float(np.max(_each_block(lambda rows: _peak_abs(self.grid, vals[rows], rows),
-                                        _row_blocks(vals))))
+        """Max modulus over active nodes."""
+        return float(_peak_abs(self.grid, self.values))
 
 
 #: bytes of one row block in a full-grid pass: a block's temporaries stay

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SeedResidualError, ShapeError
 from .grid import Field, _each_block, _row_blocks, _scrub, residual
-from .potential import Potential, _check_imaginary_constant, _det_nodes, _det_reciprocal
+from .potential import Potential, _check_imaginary_constant, _det, _det_nodes
 
 #: largest equation residual of a seed admitted to a seed set
 SEED_RESIDUAL_TOL = 1e-6
@@ -55,9 +55,7 @@ class SeedSet:
     seed with the j-th conjugate seed, all on u's grid.  Construction
     stacks the potentials' ims into ``matrix``, the real matrix W of
     omega = i W, checks that W is invertible at every active node and
-    keeps its smallest |det| as ``det_min``.  For N <= 2 ``recip`` holds
-    the read-only reciprocal of det W, the potential's own for N = 1;
-    N >= 3 solves by LU and keeps None.
+    keeps its smallest |det| as ``det_min``.
     """
 
     u: Field
@@ -65,7 +63,6 @@ class SeedSet:
     omega: Sequence[Sequence[Potential]]
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
     det_min: float = field(init=False)
-    recip: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, u: Field, seeds, omega) -> "SeedSet":
@@ -87,13 +84,6 @@ class SeedSet:
             raise ShapeError("coefficient, seeds and potentials live on different grids")
         object.__setattr__(self, "matrix", self.omega_array())
         object.__setattr__(self, "det_min", _det_nodes(self.matrix, self.u.grid))
-        object.__setattr__(self, "recip", self.omega[0][0].recip if n == 1 else
-                           _det_reciprocal(self.matrix) if n == 2 else None)
-
-    def __setstate__(self, state: dict):
-        self.__dict__.update(state)
-        if self.recip is not None:  # unpickled arrays are writeable
-            self.recip.flags.writeable = False
 
     def omega_array(self) -> np.ndarray:
         """The (nx, ny, N, N) real stack of the potentials' ims;
@@ -102,12 +92,14 @@ class SeedSet:
                             (2, 3, 0, 1))
 
 
-def _solve_nodes(w: np.ndarray, s: np.ndarray | None, systems) -> None:
+def _solve_nodes(w: np.ndarray, systems, s: np.ndarray | None) -> None:
     """Solve W x = b per node for each (b, x) of ``systems``: b and x
     are lists of N per-seed arrays, the x perhaps strided views.
 
     N >= 3 solves by real LU.  N = 1 multiplies b, and N = 2 its closed
-    form, by ``s``, the reciprocal of det W that the matrix's owner formed.
+    form, by one reciprocal of det W for all systems, NaN where det W is
+    infinite: numpy's complex 1 / (1j * inf), as 1j * inf has a NaN real part.
+    The reciprocal is formed in ``s`` if not None: the output written last.
     """
     n = w.shape[-1]
     if n > 2:
@@ -116,6 +108,9 @@ def _solve_nodes(w: np.ndarray, s: np.ndarray | None, systems) -> None:
             for j in range(n):
                 x[j][...] = sol[..., j, 0]
         return
+    det = _det(w)
+    s = np.divide(1.0, det, out=s)
+    np.copyto(s, np.nan, where=np.isinf(det))
     for b, x in systems:
         if n == 1:
             np.multiply(b[0], s, out=x[0])
@@ -133,21 +128,19 @@ def _as_potential_list(omegas, n: int, on_grid: bool = True) -> list[Potential]:
     return pots
 
 
-def _subtract_solved(grid, w: np.ndarray, s: np.ndarray | None, seeds, base: np.ndarray,
-                     rhs) -> Field:
+def _subtract_solved(grid, w: np.ndarray, seeds, base: np.ndarray, rhs) -> Field:
     """base - sum_j seeds[j] x_j node by node, where W x = b for b the
     sets of N per-seed arrays in ``rhs``: one for a real x, the real and
-    the imaginary part's for a complex x.  ``s`` is W's reciprocal for
-    ``_solve_nodes``.  Non-finite values inside an excluded band become 0
-    there."""
+    the imaginary part's for a complex x.  Non-finite values inside an
+    excluded band become 0 there."""
     vals = np.empty_like(base)
     cx = len(rhs) > 1  # a complex x_0 is solved in the rows it is subtracted into
 
     def block(rows, scratch):
         x = [vals[rows]] * cx + list(scratch[:, :rows.stop - rows.start])
-        _solve_nodes(w[rows], None if s is None else s[rows],
-                     [([a[rows] for a in b], [part(v) for v in x])
-                      for b, part in zip(rhs, (np.real, np.imag))])
+        _solve_nodes(w[rows], [([a[rows] for a in b], [part(v) for v in x])
+                               for b, part in zip(rhs, (np.real, np.imag))],
+                     None if cx else x[-1])  # a real x overwrites the reciprocal
         sx = np.multiply(seeds[0][rows], x[0], out=vals[rows])
         for j in range(1, len(seeds)):  # accumulated in seed order
             sx += seeds[j][rows] * x[j]
@@ -158,14 +151,13 @@ def _subtract_solved(grid, w: np.ndarray, s: np.ndarray | None, seeds, base: np.
     return Field(grid, vals)
 
 
-def _mapped(grid, seeds, w: np.ndarray, s: np.ndarray | None, base: Field, omegas) -> Field:
-    """A solution map of ``_transform``, bound to its seeds, matrix and reciprocal."""
+def _mapped(grid, seeds, w: np.ndarray, base: Field, omegas) -> Field:
+    """A solution map of ``_transform``, bound to its seeds and matrix."""
     pots = _as_potential_list(omegas, w.shape[-1], base.grid == grid)
-    return _subtract_solved(grid, w, s, seeds, base.values, [[p.im for p in pots]])
+    return _subtract_solved(grid, w, seeds, base.values, [[p.im for p in pots]])
 
 
-def _transform(u: Field, fs, fps, w: np.ndarray, det_min: float,
-               s: np.ndarray | None) -> TransformResult:
+def _transform(u: Field, fs, fps, w: np.ndarray, det_min: float) -> TransformResult:
     """The transform generated by N seeds, in real arithmetic on W.
 
     ``fs`` and ``fps`` are the N direct and conjugate seeds' values and
@@ -176,13 +168,12 @@ def _transform(u: Field, fs, fps, w: np.ndarray, det_min: float,
     W^T y = (Im w_{f_j,psi+})_j.  These are numpy's complex formulas on
     omega bit for bit, up to the sign of zeros, as numpy divides by a
     complex number with a zero part by multiplying with the reciprocal
-    of the other.  ``det_min`` is the caller's scan of ``w`` and ``s`` the
-    reciprocal of its det, which W^T shares.
+    of the other.  ``det_min`` is the caller's scan of ``w``.
     """
-    u_tilde = _subtract_solved(u.grid, w, s, fs, u.values, [[v.imag for v in fps],
-                                                            [v.real for v in fps]])
-    return TransformResult(u_tilde, partial(_mapped, u.grid, fs, w, s),
-                           partial(_mapped, u.grid, fps, np.swapaxes(w, -1, -2), s),
+    u_tilde = _subtract_solved(u.grid, w, fs, u.values, [[v.imag for v in fps],
+                                                         [v.real for v in fps]])
+    return TransformResult(u_tilde, partial(_mapped, u.grid, fs, w),
+                           partial(_mapped, u.grid, fps, np.swapaxes(w, -1, -2)),
                            w.shape[-1], det_min)
 
 
@@ -196,14 +187,14 @@ def moutard_simple(u: Field, f1: Field, f1_plus: Field,
     if not u.grid == f1.grid == f1_plus.grid == omega_ff.grid:
         raise ShapeError("coefficient, seed pair and potential live on different grids")
     return _transform(u, [f1.values], [f1_plus.values], omega_ff.im[..., None, None],
-                      omega_ff.det_min, omega_ff.recip)
+                      omega_ff.det_min)
 
 
 def moutard_rank_n(seedset: SeedSet) -> TransformResult:
     """Rank-N transform from a seed set, whose matrix it checked on construction."""
     return _transform(seedset.u, [f.values for f, _ in seedset.seeds],
                       [fp.values for _, fp in seedset.seeds],
-                      seedset.matrix, seedset.det_min, seedset.recip)
+                      seedset.matrix, seedset.det_min)
 
 
 def transformed_potential(omega_pp: Potential, omega_pf: Potential,
@@ -214,18 +205,17 @@ def transformed_potential(omega_pp: Potential, omega_pf: Potential,
     Given the four potentials pairing (psi, psi+) and the seed pair,
     the transformed pair's potential is
     (w_pp * w_ff - w_pf * w_fp) / w_ff + constant, formed on the ims as
-    (pp * ff - pf * fp) * (1 / ff) + Im c, the complex formula's bits,
-    with omega_ff's own reciprocal.
+    (pp * ff - pf * fp) * (1 / ff) + Im c, the complex formula's bits.
     """
     omega_ff.det_min  # raises where omega_ff vanishes
     constant = _check_imaginary_constant(constant)
     pp, pf, fp, ff = (w.im for w in (omega_pp, omega_pf, omega_fp, omega_ff))
-    s, im = omega_ff.recip, np.empty_like(pp)
+    im = np.empty_like(pp)
 
     def block(r):
         v = np.multiply(pp[r], ff[r], out=im[r])
         np.subtract(v, pf[r] * fp[r], out=v)
-        np.multiply(v, s[r], out=v)
+        np.multiply(v, np.divide(1.0, ff[r]), out=v)
         np.add(v, constant.imag + 0.0, out=v)  # never -0.0, as projected
     _each_block(block, _row_blocks(im))
     bp = omega_pp.basepoint

@@ -46,27 +46,6 @@ def _det(w: np.ndarray) -> np.ndarray:
     return np.linalg.det(w)
 
 
-def _det_reciprocal(w: np.ndarray) -> np.ndarray:
-    """1 / det W at every node of the real (..., N, N) W, N <= 2, read-only.
-
-    It is NaN where det W is infinite, as numpy's complex 1 / (1j * inf),
-    since 1j * inf has a NaN real part: the NaN of 0 * inf, so an inf times
-    it reads as an inf times the quotient 1 / inf.  It is formed silently:
-    a zero det W can only lie in an excluded band, whose outputs are
-    scrubbed, and at active nodes the scan of W raises first.
-    """
-    s = np.empty(w.shape[:-2])
-
-    def block(rows):
-        det = _det(w[rows])
-        np.divide(1.0, det, out=s[rows])
-        np.multiply(s[rows], np.inf, out=s[rows], where=np.isinf(det))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _each_block(block, _row_blocks(w))
-    s.flags.writeable = False
-    return s
-
-
 def _det_extremes(w: np.ndarray, ny: int, rows: slice) -> tuple:
     """(det, flat node) at the first minimum and the first maximum of
     det W over ``rows`` of ``w``, then the largest entry of W and of -W."""
@@ -142,29 +121,18 @@ class Potential:
 
     def __setstate__(self, state: dict):
         self.__dict__.update(state)
-        for a in (self.im, state.get("recip")):  # unpickled arrays are writeable
-            if a is not None:
-                a.flags.writeable = False
+        self.im.flags.writeable = False  # unpickled arrays are writeable
 
     @cached_property
     def det_min(self) -> float:
         """Smallest active |im|; the one ``_det_nodes`` scan raises where im vanishes."""
         return _det_nodes(self.im[..., None, None], self.grid)
 
-    @cached_property
-    def recip(self) -> np.ndarray:
-        """1 / im, NaN where im is infinite: what every transform with this
-        seed potential multiplies by.  Read-only."""
-        return _det_reciprocal(self.im[..., None, None])
-
     @property
     def values(self) -> np.ndarray:
         """1j * im: its real parts are signed zeros, or NaN where im is not finite."""
-        out = np.empty(self.im.shape, complex)
         with np.errstate(invalid="ignore"):
-            _each_block(lambda rows: np.multiply(1j, self.im[rows], out=out[rows]),
-                        _row_blocks(out))
-        return out
+            return np.multiply(1j, self.im)
 
     @classmethod
     def from_values(cls, grid: GridSpec, values: np.ndarray,
@@ -207,10 +175,9 @@ def _form_components(psi: Field, psi_plus: Field) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec, basepoint: tuple[int, int],
-                    shift: float | None = None) -> tuple[np.ndarray, float]:
-    """Integral of a dx + b dy from ``basepoint`` along x-then-y L-paths,
-    plus ``shift`` if given.
+def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec,
+                    basepoint: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """Integral of a dx + b dy from ``basepoint`` along x-then-y L-paths.
 
     Also returns the largest disagreement, over active nodes, with the
     y-then-x orientation: zero up to quadrature error for a closed form.
@@ -236,10 +203,7 @@ def _integrate_form(a: np.ndarray, b: np.ndarray, grid: GridSpec, basepoint: tup
         np.subtract(xy, ref_xy[rows, None], out=xy)
         np.add(leg_yx[None, :], yx, out=yx)
         np.subtract(yx, ref_yx[None, :], out=yx)
-        peak = _peak_abs(grid, np.subtract(xy, yx, out=yx), rows)
-        if shift is not None:
-            np.add(xy, shift, out=xy)
-        return peak
+        return _peak_abs(grid, np.subtract(xy, yx, out=yx), rows)
     return w_xy, float(np.max(_each_block(combine, _row_blocks(w_xy))))
 
 
@@ -263,12 +227,13 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
     constant = _check_imaginary_constant(constant)
     a, b = _form_components(psi, psi_plus)
     grid = psi.grid
-    # constant.imag is not -0.0, so 1j * im is 1j * (w + c) projected
-    w_xy, defect = _integrate_form(a, b, grid, basepoint, constant.imag)
+    w_xy, defect = _integrate_form(a, b, grid, basepoint)
     if defect > DEFAULT_EXACTNESS_TOL:
         raise ExactnessError(
             f"path-dependence defect {defect:.3e} exceeds {DEFAULT_EXACTNESS_TOL:.1e}; "
             "the pair is not a solution/conjugate-solution pair")
+    # constant.imag is not -0.0, so 1j * im is 1j * (w + c) projected
+    np.add(w_xy, constant.imag, out=w_xy)
     return Potential(grid, w_xy, constant, basepoint, path_defect=defect)
 
 

@@ -234,38 +234,6 @@ def ref_invert(m1, f, fp, w):
     return m2.u_tilde, scaled(m2.map_psi), scaled(m2.map_psi_plus)
 
 
-def ref_divided_simple(u, f, fp, w):
-    """u_tilde and both maps of the simple transform in the real kernel on
-    W as it stood while each call divided: 1 / W formed per call, NaN
-    where W is infinite, on whole arrays, products in the kernel's order."""
-    grid, im = u.grid, w.im
-
-    def recip():
-        with np.errstate(divide="ignore"):
-            s = np.divide(1.0, im)
-        np.copyto(s, np.nan, where=np.isinf(im))
-        return s
-
-    def subtract(seed, base, x):
-        return ref_scrub(grid, np.subtract(base, np.multiply(seed, x, out=x), out=x))
-
-    x = np.empty(grid.shape(), complex)
-    x.real, x.imag = fp.values.imag * recip(), fp.values.real * recip()
-    u_tilde = subtract(f.values, u.values, x)
-
-    def mapper(seed):
-        return lambda psi, v: ref_scrub(grid, psi.values - seed.values * (v.im * recip()))
-    return u_tilde, mapper(f), mapper(fp)
-
-
-def ref_divided_transformed_potential(pp, pf, fp, ff, constant):
-    """The transformed potential's im with 1 / ff formed in the call."""
-    v = pp.im * ff.im
-    v = v - pf.im * fp.im
-    v = v * np.divide(1.0, ff.im)
-    return v + (constant.imag + 0.0)
-
-
 def ref_grid_env(grid):
     # the coordinates as the 2-D copies GridSpec used to cache
     x = np.broadcast_to(grid.xs[:, None], grid.shape()).copy()
@@ -545,7 +513,7 @@ class TestSplitPoints:
         assert_same_bits(np.float64(defect), np.float64(defect_ref))
 
     @pytest.mark.parametrize("name", ["1024x128", "600x256"])
-    def test_omega_adds_its_constant_in_the_combine(self, name):
+    def test_omega_adds_its_constant(self, name):
         grid = SPLIT_GRIDS[name]
         psi = Field.from_callable(grid, lambda z: np.exp((0.7 + 0.4j) * z))
         psi_plus = Field.from_callable(grid, lambda z: np.exp((-0.3 + 1.1j) * z))
@@ -554,14 +522,6 @@ class TestSplitPoints:
         w, defect = ref_integrate_form(2.0 * p.imag, 2.0 * p.real, grid, (101, 17))
         assert_same_bits(pot.im, (1j * (w - 0.75)).imag)
         assert pot.path_defect == defect
-
-    @pytest.mark.parametrize("name", sorted(SPLIT_GRIDS))
-    def test_potential_values_and_field_max_abs(self, name):
-        grid = SPLIT_GRIDS[name]
-        im, vals = _split_array(name, float, 113), _split_array(name, complex, 114)
-        with np.errstate(invalid="ignore"):
-            assert_same_bits(Potential(grid, im, 0j, (0, 0)).values, np.multiply(1j, im))
-        assert Field(grid, vals).max_abs() == ref_max_abs(grid, vals)
 
 
 EXPRESSIONS = ["x", "y", "zbar", "z", "2 - 3i", "exp(0.5) * 2i",
@@ -743,40 +703,6 @@ class TestInverse:
                 _same_up_to_nan(g.values, ref.values, zeros=True)
             else:
                 assert_same_bits(g.values, ref.values)
-
-
-def _specials_in_band(grid, seed, sign):
-    """A potential of |im| in [2, 3], times ``sign``, with inf, -inf, NaN,
-    0.0 and -0.0 across one band row, the row chosen by the seed."""
-    rng = np.random.default_rng(seed)
-    band = np.nonzero(~grid.mask[:, 0])[0]
-    im = (2.0 + rng.random(grid.shape())) * sign
-    for j, v in enumerate([np.inf, -np.inf, np.nan, 0.0, -0.0]):
-        im[band[len(band) // 2 - 1 + seed % 3], j::5] = v
-    return Potential(grid, im, 0j, (0, 0))
-
-
-class TestReciprocalOnce:
-    """The transforms multiply by the seed potential's own reciprocal; they
-    keep the bytes of the kernel that divided in every call."""
-
-    @pytest.mark.parametrize("grid", [STRIPS[1], STRIPS[2]], ids=["strip-481", "strip-2400"])
-    def test_simple_transform_maps_and_transformed_potential(self, grid):
-        u, f = _fields(grid, 120)
-        fp, psi = _fields(grid, 122)
-        w = _specials_in_band(grid, 124, np.where(grid.x < 0, -1.0, 1.0))
-        v, v_plus, pp = (_specials_in_band(grid, 125 + k, 1.0) for k in range(3))
-        with np.errstate(all="ignore"):
-            result = moutard_simple(u, f, fp, w)
-            u_tilde, map_psi, map_psi_plus = ref_divided_simple(u, f, fp, w)
-            assert_same_bits(result.u_tilde.values, u_tilde)
-            assert_same_bits(result.map_psi(psi, v).values, map_psi(psi, v))
-            assert_same_bits(result.map_psi_plus(psi, v_plus).values, map_psi_plus(psi, v_plus))
-            got = transformed_potential(pp, v, v_plus, w, constant=0.5j)
-            want = ref_divided_transformed_potential(pp, v, v_plus, w, 0.5j)
-            assert_same_bits(got.im, want)
-            assert_same_bits(got.values, np.multiply(1j, want))
-        assert np.isnan(got.im[np.isinf(w.im)]).all()
 
 
 class TestDetNodes:

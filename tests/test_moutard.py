@@ -487,64 +487,6 @@ class TestPotentialCounts:
         assert result.map_psi(psi, [om] * n).grid == g
 
 
-def _second_seed(g):
-    """The seed z with its potentials against 1 and against itself."""
-    return (sample(g, lambda z: z), closed_form_potential(g, 2j * g.x * g.y),
-            closed_form_potential(g, 2j * (g.x ** 2 * g.y - g.y ** 3 / 3)))
-
-
-class TestReciprocal:
-    def test_is_read_only_one_over_im_and_nan_at_infinities(self, strip):
-        im = 2.0 + strip.x + strip.y
-        im[3, ::4], im[3, 1::4], im[5, 2], im[5, 3], im[6, 1] = np.inf, -np.inf, 0.0, -0.0, np.nan
-        pot = Potential(strip, im, 0j, (0, 0))
-        s = pot.recip
-        assert pot.recip is s and not s.flags.writeable
-        with np.errstate(divide="ignore"):
-            want = 1.0 / im
-        want[np.isinf(im)] = np.nan
-        np.testing.assert_array_equal(s, want)
-        assert np.isnan(s[3]).sum() == np.isinf(im[3]).sum() > 0
-        assert (s[5, 2], s[5, 3]) == (np.inf, -np.inf)
-        with pytest.raises(ValueError, match="read-only"):
-            s[0, 0] = 1.0
-
-    def test_owners_form_it_and_the_transforms_read_it(self, setup, monkeypatch):
-        g, u, f1, om_ff = setup
-        f2, om21, om22 = _second_seed(g)
-        # N = 1 shares the potential's, N = 2 forms 1 / det W, N >= 3 solves by LU
-        one = SeedSet.build(u, [(f1, f1)], [[om_ff]])
-        two = SeedSet.build(u, [(f1, f1), (f2, f2)], [[om_ff, om21], [om21, om22]])
-        e2 = sample(g, lambda z: np.exp(z / 2))
-        seeds = [(f1, f1), (f2, f2), (e2, e2)]
-        three = SeedSet.build(u, seeds, [[omega(fk, fjp, (0, 0), 1j * (1 + 0.3 * (k - j) ** 2))
-                                          for k, (fk, _) in enumerate(seeds)]
-                                         for j, (_, fjp) in enumerate(seeds)])
-        assert one.recip is om_ff.recip and three.recip is None
-        w = two.matrix
-        assert not two.recip.flags.writeable
-        det = w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
-        assert_same_bits(two.recip, 1.0 / det)
-        for mod in ("galab.potential", "galab.moutard"):  # no second reciprocal
-            monkeypatch.setattr(f"{mod}._det_reciprocal", None)
-        result = moutard_simple(u, f1, f1, om_ff)
-        result.map_psi(f2, om21), result.map_psi_plus(f2, om21)
-        transformed_potential(om22, om21, om21, om_ff)
-        moutard_rank_n(two).map_psi(f2, [om21, om22])
-
-    def test_stays_read_only_after_pickling(self, setup):
-        g, u, f1, om_ff = setup
-        f2, om21, om22 = _second_seed(g)
-        om_ff.recip
-        two = SeedSet.build(u, [(f1, f1), (f2, f2)], [[om_ff, om21], [om21, om22]])
-        for owner in (om_ff, two):
-            back = pickle.loads(pickle.dumps(owner))
-            assert "recip" in vars(back)
-            assert_same_bits(back.recip, owner.recip)
-            with pytest.raises(ValueError, match="read-only"):
-                back.recip[3, 4] = 0.0
-
-
 class TestPickling:
     def test_results_pickle_and_map_the_same(self, strip):
         # every constructor's maps are module-level functions bound with
