@@ -22,18 +22,17 @@ _W_MID = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
 _W_LAST = _W_FIRST[::-1]
 
 
-def _interior(src: np.ndarray, dst: np.ndarray, st: int, lo: int, hi: int,
-              h: float, tmp: np.ndarray) -> None:
+def _interior(src: np.ndarray, dst: np.ndarray, st: int, lo: int, hi: int, h: float) -> None:
     """Interior steps into flat positions lo .. hi-1 of ``dst``.
 
     The step stored at p is the one that ends there, from p - st to p; it
     uses the samples of ``src`` at p - 2 st, p - st, p and p + st, summed
-    in that order.  ``tmp`` is scratch of at least hi - lo.
+    in that order.
     """
-    w, dest, tmp = _W_MID, dst[lo:hi], tmp[:hi - lo]
+    w, dest = _W_MID, dst[lo:hi]
     np.multiply(w[0], src[lo - 2 * st:hi - 2 * st], out=dest)
     for k, wk in enumerate(w[1:], -1):
-        np.add(dest, np.multiply(wk, src[lo + k * st:hi + k * st], out=tmp), out=dest)
+        np.add(dest, wk * src[lo + k * st:hi + k * st], out=dest)
     np.multiply(h, dest, out=dest)
 
 
@@ -77,7 +76,7 @@ def _integrate_into(f: np.ndarray, out: np.ndarray, h: float, axis: int) -> np.n
     n, row, st = c.shape[axis], c[0].size, math.prod(c.shape[axis + 1:])
     src, dst = c.reshape(-1), out.reshape(-1)
 
-    def steps(rows, tmp):
+    def steps(rows):
         a, b = rows.start, rows.stop
         if axis == 0:
             # blocks along the integral: the interior steps of nodes
@@ -88,8 +87,8 @@ def _integrate_into(f: np.ndarray, out: np.ndarray, h: float, axis: int) -> np.n
             # is 0, 1 or n-1 are overwritten by the sums
             lo, hi = a * row + 2 * st, b * row - st
         if lo < hi:
-            _interior(src, dst, st, lo, hi, h, tmp)
-    _each_block(steps, _row_blocks(c), lambda m: (np.empty_like(dst[:m * row]),))
+            _interior(src, dst, st, lo, hi, h)
+    _each_block(steps, _row_blocks(c))
     # cumsum steps down columns, which is slower once each step crosses a page
     by_rows = axis == 0 and c.ndim > 1 and out[0].nbytes >= 4096
     _sum_steps(np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0), h, by_rows)

@@ -219,9 +219,8 @@ class _Worker(threading.Thread):
 _WORKERS: dict[int, _Worker | None] = {}
 
 
-def _each_block(fn, blocks: list[slice], scratch=None, here: bool = False) -> list:
-    """[fn(rows, *s) for rows in blocks], with ``s = scratch(m)`` made once
-    per thread (or none), m the rows of the thread's last and largest block.
+def _each_block(fn, blocks: list[slice], here: bool = False) -> list:
+    """[fn(rows) for rows in blocks].
 
     With two or more blocks and CPUs, the caller runs the first half and
     the worker the second, in a copy of the caller's context (numpy's
@@ -236,13 +235,12 @@ def _each_block(fn, blocks: list[slice], scratch=None, here: bool = False) -> li
             new.start()
     worker = len(blocks) > 1 and not here and _WORKERS[os.getpid()]
     if not worker or not worker.busy.acquire(blocking=False):
-        s = scratch(blocks[-1].stop - blocks[-1].start) if scratch else ()
-        return [fn(rows, *s) for rows in blocks]
+        return [fn(rows) for rows in blocks]
     k = (len(blocks) + 1) // 2
-    worker.job = contextvars.copy_context(), (fn, blocks[k:], scratch)
+    worker.job = contextvars.copy_context(), (fn, blocks[k:])
     worker.go.release()
     try:
-        head = _each_block(fn, blocks[:k], scratch)  # busy is held: runs here
+        head = _each_block(fn, blocks[:k])  # busy is held: runs here
     finally:
         worker.done.acquire()  # if interrupted, busy stays held: later maps run here
         (tail, exc), worker.out = worker.out, None
@@ -263,11 +261,10 @@ def _stencil_edges(fm: np.ndarray, h: float) -> tuple:
 
 
 def _stencil_block(flat: np.ndarray, shape: tuple, axis: int, scale: tuple,
-                   rows: slice, dest: np.ndarray, tmp: np.ndarray) -> None:
+                   rows: slice, dest: np.ndarray) -> None:
     """Central entries of ``rows`` of the 4th-order d/d(axis) of the
     C-ordered array of ``shape`` with data ``flat``, into ``dest``, the
-    flat data of those rows, scaled by ``scale`` = (ufunc, c); ``tmp``
-    is flat scratch as large.
+    flat data of those rows, scaled by ``scale`` = (ufunc, c).
 
     Each neighbour is a fixed flat distance away, so every operand is
     one contiguous run.  Along axis 0 a block reads two rows past its
@@ -280,10 +277,9 @@ def _stencil_block(flat: np.ndarray, shape: tuple, axis: int, scale: tuple,
               else (a + 2 * st, b - 2 * st))
     if lo >= hi:
         return
-    mid, tmp = dest[lo - a:hi - a], tmp[:hi - lo]
-    np.subtract(flat[lo - 2 * st:hi - 2 * st],
-                np.multiply(8, flat[lo - st:hi - st], out=tmp), out=mid)
-    np.add(mid, np.multiply(8, flat[lo + st:hi + st], out=tmp), out=mid)
+    mid = dest[lo - a:hi - a]
+    np.subtract(flat[lo - 2 * st:hi - 2 * st], 8 * flat[lo - st:hi - st], out=mid)
+    np.add(mid, 8 * flat[lo + st:hi + st], out=mid)
     np.subtract(mid, flat[lo + 2 * st:hi + 2 * st], out=mid)
     scale[0](mid, scale[1], out=mid)
 
@@ -302,9 +298,9 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     c = np.ascontiguousarray(values)
     out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
     flat, dest, row = c.reshape(-1), out.reshape(-1), c[0].size
-    _each_block(lambda rows, tmp: _stencil_block(flat, c.shape, axis, (np.divide, 12 * h), rows,
-                                                 dest[rows.start * row:rows.stop * row], tmp),
-                _row_blocks(c), lambda m: (np.empty_like(dest[:m * row]),))
+    _each_block(lambda rows: _stencil_block(flat, c.shape, axis, (np.divide, 12 * h), rows,
+                                            dest[rows.start * row:rows.stop * row]),
+                _row_blocks(c))
     om = np.moveaxis(out, axis, 0)
     # on the input as given: tensordot's bits depend on its strides
     for k, entry in _stencil_edges(np.moveaxis(values, axis, 0), h):
@@ -316,9 +312,9 @@ def _wirtinger(f: Field, combine, finish, out: np.ndarray | None = None) -> list
     """finish(rows, block) for each row block, in row order, of
     0.5 * combine(dx, 1j * dy), band scrubbed.
 
-    Each block is formed in ``out``'s rows (C-ordered), or in a scratch
-    block of its thread when ``out`` is None, from dx and dy of those rows;
-    the edge entries come from the whole array, the rest from float views.
+    Each block is formed in ``out``'s rows (C-ordered), or in a block of
+    its own when ``out`` is None, from dx and dy of those rows; the edge
+    entries come from the whole array, the rest from float views.
     """
     vals, grid = np.ascontiguousarray(f.values), f.grid
     _check_stencil(vals, 0)
@@ -327,29 +323,25 @@ def _wirtinger(f: Field, combine, finish, out: np.ndarray | None = None) -> list
     dx_edges = _stencil_edges(f.values, grid.hx)
     dy_edges = _stencil_edges(np.moveaxis(f.values, 1, 0), grid.hy)
 
-    def scratch(m):  # dy, the stencils' tmp and, without ``out``, a block
-        dy = np.empty_like(vals[:m])
-        return (dy, np.empty(2 * dy.size)) + ((np.empty_like(dy),) if out is None else ())
-
-    def block(rows, dy, tmp, d=None):
+    def block(rows):
         a, b = rows.start, rows.stop
-        d = out[rows] if d is None else d[:b - a]
+        d = np.empty_like(vals[rows]) if out is None else out[rows]
         dv = d.reshape(-1).view(float)
-        _stencil_block(flat, shape, 0, (np.multiply, 1.0 / (12 * grid.hx)), rows, dv, tmp)
+        _stencil_block(flat, shape, 0, (np.multiply, 1.0 / (12 * grid.hx)), rows, dv)
         for k, entry in dx_edges:
             if a <= k < b:
                 d[k - a] = entry
-        dyb = dy[:b - a]
-        dyv = dyb.reshape(-1).view(float)
-        _stencil_block(flat, shape, 1, (np.multiply, 1.0 / (12 * grid.hy)), rows, dyv, tmp)
+        dy = np.empty_like(d)
+        dyv = dy.reshape(-1).view(float)
+        _stencil_block(flat, shape, 1, (np.multiply, 1.0 / (12 * grid.hy)), rows, dyv)
         for k, entry in dy_edges:
-            dyb[:, k] = entry[rows]
+            dy[:, k] = entry[rows]
         # combine with 1j * dy = (-Im dy, Re dy)
         combine(dv[0::2], np.negative(dyv[1::2], out=dyv[1::2]), out=dv[0::2])
         combine(dv[1::2], dyv[0::2], out=dv[1::2])
         np.multiply(0.5, dv, out=dv)
         return finish(rows, _scrub(grid, d, rows))
-    return _each_block(block, _row_blocks(vals), scratch)
+    return _each_block(block, _row_blocks(vals))
 
 
 def _stencil_field(f: Field, combine) -> Field:

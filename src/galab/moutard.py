@@ -92,14 +92,13 @@ class SeedSet:
                             (2, 3, 0, 1))
 
 
-def _solve_nodes(w: np.ndarray, systems, s: np.ndarray | None) -> None:
+def _solve_nodes(w: np.ndarray, systems) -> None:
     """Solve W x = b per node for each (b, x) of ``systems``: b and x
     are lists of N per-seed arrays, the x perhaps strided views.
 
     N >= 3 solves by real LU.  N = 1 multiplies b, and N = 2 its closed
     form, by one reciprocal of det W for all systems, NaN where det W is
     infinite: numpy's complex 1 / (1j * inf), as 1j * inf has a NaN real part.
-    The reciprocal is formed in ``s`` if not None: the output written last.
     """
     n = w.shape[-1]
     if n > 2:
@@ -109,7 +108,7 @@ def _solve_nodes(w: np.ndarray, systems, s: np.ndarray | None) -> None:
                 x[j][...] = sol[..., j, 0]
         return
     det = _det(w)
-    s = np.divide(1.0, det, out=s)
+    s = np.divide(1.0, det)
     np.copyto(s, np.nan, where=np.isinf(det))
     for b, x in systems:
         if n == 1:
@@ -134,20 +133,18 @@ def _subtract_solved(grid, w: np.ndarray, seeds, base: np.ndarray, rhs) -> Field
     the imaginary part's for a complex x.  Non-finite values inside an
     excluded band become 0 there."""
     vals = np.empty_like(base)
-    cx = len(rhs) > 1  # a complex x_0 is solved in the rows it is subtracted into
 
-    def block(rows, scratch):
-        x = [vals[rows]] * cx + list(scratch[:, :rows.stop - rows.start])
+    def block(rows):
+        x = np.empty((len(seeds), rows.stop - rows.start, grid.ny),
+                     complex if len(rhs) > 1 else float)
         _solve_nodes(w[rows], [([a[rows] for a in b], [part(v) for v in x])
-                               for b, part in zip(rhs, (np.real, np.imag))],
-                     None if cx else x[-1])  # a real x overwrites the reciprocal
+                               for b, part in zip(rhs, (np.real, np.imag))])
         sx = np.multiply(seeds[0][rows], x[0], out=vals[rows])
         for j in range(1, len(seeds)):  # accumulated in seed order
             sx += seeds[j][rows] * x[j]
         _scrub(grid, np.subtract(base[rows], sx, out=sx), rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _each_block(block, _row_blocks(vals), lambda m: (np.empty(
-            (w.shape[-1] - cx, m, grid.ny), complex if cx else float),), here=w.shape[-1] > 2)
+        _each_block(block, _row_blocks(vals), here=w.shape[-1] > 2)
     return Field(grid, vals)
 
 

@@ -66,17 +66,15 @@ def test_the_fixture_array_splits_between_caller_and_worker():
 class TestOrderAndErrors:
     BLOCKS = [slice(k, k + 1) for k in range(6)]
 
-    def test_results_in_block_order_with_one_scratch_per_thread(self):
-        made, threads = [], set()
+    def test_results_in_block_order_with_one_thread_per_half(self):
+        threads = set()
 
-        def fn(rows, scratch):
+        def fn(rows):
             threads.add(threading.get_ident())
-            return rows.start, scratch
+            return rows.start
 
-        out = _each_block(fn, self.BLOCKS, lambda m: (made.append(m) or object(),))
-        assert [start for start, _ in out] == list(range(6))
-        assert len(made) == len({id(s) for _, s in out}) == (2 if TWO_CPUS else 1)
-        assert len(threads) == len(made)
+        assert _each_block(fn, self.BLOCKS) == list(range(6))
+        assert len(threads) == (2 if TWO_CPUS else 1)
 
     def test_here_keeps_every_block_in_the_caller(self):
         # LU blocks: numpy's stacked det and solve run slower on two threads
