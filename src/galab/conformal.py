@@ -153,8 +153,7 @@ def check_commutativity(chart: HolomorphicChart,
                         u_of_z: Callable,
                         f1_of_z: Callable, f1_plus_of_z: Callable,
                         psi_of_z: Callable,
-                        d_side_omega_ff: Callable | None = None,
-                        d_side_omega_pf: Callable | None = None,
+                        d_side_omegas: tuple[Callable, Callable] | None = None,
                         basepoint: tuple[int, int] = (0, 0),
                         constant_ff: complex = 0.0,
                         constant_pf: complex = 0.0) -> CommutativityResult:
@@ -163,8 +162,8 @@ def check_commutativity(chart: HolomorphicChart,
     Route A transforms on the curved side (sampled at mapped nodes,
     with identified potentials) and pushes the results forward; route B
     pushes coefficient, seeds and probe forward and transforms on the
-    strip.  When closed-form curved-side potentials are supplied they
-    feed route A and fix the constants of route B's quadrature;
+    strip.  Closed-form curved-side potentials ``d_side_omegas`` = (ff, pf),
+    when given, feed route A and fix the constants of route B's quadrature;
     otherwise one quadrature potential is shared by both routes and the
     check isolates the covariance weights.
     """
@@ -174,13 +173,10 @@ def check_commutativity(chart: HolomorphicChart,
                                (u_of_z, f1_of_z, f1_plus_of_z, psi_of_z))
     f1_s, f1p_s, psi_s = (pushforward_psi(f, chart) for f in (f1_d, f1p_d, psi_d))
 
-    if d_side_omega_ff is not None:
-        om_ff_a = Potential.from_values(
-            strip, np.asarray(d_side_omega_ff(chart.mapped_nodes), dtype=complex),
-            basepoint)
-        om_pf_a = Potential.from_values(
-            strip, np.asarray(d_side_omega_pf(chart.mapped_nodes), dtype=complex),
-            basepoint)
+    if d_side_omegas is not None:
+        om_ff_a, om_pf_a = (Potential.from_values(
+            strip, np.asarray(fn(chart.mapped_nodes), dtype=complex), basepoint)
+            for fn in d_side_omegas)
         om_ff_b = omega(f1_s, f1p_s, basepoint, om_ff_a.constant)
         om_pf_b = omega(psi_s, f1p_s, basepoint, om_pf_a.constant)
     else:

@@ -10,7 +10,7 @@ class StencilError(GalabError):
 
 
 class ShapeError(GalabError):
-    """Fields defined on incompatible grids."""
+    """Fields on incompatible grids, or a sampled function off its own nodes."""
 
 
 class NonFiniteFieldError(GalabError, ValueError):

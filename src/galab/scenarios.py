@@ -162,6 +162,11 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
     profile = _parse_profile_section(parser["profile"], name) if "profile" in parser else {}
     if profile.get("order", 0) < 0:
         raise ScenarioError(f"scenario {name!r}: order {profile['order']} is below 0")
+    if grid is not None and profile:  # the seed functions share phi's nodes
+        try:
+            profile["phi"].values_on(grid.ys)
+        except GalabError as exc:
+            raise ScenarioError(f"scenario {name!r}: [profile] does not fit the [grid]: {exc}")
 
     expect = dict(parser["expect"]) if "expect" in parser else {}
     if "worst_y" in expect:
@@ -230,11 +235,11 @@ def _number(name: str, what: str, text: str | float) -> float:
 def _parse_profile_section(sec, name: str) -> dict[str, object]:
     """The pole profile and the section's seed functions, built and
     checked against phi."""
-    from .series import PoleProfile, _check_seed
+    from .series import DEFAULT_ORDER, PoleProfile, _check_seed
     r = {}
     try:
         a, b = (float(v) for v in sec["interval"].split(","))
-        out: dict[str, object] = {"order": int(sec.get("order", "8"))}
+        out: dict[str, object] = {"order": int(sec.get("order", DEFAULT_ORDER))}
         for key, val in sec.items():
             if key in ("interval", "order"):
                 continue
@@ -424,15 +429,14 @@ def run_conformal(scn: Scenario, run: _Checks) -> None:
     chart = HolomorphicChart(
         *(as_function_of_z(scn.chart[k]) for k in ("forward", "derivative", "inverse")),
         strip=scn.grid)
-    kwargs = {}
-    if "omega_ff_z" in scn.chart:  # load_scenario admits it only with omega_pf_z
-        kwargs["d_side_omega_ff"] = as_function_of_z(scn.chart["omega_ff_z"])
-        kwargs["d_side_omega_pf"] = as_function_of_z(scn.chart["omega_pf_z"])
+    # load_scenario admits omega_ff_z only with omega_pf_z
+    d_side = [as_function_of_z(scn.chart[k]) for k in ("omega_ff_z", "omega_pf_z")
+              if k in scn.chart]
     result = check_commutativity(
         chart, *(as_function_of_z(scn.expressions[k]) for k in ("u", "f1", "f1_plus", "psi")),
-        basepoint=scn.basepoint,
+        d_side_omegas=d_side or None, basepoint=scn.basepoint,
         constant_ff=scn.constant("omega_f1_f1p"),
-        constant_pf=scn.constant("omega_psi_f1p"), **kwargs)
+        constant_pf=scn.constant("omega_psi_f1p"))
     run.measure("u_deviation", result.u_deviation, "commutativity")
     run.measure("psi_deviation", result.psi_deviation, "commutativity")
 
@@ -478,14 +482,12 @@ def run_remove_pole(scn: Scenario, run: _Checks) -> None:
     f_star, f_star_plus = synthesize_seeds(
         profile, scn.profile["beta_minus1"], scn.profile["beta_plus_minus1"],
         scn.grid, scn.profile["order"])
-    flat_tol = scn.tolerances.get("flat")
-    result = remove_pole(u_star, f_star, f_star_plus,
-                         scn.constant("constant"), flat_tol=flat_tol)
+    result = remove_pole(u_star, f_star, f_star_plus, scn.constant("constant"))
     run.metrics.update(result.to_json())
     run.require("verdict", result.passed, result.verdict)
-    if flat_tol is not None:
+    if "flat" in scn.tolerances:
         run.metrics["sup_full_strip"] = result.u_tilde.max_abs()
-        run.add("flat_cancellation", run.metrics["sup_full_strip"], flat_tol)
+        run.add("flat_cancellation", run.metrics["sup_full_strip"], "flat")
     run.dumps.update(u_tilde=result.u_tilde.values, omega=result.omega.values)
 
 

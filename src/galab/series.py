@@ -23,12 +23,18 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (MeromorphicViolation, NonFiniteCoefficientError,
-                     NonRealCoefficientError, NormalizationError)
+                     NonRealCoefficientError, NormalizationError, ShapeError)
 from .grid import diff_axis
 
 #: default certification tolerances per representation
 POLY_TOL = 1e-9
 SAMPLED_TOL = 1e-6
+
+#: largest imaginary part of a function that must be real
+REAL_TOL = 1e-12
+
+#: default truncation order of a solution series
+DEFAULT_ORDER = 8
 
 #: y-nodes used to evaluate polynomial-mode conditions
 N_CHECK = 201
@@ -157,7 +163,7 @@ class FunctionOnInterval:
             return polyval(ys, self.data)
         own = self.nodes()
         if ys.shape != own.shape or not np.allclose(ys, own, atol=1e-12, rtol=0):
-            raise ValueError("sampled function evaluated off its own nodes")
+            raise ShapeError("sampled function evaluated off its own nodes")
         return self.data.copy()
 
     def sample(self) -> np.ndarray:
@@ -210,8 +216,8 @@ class FunctionOnInterval:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.sample())))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.sample().imag)) <= tol)
+    def is_real(self) -> bool:
+        return bool(np.max(np.abs(self.sample().imag)) <= REAL_TOL)
 
     def to_json(self):
         return {"mode": self.mode, "interval": [self.a, self.b],
@@ -232,9 +238,9 @@ class PoleProfile:
     def __post_init__(self):
         if min(self.r, default=0) >= 0:
             raise ValueError("profile must supply a negative-order coefficient")
-        if not self.phi.is_real(1e-12):
+        if not self.phi.is_real():
             raise ValueError("phase must be real-valued")
-        if not self.r[-self.n].is_real(1e-12):
+        if not self.r[-self.n].is_real():
             raise ValueError("the leading coefficient must be real-valued")
         for fn in self.r.values():
             self.phi._check_compatible(fn)
@@ -254,9 +260,7 @@ class PoleProfile:
     def max_order(self) -> int:
         return max(self.r)
 
-    def tolerance(self, tol: float | None = None) -> float:
-        if tol is not None:
-            return tol
+    def tolerance(self) -> float:
         return POLY_TOL if self.mode == "poly" else SAMPLED_TOL
 
 
@@ -349,7 +353,7 @@ def normalize_profile(profile: PoleProfile) -> PoleProfile:
     return PoleProfile(phi, r)
 
 
-def meromorphic_certify(profile: PoleProfile, tol: float | None = None) -> CheckResult:
+def meromorphic_certify(profile: PoleProfile) -> CheckResult:
     """Local solvability conditions for the normalized simple pole.
 
     Passes iff Re r_0 vanishes identically and Im r_1 equals half the
@@ -359,7 +363,7 @@ def meromorphic_certify(profile: PoleProfile, tol: float | None = None) -> Check
     lead = _lead_check(profile, -0.5, "profile is not normalized to r_-1 = -1/2")
     if not lead.ok:
         raise NormalizationError(lead.condition)
-    tol = profile.tolerance(tol)
+    tol = profile.tolerance()
     nodes = profile.phi.nodes()
     re_r0 = profile.r_fn(0).values_on(nodes).real
     if np.max(np.abs(re_r0)) > tol:
@@ -373,9 +377,9 @@ def meromorphic_certify(profile: PoleProfile, tol: float | None = None) -> Check
     return CheckResult(True)
 
 
-def _require_certified(profile: PoleProfile, tol: float | None = None) -> None:
+def _require_certified(profile: PoleProfile) -> None:
     """Raise MeromorphicViolation unless ``meromorphic_certify`` passes."""
-    cert = meromorphic_certify(profile, tol)
+    cert = meromorphic_certify(profile)
     if not cert.ok:
         raise MeromorphicViolation(
             f"profile fails certification: {cert.condition} "
@@ -385,7 +389,7 @@ def _require_certified(profile: PoleProfile, tol: float | None = None) -> None:
 def _check_seed(phi: FunctionOnInterval, fn: FunctionOnInterval, name: str) -> None:
     """A seed function lives on phi's interval and nodes, and is real."""
     phi._check_compatible(fn)
-    if not fn.is_real(1e-12):
+    if not fn.is_real():
         raise NonRealCoefficientError(f"{name} must be real-valued")
 
 
@@ -401,8 +405,8 @@ def conjugate_profile(profile: PoleProfile) -> PoleProfile:
 
 
 def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
-                    im_beta1: FunctionOnInterval | None = None, order: int = 8,
-                    tol: float | None = None) -> CoefficientSeries:
+                    im_beta1: FunctionOnInterval | None = None,
+                    order: int = DEFAULT_ORDER) -> CoefficientSeries:
     """Solve the coefficient recursion up to the given truncation order.
 
     Parameters
@@ -424,8 +428,8 @@ def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,
     higher equation splits into real and imaginary parts that determine
     the next coefficient.
     """
-    _require_certified(profile, tol)
-    tol = profile.tolerance(tol)
+    _require_certified(profile)
+    tol = profile.tolerance()
     phi = profile.phi
     if im_beta1 is None:
         im_beta1 = FunctionOnInterval.constant(0.0, phi)

@@ -20,11 +20,8 @@ from .errors import (BandRequiredError, FitError, MeromorphicViolation,
 from .grid import Field, GridSpec, _scrub, diff_axis
 from .moutard import TransformResult, moutard_simple
 from .potential import Potential, omega_singular
-from .series import (CoefficientSeries, FunctionOnInterval, PoleProfile,
+from .series import (DEFAULT_ORDER, CoefficientSeries, FunctionOnInterval, PoleProfile,
                      _require_certified, conjugate_profile, polyval, solve_recursion)
-
-#: default truncation order for synthesized seed series
-DEFAULT_ORDER = 8
 
 #: ladder of sub-strip half-widths, as fractions of the full half-width
 LADDER_FRACTIONS = (0.5, 0.25, 0.125, 0.0625)
@@ -126,14 +123,14 @@ def _power_sum(grid: GridSpec, phase: np.ndarray,
     return (powers @ table.view(float)).view(complex)
 
 
-def synthesize_singular_u(profile: PoleProfile, grid: GridSpec,
-                          tol: float | None = None) -> tuple[Field, SingularFieldModel]:
+def synthesize_singular_u(profile: PoleProfile,
+                          grid: GridSpec) -> tuple[Field, SingularFieldModel]:
     """Sample the certified singular coefficient on a strip grid.
 
     Returns the full field together with its split into the explicit
     1/x part and the bounded remainder.
     """
-    _require_certified(profile, tol)
+    _require_certified(profile)
     # u = exp(2i*phi) * sum_j r_j x^j; doubling phi is exact
     model = _laurent_model(grid, 2.0 * profile.phi, profile.r_fn, profile.max_order())
     return model.evaluate(), model
@@ -143,8 +140,7 @@ def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
                      beta_plus_minus1: FunctionOnInterval, grid: GridSpec,
                      order: int = DEFAULT_ORDER,
                      im_beta1: FunctionOnInterval | None = None,
-                     im_beta1_plus: FunctionOnInterval | None = None,
-                     tol: float | None = None
+                     im_beta1_plus: FunctionOnInterval | None = None
                      ) -> tuple[SingularFieldModel, SingularFieldModel]:
     """Seed pair with prescribed positive leading coefficients.
 
@@ -159,11 +155,11 @@ def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
         if np.min(vals) <= 0.0:
             raise PositivityError(f"{name} must be strictly positive "
                                   f"(min {np.min(vals):.3e})")
-    series_f = solve_recursion(profile, beta_minus1, im_beta1, order, tol)
+    series_f = solve_recursion(profile, beta_minus1, im_beta1, order)
     series_fp = solve_recursion(conjugate_profile(profile), beta_plus_minus1,
-                                im_beta1_plus, order, tol)
+                                im_beta1_plus, order)
 
-    check_tol = profile.tolerance(tol) * 10
+    check_tol = profile.tolerance() * 10
     phi_p = profile.phi.deriv()
     r0 = profile.r_fn(0)
     b0_direct = 1j * beta_minus1.deriv() + (phi_p - 2.0 * r0) * beta_minus1
@@ -300,8 +296,7 @@ class PoleRemovalResult:
 
 
 def remove_pole(u_star: Field, f_star: SingularFieldModel,
-                f_star_plus: SingularFieldModel, constant: complex = 0.0,
-                flat_tol: float | None = None) -> PoleRemovalResult:
+                f_star_plus: SingularFieldModel, constant: complex = 0.0) -> PoleRemovalResult:
     """Apply the pole-removing simple transform and check boundedness.
 
     The transformed coefficient's ``contour_profile`` is read on a ladder
@@ -310,9 +305,6 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
     fitted as well: it vanishes for a genuine seed pair and is the
     sharpest detector of seeds violating the first-order relations.
     The potential must also be closed to PATH_DEFECT_TOL.
-
-    When ``flat_tol`` is given and the transformed coefficient stays
-    below it everywhere, the verdict reports exact cancellation.
     """
     grid = u_star.grid
     if grid.excluded_band is None:
@@ -335,11 +327,6 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
         reasons += (("path_defect", f"potential is not closed (path defect "
                                     f"{w.path_defect:.3e}, bound {PATH_DEFECT_TOL:g})"),)
 
-    if reasons:
-        verdict = "fail: " + "; ".join(text for _, text in reasons)
-    elif flat_tol is not None and transform.u_tilde.max_abs() <= flat_tol:
-        verdict = f"u_tilde == 0 within {flat_tol:g}"
-    else:
-        verdict = "pass"
+    verdict = "fail: " + "; ".join(text for _, text in reasons) if reasons else "pass"
     return PoleRemovalResult(transform, w, *astuple(ladder), residue, residue_scale,
                              verdict, reasons)

@@ -271,10 +271,10 @@ def test_criterion_7_pole_removal():
 
     canonical = PoleProfile(poly(0.0), {-1: poly(-0.5)})
     u_star, f, fp = _removal_case(canonical, poly(1.0), poly(1.0), grid)
-    flag = remove_pole(u_star, f, fp, flat_tol=1e-10)
+    flag = remove_pole(u_star, f, fp)
     sup_full = float(np.max(np.abs(flag.u_tilde.values[grid.mask])))
     assert sup_full <= 1e-10, sup_full
-    assert flag.verdict == "u_tilde == 0 within 1e-10"
+    assert flag.verdict == "pass"
 
     generics = [
         PoleProfile(poly(0.0, 0.0, 1.0), {-1: poly(-0.5), 1: poly(1j)}),
@@ -319,10 +319,9 @@ def test_criterion_8_conformal_commutativity():
     res_id = check_commutativity(identity_chart(g), *args, constant_ff=2j)
     assert res_id.max_deviation <= 1e-12
 
-    closed = dict(
-        d_side_omega_ff=lambda zv: zv - np.conj(zv),
-        d_side_omega_pf=lambda zv: 4 * np.exp(zv / 4)
-        - np.conj(4 * np.exp(zv / 4)))
+    closed = dict(d_side_omegas=(
+        lambda zv: zv - np.conj(zv),
+        lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
     scale_chart = HolomorphicChart(lambda t: 2 * t,
                                    lambda t: 2 * np.ones_like(t),
                                    lambda zv: zv / 2, g)

@@ -152,18 +152,16 @@ class TestCommutativity:
         chart = scaling_chart(2.0)
         res = check_commutativity(
             chart, *self.args(),
-            d_side_omega_ff=lambda zv: zv - np.conj(zv),
-            d_side_omega_pf=lambda zv: 4 * np.exp(zv / 4)
-            - np.conj(4 * np.exp(zv / 4)))
+            d_side_omegas=(lambda zv: zv - np.conj(zv),
+                           lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
         assert res.max_deviation <= 1e-8
 
     def test_rotation_chart_with_closed_forms(self):
         chart = rotation_chart(0.5)
         res = check_commutativity(
             chart, *self.args(),
-            d_side_omega_ff=lambda zv: zv - np.conj(zv),
-            d_side_omega_pf=lambda zv: 4 * np.exp(zv / 4)
-            - np.conj(4 * np.exp(zv / 4)))
+            d_side_omegas=(lambda zv: zv - np.conj(zv),
+                           lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
         assert res.max_deviation <= 1e-8
 
     def test_deviation_shrinks_at_quadrature_order(self):
@@ -173,9 +171,8 @@ class TestCommutativity:
             chart = scaling_chart(2.0, g)
             res = check_commutativity(
                 chart, *self.args(),
-                d_side_omega_ff=lambda zv: zv - np.conj(zv),
-                d_side_omega_pf=lambda zv: 4 * np.exp(zv / 4)
-                - np.conj(4 * np.exp(zv / 4)))
+                d_side_omegas=(lambda zv: zv - np.conj(zv),
+                               lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
             devs.append(res.max_deviation)
         order = np.log2(devs[0] / devs[1])
         assert order > 3.5

@@ -17,6 +17,18 @@ from conftest import child_env
 
 ALL_BUNDLED = bundled_scenarios()
 
+
+def _sampled_profile(n: int, y_min: str = "1.0") -> tuple[str, str]:
+    """An edit of canonical-pole-removal: its [grid] y_min set, and its four
+    [profile] functions written as n samples each."""
+    between = ("y_max = 2.0\nnx = 480\nny = 81\nexcluded_band = 0.002\n\n"
+               "[profile]\ninterval = 1.0, 2.0\n")
+    functions = (("phi", "0"), ("r-1", "-0.5"), ("beta_minus1", "1"), ("beta_plus_minus1", "1"))
+    return ("y_min = 1.0\n" + between + "".join(f"{k} = poly: {v}\n" for k, v in functions),
+            f"y_min = {y_min}\n" + between
+            + "".join(f"{k} = samples: {', '.join([v] * n)}\n" for k, v in functions))
+
+
 #: configuration faults that must exit 1 with "[config error]": the
 #: scenario run, an (old, new) edit of its text, and extra CLI flags
 CONFIG_PROBES = {
@@ -138,6 +150,11 @@ CONFIG_PROBES = {
                                   ("worst_y = 2.0\n",
                                    "worst_y = 2.0\n\n[tolerances]\ndefects = 1e-30\n"), []),
     "order-flag-on-certify-fail": ("series-certify-reject-r0", None, ["--order", "5"]),
+    # a remove-pole run samples the profile on the grid's ny nodes on [y_min, y_max]
+    "samples-off-grid-count": ("canonical-pole-removal", _sampled_profile(5), []),
+    "samples-off-grid-flag": ("canonical-pole-removal", _sampled_profile(81),
+                              ["--grid", "480,41"]),
+    "samples-off-grid-y-min": ("canonical-pole-removal", _sampled_profile(81, "1.5"), []),
     "tol-flag-on-certify-fail": ("series-certify-reject-r0", None, ["--tol", "1e-30"]),
     "default-section": ("residual-holomorphic",
                         ("[scenario]", "[DEFAULT]\nresidual = 1e-30\n\n[scenario]"), []),

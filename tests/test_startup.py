@@ -6,6 +6,7 @@ point that freezes the collector at exit."""
 import contextlib
 import gc
 import importlib
+import inspect
 import io
 import subprocess
 import sys
@@ -117,6 +118,22 @@ def test_public_names_follow_their_module(monkeypatch):
     assert galab.omega is galab.potential.omega is not original
     monkeypatch.undo()
     assert galab.omega is original
+
+
+def test_no_public_tolerance_keyword():
+    # every bound is a module constant (README, "Fixed tolerances"): no
+    # public function or public method takes tol or a name ending in _tol
+    found = []
+    for name in (n for group in PUBLIC.values() for n in group):
+        obj = getattr(galab, name)
+        members = [(name, obj)] if not inspect.isclass(obj) else [
+            (f"{name}.{attr}", getattr(obj, attr)) for attr in dir(obj)
+            if not attr.startswith("_")]
+        found += [f"{where}({param})" for where, fn in members
+                  if inspect.isfunction(fn) or inspect.ismethod(fn)
+                  for param in inspect.signature(fn).parameters
+                  if param == "tol" or param.endswith("_tol")]
+    assert found == []
 
 
 def test_unknown_name_is_an_attribute_error():
