@@ -144,10 +144,6 @@ class CommutativityResult:
     u_deviation: float
     psi_deviation: float
 
-    @property
-    def max_deviation(self) -> float:
-        return max(self.u_deviation, self.psi_deviation)
-
 
 def check_commutativity(chart: HolomorphicChart,
                         u_of_z: Callable,

@@ -180,16 +180,21 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
         raise ScenarioError(f"scenario {name!r}: [expect] worst_y needs certify = fail:...")
     if parser.has_option("tolerances", "worst_y") and "worst_y" not in expect:
         raise ScenarioError(f"scenario {name!r}: [tolerances] worst_y needs [expect] worst_y")
-    if expect.get("certify", "").startswith("fail:"):  # the run stops at the rejection
-        for section, key in (("profile", "beta_minus1"), ("tolerances", "defects")):
+    # keys a run skips: after an expected refusal, or where closed forms fix the constants
+    for skips, text, keys in (
+            (expect.get("certify", "").startswith("fail:"), "certify = fail:...",
+             (("profile", "beta_minus1"), ("tolerances", "defects"))),
+            (expect.get("exactness_error", "").lower() == "true", "exactness_error = true",
+             (("expect", "omega"), ("constants", "constant"))),
+            ("omega_ff_z" in chart, "[chart] omega_ff_z",
+             (("constants", "omega_f1_f1p"), ("constants", "omega_psi_f1p")))):
+        for section, key in keys if skips else ():
             if parser.has_option(section, key):
                 raise ScenarioError(f"scenario {name!r}: [{section}] {key} is not read "
-                                    "with certify = fail:...")
+                                    f"with {text}")
     for key in ("im_beta1", "order"):  # read by the recursion, which needs beta_minus1
         if parser.has_option("profile", key) and "beta_minus1" not in profile:
             raise ScenarioError(f"scenario {name!r}: [profile] {key} needs beta_minus1")
-    if "omega" in expect and expect.get("exactness_error", "").lower() == "true":
-        raise ScenarioError(f"scenario {name!r}: [expect] omega needs exactness_error = false")
     expect.update(_parsed(parser, "expect", name,
                           ("omega", "u_tilde", "psi_tilde", "loop_defect")))
     if "loop_defect" in expect:

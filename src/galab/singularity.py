@@ -10,13 +10,13 @@ together with per-row Laurent fits of the transformed coefficient.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (BandRequiredError, FitError, MeromorphicViolation,
-                     NonFiniteFieldError, PositivityError, SingularModelError)
+from .errors import (BandRequiredError, FitError, NonFiniteFieldError, PositivityError,
+                     SingularModelError)
 from .grid import Field, GridSpec, _scrub, diff_axis
 from .moutard import TransformResult, moutard_simple
 from .potential import Potential, omega_singular
@@ -146,8 +146,7 @@ def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
 
     The direct seed solves the recursion for the profile itself; the
     conjugate seed solves it for the conjugate profile, which carries
-    the shifted phase.  The order-0 coefficients are cross-checked
-    against the closed first-order relations.
+    the shifted phase.
     """
     for name, fn in (("beta_minus1", beta_minus1),
                      ("beta_plus_minus1", beta_plus_minus1)):
@@ -158,19 +157,6 @@ def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
     series_f = solve_recursion(profile, beta_minus1, im_beta1, order)
     series_fp = solve_recursion(conjugate_profile(profile), beta_plus_minus1,
                                 im_beta1_plus, order)
-
-    check_tol = profile.tolerance() * 10
-    phi_p = profile.phi.deriv()
-    r0 = profile.r_fn(0)
-    b0_direct = 1j * beta_minus1.deriv() + (phi_p - 2.0 * r0) * beta_minus1
-    gap = (series_f.beta_fn(0) - b0_direct).max_abs()
-    b0_conj = 1j * beta_plus_minus1.deriv() + (-1.0 * phi_p + 2.0 * r0) * beta_plus_minus1
-    gap_plus = (series_fp.beta_fn(0) - b0_conj).max_abs()
-    if max(gap, gap_plus) > max(check_tol, 1e-10):
-        raise MeromorphicViolation(
-            f"order-0 coefficients disagree with the first-order relations: "
-            f"direct {gap:.3e}, conjugate {gap_plus:.3e}")
-
     return tuple(_laurent_model(grid, series.phi, series.beta_fn, series.order, series)
                  for series in (series_f, series_fp))
 
@@ -271,11 +257,7 @@ class PoleRemovalResult:
 
     transform: TransformResult
     omega: Potential
-    delta_ladder: tuple[float, ...]
-    sup_u_tilde: tuple[float, ...]
-    fitted_c_minus2: tuple[float, ...]
-    fitted_c_minus1: tuple[float, ...]
-    fitted_c0: tuple[float, ...]
+    contour: ContourProfile  # of u_tilde
     residue_c_minus1: float
     residue_scale: float
     verdict: str
@@ -290,9 +272,12 @@ class PoleRemovalResult:
         return not self.reasons
 
     def to_json(self) -> dict:
-        """The diagnostics from ``delta_ladder`` to ``verdict``, tuples as they are."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("transform", "omega", "reasons")}
+        """The report's diagnostics in the report's order, tuples as they are."""
+        c = self.contour
+        return {"delta_ladder": c.delta_ladder, "sup_u_tilde": c.sup,
+                "fitted_c_minus2": c.c_minus2, "fitted_c_minus1": c.c_minus1,
+                "fitted_c0": c.c0, "residue_c_minus1": self.residue_c_minus1,
+                "residue_scale": self.residue_scale, "verdict": self.verdict}
 
 
 def remove_pole(u_star: Field, f_star: SingularFieldModel,
@@ -312,14 +297,14 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
     w = omega_singular(f_star, f_star_plus, constant)
     transform = moutard_simple(u_star, f_star.evaluate(), f_star_plus.evaluate(), w)
     eps = min(grid.x_max, abs(grid.x_min))
-    ladder = contour_profile(transform.u_tilde, tuple(f * eps for f in LADDER_FRACTIONS))
+    contour = contour_profile(transform.u_tilde, tuple(f * eps for f in LADDER_FRACTIONS))
 
     res_fit = fit_laurent_profile(  # it reads no band row of dw/dx
         Field(grid, diff_axis(w.values, grid.hx, axis=0)), orders=FIT_ORDERS,
-        x_window=(min(ladder.delta_ladder) / 2, max(ladder.delta_ladder)))
+        x_window=(min(contour.delta_ladder) / 2, max(contour.delta_ladder)))
     residue, residue_scale = res_fit.max_abs(-1), res_fit.max_abs(-2)
 
-    reasons = ladder.reasons()
+    reasons = contour.reasons()
     if residue > RESIDUE_REL * residue_scale + RESIDUE_ABS:
         reasons += (("residue", f"potential derivative has a 1/x part "
                                 f"({residue:.3e} vs scale {residue_scale:.3e})"),)
@@ -328,5 +313,4 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
                                     f"{w.path_defect:.3e}, bound {PATH_DEFECT_TOL:g})"),)
 
     verdict = "fail: " + "; ".join(text for _, text in reasons) if reasons else "pass"
-    return PoleRemovalResult(transform, w, *astuple(ladder), residue, residue_scale,
-                             verdict, reasons)
+    return PoleRemovalResult(transform, w, contour, residue, residue_scale, verdict, reasons)

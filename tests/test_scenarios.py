@@ -187,6 +187,12 @@ CONFIG_PROBES = {
     "omega-with-expected-exactness-error": ("potential-closed-loop",
                                             ("exactness_error = true",
                                              "exactness_error = true\nomega = 0"), []),
+    "constant-with-expected-exactness-error": ("potential-closed-loop", (
+        "[expect]\n", "[constants]\nconstant = 0.37i\n\n[expect]\n"), []),
+    "constant-beside-closed-form-rotation": ("conformal-rotation", (
+        "[tolerances]\n", "[constants]\nomega_f1_f1p = 99i\n\n[tolerances]\n"), []),
+    "constant-beside-closed-form-scaling": ("conformal-scaling", (
+        "[tolerances]\n", "[constants]\nomega_psi_f1p = -7i\n\n[tolerances]\n"), []),
     "name-with-separator": ("residual-holomorphic",
                             ("name = residual-holomorphic", "name = sub/x"), []),
     "name-escapes-out": ("residual-holomorphic",

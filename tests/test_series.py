@@ -264,6 +264,19 @@ class TestSeriesResidual:
         assert defects[3] == pytest.approx(0.02, abs=1e-12)
         assert defects[2] == pytest.approx(base[2], abs=1e-12)  # k = 0 immune
 
+    def test_certified_gap_is_reported_as_the_order_zero_defect(self):
+        # Im r1 = phi''/2 + 9e-10 is inside POLY_TOL: the recursion solves
+        # it, and the gap shows as the order-0 defect 2 * 9e-10 * beta_-1
+        prof = PoleProfile(poly(0.0, 0.0, 0.3), {-1: poly(-0.5), 1: poly((0.3 + 9e-10) * 1j)})
+        defects = series_residual(prof, solve_recursion(prof, poly(10.0)))
+        assert defects[2] == pytest.approx(1.8e-8, rel=1e-6)
+        assert max(defects[:2] + defects[3:]) < 1e-14
+
+    def test_gap_beyond_the_certificate_raises(self):
+        prof = PoleProfile(poly(0.0, 0.0, 0.3), {-1: poly(-0.5), 1: poly((0.3 + 2e-9) * 1j)})
+        with pytest.raises(MeromorphicViolation, match="Im r1"):
+            solve_recursion(prof, poly(10.0))
+
     def test_defect_orders_reported(self):
         prof = canonical_profile()
         series = solve_recursion(prof, poly(1.0), poly(0.0), 5)

@@ -261,9 +261,9 @@ class TestRemovePole:
         f, fp = synthesize_seeds(prof, poly(1.0), poly(1.0), grid, order=8)
         result = remove_pole(u, f, fp, constant=0.5j)
         assert result.passed
-        bound = 1e-6 * max(result.fitted_c0) + 1e-8
-        assert max(result.fitted_c_minus1) <= bound
-        assert max(result.fitted_c_minus2) <= bound
+        bound = 1e-6 * max(result.contour.c0) + 1e-8
+        assert max(result.contour.c_minus1) <= bound
+        assert max(result.contour.c_minus2) <= bound
 
     def test_generic_profile_bounded(self, grid):
         prof = generic_profile()
@@ -272,10 +272,10 @@ class TestRemovePole:
                                  grid, order=8)
         result = remove_pole(u, f, fp)
         assert result.passed, result.verdict
-        for c2, c1, c0 in zip(result.fitted_c_minus2, result.fitted_c_minus1,
-                              result.fitted_c0):
+        contour = result.contour
+        for c2, c1, c0 in zip(contour.c_minus2, contour.c_minus1, contour.c0):
             assert max(c2, c1) <= 1e-6 * c0 + 1e-8
-        sups = result.sup_u_tilde
+        sups = contour.sup
         assert all(b <= a * 1.05 + 1e-9 for a, b in zip(sups, sups[1:]))
 
     def test_u_tilde_is_the_simple_transform(self, grid):
@@ -409,6 +409,24 @@ class TestResidueDefect:
         assert abs(residue / eps - 18.48) <= 1.848
         assert abs(defect / eps - 68.5) <= 6.85
         assert result.verdict == "fail: " + "; ".join(text for _, text in result.reasons)
+
+
+class TestLargeSeeds:
+    """Certification alone judges a profile, whatever the seeds' scale."""
+
+    def test_re_r0_inside_the_certificate_passes(self):
+        # Re r0 = 5e-10 < POLY_TOL with beta_-1 = 10
+        grid = GridSpec(-EPS, EPS, *IV, 481, 81, excluded_band=EPS / 50)
+        prof = PoleProfile(poly(0.0), {-1: poly(-0.5), 0: poly(5e-10)})
+        u, _ = synthesize_singular_u(prof, grid)
+        f, fp = synthesize_seeds(prof, poly(10.0), poly(10.0), grid)
+        result = remove_pole(u, f, fp)
+        assert result.verdict == "pass"
+
+    def test_re_r0_beyond_the_certificate_raises(self, grid):
+        prof = PoleProfile(poly(0.0), {-1: poly(-0.5), 0: poly(2e-9)})
+        with pytest.raises(MeromorphicViolation, match="Re r0"):
+            synthesize_seeds(prof, poly(10.0), poly(10.0), grid)
 
 
 class TestContourProfile:

@@ -3,6 +3,7 @@ its process ends: the package's public names, the modules each pipeline
 pulls in, the help text of the argument parsers and the ``run`` entry
 point that freezes the collector at exit."""
 
+import ast
 import contextlib
 import gc
 import importlib
@@ -134,6 +135,32 @@ def test_no_public_tolerance_keyword():
                   for param in inspect.signature(fn).parameters
                   if param == "tol" or param.endswith("_tol")]
     assert found == []
+
+
+def _raise_sites(error: str) -> list[str]:
+    """module.function of each ``raise error`` in the package's source."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            exc = getattr(child, "exc", None) if isinstance(child, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == error:
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted(Path(galab.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_certification_raises_meromorphic_violation():
+    # meromorphic_certify is the pole layer's one judge of a profile: the
+    # recursion and the seed synthesis do not re-check the certificate
+    assert _raise_sites("MeromorphicViolation") == ["series._require_certified"]
 
 
 def test_unknown_name_is_an_attribute_error():
