@@ -151,8 +151,8 @@ def check_commutativity(chart: HolomorphicChart,
                         psi_of_z: Callable,
                         d_side_omegas: tuple[Callable, Callable] | None = None,
                         basepoint: tuple[int, int] = (0, 0),
-                        constant_ff: complex = 0.0,
-                        constant_pf: complex = 0.0) -> CommutativityResult:
+                        constant_ff: complex | None = None,
+                        constant_pf: complex | None = None) -> CommutativityResult:
     """Compare transforming before and after the change of variables.
 
     Route A transforms on the curved side (sampled at mapped nodes,
@@ -160,9 +160,14 @@ def check_commutativity(chart: HolomorphicChart,
     pushes coefficient, seeds and probe forward and transforms on the
     strip.  Closed-form curved-side potentials ``d_side_omegas`` = (ff, pf),
     when given, feed route A and fix the constants of route B's quadrature;
-    otherwise one quadrature potential is shared by both routes and the
-    check isolates the covariance weights.
+    otherwise one quadrature potential is shared by both routes, with
+    the constants ``constant_ff`` and ``constant_pf`` (0 when not given),
+    and the check isolates the covariance weights.  The closed forms fix
+    the constants, so passing either constant with them raises ValueError.
     """
+    if d_side_omegas is not None and (constant_ff, constant_pf) != (None, None):
+        raise ValueError("constant_ff and constant_pf cannot be passed with d_side_omegas, "
+                         "whose closed forms fix the constants")
     chart.validate()
     strip = chart.strip
     u_d, f1_d, f1p_d, psi_d = (chart.sample(fn) for fn in
@@ -176,8 +181,9 @@ def check_commutativity(chart: HolomorphicChart,
         om_ff_b = omega(f1_s, f1p_s, basepoint, om_ff_a.constant)
         om_pf_b = omega(psi_s, f1p_s, basepoint, om_pf_a.constant)
     else:
-        om_ff_a = om_ff_b = omega(f1_s, f1p_s, basepoint, constant_ff)
-        om_pf_a = om_pf_b = omega(psi_s, f1p_s, basepoint, constant_pf)
+        c_ff, c_pf = (0.0 if c is None else c for c in (constant_ff, constant_pf))
+        om_ff_a = om_ff_b = omega(f1_s, f1p_s, basepoint, c_ff)
+        om_pf_a = om_pf_b = omega(psi_s, f1p_s, basepoint, c_pf)
 
     # route A: transform at mapped nodes, then push forward
     m_a = moutard_simple(u_d, f1_d, f1p_d, om_ff_a)

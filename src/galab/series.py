@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Mapping
 
 import numpy as np
@@ -263,6 +263,11 @@ class PoleProfile:
     def tolerance(self) -> float:
         return POLY_TOL if self.mode == "poly" else SAMPLED_TOL
 
+    @cached_property
+    def certificate(self) -> "CheckResult":
+        """``meromorphic_certify``'s result, computed once per profile."""
+        return meromorphic_certify(self)
+
 
 @dataclass(frozen=True)
 class CoefficientSeries:
@@ -378,8 +383,8 @@ def meromorphic_certify(profile: PoleProfile) -> CheckResult:
 
 
 def _require_certified(profile: PoleProfile) -> None:
-    """Raise MeromorphicViolation unless ``meromorphic_certify`` passes."""
-    cert = meromorphic_certify(profile)
+    """Raise MeromorphicViolation unless the profile's certificate passes."""
+    cert = profile.certificate
     if not cert.ok:
         raise MeromorphicViolation(
             f"profile fails certification: {cert.condition} "
@@ -398,10 +403,17 @@ def conjugate_profile(profile: PoleProfile) -> PoleProfile:
 
     The conjugate coefficient -conj(u) has phase -(phi + pi/2) and
     coefficients conj(r_j); certifying one profile certifies the other.
+    A certificate the profile holds is handed over: in poly mode it is
+    the conjugate's own, bit for bit (Re r0 is the same and the Im r1 -
+    phi''/2 gaps are exact negatives); in samples mode the conjugate's
+    stencil phi'' would also carry the rounding of the pi/2 shift.
     """
     phi = -(profile.phi + (math.pi / 2))
     r = {j: fn.conj() for j, fn in profile.r.items()}
-    return PoleProfile(phi, r)
+    conj = PoleProfile(phi, r)
+    if "certificate" in profile.__dict__:
+        conj.__dict__["certificate"] = profile.certificate
+    return conj
 
 
 def solve_recursion(profile: PoleProfile, beta_minus1: FunctionOnInterval,

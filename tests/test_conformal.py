@@ -177,6 +177,18 @@ class TestCommutativity:
         order = np.log2(devs[0] / devs[1])
         assert order > 3.5
 
+    @pytest.mark.parametrize("constants", [{"constant_ff": 99j}, {"constant_pf": -7j},
+                                           {"constant_ff": 99j, "constant_pf": -7j},
+                                           {"constant_ff": 0.0}])
+    def test_constants_beside_closed_forms_raise(self, constants):
+        # the closed forms fix both constants; one passed beside them was ignored
+        with pytest.raises(ValueError, match="constant_ff and constant_pf"):
+            check_commutativity(
+                scaling_chart(2.0), *self.args(),
+                d_side_omegas=(lambda zv: zv - np.conj(zv),
+                               lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))),
+                **constants)
+
     def test_curved_chart_shared_potentials(self):
         chart = curved_chart()
         res = check_commutativity(chart, *self.args(), constant_ff=2j)

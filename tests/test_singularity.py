@@ -9,11 +9,13 @@ import galab.series
 from galab.errors import (BandRequiredError, FitError, GalabError,
                           MeromorphicViolation, NonFiniteFieldError, PositivityError,
                           SingularModelError, ZeroPotentialError)
-from galab.grid import Field, GridSpec
+from galab.grid import Field, GridSpec, diff_axis
 from galab.moutard import moutard_simple
 from galab.potential import Potential, omega, omega_singular
-from galab.series import FunctionOnInterval, PoleProfile
-from galab.singularity import (LADDER_FRACTIONS, PATH_DEFECT_TOL, SingularFieldModel,
+from galab.series import (FunctionOnInterval, PoleProfile, conjugate_profile,
+                          meromorphic_certify, solve_recursion)
+from galab.singularity import (FIT_ORDERS, LADDER_FRACTIONS, PATH_DEFECT_TOL,
+                               SingularFieldModel, _diff_rows, _projector, _window,
                                contour_profile, fit_laurent_profile, remove_pole,
                                synthesize_seeds, synthesize_singular_u)
 
@@ -463,6 +465,107 @@ class TestContourProfile:
         u, _ = synthesize_singular_u(generic_profile(), grid)
         with pytest.raises(FitError, match="0 left / 0 right"):
             contour_profile(u, (0.001,))
+
+
+#: the four rungs of remove_pole's ladder on the strip, then its residue window
+_LADDER = tuple(fraction * EPS for fraction in LADDER_FRACTIONS)
+FIT_WINDOWS = tuple((delta / 2, delta) for delta in _LADDER) + ((_LADDER[-1] / 2, _LADDER[0]),)
+
+
+class TestProjector:
+    """A fit is the cached least-squares projector of its grid window,
+    applied to the rows read as float pairs."""
+
+    @pytest.mark.parametrize("window", FIT_WINDOWS)
+    def test_exact_laurent_polynomials_within_lstsq_round_off(self, window):
+        # sum_k c_k(y) x^k, k = -2..4, with random complex c_k at each y;
+        # an unscaled projector (no D^-1) misses by factors delta^k
+        grid = generic_strip()
+        rng = np.random.default_rng(17)
+        coeffs = rng.standard_normal((7, grid.ny)) + 1j * rng.standard_normal((7, grid.ny))
+        powers = np.stack([grid.xs ** k for k in FIT_ORDERS], axis=1)
+        fit = fit_laurent_profile(Field(grid, powers @ coeffs), FIT_ORDERS, window)
+        rows = _window(grid, *window) & (np.abs(grid.xs) >= grid.excluded_band)
+        ref = np.linalg.lstsq(powers[rows].astype(complex), (powers @ coeffs)[rows],
+                              rcond=None)[0]
+        for k in (-2, -1, 0):
+            i = FIT_ORDERS.index(k)
+            got, want = (np.max(np.abs(c[i] - coeffs[i])) for c in (fit.coeffs, ref))
+            assert got <= 4 * want, (k, got, want)
+
+    def test_one_read_only_projector_per_grid_window(self):
+        grid, window = generic_strip(), FIT_WINDOWS[0]
+        rows, proj = _projector(grid, FIT_ORDERS, window)
+        assert _projector(grid, FIT_ORDERS, window)[1] is proj
+        assert _projector(generic_strip(), FIT_ORDERS, window)[1] is proj  # equal, built anew
+        assert not proj.flags.writeable and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            proj[0, 0] = 0.0
+        hits = _projector.cache_info().hits
+        fit_laurent_profile(Field(generic_strip(), np.ones(grid.shape())), FIT_ORDERS,
+                            list(window))
+        assert _projector.cache_info().hits == hits + 1
+
+
+class TestResidueDerivative:
+    """remove_pole differentiates W = Im w on the residue window's rows
+    and a 2-row halo only: those rows keep diff_axis's bits."""
+
+    @pytest.mark.parametrize("nx", [480, 481])
+    @pytest.mark.parametrize("window", [FIT_WINDOWS[-1], None])
+    def test_window_rows_keep_their_bits(self, nx, window):
+        # None selects every active column, so the halo meets both grid ends
+        grid = GridSpec(-EPS, EPS, IV[0], IV[1], nx, 81, excluded_band=0.002)
+        prof = generic_profile()
+        f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05), grid)
+        w_im = omega_singular(f, fp).im
+        rows, _ = _projector(grid, FIT_ORDERS, window)
+        assert_same_bits(_diff_rows(w_im, grid.hx, rows),
+                         diff_axis(w_im, grid.hx, axis=0)[rows])
+
+
+class TestCertifiedOnce:
+    """A profile keeps the result of its one certification, and its
+    conjugate inherits it."""
+
+    UNCERTIFIED = {"Re r0 != 0 (worst |value| 2.000e-01 at y = 2.0)": {0: poly(0.1, 0.05)},
+                   "Im r1 != phi''/2 (worst |value| 7.000e-01 at y = 2.0)":
+                   {1: poly(1.1j, 0.3j)}}
+
+    def test_one_certification_per_removal(self, grid, monkeypatch):
+        calls, certify = [], galab.series.meromorphic_certify
+        monkeypatch.setattr(galab.series, "meromorphic_certify",
+                            lambda profile: calls.append(profile) or certify(profile))
+        prof = generic_profile()
+        conjugate_profile(prof)  # conjugating certifies nothing
+        assert calls == []
+        u, _ = synthesize_singular_u(prof, grid)
+        f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05), grid)
+        assert remove_pole(u, f, fp).passed
+        assert len(calls) == 1 and calls[0] is prof
+
+    @pytest.mark.parametrize("detail", UNCERTIFIED)
+    def test_uncertified_profile_raises_from_each_entry_point(self, grid, detail):
+        prof = PoleProfile(poly(0.0, 0.0, 1.0), {-1: poly(-0.5), **self.UNCERTIFIED[detail]})
+        message = f"profile fails certification: {detail}"
+        for _ in range(2):  # the kept result raises again
+            for call in (lambda: synthesize_singular_u(prof, grid),
+                         lambda: synthesize_seeds(prof, poly(1.0), poly(1.0), grid),
+                         lambda: solve_recursion(prof, poly(1.0))):
+                with pytest.raises(MeromorphicViolation) as info:
+                    call()
+                assert str(info.value) == message
+
+    @pytest.mark.parametrize("r", [{1: poly(1j, -0.9j)},  # Im r1 = phi''/2
+                                   {0: poly(3e-10j, 1e-10), 1: poly(1j, -0.9j)},
+                                   {1: poly(1j)}, *UNCERTIFIED.values()])
+    def test_conjugate_inherits_its_own_certificate(self, r):
+        # poly mode: the handed-over result is the conjugate's own, bit for bit
+        prof = PoleProfile(poly(0.1, 0.2, 1.0, -0.3), {-1: poly(-0.5), **r})
+        fresh = meromorphic_certify(conjugate_profile(prof))
+        prof.certificate
+        inherited = conjugate_profile(prof).certificate
+        assert inherited is prof.certificate and inherited == fresh
 
 
 class TestTypedErrors:
