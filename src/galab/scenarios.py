@@ -9,10 +9,11 @@ plus CSV dumps of the key output grids.
 
 from __future__ import annotations
 
+import cmath
 import configparser
-import math
 import re
 from dataclasses import asdict, dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -51,15 +52,14 @@ class Scenario:
     chart: dict[str, object]
     profile: dict[str, object]  # order, the PoleProfile as "pole", seed functions
     tolerances: dict[str, float]  # the defaults, updated by the file's
-    expect: dict[str, object]  # parsed expressions and words
+    expect: dict[str, object]  # parsed expressions, numbers and words
 
     def field(self, key: str) -> Field:
         grid = self.grid
         try:
             return Field(grid, _scrub(grid, evaluate_on_grid(self.expressions[key], grid)))
         except NonFiniteFieldError as exc:
-            raise ScenarioError(
-                f"scenario {self.name!r}: expression {key!r}: {exc}") from exc
+            raise ScenarioError(f"scenario {self.name!r}: [expressions] {key}: {exc}") from exc
 
     def constant(self, key: str) -> complex:
         return self.constants.get(key, 0.0)
@@ -78,6 +78,41 @@ def _scenario_text(ref: str) -> str:
     if res.is_file():
         return res.read_text()
     raise ScenarioError(f"scenario {ref!r} not found (no such file or bundled name)")
+
+
+#: what a key's value must be: its own kind if the table has one, else its
+#: section's. A tuple is a set of words, and "fail:<condition>" stands for
+#: "fail:" and a non-empty condition. README's "Scenario files" states this
+#: table and _RELATIONS, and the tests hold it to both
+_KINDS = {
+    "[scenario]": "text", "[grid]": "number", "[grid] nx": "nodes", "[grid] ny": "nodes",
+    "[grid] basepoint": "index pair", "[expressions]": "expression", "[chart]": "expression",
+    "[constants]": "imaginary", "[profile]": "function", "[profile] interval": "interval",
+    "[profile] order": "count", "[tolerances]": "tolerance", "[expect]": "expression",
+    "[expect] loop_defect": "real", "[expect] worst_y": "number",
+    "[expect] certify": ("pass", "fail:<condition>"),
+    "[expect] order_constraints": ("pass", "fail"),
+    "[expect] exactness_error": ("true", "false"),
+}
+
+#: (key, "needs" or "is not read with", other key, the prefix its value
+#: must start with): a key is read only where its rows hold
+_RELATIONS = [
+    ("[chart] omega_ff_z", "needs", "[chart] omega_pf_z", ""),
+    ("[chart] omega_pf_z", "needs", "[chart] omega_ff_z", ""),
+    ("[expect] worst_y", "needs", "[expect] certify", "fail:"),
+    ("[tolerances] worst_y", "needs", "[expect] worst_y", ""),
+    # read by the recursion, which needs beta_minus1
+    ("[profile] im_beta1", "needs", "[profile] beta_minus1", ""),
+    ("[profile] order", "needs", "[profile] beta_minus1", ""),
+    # keys a run skips: after an expected refusal, or where closed forms fix the constants
+    ("[profile] beta_minus1", "is not read with", "[expect] certify", "fail:"),
+    ("[tolerances] defects", "is not read with", "[expect] certify", "fail:"),
+    ("[expect] omega", "is not read with", "[expect] exactness_error", "true"),
+    ("[constants] constant", "is not read with", "[expect] exactness_error", "true"),
+    ("[constants] omega_f1_f1p", "is not read with", "[chart] omega_ff_z", ""),
+    ("[constants] omega_psi_f1p", "is not read with", "[chart] omega_ff_z", ""),
+]
 
 
 def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) -> Scenario:
@@ -101,181 +136,127 @@ def load_scenario(ref: str, overrides: dict[str, dict[str, str]] | None = None) 
         raise ScenarioError(f"scenario {name!r}: unknown pipeline {pipeline!r}")
 
     reads = {"DEFAULT": "", "scenario": "name? pipeline claim?", **PIPELINES[pipeline][1]}
+    values: dict[str, dict] = {section: {} for section in reads}
     # [DEFAULT] first, before its keys show in every section; then the
     # sections the pipeline reads that the file lacks
     for section in dict.fromkeys([*parser, *reads]):
         if section not in reads:
             raise ScenarioError(f"scenario {name!r}: pipeline {pipeline!r} reads no [{section}]")
         keys, given = reads[section].split(), parser[section] if section in parser else {}
-        for key in given:
+        for key, text in given.items():
             if re.sub(r"^r-?[0-9]+$", "r<j>", key) not in {k.rstrip("?") for k in keys}:
-                raise ScenarioError(f"scenario {name!r}: pipeline {pipeline!r} "
-                                    f"reads no [{section}] key {key!r}")
+                raise ScenarioError(f"scenario {name!r}: [{section}] {key}: pipeline "
+                                    f"{pipeline!r} reads no such key")
+            try:
+                values[section][key] = _read(
+                    _KINDS.get(f"[{section}] {key}", _KINDS[f"[{section}]"]), text)
+            except (GalabError, ValueError) as exc:
+                raise ScenarioError(f"scenario {name!r}: [{section}] {key}: {exc}") from exc
         for key in keys if section not in ("constants", "tolerances", "expect") else ():
             if not key.endswith("?") and key not in given:
-                raise ScenarioError(f"scenario {name!r}: [{section}] needs {key!r}")
+                raise ScenarioError(f"scenario {name!r}: [{section}] {key}: is missing")
 
-    grid = None
-    basepoint = (0, 0)
-    if "grid" in parser:
-        gsec = parser["grid"]
-        try:
-            kwargs = {k: float(gsec[k]) for k in ("x_min", "x_max", "y_min", "y_max")}
-            kwargs.update(nx=int(gsec["nx"]), ny=int(gsec["ny"]))
-            if "excluded_band" in gsec:
-                kwargs["excluded_band"] = float(gsec["excluded_band"])
-            i, j = (int(v) for v in gsec.get("basepoint", "0,0").split(","))
-        except ValueError as exc:
-            raise ScenarioError(f"scenario {name!r}: bad [grid] section: {exc}")
-        if min(kwargs["nx"], kwargs["ny"]) < 5:  # the stencils' width
-            raise ScenarioError(f"scenario {name!r}: grid needs >= 5 nodes per axis")
-        try:
-            grid = GridSpec(**kwargs)
-        except ValueError as exc:
-            raise ScenarioError(f"scenario {name!r}: invalid grid: {exc}")
-        if not (0 <= i < grid.nx and 0 <= j < grid.ny):
-            raise ScenarioError(f"scenario {name!r}: basepoint {i},{j} is off the grid")
-        basepoint = (i, j)
+    read = {f"[{s}] {key}": v for s, given in values.items() for key, v in given.items()}
+    for key, verb, other, prefix in _RELATIONS:
+        holds = other in read and (not prefix or read[other].startswith(prefix))
+        if key in read and holds != (verb == "needs"):
+            raise ScenarioError(f"scenario {name!r}: {key} {verb} {other}"
+                                + (f" = {prefix}" if prefix else ""))
 
-    constants = {}
-    for key, val in parser["constants"].items() if "constants" in parser else ():
-        try:
-            constants[key] = constant_value(val)
-        except GalabError as exc:
-            raise ScenarioError(
-                f"scenario {name!r}: bad constant {key!r}: {exc}")
-        if abs(constants[key].real) > REAL_DRIFT_TOL:
-            raise ScenarioError(
-                f"scenario {name!r}: constant {key!r} is not imaginary")
-
-    expressions, chart = _parsed(parser, "expressions", name), _parsed(parser, "chart", name)
-    if ("omega_ff_z" in chart) != ("omega_pf_z" in chart):
-        raise ScenarioError(
-            f"scenario {name!r}: [chart] needs omega_ff_z and omega_pf_z together")
-
-    tolerances = dict(_DEFAULT_TOLERANCES)
-    for key, text in parser["tolerances"].items() if "tolerances" in parser else ():
-        tolerances[key] = val = _number(name, f"tolerance {key!r}", text)
-        if val < 0:
-            raise ScenarioError(f"scenario {name!r}: tolerance {key!r} = {val} is not >= 0")
-
-    profile = _parse_profile_section(parser["profile"], name) if "profile" in parser else {}
-    if profile.get("order", 0) < 0:
-        raise ScenarioError(f"scenario {name!r}: order {profile['order']} is below 0")
-    if grid is not None and profile:  # the seed functions share phi's nodes
-        try:
-            profile["phi"].values_on(grid.ys)
-        except GalabError as exc:
-            raise ScenarioError(f"scenario {name!r}: [profile] does not fit the [grid]: {exc}")
-
-    expect = dict(parser["expect"]) if "expect" in parser else {}
-    if "worst_y" in expect:
-        _number(name, "worst_y", expect["worst_y"])
-    for key, words, text in (("certify", "pass|fail:.*", "pass or fail:<condition>"),
-                             ("order_constraints", "pass|fail", "pass or fail"),
-                             ("exactness_error", "(?i:true|false)", "true or false")):
-        if key in expect and not re.fullmatch(words, expect[key]):
-            raise ScenarioError(f"scenario {name!r}: [expect] {key} must be {text}")
-    if "worst_y" in expect and not expect.get("certify", "").startswith("fail:"):
-        raise ScenarioError(f"scenario {name!r}: [expect] worst_y needs certify = fail:...")
-    if parser.has_option("tolerances", "worst_y") and "worst_y" not in expect:
-        raise ScenarioError(f"scenario {name!r}: [tolerances] worst_y needs [expect] worst_y")
-    # keys a run skips: after an expected refusal, or where closed forms fix the constants
-    for skips, text, keys in (
-            (expect.get("certify", "").startswith("fail:"), "certify = fail:...",
-             (("profile", "beta_minus1"), ("tolerances", "defects"))),
-            (expect.get("exactness_error", "").lower() == "true", "exactness_error = true",
-             (("expect", "omega"), ("constants", "constant"))),
-            ("omega_ff_z" in chart, "[chart] omega_ff_z",
-             (("constants", "omega_f1_f1p"), ("constants", "omega_psi_f1p")))):
-        for section, key in keys if skips else ():
-            if parser.has_option(section, key):
-                raise ScenarioError(f"scenario {name!r}: [{section}] {key} is not read "
-                                    f"with {text}")
-    for key in ("im_beta1", "order"):  # read by the recursion, which needs beta_minus1
-        if parser.has_option("profile", key) and "beta_minus1" not in profile:
-            raise ScenarioError(f"scenario {name!r}: [profile] {key} needs beta_minus1")
-    expect.update(_parsed(parser, "expect", name,
-                          ("omega", "u_tilde", "psi_tilde", "loop_defect")))
-    if "loop_defect" in expect:
-        try:
-            value = constant_value(expect["loop_defect"])
-        except GalabError as exc:
-            raise ScenarioError(f"scenario {name!r}: [expect] loop_defect: {exc}")
-        if abs(value.imag) > REAL_DRIFT_TOL:  # a loop defect is real
-            raise ScenarioError(f"scenario {name!r}: [expect] loop_defect is not real")
-        expect["loop_defect"] = _number(name, "[expect] loop_defect", value.real)
-
-    return Scenario(name=name, pipeline=pipeline, claim=meta.get("claim", ""),
-                    grid=grid, basepoint=basepoint, expressions=expressions,
-                    constants=constants, chart=chart, profile=profile,
-                    tolerances=tolerances, expect=expect)
-
-
-def _parsed(parser, section: str, name: str, keys=None) -> dict[str, object]:
-    """The section's expressions (``keys`` only, if given), parsed once; a
-    syntax error is a configuration error."""
-    out = {}
-    for key, src in (parser[section].items() if section in parser else ()):
-        if keys is not None and key not in keys:
-            continue
-        try:
-            out[key] = parse_expression(src)
-        except GalabError as exc:
-            raise ScenarioError(
-                f"scenario {name!r}: [{section}] {key!r} does not parse: {exc}")
-    return out
-
-
-def _number(name: str, what: str, text: str | float) -> float:
     try:
-        value = float(text)
+        grid, basepoint = _grid(values.get("grid"))
+        profile = _profile(values["profile"], grid) if "profile" in values else {}
+    except (GalabError, ValueError) as exc:
+        raise ScenarioError(f"scenario {name!r}: {exc}") from exc
+    return Scenario(name=name, pipeline=pipeline, claim=meta.get("claim", ""), grid=grid,
+                    basepoint=basepoint, profile=profile,
+                    tolerances={**_DEFAULT_TOLERANCES, **values.get("tolerances", {})},
+                    **{s: values.get(s, {}) for s in ("expressions", "constants", "chart",
+                                                      "expect")})
+
+
+def _read(kind, text: str):
+    """The value of a key of ``kind`` (see _KINDS) written as ``text``;
+    a ValueError or GalabError says why the text is not one."""
+    if isinstance(kind, tuple):  # a word, in any case; a condition keeps its own
+        word, colon, condition = text.partition(":")
+        if word.lower() + (colon and ":<condition>") not in kind or colon and not condition:
+            raise ValueError(f"must be {' or '.join(kind)}")
+        return word.lower() + colon + condition
+    if kind == "text":
+        return text
+    if kind == "expression":
+        return parse_expression(text)
+    if kind == "function":  # made on [profile] interval once that is read
+        from .series import FunctionOnInterval
+        mode, _, body = text.partition(":")
+        if mode.strip() not in ("poly", "samples"):
+            raise ValueError("must start with 'poly:' or 'samples:'")
+        return partial(getattr(FunctionOnInterval, f"from_{mode.strip()}"),
+                       [constant_value(item) for item in map(str.strip, body.split(",")) if item])
+    if kind in ("interval", "index pair"):
+        pair = tuple(_read("number" if kind == "interval" else "count", item)
+                     for item in text.split(","))
+        if len(pair) != 2 or kind == "interval" and not pair[0] < pair[1]:
+            raise ValueError("must be a, b with a < b" if kind == "interval" else "must be i,j")
+        return pair
+    value = (constant_value if kind in ("imaginary", "real") else
+             int if kind in ("nodes", "count") else float)(text)
+    if not cmath.isfinite(value):
+        raise ValueError("is not finite")
+    if kind == "imaginary" and abs(value.real) > REAL_DRIFT_TOL:
+        raise ValueError("is not imaginary")
+    if kind == "real" and abs(value.imag) > REAL_DRIFT_TOL:
+        raise ValueError("is not real")
+    # a grid axis needs the stencils' width of nodes
+    if kind in ("tolerance", "count") and value < 0 or kind == "nodes" and value < 5:
+        raise ValueError(f"is below {5 if kind == 'nodes' else 0}")
+    return value.real if kind == "real" else value
+
+
+def _grid(values: dict | None) -> tuple[GridSpec | None, tuple[int, int]]:
+    """[grid]'s GridSpec and basepoint; (None, (0, 0)) where a pipeline has no grid."""
+    if values is None:
+        return None, (0, 0)
+    i, j = values.pop("basepoint", (0, 0))
+    try:
+        grid = GridSpec(**values)
     except ValueError as exc:
-        raise ScenarioError(f"scenario {name!r}: bad {what}: {exc}")
-    if not math.isfinite(value):
-        raise ScenarioError(f"scenario {name!r}: {what} = {value} is not finite")
-    return value
+        raise ValueError(f"invalid grid: {exc}") from exc
+    if not (i < grid.nx and j < grid.ny):
+        raise ValueError(f"[grid] basepoint: {i},{j} is off the grid")
+    return grid, (i, j)
 
 
-def _parse_profile_section(sec, name: str) -> dict[str, object]:
-    """The pole profile and the section's seed functions, built and
-    checked against phi."""
+def _profile(values: dict, grid: GridSpec | None) -> dict[str, object]:
+    """The pole profile and [profile]'s seed functions, made on its interval
+    and checked against phi and, where the pipeline has one, the grid."""
     from .series import DEFAULT_ORDER, PoleProfile, _check_seed
+    out: dict[str, object] = {"order": values.get("order", DEFAULT_ORDER)}
     r = {}
+    for key, make in values.items():
+        if key in ("interval", "order"):
+            continue
+        try:  # a degree cap, too few samples, a non-finite coefficient
+            fn = make(values["interval"])
+        except ValueError as exc:
+            raise ValueError(f"[profile] {key}: {exc}") from exc
+        if index := re.fullmatch(r"r(-?[0-9]+)", key):
+            r[int(index[1])] = fn
+        else:
+            out[key] = fn
     try:
-        a, b = (float(v) for v in sec["interval"].split(","))
-        out: dict[str, object] = {"order": int(sec.get("order", DEFAULT_ORDER))}
-        for key, val in sec.items():
-            if key in ("interval", "order"):
-                continue
-            fn = _parse_function(val, (a, b), name, key)
-            if index := re.fullmatch(r"r(-?[0-9]+)", key):
-                r[int(index[1])] = fn
-            else:
-                out[key] = fn
         out["pole"] = PoleProfile(out["phi"], r)  # checks each r_j against phi
         for key in sorted(out.keys() - {"order", "phi", "pole"}):
             _check_seed(out["phi"], out[key], key)
     except ValueError as exc:
-        raise ScenarioError(f"scenario {name!r}: bad [profile] section: {exc}")
+        raise ValueError(f"bad [profile] section: {exc}") from exc
+    if grid is not None:  # the seed functions share phi's nodes
+        try:
+            out["phi"].values_on(grid.ys)
+        except GalabError as exc:
+            raise ValueError(f"[profile] does not fit the [grid]: {exc}") from exc
     return out
-
-
-def _parse_function(text: str, interval, scenario_name: str,
-                    key: str) -> FunctionOnInterval:
-    from .series import FunctionOnInterval
-    kind, _, body = text.partition(":")
-    make = {"poly": FunctionOnInterval.from_poly,
-            "samples": FunctionOnInterval.from_samples}.get(kind.strip())
-    if make is None:
-        raise ScenarioError(
-            f"scenario {scenario_name!r}: function {key!r} must start with "
-            f"'poly:' or 'samples:'")
-    try:
-        return make([constant_value(item) for item in map(str.strip, body.split(",")) if item],
-                    interval)
-    except (GalabError, ValueError) as exc:  # a bad coefficient, degree cap, too few samples
-        raise ScenarioError(f"scenario {scenario_name!r}: bad function {key!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +324,7 @@ def run_potential(scn: Scenario, run: _Checks) -> None:
                 "loop_defect")
     else:
         run.add("loop_defect", defect, "loop_defect")
-    expect_error = scn.expect.get("exactness_error", "").lower() == "true"
+    expect_error = scn.expect.get("exactness_error") == "true"
     try:
         pot = omega(psi, psi_plus, scn.basepoint, scn.constant("constant"))
     except ExactnessError as exc:
@@ -469,8 +450,7 @@ def run_series(scn: Scenario, run: _Checks) -> None:
             if cell is None:  # one cell of the check grid
                 a, b = profile.phi.interval
                 cell = (b - a) / (len(profile.phi.nodes()) - 1)
-            run.add("worst_y_localized", abs(cert.worst_y - float(scn.expect["worst_y"])),
-                    cell)
+            run.add("worst_y_localized", abs(cert.worst_y - scn.expect["worst_y"]), cell)
         return
 
     if "beta_minus1" in scn.profile:

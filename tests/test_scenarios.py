@@ -1,7 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
+from itertools import takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +13,8 @@ import galab
 from galab.cli import main
 from galab.errors import ScenarioError
 from galab.potential import Potential
-from galab.scenarios import PIPELINES, _Checks, bundled_scenarios, load_scenario, \
-    run_remove_pole, run_scenario
+from galab.scenarios import _KINDS, _RELATIONS, PIPELINES, _Checks, bundled_scenarios, \
+    load_scenario, run_remove_pole, run_scenario
 
 from conftest import child_env
 
@@ -30,175 +33,260 @@ def _sampled_profile(n: int, y_min: str = "1.0") -> tuple[str, str]:
 
 
 #: configuration faults that must exit 1 with "[config error]": the
-#: scenario run, an (old, new) edit of its text, and extra CLI flags
+#: scenario run, an (old, new) edit of its text, extra CLI flags, and a
+#: fragment of the message: the key's "[section] key" where it is about one
 CONFIG_PROBES = {
     "basepoint-off-grid": ("transform-simple-basic", (
-        "nx = 96\nny = 96", "nx = 16\nny = 16\nbasepoint = 99,0"), []),
+        "nx = 96\nny = 96", "nx = 16\nny = 16\nbasepoint = 99,0"), [],
+        "[grid] basepoint: 99,0 is off the grid"),
     "real-constant": ("transform-simple-basic",
-                      ("omega_f1_f1p = 2i", "omega_f1_f1p = 1"), []),
-    "negative-order": ("series-recursion-canonical", None, ["--order", "-3"]),
-    "grid-below-stencil": ("transform-simple-basic", None, ["--grid", "4,4"]),
-    "nan-tolerance": ("transform-simple-basic", None, ["--tol", "nan"]),
-    "pole-at-active-node": ("residual-holomorphic", ("u = 0", "u = 1/x"), []),
+                      ("omega_f1_f1p = 2i", "omega_f1_f1p = 1"), [],
+                      "[constants] omega_f1_f1p: is not imaginary"),
+    "negative-order": ("series-recursion-canonical", None, ["--order", "-3"],
+                       "[profile] order: is below 0"),
+    "grid-below-stencil": ("transform-simple-basic", None, ["--grid", "4,4"],
+                           "[grid] nx: is below 5"),
+    "constant-not-finite": ("transform-simple-basic",
+                            ("omega_f1_f1p = 2i", "omega_f1_f1p = 1e400i"), [],
+                            "[constants] omega_f1_f1p: is not finite"),
+    "nan-tolerance": ("transform-simple-basic", None, ["--tol", "nan"],
+                      "[tolerances] residual_after: is not finite"),
+    "pole-at-active-node": ("residual-holomorphic", ("u = 0", "u = 1/x"), [], "[expressions] u"),
     "expression-nests-too-deeply": ("residual-holomorphic",
-                                    ("u = 0", "u = " + "(" * 300 + "0" + ")" * 300), []),
+                                    ("u = 0", "u = " + "(" * 300 + "0" + ")" * 300), [],
+                                    "[expressions] u"),
     "exponent-overflow": ("transform-simple-basic",
-                          ("psi = z\n", "psi = z^10^30\n"), []),
+                          ("psi = z\n", "psi = z^10^30\n"), [], "[expressions] psi"),
     "coefficient-overflow": ("series-recursion-canonical",
                              ("beta_minus1 = poly: 1\n",
-                              "beta_minus1 = poly: 1e400\n"), []),
+                              "beta_minus1 = poly: 1e400\n"), [], "[profile] beta_minus1"),
     "profile-degree-cap": ("series-recursion-canonical",
-                           ("phi = poly: 0\n", "phi = poly: " + "0," * 17 + "0\n"), []),
+                           ("phi = poly: 0\n", "phi = poly: " + "0," * 17 + "0\n"), [],
+                           "[profile] phi"),
     "profile-empty-poly": ("series-recursion-canonical",
-                           ("phi = poly: 0\n", "phi = poly:\n"), []),
+                           ("phi = poly: 0\n", "phi = poly:\n"), [], "[profile] phi"),
     "profile-few-samples": ("series-recursion-canonical",
-                            ("phi = poly: 0\n", "phi = samples: 0,0,0\n"), []),
+                            ("phi = poly: 0\n", "phi = samples: 0,0,0\n"), [], "[profile] phi"),
     "complex-beta-minus1": ("series-recursion-canonical",
-                            ("beta_minus1 = poly: 1\n", "beta_minus1 = poly: 1i\n"), []),
+                            ("beta_minus1 = poly: 1\n", "beta_minus1 = poly: 1i\n"), [],
+                            "bad [profile] section: beta_minus1 must be real-valued"),
     "complex-im-beta1": ("series-recursion-canonical",
                          ("beta_minus1 = poly: 1\n",
-                          "beta_minus1 = poly: 1\nim_beta1 = poly: 0, 2i\n"), []),
+                          "beta_minus1 = poly: 1\nim_beta1 = poly: 0, 2i\n"), [],
+                         "bad [profile] section: im_beta1 must be real-valued"),
     "complex-beta-plus": ("canonical-pole-removal",
                           ("beta_plus_minus1 = poly: 1\n",
-                           "beta_plus_minus1 = poly: 1, 1i\n"), []),
-    "grid-without-x-min": ("transform-simple-basic", ("x_min = 0.0\n", ""), []),
-    "grid-without-ny": ("transform-simple-basic", ("ny = 96\n", ""), []),
+                           "beta_plus_minus1 = poly: 1, 1i\n"), [],
+                          "bad [profile] section: beta_plus_minus1 must be real-valued"),
+    "grid-without-x-min": ("transform-simple-basic", ("x_min = 0.0\n", ""), [],
+                           "[grid] x_min: is missing"),
+    "grid-without-ny": ("transform-simple-basic", ("ny = 96\n", ""), [], "[grid] ny: is missing"),
     "band-not-a-number": ("remove-pole-generic",
-                          ("excluded_band = 0.002", "excluded_band = abc"), []),
+                          ("excluded_band = 0.002", "excluded_band = abc"), [],
+                          "[grid] excluded_band"),
     "band-not-finite": ("remove-pole-generic",
-                        ("excluded_band = 0.002", "excluded_band = nan"), []),
-    "grid-bound-not-finite": ("remove-pole-generic", ("x_max = 0.1", "x_max = inf"), []),
+                        ("excluded_band = 0.002", "excluded_band = nan"), [],
+                        "[grid] excluded_band: is not finite"),
+    "grid-bound-not-finite": ("remove-pole-generic", ("x_max = 0.1", "x_max = inf"), [],
+                              "[grid] x_max: is not finite"),
     "complex-phase": ("series-recursion-canonical",
-                      ("phi = poly: 0\n", "phi = poly: 0, 1i\n"), []),
+                      ("phi = poly: 0\n", "phi = poly: 0, 1i\n"), [],
+                      "bad [profile] section: phase must be real-valued"),
     "complex-leading-coefficient": ("series-recursion-canonical",
-                                    ("r-1 = poly: -0.5\n", "r-1 = poly: -0.5i\n"), []),
+                                    ("r-1 = poly: -0.5\n", "r-1 = poly: -0.5i\n"), [],
+        "bad [profile] section: the leading coefficient must be real-valued"),
     "profile-mixed-kinds": ("series-recursion-canonical",
                             ("r-1 = poly: -0.5\n", "r-1 = samples: " + "-0.5, " * 4 + "-0.5\n"),
-                            []),
+                            [], "bad [profile] section: cannot mix"),
     "worst-y-not-a-number": ("series-certify-reject-r0",
-                             ("worst_y = 2.0", "worst_y = abc"), []),
+                             ("worst_y = 2.0", "worst_y = abc"), [], "[expect] worst_y"),
     "worst-y-not-finite": ("series-certify-reject-r0",
-                           ("worst_y = 2.0", "worst_y = inf"), []),
+                           ("worst_y = 2.0", "worst_y = inf"), [],
+                           "[expect] worst_y: is not finite"),
     "chart-half-closed-form": ("conformal-scaling",
-                               ("omega_pf_z = 4*exp(z/4) - conj(4*exp(z/4))\n", ""), []),
-    "chart-syntax-error": ("conformal-scaling", ("forward = 2*z\n", "forward = 2*z +\n"), []),
+                               ("omega_pf_z = 4*exp(z/4) - conj(4*exp(z/4))\n", ""), [],
+                               "[chart] omega_ff_z needs [chart] omega_pf_z"),
+    "chart-syntax-error": ("conformal-scaling", ("forward = 2*z\n", "forward = 2*z +\n"), [],
+                           "[chart] forward"),
     "expect-syntax-error": ("transform-simple-basic",
-                            ("psi_tilde = 1i*y", "psi_tilde = abc"), []),
+                            ("psi_tilde = 1i*y", "psi_tilde = abc"), [], "[expect] psi_tilde"),
     "loop-defect-syntax-error": ("potential-closed-loop",
-                                 ("loop_defect = 4.0", "loop_defect = 4.0 +"), []),
+                                 ("loop_defect = 4.0", "loop_defect = 4.0 +"), [],
+                                 "[expect] loop_defect"),
     "loop-defect-grid-variable": ("potential-closed-loop",
-                                  ("loop_defect = 4.0", "loop_defect = x"), []),
+                                  ("loop_defect = 4.0", "loop_defect = x"), [],
+                                  "[expect] loop_defect"),
     "loop-defect-not-finite": ("potential-closed-loop",
-                               ("loop_defect = 4.0", "loop_defect = 1/0"), []),
+                               ("loop_defect = 4.0", "loop_defect = 1/0"), [],
+                               "[expect] loop_defect: is not finite"),
     "loop-defect-not-real": ("potential-closed-loop",
-                             ("loop_defect = 4.0", "loop_defect = 4.0 + 7i"), []),
+                             ("loop_defect = 4.0", "loop_defect = 4.0 + 7i"), [],
+                             "[expect] loop_defect: is not real"),
     "tolerance-unknown-key": ("transform-simple-basic",
-                              ("residual_after = 1e-10", "residual_afterr = 1e-30"), []),
+                              ("residual_after = 1e-10", "residual_afterr = 1e-30"), [],
+        "[tolerances] residual_afterr: pipeline 'transform' reads no such key"),
     "profile-seed-mixed-kinds": ("series-recursion-canonical",
                                  ("beta_minus1 = poly: 1\n",
-                                  "beta_minus1 = samples: 1,1,1,1,1\n"), []),
+                                  "beta_minus1 = samples: 1,1,1,1,1\n"), [],
+                                 "bad [profile] section: cannot mix"),
     "profile-unknown-key": ("series-recursion-canonical",
-                            ("beta_minus1 = poly: 1\n", "beta_minus_1 = poly: 1\n"), []),
+                            ("beta_minus1 = poly: 1\n", "beta_minus_1 = poly: 1\n"), [],
+                            "[profile] beta_minus_1: pipeline 'series' reads no such key"),
     "profile-key-not-read": ("series-recursion-canonical",
                              ("beta_minus1 = poly: 1\n",
-                              "beta_minus1 = poly: 1\nbeta_plus_minus1 = poly: 1\n"), []),
+                              "beta_minus1 = poly: 1\nbeta_plus_minus1 = poly: 1\n"), [],
+                             "[profile] beta_plus_minus1: pipeline 'series' reads no such key"),
     "profile-key-not-read-by-remove-pole": ("canonical-pole-removal",
                                             ("beta_plus_minus1 = poly: 1\n",
                                              "beta_plus_minus1 = poly: 1\nim_beta1 = poly: 0\n"),
-                                            []),
+                                            [],
+        "[profile] im_beta1: pipeline 'remove-pole' reads no such key"),
     "certify-unknown-word": ("series-recursion-canonical",
-                             ("certify = pass", "certify = maybe"), []),
+                             ("certify = pass", "certify = maybe"), [],
+                             "[expect] certify: must be pass or fail:<condition>"),
     "order-constraints-unknown-word": ("series-recursion-canonical",
                                        ("order_constraints = pass",
-                                        "order_constraints = maybe"), []),
+                                        "order_constraints = maybe"), [],
+                                       "[expect] order_constraints: must be pass or fail"),
     "exactness-error-unknown-word": ("potential-closed-loop",
-                                     ("exactness_error = true", "exactness_error = yes"), []),
-    "order-flag-on-residual": ("residual-holomorphic", None, ["--order", "5"]),
-    "grid-flag-on-series": ("series-recursion-canonical", None, ["--grid", "30,30"]),
-    "grid-flag-not-numbers": ("transform-simple-basic", None, ["--grid", "foo"]),
-    "grid-flag-three-values": ("transform-simple-basic", None, ["--grid", "30,30,4"]),
-    "tol-flag-not-a-number": ("transform-simple-basic", None, ["--tol", "abc"]),
-    "order-flag-not-an-int": ("series-recursion-canonical", None, ["--order", "5.5"]),
+                                     ("exactness_error = true", "exactness_error = yes"), [],
+                                     "[expect] exactness_error: must be true or false"),
+    "order-flag-on-residual": ("residual-holomorphic", None, ["--order", "5"],
+                               "pipeline 'residual' reads no [profile]"),
+    "grid-flag-on-series": ("series-recursion-canonical", None, ["--grid", "30,30"],
+                            "pipeline 'series' reads no [grid]"),
+    "grid-flag-not-numbers": ("transform-simple-basic", None, ["--grid", "foo"], "[grid] nx"),
+    "grid-flag-three-values": ("transform-simple-basic", None, ["--grid", "30,30,4"], "[grid] ny"),
+    "tol-flag-not-a-number": ("transform-simple-basic", None, ["--tol", "abc"],
+                              "[tolerances] residual_after"),
+    "order-flag-not-an-int": ("series-recursion-canonical", None, ["--order", "5.5"],
+                              "[profile] order"),
     "grid-section-in-series": ("series-recursion-canonical", ("[expect]", (
         "[grid]\nx_min = 0.0\nx_max = 1.0\ny_min = 1.0\ny_max = 2.0\nnx = 30\nny = 30\n\n"
-        "[expect]")), []),
+        "[expect]")), [], "pipeline 'series' reads no [grid]"),
     "chart-section-in-transform": ("transform-simple-basic",
                                    ("[expressions]", "[chart]\nforward = z\n\n[expressions]"),
-                                   []),
-    "chart-without-inverse": ("conformal-scaling", ("inverse = z/2\n", ""), []),
+                                   [], "pipeline 'transform' reads no [chart]"),
+    "chart-without-inverse": ("conformal-scaling", ("inverse = z/2\n", ""), [],
+                              "[chart] inverse: is missing"),
     "band-missing-for-remove-pole": ("remove-pole-generic", ("excluded_band = 0.002\n", ""),
-                                     []),
-    "expression-misspelled": ("residual-holomorphic", ("psi_plus =", "psi_plsu ="), []),
-    "expect-misspelled": ("invert-roundtrip", ("psi_tilde =", "psi_tilda ="), []),
+                                     [], "[grid] excluded_band: is missing"),
+    "expression-misspelled": ("residual-holomorphic", ("psi_plus =", "psi_plsu ="), [],
+                              "[expressions] psi_plsu: pipeline 'residual' reads no such key"),
+    "expect-misspelled": ("invert-roundtrip", ("psi_tilde =", "psi_tilda ="), [],
+                          "[expect] psi_tilda: pipeline 'invert' reads no such key"),
     "tolerances-section-misspelled": ("residual-holomorphic",
                                       ("[tolerances]\nresidual = 1e-8",
-                                       "[tolerance]\nresidual = 1e-30"), []),
-    "transform-without-psi-plus": ("transform-simple-basic", ("psi_plus = 1\n", ""), []),
+                                       "[tolerance]\nresidual = 1e-30"), [],
+                                      "pipeline 'residual' reads no [tolerance]"),
+    "transform-without-psi-plus": ("transform-simple-basic", ("psi_plus = 1\n", ""), [],
+                                   "[expressions] psi_plus: is missing"),
     "im-beta1-without-beta-minus1": ("series-recursion-canonical",
                                      ("beta_minus1 = poly: 1\norder = 8\n",
-                                      "im_beta1 = poly: 7\n"), []),
+                                      "im_beta1 = poly: 7\n"), [],
+                                     "[profile] im_beta1 needs [profile] beta_minus1"),
     "order-without-beta-minus1": ("series-recursion-canonical",
-                                  ("beta_minus1 = poly: 1\n", ""), []),
+                                  ("beta_minus1 = poly: 1\n", ""), [],
+                                  "[profile] order needs [profile] beta_minus1"),
     "beta-minus1-with-certify-fail": ("series-certify-reject-r0",
                                       ("r0 = poly: 0.1, -0.2, 0.1\n",
                                        "r0 = poly: 0.1, -0.2, 0.1\nbeta_minus1 = poly: 1\n"),
-                                      []),
+                                      [],
+        "[profile] beta_minus1 is not read with [expect] certify = fail:"),
     "im-beta1-with-certify-fail": ("series-certify-reject-r0",
                                    ("r0 = poly: 0.1, -0.2, 0.1\n",
-                                    "r0 = poly: 0.1, -0.2, 0.1\nim_beta1 = poly: 0\n"), []),
+                                    "r0 = poly: 0.1, -0.2, 0.1\nim_beta1 = poly: 0\n"), [],
+                                   "[profile] im_beta1 needs [profile] beta_minus1"),
     "defects-with-certify-fail": ("series-certify-reject-r0",
                                   ("worst_y = 2.0\n",
-                                   "worst_y = 2.0\n\n[tolerances]\ndefects = 1e-30\n"), []),
-    "order-flag-on-certify-fail": ("series-certify-reject-r0", None, ["--order", "5"]),
+                                   "worst_y = 2.0\n\n[tolerances]\ndefects = 1e-30\n"), [],
+        "[tolerances] defects is not read with [expect] certify = fail:"),
+    "order-flag-on-certify-fail": ("series-certify-reject-r0", None, ["--order", "5"],
+                                   "[profile] order needs [profile] beta_minus1"),
     # a remove-pole run samples the profile on the grid's ny nodes on [y_min, y_max]
-    "samples-off-grid-count": ("canonical-pole-removal", _sampled_profile(5), []),
+    "samples-off-grid-count": ("canonical-pole-removal", _sampled_profile(5), [],
+                               "[profile] does not fit the [grid]"),
     "samples-off-grid-flag": ("canonical-pole-removal", _sampled_profile(81),
-                              ["--grid", "480,41"]),
-    "samples-off-grid-y-min": ("canonical-pole-removal", _sampled_profile(81, "1.5"), []),
-    "tol-flag-on-certify-fail": ("series-certify-reject-r0", None, ["--tol", "1e-30"]),
+                              ["--grid", "480,41"], "[profile] does not fit the [grid]"),
+    "samples-off-grid-y-min": ("canonical-pole-removal", _sampled_profile(81, "1.5"), [],
+                               "[profile] does not fit the [grid]"),
+    "tol-flag-on-certify-fail": ("series-certify-reject-r0", None, ["--tol", "1e-30"],
+                                 "[tolerances] defects is not read with [expect] certify = fail:"),
     "default-section": ("residual-holomorphic",
-                        ("[scenario]", "[DEFAULT]\nresidual = 1e-30\n\n[scenario]"), []),
+                        ("[scenario]", "[DEFAULT]\nresidual = 1e-30\n\n[scenario]"), [],
+                        "[DEFAULT] residual: pipeline 'residual' reads no such key"),
     "constant-misspelled-in-transform": ("transform-simple-basic",
-                                         ("omega_psi_f1p =", "omega_psi_f1px ="), []),
+                                         ("omega_psi_f1p =", "omega_psi_f1px ="), [],
+        "[constants] omega_psi_f1px: pipeline 'transform' reads no such key"),
     "constant-misspelled-in-compose": ("compose-rank2", ("omega_f2_f1p =", "omega_f2_f1px ="),
-                                       []),
+                                       [],
+        "[constants] omega_f2_f1px: pipeline 'compose' reads no such key"),
     "constant-misspelled-in-invert": ("invert-roundtrip", ("omega_f1_psip =", "omega_f1_psipx ="),
-                                      []),
+                                      [],
+        "[constants] omega_f1_psipx: pipeline 'invert' reads no such key"),
     "expect-not-read-by-invert": ("invert-roundtrip",
-                                  ("[expect]\n", "[expect]\nu_tilde = 12345\n"), []),
+                                  ("[expect]\n", "[expect]\nu_tilde = 12345\n"), [],
+                                  "[expect] u_tilde: pipeline 'invert' reads no such key"),
     "tolerance-of-invert-in-transform": ("transform-simple-basic",
                                          ("[tolerances]\n", "[tolerances]\nroundtrip = 1e-30\n"),
-                                         []),
+                                         [],
+        "[tolerances] roundtrip: pipeline 'transform' reads no such key"),
     "tolerance-of-residual-in-transform": ("transform-simple-basic",
                                            ("[tolerances]\n",
-                                            "[tolerances]\nresidual = 1e-30\n"), []),
+                                            "[tolerances]\nresidual = 1e-30\n"), [],
+        "[tolerances] residual: pipeline 'transform' reads no such key"),
     "expression-of-compose-in-transform": ("transform-simple-basic",
                                            ("[expressions]\n", "[expressions]\nf2 = 1e300\n"),
-                                           []),
-    "profile-without-phi": ("series-recursion-canonical", ("phi = poly: 0\n", ""), []),
+                                           [],
+        "[expressions] f2: pipeline 'transform' reads no such key"),
+    "profile-without-phi": ("series-recursion-canonical", ("phi = poly: 0\n", ""), [],
+                            "[profile] phi: is missing"),
     "profile-without-interval": ("series-recursion-canonical", ("interval = 1.0, 2.0\n", ""),
-                                 []),
+                                 [], "[profile] interval: is missing"),
     "worst-y-without-expected-rejection": ("series-recursion-canonical",
                                            ("certify = pass", "certify = pass\nworst_y = 1.5"),
-                                           []),
+                                           [], "[expect] worst_y needs [expect] certify = fail:"),
     "worst-y-tolerance-without-expected-worst-y": ("series-recursion-canonical",
                                                    ("defects = 1e-12",
-                                                    "defects = 1e-12\nworst_y = 1e-30"), []),
+                                                    "defects = 1e-12\nworst_y = 1e-30"), [],
+                                                   "[tolerances] worst_y needs [expect] worst_y"),
     "omega-with-expected-exactness-error": ("potential-closed-loop",
                                             ("exactness_error = true",
-                                             "exactness_error = true\nomega = 0"), []),
+                                             "exactness_error = true\nomega = 0"), [],
+        "[expect] omega is not read with [expect] exactness_error = true"),
     "constant-with-expected-exactness-error": ("potential-closed-loop", (
-        "[expect]\n", "[constants]\nconstant = 0.37i\n\n[expect]\n"), []),
+        "[expect]\n", "[constants]\nconstant = 0.37i\n\n[expect]\n"), [],
+        "[constants] constant is not read with [expect] exactness_error = true"),
     "constant-beside-closed-form-rotation": ("conformal-rotation", (
-        "[tolerances]\n", "[constants]\nomega_f1_f1p = 99i\n\n[tolerances]\n"), []),
+        "[tolerances]\n", "[constants]\nomega_f1_f1p = 99i\n\n[tolerances]\n"), [],
+        "[constants] omega_f1_f1p is not read with [chart] omega_ff_z"),
     "constant-beside-closed-form-scaling": ("conformal-scaling", (
-        "[tolerances]\n", "[constants]\nomega_psi_f1p = -7i\n\n[tolerances]\n"), []),
+        "[tolerances]\n", "[constants]\nomega_psi_f1p = -7i\n\n[tolerances]\n"), [],
+        "[constants] omega_psi_f1p is not read with [chart] omega_ff_z"),
     "name-with-separator": ("residual-holomorphic",
-                            ("name = residual-holomorphic", "name = sub/x"), []),
+                            ("name = residual-holomorphic", "name = sub/x"), [],
+                            "scenario name 'sub/x' is not a plain file name"),
     "name-escapes-out": ("residual-holomorphic",
-                         ("name = residual-holomorphic", "name = ../escaped"), []),
-    "unknown-flag": ("residual-holomorphic", None, ["--bogus"]),
-    "jobs-below-one": ("residual-holomorphic", None, ["--jobs", "0"]),
+                         ("name = residual-holomorphic", "name = ../escaped"), [],
+                         "scenario name '../escaped' is not a plain file name"),
+    "interval-empty": ("series-recursion-canonical",
+                       ("interval = 1.0, 2.0\n", "interval = 1.0, 1.0\n"), [],
+                       "[profile] interval: must be a, b with a < b"),
+    "interval-reversed": ("series-recursion-canonical",
+                          ("interval = 1.0, 2.0\n", "interval = 2.0, 1.0\n"), [],
+                          "[profile] interval: must be a, b with a < b"),
+    "interval-not-finite": ("series-recursion-canonical",
+                            ("interval = 1.0, 2.0\n", "interval = 1.0, nan\n"), [],
+                            "[profile] interval: is not finite"),
+    "interval-one-number": ("series-recursion-canonical",
+                            ("interval = 1.0, 2.0\n", "interval = 1.0\n"), [],
+                            "[profile] interval: must be a, b with a < b"),
+    "certify-empty-condition": ("series-certify-reject-r0",
+                                ("certify = fail:Re r0", "certify = fail:"), [],
+                                "[expect] certify: must be pass or fail:<condition>"),
+    "unknown-flag": ("residual-holomorphic", None, ["--bogus"], "unrecognized arguments: --bogus"),
+    "jobs-below-one": ("residual-holomorphic", None, ["--jobs", "0"],
+                       "argument --jobs: 0 is below 1"),
 }
 
 #: model faults that must exit 2 with the typed error in the report and
@@ -400,7 +488,7 @@ psi = z
 
     @pytest.mark.parametrize("probe", sorted(CONFIG_PROBES))
     def test_exit_one_on_bad_configuration(self, probe, tmp_path, capsys):
-        name, edit, flags = CONFIG_PROBES[probe]
+        name, edit, flags, fragment = CONFIG_PROBES[probe]
         ref = name
         if edit is not None:
             text = resources.files("galab").joinpath(
@@ -412,7 +500,7 @@ psi = z
                         "--out", str(tmp_path), *flags])
         out = capsys.readouterr().out
         assert code == 1, out
-        assert out.startswith("[config error]"), out
+        assert out.startswith("[config error]") and fragment in out, out
 
     @pytest.mark.parametrize("probe", sorted(MODEL_PROBES))
     def test_exit_two_on_model_fault(self, probe, tmp_path):
@@ -646,6 +734,78 @@ def test_pipeline_rows_cover_what_the_runners_read():
                         "transform": "residual_after", "compose": "agreement",
                         "invert": "roundtrip", "conformal": "commutativity",
                         "series": "defects", "remove-pole": "flat"}
+
+
+def _reads(pipeline: str) -> set[tuple[str, str]]:
+    """The (section, key) pairs the pipeline's row names, "?" dropped."""
+    return {(section, key.rstrip("?")) for section, text in PIPELINES[pipeline][1].items()
+            for key in text.split()}
+
+
+def _pair(ref: str) -> tuple[str, str]:
+    """("expect", "worst_y") for "[expect] worst_y"; ("grid", "") for "[grid]"."""
+    section, _, key = ref[1:].partition("]")
+    return section, key.strip()
+
+
+def test_schema_tables_name_what_the_pipelines_read():
+    # a misspelled key in a kind or relation row would never apply, and a
+    # relation between keys no pipeline reads together could never fire
+    read = set().union(*map(_reads, PIPELINES))
+    sections = {section for section, _ in read}
+    assert {f"[{section}]" for section in sections} <= _KINDS.keys()  # each has a kind
+    for ref in _KINDS:
+        section, key = _pair(ref)
+        assert (section, key) in read if key else section in sections | {"scenario"}, ref
+    for key, _, other, _ in _RELATIONS:
+        assert any({_pair(key), _pair(other)} <= _reads(p) for p in PIPELINES), (key, other)
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The rows of the table under ``header`` in README's "Scenario files"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = readme.split("## Scenario files\n")[1].split("\n## ")[0]
+    rows = takewhile(lambda row: row.startswith("|"), text.split(f"{header}\n")[1].splitlines())
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in list(rows)[1:]]
+
+
+def _readme_keys(cell: str) -> set[tuple[str, str]]:
+    """The (section, key) pairs of a key cell such as "the grid box;
+    `[expressions]` `u`, `psi`"."""
+    keys, section = set(), None
+    for part in cell.split(";"):
+        if "the grid box" in part:
+            section = "grid"
+            keys |= {("grid", key) for key in "x_min x_max y_min y_max nx ny".split()}
+        for token in re.findall(r"`([^`]+)`", part):
+            if token.startswith("["):
+                section = token[1:-1]
+            else:
+                keys.add((section, token))
+    return keys
+
+
+def test_readme_key_table_is_the_pipelines_rows():
+    rows = _readme_table("| Pipeline | Required keys | Optional keys |")
+    assert [row[0].strip("`") for row in rows] == list(PIPELINES)
+    for name, required, optional in rows:
+        want = {True: set(), False: set()}
+        for section, text in PIPELINES[name.strip("`")][1].items():
+            for key in text.split():
+                optional_key = key.endswith("?") or section in ("constants", "tolerances",
+                                                                "expect")
+                want[optional_key].add((section, key.rstrip("?")))
+        assert _readme_keys(required) == want[False], name
+        assert _readme_keys(optional) == want[True], name
+
+
+def test_readme_states_every_kind_and_relation():
+    kinds = [(key.strip("`"), kind) for key, kind in _readme_table("| Key | Kind |")]
+    assert kinds == [(key, " or ".join(f"`{w}`" for w in kind) if isinstance(kind, tuple)
+                      else kind) for key, kind in _KINDS.items()]
+    relations = [(key.strip("`"), rule, *other.strip("`").partition(" = ")[::2])
+                 for key, rule, other in _readme_table("| Key | Rule | Other key |")]
+    assert relations == _RELATIONS
 
 
 def _mutations(text: str):
