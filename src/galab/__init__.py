@@ -11,8 +11,8 @@ Each public name is looked up in its module, which loads on first use.
 from importlib import import_module
 
 _EXPORTS = {
-    "conformal": "CommutativityResult HolomorphicChart check_commutativity identity_chart "
-                 "pushforward_psi pushforward_u tracked_sqrt",
+    "conformal": "CommutativityResult HolomorphicChart check_commutativity pushforward_psi "
+                 "pushforward_u tracked_sqrt",
     "errors": "BandRequiredError BranchError DegenerateChartError ExactnessError "
               "ExpressionError FitError GalabError MeromorphicViolation "
               "NonFiniteCoefficientError NonFiniteFieldError NonRealCoefficientError "

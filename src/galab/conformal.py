@@ -94,11 +94,6 @@ def _on_strip(strip: GridSpec, values) -> np.ndarray:
     return out
 
 
-def identity_chart(strip: GridSpec) -> HolomorphicChart:
-    return HolomorphicChart(lambda t: t, lambda t: np.ones_like(t),
-                            lambda zv: zv, strip)
-
-
 def tracked_sqrt(w: np.ndarray) -> np.ndarray:
     """Square root with the branch tracked continuously from the center.
 

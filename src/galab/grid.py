@@ -14,8 +14,9 @@ import ctypes
 import math
 import os
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -49,9 +50,16 @@ def _keep_freed_heap() -> tuple[int, int] | None:
 #: the process memory policy, set once when the array layer is imported
 _HEAP_POLICY = _keep_freed_heap()
 
-# 4th-order first-derivative stencil rows (edge, sub-edge), unit spacing
-_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+# 4th-order one-sided first-derivative rows (edge, sub-edge) on the first
+# five nodes, as integers: 12 times their weights at unit spacing
+_EDGE0 = (-25, 48, -36, 16, -3)
+_EDGE1 = (-3, -10, 18, -6, 1)
+#: by term and by entry 0, 1, -2 and -1 of an axis: the node each term
+#: reads and, (5, 4, 1), its weight, mirrored and negated at the far end;
+#: float, since numpy multiplies float data by an int array through a cast
+_EDGE_NODES = np.array([(j, j, -1 - j, -1 - j) for j in range(5)])
+_EDGE_WEIGHTS = np.array([_EDGE0, _EDGE1, np.negative(_EDGE1), np.negative(_EDGE0)],
+                         dtype=float).T[..., None]
 
 
 @dataclass(frozen=True)
@@ -250,38 +258,40 @@ def _each_block(fn, blocks: list[slice], here: bool = False) -> list:
     return head + tail
 
 
-def _stencil_edges(fm: np.ndarray, h: float) -> tuple:
-    """(index, entry) for entries 0, 1, n-1 and n-2 of the 4th-order
-    d/dx along axis 0, by tensordot over the whole array."""
-    head, tail, n = fm[:5], fm[-5:], fm.shape[0]
-    return ((0, np.tensordot(_EDGE0, head, axes=(0, 0)) / h),
-            (1, np.tensordot(_EDGE1, head, axes=(0, 0)) / h),
-            (n - 1, -np.tensordot(_EDGE0[::-1], tail, axes=(0, 0)) / h),
-            (n - 2, -np.tensordot(_EDGE1[::-1], tail, axes=(0, 0)) / h))
-
-
 def _stencil_block(flat: np.ndarray, shape: tuple, axis: int, scale: tuple,
                    rows: slice, dest: np.ndarray) -> None:
-    """Central entries of ``rows`` of the 4th-order d/d(axis) of the
-    C-ordered array of ``shape`` with data ``flat``, into ``dest``, the
-    flat data of those rows, scaled by ``scale`` = (ufunc, c).
+    """Entries of ``rows`` of the 4th-order d/d(axis) of the C-ordered
+    array of ``shape`` with data ``flat``, into ``dest``, the flat data of
+    those rows, scaled by ``scale`` = (ufunc, c).
 
-    Each neighbour is a fixed flat distance away, so every operand is
-    one contiguous run.  Along axis 0 a block reads two rows past its
-    ends; across it, the entries within two of an end of the axis read
-    neighbours that are not theirs, and the edge entries overwrite them.
+    Each entry is an integer-weight sum in weight order, then scaled:
+    1, -8, 8, -1 about it in the interior, and _EDGE0 and _EDGE1 at the
+    two entries nearest each end, mirrored and negated at the far end.
+    Each interior neighbour is a fixed flat distance away, so every
+    operand is one contiguous run.  Along axis 0 a block reads two rows
+    past its ends; across it, the interior sum runs over every entry, and
+    the edge sums, taken for all the block's lines at once, overwrite the
+    four per line that read another line.
     """
-    row, st = math.prod(shape[1:]), math.prod(shape[axis + 1:])
+    row, st, n = math.prod(shape[1:]), math.prod(shape[axis + 1:]), shape[axis]
     a, b = rows.start * row, rows.stop * row
     lo, hi = ((max(a, 2 * st), min(b, flat.size - 2 * st)) if axis == 0
               else (a + 2 * st, b - 2 * st))
-    if lo >= hi:
-        return
-    mid = dest[lo - a:hi - a]
-    np.subtract(flat[lo - 2 * st:hi - 2 * st], 8 * flat[lo - st:hi - st], out=mid)
-    np.add(mid, 8 * flat[lo + st:hi + st], out=mid)
-    np.subtract(mid, flat[lo + 2 * st:hi + 2 * st], out=mid)
-    scale[0](mid, scale[1], out=mid)
+    if lo < hi:
+        mid = dest[lo - a:hi - a]
+        np.subtract(flat[lo - 2 * st:hi - 2 * st], 8 * flat[lo - st:hi - st], out=mid)
+        np.add(mid, 8 * flat[lo + st:hi + st], out=mid)
+        np.subtract(mid, flat[lo + 2 * st:hi + 2 * st], out=mid)
+        scale[0](mid, scale[1], out=mid)
+    # (line, axis, st) views: along axis 0, one line of which the block holds rows
+    src = flat.reshape(1, n, st) if axis == 0 else flat[a:b].reshape(-1, n, st)
+    out, first = dest.reshape(len(src), -1, st), rows.start * (axis == 0)
+    ends = (0, 1, n - 2, n - 1)
+    e0, e1 = bisect_left(ends, first), bisect_left(ends, first + out.shape[1])
+    if e0 < e1:  # the block holds entries ends[e0:e1]; terms are (line, term, entry, st)
+        terms = _EDGE_WEIGHTS[:, e0:e1] * np.take(src, _EDGE_NODES[:, e0:e1], axis=1)
+        out[:, [k - first for k in ends[e0:e1]]] = scale[0](
+            reduce(np.add, terms.swapaxes(0, 1)), scale[1])
 
 
 def _check_stencil(values: np.ndarray, axis: int) -> None:
@@ -301,10 +311,6 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     _each_block(lambda rows: _stencil_block(flat, c.shape, axis, (np.divide, 12 * h), rows,
                                             dest[rows.start * row:rows.stop * row]),
                 _row_blocks(c))
-    om = np.moveaxis(out, axis, 0)
-    # on the input as given: tensordot's bits depend on its strides
-    for k, entry in _stencil_edges(np.moveaxis(values, axis, 0), h):
-        om[k] = entry
     return out
 
 
@@ -313,29 +319,21 @@ def _wirtinger(f: Field, combine, finish, out: np.ndarray | None = None) -> list
     0.5 * combine(dx, 1j * dy), band scrubbed.
 
     Each block is formed in ``out``'s rows (C-ordered), or in a block of
-    its own when ``out`` is None, from dx and dy of those rows; the edge
-    entries come from the whole array, the rest from float views.
+    its own when ``out`` is None, from dx and dy of those rows on float
+    views.
     """
     vals, grid = np.ascontiguousarray(f.values), f.grid
     _check_stencil(vals, 0)
     _check_stencil(vals, 1)
     flat, shape = vals.reshape(-1).view(float), vals.shape + (2,)
-    dx_edges = _stencil_edges(f.values, grid.hx)
-    dy_edges = _stencil_edges(np.moveaxis(f.values, 1, 0), grid.hy)
 
     def block(rows):
-        a, b = rows.start, rows.stop
         d = np.empty_like(vals[rows]) if out is None else out[rows]
         dv = d.reshape(-1).view(float)
         _stencil_block(flat, shape, 0, (np.multiply, 1.0 / (12 * grid.hx)), rows, dv)
-        for k, entry in dx_edges:
-            if a <= k < b:
-                d[k - a] = entry
         dy = np.empty_like(d)
         dyv = dy.reshape(-1).view(float)
         _stencil_block(flat, shape, 1, (np.multiply, 1.0 / (12 * grid.hy)), rows, dyv)
-        for k, entry in dy_edges:
-            dy[:, k] = entry[rows]
         # combine with 1j * dy = (-Im dy, Re dy)
         combine(dv[0::2], np.negative(dyv[1::2], out=dyv[1::2]), out=dv[0::2])
         combine(dv[1::2], dyv[0::2], out=dv[1::2])

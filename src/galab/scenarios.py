@@ -233,20 +233,23 @@ def _profile(values: dict, grid: GridSpec | None) -> dict[str, object]:
     and checked against phi and, where the pipeline has one, the grid."""
     from .series import DEFAULT_ORDER, PoleProfile, _check_seed
     out: dict[str, object] = {"order": values.get("order", DEFAULT_ORDER)}
-    r = {}
+    fns = {}
     for key, make in values.items():
         if key in ("interval", "order"):
             continue
         try:  # a degree cap, too few samples, a non-finite coefficient
-            fn = make(values["interval"])
+            fns[key] = make(values["interval"])
         except ValueError as exc:
             raise ValueError(f"[profile] {key}: {exc}") from exc
-        if index := re.fullmatch(r"r(-?[0-9]+)", key):
-            r[int(index[1])] = fn
-        else:
-            out[key] = fn
+    r = {int(key[1:]): key for key in fns if re.fullmatch(r"r-?[0-9]+", key)}
+    lead = r[min(r)] if min(r, default=0) < 0 else None
+    for key, fn in fns.items():  # phi, the seed functions and the leading r_j are real
+        if (key == lead or key not in r.values()) and not fn.is_real():
+            raise ValueError(f"[profile] {key}: is not real")
+    out.update((key, fn) for key, fn in fns.items() if key not in r.values())
     try:
-        out["pole"] = PoleProfile(out["phi"], r)  # checks each r_j against phi
+        # checks each r_j against phi
+        out["pole"] = PoleProfile(out["phi"], {j: fns[key] for j, key in r.items()})
         for key in sorted(out.keys() - {"order", "phi", "pole"}):
             _check_seed(out["phi"], out[key], key)
     except ValueError as exc:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from galab.cli import main as cli_main
-from galab.conformal import HolomorphicChart, check_commutativity, identity_chart
+from galab.conformal import HolomorphicChart, check_commutativity
 from galab.grid import Field, GridSpec, dz, residual
 from galab.moutard import (SeedSet, compose_simple, invert_simple,
                            moutard_rank_n, moutard_simple, transformed_potential)
@@ -316,7 +316,8 @@ def test_criterion_8_conformal_commutativity():
     args = (lambda zv: np.zeros_like(zv), lambda zv: np.ones_like(zv),
             lambda zv: np.ones_like(zv), lambda zv: np.exp(zv / 4))
 
-    res_id = check_commutativity(identity_chart(g), *args, constant_ff=2j)
+    identity = HolomorphicChart(lambda t: t, lambda t: np.ones_like(t), lambda zv: zv, g)
+    res_id = check_commutativity(identity, *args, constant_ff=2j)
     assert res_id.u_deviation <= 1e-12 and res_id.psi_deviation <= 1e-12
 
     closed = dict(d_side_omegas=(

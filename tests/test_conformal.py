@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import galab.conformal
-from galab.conformal import (HolomorphicChart, check_commutativity,
-                             identity_chart, pushforward_psi, pushforward_u,
-                             tracked_sqrt)
+from galab.conformal import (HolomorphicChart, check_commutativity, pushforward_psi,
+                             pushforward_u, tracked_sqrt)
 from galab.errors import BranchError, DegenerateChartError
 from galab.grid import Field, dz, residual
 from galab.potential import Potential
@@ -40,10 +39,11 @@ def curved_chart(grid=None):
 
 
 class TestChartValidation:
-    @pytest.mark.parametrize("chart_fn", [identity_chart,
-                                          lambda g: scaling_chart(2.0, g),
-                                          lambda g: rotation_chart(0.5, g),
-                                          curved_chart])
+    @pytest.mark.parametrize("chart_fn", [
+        pytest.param(lambda g: HolomorphicChart(lambda t: t, lambda t: np.ones_like(t),
+                                                lambda zv: zv, g), id="identity_chart"),
+        lambda g: scaling_chart(2.0, g),
+        lambda g: rotation_chart(0.5, g), curved_chart])
     def test_good_charts_validate(self, chart_fn):
         chart_fn(strip()).validate()
 
@@ -73,7 +73,7 @@ class TestChartValidation:
 class TestPushforwards:
     def test_identity_is_identity(self):
         g = strip()
-        chart = identity_chart(g)
+        chart = HolomorphicChart(lambda t: t, lambda t: np.ones_like(t), lambda zv: zv, g)
         u = sample(g, lambda z: z * np.conj(z))
         assert np.max(np.abs(pushforward_u(u, chart).values - u.values)) < 1e-14
         psi = sample(g, lambda z: z)
@@ -110,7 +110,9 @@ class TestPushforwards:
 
     def test_residual_preserved_under_charts(self):
         # covariance: pushed-forward pairs still solve the equations
-        for chart_fn in (identity_chart, lambda g: scaling_chart(2.0, g),
+        for chart_fn in (lambda g: HolomorphicChart(lambda t: t, lambda t: np.ones_like(t),
+                                                    lambda zv: zv, g),
+                         lambda g: scaling_chart(2.0, g),
                          lambda g: rotation_chart(0.5, g), curved_chart):
             g = strip()
             chart = chart_fn(g)
@@ -144,7 +146,8 @@ class TestCommutativity:
         return zero, one, one, probe
 
     def test_identity_chart_exact(self):
-        chart = identity_chart(strip())
+        chart = HolomorphicChart(lambda t: t, lambda t: np.ones_like(t), lambda zv: zv,
+                                 strip())
         res = check_commutativity(chart, *self.args(), constant_ff=2j)
         assert res.u_deviation <= 1e-12 and res.psi_deviation <= 1e-12
 

@@ -26,8 +26,8 @@ from galab.errors import (ExactnessError, ExpressionError, NonFiniteFieldError,
                           SingularOmegaError, ZeroPotentialError)
 from galab.expressions import (_GRID_VARIABLES, BinOp, Var, _variables, evaluate,
                                evaluate_on_grid, parse_expression)
-from galab.grid import (_EDGE0, _EDGE1, Field, GridSpec, _peak_abs, _row_blocks,
-                        _scrub, dbar, diff_axis, dz, residual)
+from galab.grid import (Field, GridSpec, _peak_abs, _row_blocks, _scrub, dbar, diff_axis,
+                        dz, residual)
 from galab.moutard import (SeedSet, _det_nodes, invert_simple, moutard_rank_n,
                            moutard_simple, transformed_potential)
 from galab.potential import (Potential, _check_imaginary_constant, _form_components,
@@ -68,12 +68,11 @@ def ref_scrub(grid, vals):
 def ref_diff_1d(fm, h):
     out = np.empty_like(fm, dtype=np.result_type(fm.dtype, float))
     out[2:-2] = (fm[:-4] - 8 * fm[1:-3] + 8 * fm[3:-1] - fm[4:]) / (12 * h)
-    head = fm[:5]
-    out[0] = np.tensordot(_EDGE0, head, axes=(0, 0)) / h
-    out[1] = np.tensordot(_EDGE1, head, axes=(0, 0)) / h
-    tail = fm[-5:]
-    out[-1] = -np.tensordot(_EDGE0[::-1], tail, axes=(0, 0)) / h
-    out[-2] = -np.tensordot(_EDGE1[::-1], tail, axes=(0, 0)) / h
+    # one-sided rows at 12 times their weights, summed in weight order
+    out[0] = (-25 * fm[0] + 48 * fm[1] + -36 * fm[2] + 16 * fm[3] + -3 * fm[4]) / (12 * h)
+    out[1] = (-3 * fm[0] + -10 * fm[1] + 18 * fm[2] + -6 * fm[3] + 1 * fm[4]) / (12 * h)
+    out[-1] = (25 * fm[-1] + -48 * fm[-2] + 36 * fm[-3] + -16 * fm[-4] + 3 * fm[-5]) / (12 * h)
+    out[-2] = (3 * fm[-1] + 10 * fm[-2] + -18 * fm[-3] + 6 * fm[-4] + -1 * fm[-5]) / (12 * h)
     return out
 
 

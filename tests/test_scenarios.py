@@ -69,15 +69,15 @@ CONFIG_PROBES = {
                             ("phi = poly: 0\n", "phi = samples: 0,0,0\n"), [], "[profile] phi"),
     "complex-beta-minus1": ("series-recursion-canonical",
                             ("beta_minus1 = poly: 1\n", "beta_minus1 = poly: 1i\n"), [],
-                            "bad [profile] section: beta_minus1 must be real-valued"),
+                            "[profile] beta_minus1: is not real"),
     "complex-im-beta1": ("series-recursion-canonical",
                          ("beta_minus1 = poly: 1\n",
                           "beta_minus1 = poly: 1\nim_beta1 = poly: 0, 2i\n"), [],
-                         "bad [profile] section: im_beta1 must be real-valued"),
+                         "[profile] im_beta1: is not real"),
     "complex-beta-plus": ("canonical-pole-removal",
                           ("beta_plus_minus1 = poly: 1\n",
                            "beta_plus_minus1 = poly: 1, 1i\n"), [],
-                          "bad [profile] section: beta_plus_minus1 must be real-valued"),
+                          "[profile] beta_plus_minus1: is not real"),
     "grid-without-x-min": ("transform-simple-basic", ("x_min = 0.0\n", ""), [],
                            "[grid] x_min: is missing"),
     "grid-without-ny": ("transform-simple-basic", ("ny = 96\n", ""), [], "[grid] ny: is missing"),
@@ -91,10 +91,10 @@ CONFIG_PROBES = {
                               "[grid] x_max: is not finite"),
     "complex-phase": ("series-recursion-canonical",
                       ("phi = poly: 0\n", "phi = poly: 0, 1i\n"), [],
-                      "bad [profile] section: phase must be real-valued"),
+                      "[profile] phi: is not real"),
     "complex-leading-coefficient": ("series-recursion-canonical",
                                     ("r-1 = poly: -0.5\n", "r-1 = poly: -0.5i\n"), [],
-        "bad [profile] section: the leading coefficient must be real-valued"),
+                                    "[profile] r-1: is not real"),
     "profile-mixed-kinds": ("series-recursion-canonical",
                             ("r-1 = poly: -0.5\n", "r-1 = samples: " + "-0.5, " * 4 + "-0.5\n"),
                             [], "bad [profile] section: cannot mix"),

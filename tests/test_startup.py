@@ -24,7 +24,7 @@ from conftest import child_env
 #: the package's public names, by the module that defines each
 PUBLIC = {
     "conformal": ["CommutativityResult", "HolomorphicChart", "check_commutativity",
-                  "identity_chart", "pushforward_psi", "pushforward_u", "tracked_sqrt"],
+                  "pushforward_psi", "pushforward_u", "tracked_sqrt"],
     "errors": ["BandRequiredError", "BranchError", "DegenerateChartError", "ExactnessError",
                "ExpressionError", "FitError", "GalabError", "MeromorphicViolation",
                "NonFiniteCoefficientError", "NonFiniteFieldError", "NonRealCoefficientError",
