@@ -144,41 +144,33 @@ def check_commutativity(chart: HolomorphicChart,
                         u_of_z: Callable,
                         f1_of_z: Callable, f1_plus_of_z: Callable,
                         psi_of_z: Callable,
-                        d_side_omegas: tuple[Callable, Callable] | None = None,
-                        basepoint: tuple[int, int] = (0, 0),
-                        constant_ff: complex | None = None,
-                        constant_pf: complex | None = None) -> CommutativityResult:
+                        omegas: tuple[Callable | complex, Callable | complex] = (0j, 0j),
+                        basepoint: tuple[int, int] = (0, 0)) -> CommutativityResult:
     """Compare transforming before and after the change of variables.
 
     Route A transforms on the curved side (sampled at mapped nodes,
     with identified potentials) and pushes the results forward; route B
     pushes coefficient, seeds and probe forward and transforms on the
-    strip.  Closed-form curved-side potentials ``d_side_omegas`` = (ff, pf),
-    when given, feed route A and fix the constants of route B's quadrature;
-    otherwise one quadrature potential is shared by both routes, with
-    the constants ``constant_ff`` and ``constant_pf`` (0 when not given),
-    and the check isolates the covariance weights.  The closed forms fix
-    the constants, so passing either constant with them raises ValueError.
+    strip.  ``omegas`` = (ff, pf) gives each potential on its own: a
+    closed form of z is route A's curved-side potential and fixes the
+    constant of route B's quadrature; an imaginary constant is the
+    constant of one quadrature potential shared by both routes, so the
+    check isolates the covariance weights.
     """
-    if d_side_omegas is not None and (constant_ff, constant_pf) != (None, None):
-        raise ValueError("constant_ff and constant_pf cannot be passed with d_side_omegas, "
-                         "whose closed forms fix the constants")
     chart.validate()
     strip = chart.strip
     u_d, f1_d, f1p_d, psi_d = (chart.sample(fn) for fn in
                                (u_of_z, f1_of_z, f1_plus_of_z, psi_of_z))
     f1_s, f1p_s, psi_s = (pushforward_psi(f, chart) for f in (f1_d, f1p_d, psi_d))
 
-    if d_side_omegas is not None:
-        om_ff_a, om_pf_a = (Potential.from_values(
-            strip, np.asarray(fn(chart.mapped_nodes), dtype=complex), basepoint)
-            for fn in d_side_omegas)
-        om_ff_b = omega(f1_s, f1p_s, basepoint, om_ff_a.constant)
-        om_pf_b = omega(psi_s, f1p_s, basepoint, om_pf_a.constant)
-    else:
-        c_ff, c_pf = (0.0 if c is None else c for c in (constant_ff, constant_pf))
-        om_ff_a = om_ff_b = omega(f1_s, f1p_s, basepoint, c_ff)
-        om_pf_a = om_pf_b = omega(psi_s, f1p_s, basepoint, c_pf)
+    def routes(given, psi_b: Field) -> tuple[Potential, Potential]:
+        """Route A's and route B's potential for one entry of ``omegas``."""
+        if not callable(given):
+            shared = omega(psi_b, f1p_s, basepoint, given)
+            return shared, shared
+        closed = Potential.from_values(strip, given(chart.mapped_nodes), basepoint)
+        return closed, omega(psi_b, f1p_s, basepoint, closed.constant)
+    (om_ff_a, om_ff_b), (om_pf_a, om_pf_b) = map(routes, omegas, (f1_s, psi_s))
 
     # route A: transform at mapped nodes, then push forward
     m_a = moutard_simple(u_d, f1_d, f1p_d, om_ff_a)

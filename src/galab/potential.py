@@ -284,11 +284,11 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
 
     # model terms from the abscissae broadcast over y, times complex-cast reciprocals
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_lead = 2.0 * bv.real[None, :] * (1.0 / xs)  # imaginary part of 2i b/x
         p_model = -1j * bv[None, :] * (1.0 / xs ** 2).astype(complex)
         p_model += bpv[None, :] * (1.0 / xs).astype(complex)
     p_rem = np.multiply(f.evaluate().values, f_plus.evaluate().values)
     np.subtract(p_rem, p_model, out=p_rem)
+    del p_model  # no whole-grid model term outlives its use
     if not all(np.isfinite(s.view(float)).all() for s in grid.views(grid.slabs, p_rem)):
         raise NonFiniteFieldError("seed product is non-finite at active nodes")
     # for a genuine pair the remainder is bounded across the contour;
@@ -302,11 +302,14 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
                            + 4 * p_rem[i + 1, j] - p_rem[i + 2, j]) / 6.0
         else:
             p_rem[i, j] = 0.0
-    np.copyto(w_lead, 0.0, where=~np.isfinite(w_lead))
+    a, b = 2.0 * p_rem.imag, 2.0 * p_rem.real
+    del p_rem
 
     bp_index = (grid.nx - 1, 0)
-    w_rem, defect = _integrate_form(2.0 * p_rem.imag, 2.0 * p_rem.real, grid,
-                                    bp_index)
+    w_rem, defect = _integrate_form(a, b, grid, bp_index)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_lead = 2.0 * bv.real[None, :] * (1.0 / xs)  # imaginary part of 2i b/x
+    np.copyto(w_lead, 0.0, where=~np.isfinite(w_lead))
     np.add(w_rem, w_lead, out=w_rem)
     np.add(w_rem, constant.imag, out=w_rem)
     return Potential(grid, w_rem, complex(1j * w_rem[bp_index]), bp_index,

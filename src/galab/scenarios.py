@@ -418,15 +418,11 @@ def run_conformal(scn: Scenario, run: _Checks) -> None:
     chart = HolomorphicChart(
         *(as_function_of_z(scn.chart[k]) for k in ("forward", "derivative", "inverse")),
         strip=scn.grid)
-    # load_scenario admits omega_ff_z only with omega_pf_z, and no constants beside them
-    d_side = [as_function_of_z(scn.chart[k]) for k in ("omega_ff_z", "omega_pf_z")
-              if k in scn.chart]
-    fixed = ({"d_side_omegas": tuple(d_side)} if d_side else
-             {"constant_ff": scn.constant("omega_f1_f1p"),
-              "constant_pf": scn.constant("omega_psi_f1p")})
+    omegas = tuple(as_function_of_z(scn.chart[key]) if key in scn.chart else scn.constant(c)
+                   for key, c in (("omega_ff_z", "omega_f1_f1p"), ("omega_pf_z", "omega_psi_f1p")))
     result = check_commutativity(
         chart, *(as_function_of_z(scn.expressions[k]) for k in ("u", "f1", "f1_plus", "psi")),
-        basepoint=scn.basepoint, **fixed)
+        omegas, scn.basepoint)
     run.measure("u_deviation", result.u_deviation, "commutativity")
     run.measure("psi_deviation", result.psi_deviation, "commutativity")
 

@@ -50,10 +50,11 @@ _MAX_DEGREE = 16
 # Poly mode reproduces numpy's polyadd, polymul and polyder bit for bit:
 # trailing exact zeros are trimmed from operands and results (one entry
 # always stays), and every product, scalar factors included, goes through
-# np.convolve.  Samples mode works elementwise.  trimseq, polyval and the
-# polyder in _deriv are numpy.polynomial's (numpy 2.4.6) without its
-# wrappers, in the same floating-point steps; polyval casts x to complex
-# once, where numpy casts a real x in each product.
+# np.convolve.  Samples mode works elementwise.  trimseq and polyval are
+# numpy.polynomial's (numpy 2.4.6) without its wrappers, in the same
+# floating-point steps; polyval casts x to complex once, where numpy
+# casts a real x in each product.  _deriv forms polyder's products
+# j * c[j] as one array product.
 
 def trimseq(seq: np.ndarray) -> np.ndarray:
     """``seq`` without its trailing exact zeros; one entry always stays."""
@@ -92,10 +93,9 @@ def _mul(mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _deriv(mode: str, data: np.ndarray, a: float, b: float) -> np.ndarray:
     if mode == "samples":
         return diff_axis(data, (b - a) / (data.size - 1), axis=0)
-    c, der = data * 1, np.zeros(max(data.size - 1, 1), dtype=complex)  # a constant's is [0j]
-    for j in range(data.size - 1, 0, -1):
-        der[j - 1] = j * c[j]
-    return der
+    if data.size == 1:
+        return np.zeros(1, dtype=complex)  # a constant's derivative is [0j]
+    return np.arange(1, data.size) * data[1:]
 
 
 def _const(mode: str, value: complex, size: int) -> np.ndarray:

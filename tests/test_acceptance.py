@@ -317,10 +317,10 @@ def test_criterion_8_conformal_commutativity():
             lambda zv: np.ones_like(zv), lambda zv: np.exp(zv / 4))
 
     identity = HolomorphicChart(lambda t: t, lambda t: np.ones_like(t), lambda zv: zv, g)
-    res_id = check_commutativity(identity, *args, constant_ff=2j)
+    res_id = check_commutativity(identity, *args, omegas=(2j, 0j))
     assert res_id.u_deviation <= 1e-12 and res_id.psi_deviation <= 1e-12
 
-    closed = dict(d_side_omegas=(
+    closed = dict(omegas=(
         lambda zv: zv - np.conj(zv),
         lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
     scale_chart = HolomorphicChart(lambda t: 2 * t,

@@ -148,23 +148,23 @@ class TestCommutativity:
     def test_identity_chart_exact(self):
         chart = HolomorphicChart(lambda t: t, lambda t: np.ones_like(t), lambda zv: zv,
                                  strip())
-        res = check_commutativity(chart, *self.args(), constant_ff=2j)
+        res = check_commutativity(chart, *self.args(), omegas=(2j, 0j))
         assert res.u_deviation <= 1e-12 and res.psi_deviation <= 1e-12
 
     def test_scaling_chart_with_closed_forms(self):
         chart = scaling_chart(2.0)
         res = check_commutativity(
             chart, *self.args(),
-            d_side_omegas=(lambda zv: zv - np.conj(zv),
-                           lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
+            omegas=(lambda zv: zv - np.conj(zv),
+                    lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
         assert res.u_deviation <= 1e-8 and res.psi_deviation <= 1e-8
 
     def test_rotation_chart_with_closed_forms(self):
         chart = rotation_chart(0.5)
         res = check_commutativity(
             chart, *self.args(),
-            d_side_omegas=(lambda zv: zv - np.conj(zv),
-                           lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
+            omegas=(lambda zv: zv - np.conj(zv),
+                    lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
         assert res.u_deviation <= 1e-8 and res.psi_deviation <= 1e-8
 
     def test_deviation_shrinks_at_quadrature_order(self):
@@ -174,27 +174,29 @@ class TestCommutativity:
             chart = scaling_chart(2.0, g)
             res = check_commutativity(
                 chart, *self.args(),
-                d_side_omegas=(lambda zv: zv - np.conj(zv),
-                               lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
+                omegas=(lambda zv: zv - np.conj(zv),
+                        lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))))
             devs.append(max(res.u_deviation, res.psi_deviation))
         order = np.log2(devs[0] / devs[1])
         assert order > 3.5
 
-    @pytest.mark.parametrize("constants", [{"constant_ff": 99j}, {"constant_pf": -7j},
-                                           {"constant_ff": 99j, "constant_pf": -7j},
-                                           {"constant_ff": 0.0}])
-    def test_constants_beside_closed_forms_raise(self, constants):
-        # the closed forms fix both constants; one passed beside them was ignored
-        with pytest.raises(ValueError, match="constant_ff and constant_pf"):
-            check_commutativity(
-                scaling_chart(2.0), *self.args(),
-                d_side_omegas=(lambda zv: zv - np.conj(zv),
-                               lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))),
-                **constants)
+    def test_mixed_pairs_treat_each_potential_on_its_own(self):
+        # u reads only the ff potential: a closed-form or constant pf
+        # leaves its deviation unchanged to the bit
+        ff = lambda zv: zv - np.conj(zv)
+        pf = lambda zv: 4 * np.exp(zv / 4) - np.conj(4 * np.exp(zv / 4))
+        run = lambda *omegas: check_commutativity(scaling_chart(2.0), *self.args(),
+                                                  omegas=omegas)
+        closed, ff_only, pf_only, shared = (run(ff, pf), run(ff, 0j), run(2j, pf),
+                                            run(2j, 0j))
+        assert ff_only.u_deviation == closed.u_deviation
+        assert pf_only.u_deviation == shared.u_deviation
+        for res in (closed, ff_only, pf_only, shared):
+            assert res.psi_deviation <= 1e-8
 
     def test_curved_chart_shared_potentials(self):
         chart = curved_chart()
-        res = check_commutativity(chart, *self.args(), constant_ff=2j)
+        res = check_commutativity(chart, *self.args(), omegas=(2j, 0j))
         assert res.u_deviation <= 1e-11 and res.psi_deviation <= 1e-11
 
     def test_chart_values_are_computed_once(self, monkeypatch):
@@ -213,8 +215,8 @@ class TestCommutativity:
                                  base.inverse, base.strip)
         monkeypatch.setattr(galab.conformal, "tracked_sqrt",
                             counted("sqrt", galab.conformal.tracked_sqrt))
-        res = check_commutativity(chart, *self.args(), constant_ff=2j)
+        res = check_commutativity(chart, *self.args(), omegas=(2j, 0j))
         assert sorted(calls) == ["derivative", "forward", "sqrt"]
-        assert res == check_commutativity(base, *self.args(), constant_ff=2j)
+        assert res == check_commutativity(base, *self.args(), omegas=(2j, 0j))
         for values in (chart.derivative_on_strip, chart.sqrt_derivative, chart.mapped_nodes):
             assert not values.flags.writeable

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,21 @@ class TestOmegaSingular:
                       + f.series.beta_fn(-1) * fp.series.beta_fn(0))
         assert (c_m2 - (-1j) * bb).max_abs() < 1e-8
         assert (c_m1 - bb.deriv()).max_abs() < 1e-8
+
+    def test_peak_memory_is_three_complex_grids(self):
+        # no whole-grid model term outlives its use: the seeds' fields
+        # are computed before tracing, so the peak is the potential's own
+        grid = strip_grid(nx=960, ny=161)
+        f, fp = synthesize_seeds(generic_profile(), poly(1.0, 0.0, 0.1),
+                                 poly(1.0, 0.05), grid, order=8)
+        omega_singular(f, fp)  # computes and caches both fields
+        tracemalloc.start()
+        try:
+            omega_singular(f, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * grid.nx * grid.ny * 16, peak / (grid.nx * grid.ny * 16)
 
     def test_product_identity_fitted(self, grid):
         prof = generic_profile()

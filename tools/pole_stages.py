@@ -1,10 +1,12 @@
 """Time each stage of a pole-strip item in process.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/pole_stages.py [--seed 31] [--profiles 60] [--repeats 3]
+    OPENBLAS_NUM_THREADS=1 python3 tools/pole_stages.py [--seed 31] [--profiles 60] \\
+        [--repeats 3] [--grid NX,NY]
 
 An item is what ``bench/workloads.py``'s ``run_pole`` times: synthesize
 the certified coefficient and the seed pair of one seeded profile on the
-480x81 strip, then remove the pole.  The profiles are the benchmark's
+480x81 strip (or on ``--grid``, the same strip at another resolution),
+then remove the pole.  The profiles are the benchmark's
 own (``pole_items``).  Each stage is timed by rebinding its name, in this
 process only, in the module that calls it; the library has no timers.
 The script runs on trees from before the cached fit projectors too: there
@@ -15,13 +17,18 @@ Each profile runs ``--repeats`` times.  A stage's time is its inclusive
 time within one item, summed over its calls: the median over repeats
 per profile, then the median over profiles.  Indented stages run inside
 the stage above them, so a parent's time includes theirs.  "calls" is
-per item.
+per item.  The last line is the tracemalloc peak of the first profile's
+item, run once more untimed, and of its ``omega_singular`` call: what
+that call allocates above what was traced when it started, the seeds'
+two fields (computed and cached inside it) included, also in complex
+grids of the strip's shape.
 """
 
 import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
@@ -85,14 +92,40 @@ def item(grid, profile) -> float:
     return elapsed
 
 
+def peaks(grid, profile) -> tuple[int, int]:
+    """tracemalloc peaks in bytes: one item's, and its omega_singular's above
+    what was traced when that call started."""
+    fn, before, inner = singularity.omega_singular, [], []
+
+    def wrapper(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        before.append(peak)
+        tracemalloc.reset_peak()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            inner.append(tracemalloc.get_traced_memory()[1] - current)
+    singularity.omega_singular = wrapper
+    tracemalloc.start()
+    try:
+        item(grid, profile)
+        return max(tracemalloc.get_traced_memory()[1], *before), max(inner)
+    finally:
+        tracemalloc.stop()
+        singularity.omega_singular = fn
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=31)
     parser.add_argument("--profiles", type=int, default=60)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--grid", default=f"{wl.STRIP['nx']},{wl.STRIP['ny']}",
+                        metavar="NX,NY", help="strip resolution (default: the benchmark's)")
     args = parser.parse_args()
 
-    grid = GridSpec(**wl.STRIP)
+    nx, ny = (int(n) for n in args.grid.split(","))
+    grid = GridSpec(**{**wl.STRIP, "nx": nx, "ny": ny})
     items = wl.pole_items(args.seed, args.profiles)
     item(grid, wl.pole_profile(galab, items[0]))  # warm-up, as the benchmark's
     per = defaultdict(lambda: defaultdict(list))  # label -> profile -> times
@@ -115,6 +148,9 @@ def main() -> None:
         ms = 1e3 * statistics.median(times) if times else 0.0
         count = calls[label] / n if label != "item" else 1.0
         print(f"{'  ' * depth + label:<40} {count:>6.2f} {ms:>8.3f}")
+    item_peak, omega_peak = peaks(grid, wl.pole_profile(galab, items[0]))
+    print(f"tracemalloc peak: item {item_peak / 1e6:.1f} MB, omega_singular "
+          f"{omega_peak / 1e6:.1f} MB ({omega_peak / (16 * nx * ny):.2f} complex grids)")
 
 
 if __name__ == "__main__":
