@@ -168,8 +168,8 @@ def check_commutativity(chart: HolomorphicChart,
         if not callable(given):
             shared = omega(psi_b, f1p_s, basepoint, given)
             return shared, shared
-        closed = Potential.from_values(strip, given(chart.mapped_nodes), basepoint)
-        return closed, omega(psi_b, f1p_s, basepoint, closed.constant)
+        closed = Potential.from_values(strip, given(chart.mapped_nodes))
+        return closed, omega(psi_b, f1p_s, basepoint, 1j * closed.im[basepoint])
     (om_ff_a, om_ff_b), (om_pf_a, om_pf_b) = map(routes, omegas, (f1_s, psi_s))
 
     # route A: transform at mapped nodes, then push forward

@@ -18,7 +18,7 @@ class NonFiniteFieldError(GalabError, ValueError):
 
 
 class SingularModelError(GalabError, ValueError):
-    """A singular field model is malformed."""
+    """A singular field model is malformed, or a series' pole coefficient vanishes."""
 
 
 class BandRequiredError(GalabError, ValueError):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SeedResidualError, ShapeError
 from .grid import Field, _each_block, _row_blocks, _scrub, residual
-from .potential import Potential, _check_imaginary_constant, _det, _det_nodes
+from .potential import Potential, _det, _det_nodes
 
 #: largest equation residual of a seed admitted to a seed set
 SEED_RESIDUAL_TOL = 1e-6
@@ -43,7 +43,6 @@ class TransformResult:
     u_tilde: Field
     map_psi: Callable
     map_psi_plus: Callable
-    n_seeds: int
     det_min: float
 
 
@@ -118,12 +117,13 @@ def _solve_nodes(w: np.ndarray, systems) -> None:
             np.multiply(w[..., 0, 0] * b[1] - w[..., 1, 0] * b[0], s, out=x[1])
 
 
-def _as_potential_list(omegas, n: int, on_grid: bool = True) -> list[Potential]:
-    """A map's ``omegas`` as the list of its n potentials, one per seed."""
+def _as_potential_list(grid, base: Field, omegas, n: int) -> list[Potential]:
+    """A map's ``omegas`` as the list of its n potentials, one per seed,
+    each on ``grid`` as ``base`` is."""
     pots = [omegas] if isinstance(omegas, Potential) else list(omegas)
-    if len(pots) != n or not on_grid:
-        raise ShapeError(f"a map takes a field on the transform's grid and "
-                         f"{n} potential(s), one per seed")
+    if len(pots) != n or any(a.grid != grid for a in (base, *pots)):
+        raise ShapeError(f"a map takes a field and {n} potential(s), one per seed, "
+                         "all on the transform's grid")
     return pots
 
 
@@ -150,7 +150,7 @@ def _subtract_solved(grid, w: np.ndarray, seeds, base: np.ndarray, rhs) -> Field
 
 def _mapped(grid, seeds, w: np.ndarray, base: Field, omegas) -> Field:
     """A solution map of ``_transform``, bound to its seeds and matrix."""
-    pots = _as_potential_list(omegas, w.shape[-1], base.grid == grid)
+    pots = _as_potential_list(grid, base, omegas, w.shape[-1])
     return _subtract_solved(grid, w, seeds, base.values, [[p.im for p in pots]])
 
 
@@ -170,8 +170,7 @@ def _transform(u: Field, fs, fps, w: np.ndarray, det_min: float) -> TransformRes
     u_tilde = _subtract_solved(u.grid, w, fs, u.values, [[v.imag for v in fps],
                                                          [v.real for v in fps]])
     return TransformResult(u_tilde, partial(_mapped, u.grid, fs, w),
-                           partial(_mapped, u.grid, fps, np.swapaxes(w, -1, -2)),
-                           w.shape[-1], det_min)
+                           partial(_mapped, u.grid, fps, np.swapaxes(w, -1, -2)), det_min)
 
 
 def moutard_simple(u: Field, f1: Field, f1_plus: Field,
@@ -195,28 +194,28 @@ def moutard_rank_n(seedset: SeedSet) -> TransformResult:
 
 
 def transformed_potential(omega_pp: Potential, omega_pf: Potential,
-                          omega_fp: Potential, omega_ff: Potential,
-                          constant: complex = 0.0) -> Potential:
+                          omega_fp: Potential, omega_ff: Potential) -> Potential:
     """Potential of the transformed pair, no re-integration needed.
 
-    Given the four potentials pairing (psi, psi+) and the seed pair,
-    the transformed pair's potential is
-    (w_pp * w_ff - w_pf * w_fp) / w_ff + constant, formed on the ims as
-    (pp * ff - pf * fp) * (1 / ff) + Im c, the complex formula's bits.
+    Given the four potentials pairing (psi, psi+) and the seed pair, on
+    one grid, the transformed pair's potential is
+    (w_pp * w_ff - w_pf * w_fp) / w_ff, formed on the ims as
+    (pp * ff - pf * fp) * (1 / ff), the complex formula's bits.
     """
+    pots = (omega_pp, omega_pf, omega_fp, omega_ff)
+    if any(w.grid != omega_pp.grid for w in pots):
+        raise ShapeError("the four potentials live on different grids")
     omega_ff.det_min  # raises where omega_ff vanishes
-    constant = _check_imaginary_constant(constant)
-    pp, pf, fp, ff = (w.im for w in (omega_pp, omega_pf, omega_fp, omega_ff))
+    pp, pf, fp, ff = (w.im for w in pots)
     im = np.empty_like(pp)
 
     def block(r):
         v = np.multiply(pp[r], ff[r], out=im[r])
         np.subtract(v, pf[r] * fp[r], out=v)
         np.multiply(v, np.divide(1.0, ff[r]), out=v)
-        np.add(v, constant.imag + 0.0, out=v)  # never -0.0, as projected
+        np.add(v, 0.0, out=v)  # never -0.0, as projected
     _each_block(block, _row_blocks(im))
-    bp = omega_pp.basepoint
-    return Potential(omega_pp.grid, im, complex(0.0, im[bp]), bp)
+    return Potential(omega_pp.grid, im)
 
 
 def _chained(first: Callable, second: Callable, fixed: Potential, om_ff: Potential,
@@ -224,7 +223,7 @@ def _chained(first: Callable, second: Callable, fixed: Potential, om_ff: Potenti
     """Chained map of a composition: psi through ``first`` with the first
     of ``omegas``, then ``second`` with the transformed potential of the
     second, taking ``fixed`` as either middle factor (real products commute)."""
-    om_1, om_2 = _as_potential_list(omegas, 2)
+    om_1, om_2 = _as_potential_list(om_ff.grid, psi, omegas, 2)
     return second(first(psi, om_1), transformed_potential(om_2, om_1, fixed, om_ff))
 
 
@@ -247,15 +246,15 @@ def compose_simple(u: Field, f1: Field, f1_plus: Field, f2: Field,
     return TransformResult(
         m2.u_tilde, partial(_chained, m1.map_psi, m2.map_psi, om_f1_f2p, om_f1_f1p),
         partial(_chained, m1.map_psi_plus, m2.map_psi_plus, om_f2_f1p, om_f1_f1p),
-        2, det_min=min(m1.det_min, m2.det_min))
+        det_min=min(m1.det_min, m2.det_min))
 
 
 def _scaled(grid, r: np.ndarray, m2_map: Callable, psi_tilde: Field, omegas) -> Field:
     """``m2_map`` of psi~ with V times -i/w: im V * r, a zero read as +0.0 as projected."""
-    (om,) = _as_potential_list(omegas, 1)
+    (om,) = _as_potential_list(grid, psi_tilde, omegas, 1)
     with np.errstate(invalid="ignore"):  # 0 * inf where W = 0 in the band
         im = om.im * r + 0.0
-    return m2_map(psi_tilde, Potential(grid, im, complex(0.0, im[om.basepoint]), om.basepoint))
+    return m2_map(psi_tilde, Potential(grid, im))
 
 
 def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
@@ -271,14 +270,16 @@ def invert_simple(m1: TransformResult, f1: Field, f1_plus: Field,
     multiples by r = Im(1/w) = -1/W, numpy's complex quotients bit for bit
     up to the sign of a zero part where the field mapped has one too.
     """
+    grid = m1.u_tilde.grid
+    if not grid == f1.grid == f1_plus.grid == omega_ff.grid:
+        raise ShapeError("transform, seed pair and potential live on different grids")
     omega_ff.det_min  # raises where omega_ff vanishes or is infinite
-    grid, bp = f1.grid, omega_ff.basepoint
     with np.errstate(divide="ignore", invalid="ignore"):  # W = 0 in the band, which outputs scrub
         r = np.divide(-1.0, omega_ff.im)
         f_hat, f_hat_plus = Field(grid, f1.values * r), Field(grid, f1_plus.values * r)
-    m2 = moutard_simple(m1.u_tilde, f_hat, f_hat_plus, Potential(grid, r, complex(0.0, r[bp]), bp))
+    m2 = moutard_simple(m1.u_tilde, f_hat, f_hat_plus, Potential(grid, r))
     return TransformResult(m2.u_tilde, partial(_scaled, grid, r, m2.map_psi),
-                           partial(_scaled, grid, r, m2.map_psi_plus), 1, m2.det_min)
+                           partial(_scaled, grid, r, m2.map_psi_plus), m2.det_min)
 
 
 def seed_annihilation_max(result: TransformResult, seedset: SeedSet) -> float:

@@ -10,7 +10,7 @@ up to a caller-chosen imaginary constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
@@ -93,16 +93,15 @@ def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float
 @dataclass(frozen=True)
 class Potential:
     """Imaginary-valued potential of a solution pair, as its imaginary part
-    ``im`` (complex values are projected, their active |real part| at most
-    REAL_DRIFT_TOL).  ``constant`` is the value at ``basepoint``;
-    ``path_defect`` records the disagreement between the two L-path
-    orientations (a closedness diagnostic).
+    ``im``, integration constant included (complex values are projected,
+    their active |real part| at most REAL_DRIFT_TOL).  ``path_defect``
+    records the disagreement between the two L-path orientations (a
+    closedness diagnostic).
     """
 
     grid: GridSpec
     im: np.ndarray
-    constant: complex
-    basepoint: tuple[int, int]
+    _: KW_ONLY
     path_defect: float = 0.0
     real_drift: float = 0.0
 
@@ -135,22 +134,13 @@ class Potential:
             return np.multiply(1j, self.im)
 
     @classmethod
-    def from_values(cls, grid: GridSpec, values: np.ndarray,
-                    basepoint: tuple[int, int] = (0, 0)) -> "Potential":
-        """Wrap closed-form values; the constant is read off at the basepoint."""
+    def from_values(cls, grid: GridSpec, values: np.ndarray) -> "Potential":
+        """Wrap closed-form values."""
         values = np.asarray(values, dtype=complex)
-        values = _scrub(grid, np.broadcast_to(values, grid.shape()).copy())
-        return cls(grid, values, complex(values[basepoint]), basepoint)
+        return cls(grid, _scrub(grid, np.broadcast_to(values, grid.shape()).copy()))
 
     def max_abs(self) -> float:
         return float(_peak_abs(self.grid, self.im))  # |1j * im| = |im|
-
-    def summary(self) -> dict:
-        return {
-            "constant": [float(self.constant.real), float(self.constant.imag)],
-            "max_real_drift": float(self.real_drift),
-            "path_defect": float(self.path_defect),
-        }
 
 
 def _check_imaginary_constant(constant: complex) -> complex:
@@ -234,7 +224,7 @@ def omega(psi: Field, psi_plus: Field, basepoint: tuple[int, int] = (0, 0),
             "the pair is not a solution/conjugate-solution pair")
     # constant.imag is not -0.0, so 1j * im is 1j * (w + c) projected
     np.add(w_xy, constant.imag, out=w_xy)
-    return Potential(grid, w_xy, constant, basepoint, path_defect=defect)
+    return Potential(grid, w_xy, path_defect=defect)
 
 
 def loop_defect(psi: Field, psi_plus: Field) -> float:
@@ -305,12 +295,10 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
     a, b = 2.0 * p_rem.imag, 2.0 * p_rem.real
     del p_rem
 
-    bp_index = (grid.nx - 1, 0)
-    w_rem, defect = _integrate_form(a, b, grid, bp_index)
+    w_rem, defect = _integrate_form(a, b, grid, (grid.nx - 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         w_lead = 2.0 * bv.real[None, :] * (1.0 / xs)  # imaginary part of 2i b/x
     np.copyto(w_lead, 0.0, where=~np.isfinite(w_lead))
     np.add(w_rem, w_lead, out=w_rem)
     np.add(w_rem, constant.imag, out=w_rem)
-    return Potential(grid, w_rem, complex(1j * w_rem[bp_index]), bp_index,
-                     path_defect=defect)
+    return Potential(grid, w_rem, path_defect=defect)

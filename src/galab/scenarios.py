@@ -337,7 +337,9 @@ def run_potential(scn: Scenario, run: _Checks) -> None:
     if expect_error:
         run.require("exactness_error_raised", False, "expected ExactnessError was not raised")
         return
-    run.metrics.update(pot.summary())
+    c = 1j * scn.constant("constant").imag  # -0.0 real part for a negative constant
+    run.metrics.update(constant=[c.real, c.imag], max_real_drift=pot.real_drift,
+                       path_defect=pot.path_defect)
     run.add("max_real_drift", pot.real_drift, 1e-10)
     run.expect("omega", pot.values)
     run.dumps["omega"] = pot.values

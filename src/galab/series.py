@@ -22,8 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (MeromorphicViolation, NonFiniteCoefficientError,
-                     NonRealCoefficientError, NormalizationError, ShapeError)
+from .errors import (MeromorphicViolation, NonFiniteCoefficientError, NonRealCoefficientError,
+                     NormalizationError, ShapeError, SingularModelError)
 from .grid import diff_axis
 
 #: default certification tolerances per representation
@@ -282,7 +282,7 @@ class CoefficientSeries:
         lead = self.beta[-self.n_prime].sample()
         nonzero = np.count_nonzero(np.abs(lead) > 0.0)
         if nonzero < 0.99 * lead.size:
-            raise ValueError("leading series coefficient vanishes on the interval")
+            raise SingularModelError("leading series coefficient vanishes on the interval")
         object.__setattr__(self, "beta", dict(self.beta))
 
     def beta_fn(self, j: int) -> FunctionOnInterval:

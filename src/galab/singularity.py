@@ -292,7 +292,6 @@ class PoleRemovalResult:
     contour: ContourProfile  # of u_tilde
     residue_c_minus1: float
     residue_scale: float
-    verdict: str
     reasons: tuple[tuple[str, str], ...]
 
     @property
@@ -302,6 +301,10 @@ class PoleRemovalResult:
     @property
     def passed(self) -> bool:
         return not self.reasons
+
+    @property
+    def verdict(self) -> str:
+        return "fail: " + "; ".join(text for _, text in self.reasons) if self.reasons else "pass"
 
     def to_json(self) -> dict:
         """The report's diagnostics in the report's order, tuples as they are."""
@@ -348,6 +351,4 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
     if w.path_defect > PATH_DEFECT_TOL:
         reasons += (("path_defect", f"potential is not closed (path defect "
                                     f"{w.path_defect:.3e}, bound {PATH_DEFECT_TOL:g})"),)
-
-    verdict = "fail: " + "; ".join(text for _, text in reasons) if reasons else "pass"
-    return PoleRemovalResult(transform, w, contour, residue, residue_scale, verdict, reasons)
+    return PoleRemovalResult(transform, w, contour, residue, residue_scale, reasons)

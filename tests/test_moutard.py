@@ -8,13 +8,13 @@ from galab.grid import Field, dbar, dz, residual
 from galab.moutard import (SeedSet, _det_nodes, compose_simple, invert_simple,
                            moutard_rank_n, moutard_simple,
                            seed_annihilation_max, transformed_potential)
-from galab.potential import REAL_DRIFT_TOL, Potential, omega
+from galab.potential import Potential, omega
 
 from conftest import assert_same_bits, make_grid, ones, sample, zeros
 
 
-def closed_form_potential(grid, values, basepoint=(0, 0)):
-    return Potential.from_values(grid, values, basepoint)
+def closed_form_potential(grid, values):
+    return Potential.from_values(grid, values)
 
 
 @pytest.fixture
@@ -70,8 +70,8 @@ class TestSimpleTransform:
         g = make_grid(9, 9)
         im = np.full(g.shape(), 2.0)
         im[4, 4] = np.nan
-        om = Potential(g, im, 0j, (0, 0))
-        u, f1, om_ok = zeros(g), ones(g), Potential(g, np.full(g.shape(), 2.0), 0j, (0, 0))
+        om = Potential(g, im)
+        u, f1, om_ok = zeros(g), ones(g), Potential(g, np.full(g.shape(), 2.0))
         for call in (lambda: om.det_min,
                      lambda: transformed_potential(om_ok, om_ok, om_ok, om),
                      lambda: moutard_simple(u, f1, f1, om)):
@@ -230,7 +230,6 @@ class TestRankN:
               for j, (_, fjp) in enumerate(seeds)]
         seedset = SeedSet.build(u, seeds, om)
         result = moutard_rank_n(seedset)
-        assert result.n_seeds == 3
         assert seed_annihilation_max(result, seedset) < 1e-11
         for m, (_, fmp) in enumerate(seeds):
             row = [om[m][j] for j in range(3)]
@@ -307,7 +306,7 @@ class TestTransformedPotential:
         om_pf = omega(psi, f1, (0, 0), 0.0)
         om_fp = omega(f1, psi_plus, (0, 0), 0.0)
         om_pp = omega(psi, psi_plus, (0, 0), 0.0)
-        om_t = transformed_potential(om_pp, om_pf, om_fp, om_ff, constant=1j)
+        om_t = transformed_potential(om_pp, om_pf, om_fp, om_ff)
         result = moutard_simple(u, f1, f1, om_ff)
         psi_t = result.map_psi(psi, om_pf)
         psi_plus_t = result.map_psi_plus(psi_plus, om_fp)
@@ -319,21 +318,6 @@ class TestTransformedPotential:
             + np.conj(psi_t.values * psi_plus_t.values)))
         assert defect_bar < 1e-7
         assert np.max(np.abs(om_t.values.real)) < 1e-10
-
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_constant_follows_the_integrators_rule(self, setup, sign):
-        # as in omega: a real part up to REAL_DRIFT_TOL is dropped, one
-        # above it is refused as a constant, not blamed on the pair
-        g, u, f1, om_ff = setup
-        pots = (om_ff, om_ff, om_ff, om_ff)
-        want = transformed_potential(*pots, constant=0.5j)
-        got = transformed_potential(*pots, constant=complex(sign * 0.99 * REAL_DRIFT_TOL, 0.5))
-        assert_same_bits(got.im, want.im)
-        assert got.constant == want.constant and got.real_drift == 0.0
-        for constant in (complex(sign * 1.01 * REAL_DRIFT_TOL, 0.5), 1 + 2j):
-            with pytest.raises(ValueError, match="integration constant must be imaginary"):
-                transformed_potential(*pots, constant=constant)
 
 
 class TestComposition:
@@ -446,7 +430,7 @@ class TestInversion:
         u, f1 = zeros(g), ones(g)
         im = np.where(g.x < 0, -2.0, 2.0)
         im[32] = 0.0  # x = 0
-        om_ff = Potential(g, im, 2j, (64, 0))
+        om_ff = Potential(g, im)
         m1 = moutard_simple(u, f1, f1, om_ff)
         inv = invert_simple(m1, f1, f1, om_ff)
         assert inv.u_tilde.max_abs() == 0.0
@@ -487,6 +471,42 @@ class TestPotentialCounts:
         assert result.map_psi(psi, [om] * n).grid == g
 
 
+class TestGridChecks:
+    """A potential on another grid of the same shape is refused, not computed with."""
+
+    def stray(self, g):
+        other = make_grid(g.nx, g.ny, x=(0.0, 2.0), y=(1.0, 3.0))
+        return other, closed_form_potential(other, 2j * other.y)
+
+    @pytest.mark.parametrize("kind", ["forward", "composed", "inverse"])
+    def test_maps_refuse_a_potential_on_another_grid(self, kind):
+        g, om, results = TestPotentialCounts().results()
+        result, n = results[kind]
+        other, stray = self.stray(g)
+        psi = sample(g, lambda z: z)
+        for k in range(n):
+            oms = [om] * n
+            oms[k] = stray
+            for mapped in (result.map_psi, result.map_psi_plus):
+                with pytest.raises(ShapeError, match="all on the transform's grid"):
+                    mapped(psi, oms)
+                with pytest.raises(ShapeError, match="all on the transform's grid"):
+                    mapped(ones(other), [om] * n)
+
+    def test_transformed_potential_and_inverse_refuse_another_grid(self):
+        g, om, results = TestPotentialCounts().results()
+        other, stray = self.stray(g)
+        for k in range(4):
+            pots = [om] * 4
+            pots[k] = stray
+            with pytest.raises(ShapeError, match="different grids"):
+                transformed_potential(*pots)
+        m1, f1 = results["forward"][0], ones(g)
+        for args in ((ones(other), f1, om), (f1, ones(other), om), (f1, f1, stray)):
+            with pytest.raises(ShapeError, match="different grids"):
+                invert_simple(m1, *args)
+
+
 class TestPickling:
     def test_results_pickle_and_map_the_same(self, strip):
         # every constructor's maps are module-level functions bound with
@@ -515,7 +535,7 @@ class TestPickling:
                              result.map_psi(psi, oms).values)
             assert_same_bits(back.map_psi_plus(psi, oms_plus).values,
                              result.map_psi_plus(psi, oms_plus).values)
-            assert (back.n_seeds, back.det_min) == (result.n_seeds, result.det_min), name
+            assert back.det_min == result.det_min, name
 
     def test_unpickled_potential_keeps_its_scan_valid(self, strip):
         # the cached det_min comes back with the potential, so its im must

@@ -1,5 +1,6 @@
 import cmath
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -79,26 +80,29 @@ class TestOmega:
     def test_constant_at_basepoint(self, strip):
         pot = omega(ones(strip), ones(strip), basepoint=(3, 7), constant=4j)
         assert pot.values[3, 7] == 4j
-        assert pot.constant == 4j
-
-    def test_summary_keys(self, strip):
-        summary = omega(ones(strip), ones(strip)).summary()
-        assert set(summary) == {"constant", "max_real_drift", "path_defect"}
+        assert pot.im[3, 7] == 4.0
 
 
 class TestPotentialType:
+    def test_fields_are_the_values_and_diagnostics(self, strip):
+        assert [f.name for f in fields(Potential)] == ["grid", "im", "path_defect", "real_drift"]
+        im = np.zeros(strip.shape())
+        with pytest.raises(TypeError):  # the diagnostics are keyword-only
+            Potential(strip, im, 0j, (0, 0))
+        assert Potential(strip, im, path_defect=1e-12).path_defect == 1e-12
+
     def test_real_drift_rejected(self, strip):
         with pytest.raises(ExactnessError):
-            Potential(strip, np.full(strip.shape(), 1.0 + 1j), 0j, (0, 0))
+            Potential(strip, np.full(strip.shape(), 1.0 + 1j))
 
     def test_projection_to_imaginary(self, strip):
         vals = 2j * strip.y + 1e-13
-        pot = Potential(strip, vals, 2j, (0, 0))
+        pot = Potential(strip, vals)
         assert np.max(np.abs(pot.values.real)) == 0.0
 
     def test_from_values_reads_constant(self, strip):
-        pot = Potential.from_values(strip, 2j * strip.y, basepoint=(0, 0))
-        assert pot.constant == 2j * strip.ys[0]
+        pot = Potential.from_values(strip, 2j * strip.y)
+        assert pot.im[0, 0] == 2 * strip.ys[0]
 
 
 class TestLoopDefect:
@@ -142,8 +146,7 @@ def reference_omega(psi, psi_plus, basepoint, constant):
     constant = 1j * complex(constant).imag
     w_xy, defect = reference_integrate_form(*reference_form(psi, psi_plus),
                                             psi.grid, basepoint)
-    return Potential(psi.grid, w_xy + constant, constant, basepoint,
-                     path_defect=defect)
+    return Potential(psi.grid, w_xy + constant, path_defect=defect)
 
 
 def reference_loop_defect(psi, psi_plus):
@@ -180,7 +183,7 @@ class TestFloatFormMatchesReference:
             assert_same_bits(got.values, want.values)
             assert got.path_defect == want.path_defect
             assert got.real_drift == want.real_drift == 0.0
-            assert got.constant == want.constant
+            assert got.im[basepoint] == constant.imag
 
     @pytest.mark.parametrize("seed", range(3))
     def test_loop_defect(self, seed):

@@ -301,6 +301,9 @@ MODEL_PROBES = {
     "profile-double-pole": ("series-recursion-canonical",
                             ("r-1 = poly: -0.5\n", "r-2 = poly: 7\nr-1 = poly: -0.5\n"),
                             "NormalizationError"),
+    "series-seed-vanishes": ("series-recursion-canonical",
+                             ("beta_minus1 = poly: 1\n", "beta_minus1 = poly: 0\n"),
+                             "SingularModelError"),
     # omega vanishes between nodes: Im omega = 2b/x + ... + 30 changes sign
     # inside the left slab, and 2(y - 1) - 1 at y = 1.5, between grid lines
     "pole-seed-vanishes": ("remove-pole-generic",
