@@ -54,7 +54,7 @@ def _det_extremes(w: np.ndarray, ny: int, rows: slice) -> tuple:
     return (d[lo], at + lo), (d[hi], at + hi), np.max(w[rows]), -np.min(w[rows])
 
 
-def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float:
+def _det_nodes(w: np.ndarray, grid: GridSpec) -> float:
     """Smallest active |det W|, W the real (nx, ny, N, N) matrix of the potentials' ims.
 
     det W keeps one sign on each slab of active rows, or omega vanishes between
@@ -62,9 +62,9 @@ def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float
     the smallest |det| is then a slab extreme, at the first node holding it, so
     ties and NaNs go to the first node in row order, block by block as each slab
     is scanned.  Raises where a slab takes both signs, naming its extremes, at
-    the first NaN det, or where |det| drops to ``tol``, by default
-    DET_TOL_FACTOR times the N-th power of the largest active |entry|:
-    ZeroPotentialError for N = 1, SingularOmegaError for N >= 2.
+    the first NaN det, or where |det| drops to DET_TOL_FACTOR times the N-th
+    power of the largest active |entry|: ZeroPotentialError for N = 1,
+    SingularOmegaError for N >= 2.
     """
     n, slabs, lows, peaks = w.shape[-1], [s for s in grid.slabs if s.stop > s.start], [], []
     error = ZeroPotentialError if n == 1 else SingularOmegaError
@@ -82,7 +82,7 @@ def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float
     low, node = lows[int(np.argmin([v for v, _ in lows]))]
     if np.isnan(low):
         raise error(f"{n}x{n} potential matrix has det = nan at node {node}")
-    tol = DET_TOL_FACTOR * float(np.max(peaks)) ** n if tol is None else tol
+    tol = DET_TOL_FACTOR * float(np.max(peaks)) ** n
     if low <= tol:
         count = sum(np.count_nonzero(np.abs(_det(w[s])) <= tol) for s in slabs)
         raise error(f"{n}x{n} potential matrix is singular at {count} node(s); "
@@ -93,29 +93,27 @@ def _det_nodes(w: np.ndarray, grid: GridSpec, tol: float | None = None) -> float
 @dataclass(frozen=True)
 class Potential:
     """Imaginary-valued potential of a solution pair, as its imaginary part
-    ``im``, integration constant included (complex values are projected,
-    their active |real part| at most REAL_DRIFT_TOL).  ``path_defect``
-    records the disagreement between the two L-path orientations (a
-    closedness diagnostic).
+    ``im``, integration constant included (complex values are projected;
+    an active |real part| above REAL_DRIFT_TOL raises ExactnessError).
+    ``path_defect`` records the disagreement between the two L-path
+    orientations (a closedness diagnostic).
     """
 
     grid: GridSpec
     im: np.ndarray
     _: KW_ONLY
     path_defect: float = 0.0
-    real_drift: float = 0.0
 
     def __post_init__(self):
-        vals, drift = np.asarray(self.im), self.real_drift
+        vals = np.asarray(self.im)
         if vals.shape != self.grid.shape():
             raise ShapeError("potential values do not match grid shape")
         if np.iscomplexobj(vals):  # closed forms, not transforms; -0.0 reads +0.0 as in 1j * imag
-            vals, drift = vals.imag + 0.0, max(float(_peak_abs(self.grid, vals.real)), drift)
-        if drift > REAL_DRIFT_TOL:
-            raise ExactnessError(
-                f"potential has real drift {drift:.3e} above {REAL_DRIFT_TOL:.1e}")
+            if (drift := float(_peak_abs(self.grid, vals.real))) > REAL_DRIFT_TOL:
+                raise ExactnessError(
+                    f"potential has real drift {drift:.3e} above {REAL_DRIFT_TOL:.1e}")
+            vals = vals.imag + 0.0
         object.__setattr__(self, "im", np.asarray(vals, dtype=float))
-        object.__setattr__(self, "real_drift", drift)
         self.im.flags.writeable = False  # so a cached det_min holds
 
     def __setstate__(self, state: dict):

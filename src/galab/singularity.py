@@ -194,7 +194,7 @@ def _window(grid: GridSpec, lo: float, hi: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _projector(grid: GridSpec, orders: tuple[int, ...],
-               x_window: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
+               x_window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """(rows, P): the rows a fit of ``orders`` reads, and its least-squares
     projector: P @ values[rows] are the fitted coefficients.
 
@@ -206,10 +206,8 @@ def _projector(grid: GridSpec, orders: tuple[int, ...],
     arrays are read-only; too few columns raise FitError.
     """
     xs = grid.xs
-    sel = np.abs(xs) > 0
+    sel = (np.abs(xs) > 0) & _window(grid, *x_window)
     sel[grid.band_rows] = False
-    if x_window is not None:
-        sel &= _window(grid, *x_window)
     n_right = int(np.count_nonzero(sel & (xs > 0)))
     n_left = int(np.count_nonzero(sel & (xs < 0)))
     if min(n_right, n_left) < FIT_MIN_COLUMNS:
@@ -224,19 +222,18 @@ def _projector(grid: GridSpec, orders: tuple[int, ...],
     return rows, proj
 
 
-def fit_laurent_profile(field: Field, orders: tuple[int, ...] = (-2, -1, 0),
-                        x_window: tuple[float, float] | None = None) -> LaurentFit:
+def fit_laurent_profile(field: Field, orders: tuple[int, ...],
+                        x_window: tuple[float, float]) -> LaurentFit:
     """Fit sum_k c_k(y) x^k to each grid row by least squares.
 
-    Uses active columns on both sides of x = 0, restricted to
-    ``x_window`` = (lo, hi) on |x| when given (see ``_window``).  Raises FitError with
+    Uses active columns on both sides of x = 0 with lo <= |x| <= hi for
+    ``x_window`` = (lo, hi) (see ``_window``).  Raises FitError with
     fewer than FIT_MIN_COLUMNS columns on either side.  The fit is one
     real product of the cached ``_projector`` with the rows read as
     float pairs.
     """
     orders = tuple(orders)
-    rows, proj = _projector(field.grid, orders,
-                            None if x_window is None else tuple(map(float, x_window)))
+    rows, proj = _projector(field.grid, orders, tuple(map(float, x_window)))
     values = np.ascontiguousarray(field.values[rows])
     coeffs = (proj @ values.view(float)).view(complex)
     return LaurentFit(orders, coeffs, float(np.max(np.abs(values))))
@@ -277,7 +274,7 @@ class ContourProfile:
 
 def contour_profile(field: Field, delta_ladder: tuple[float, ...]) -> ContourProfile:
     """One Laurent fit per rung; a rung with too few columns raises FitError."""
-    fits = [fit_laurent_profile(field, orders=FIT_ORDERS, x_window=(delta / 2, delta))
+    fits = [fit_laurent_profile(field, FIT_ORDERS, (delta / 2, delta))
             for delta in delta_ladder]
     return ContourProfile(tuple(delta_ladder), tuple(fit.sup for fit in fits),
                           *(tuple(fit.max_abs(k) for fit in fits) for k in (-2, -1, 0)))

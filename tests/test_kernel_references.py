@@ -30,8 +30,8 @@ from galab.grid import (Field, GridSpec, _peak_abs, _row_blocks, _scrub, dbar, d
                         dz, residual)
 from galab.moutard import (SeedSet, _det_nodes, invert_simple, moutard_rank_n,
                            moutard_simple, transformed_potential)
-from galab.potential import (Potential, _check_imaginary_constant, _form_components,
-                             _integrate_form, omega, omega_singular)
+from galab.potential import (DET_TOL_FACTOR, REAL_DRIFT_TOL, Potential,
+                             _check_imaginary_constant, _form_components, _integrate_form, omega, omega_singular)
 from galab.series import FunctionOnInterval
 from galab.singularity import SingularFieldModel
 
@@ -129,7 +129,7 @@ def ref_max_abs(grid, vals):
 
 
 def ref_potential(values, grid):
-    """The values and real drift Potential stored for ``values``."""
+    """The values Potential stores for ``values``, and their active real drift."""
     vals = np.asarray(values, dtype=complex)
     return 1j * vals.imag, float(np.max(np.abs(vals.real[grid.mask])))
 
@@ -592,7 +592,7 @@ class TestPotentialsAndTransform:
             pot = Potential(grid, vals)
             want, drift = ref_potential(vals, grid)
         assert_same_bits(pot.values, want)
-        assert pot.real_drift == drift
+        assert 0 < drift <= REAL_DRIFT_TOL  # projected, not refused
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_simple_transform_and_map(self, name):
@@ -722,39 +722,44 @@ class TestDetNodes:
         assert ref_det_nodes(om, grid) == (0.0, (i, j))
         error = ZeroPotentialError if n == 1 else SingularOmegaError
         with pytest.raises(error, match=re.escape(f"at node {(i, j)}")):
-            _det_nodes(om, grid, None)
+            _det_nodes(om, grid)
         om[i, j] = np.eye(n) * 1e-3
         det_min, node = ref_det_nodes(om, grid)
-        assert node == (i, j) and _det_nodes(om, grid, None) == det_min
+        assert node == (i, j) and _det_nodes(om, grid) == det_min
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_simple_potential_in_blocks(self, name):
         # ties go to the first node in row order, across blocks; a NaN
         # wins the minimum and raises; the count in the message is over
-        # active nodes only
+        # active nodes only.  A planted peak raises the bound
+        # DET_TOL_FACTOR * peak to 1 and to 2.5
         grid = GRIDS[name]
         rng = np.random.default_rng(57)
         w = 2.0 + rng.random(grid.shape())
         active = np.argwhere(grid.mask)
-        first, last = (tuple(map(int, active[k])) for k in (len(active) // 3, -1))
+        first, mid, last = (tuple(map(int, active[k]))
+                            for k in (len(active) // 3, len(active) // 2, -1))
         w[first] = w[last] = 1.0
         band = np.argwhere(~grid.mask)
         if len(band):
             w[tuple(band[0])] = 0.0
         om = w[..., None, None]  # the (nx, ny, 1, 1) matrix of one potential's im
         want = ref_det_nodes(om, grid)
-        assert want == (1.0, first) and _det_nodes(om, grid, None) == 1.0
-        for tol in (1.0, 2.5):
+        assert want == (1.0, first) and _det_nodes(om, grid) == 1.0
+        for bound in (1.0, 2.5):
+            w[mid] = bound / DET_TOL_FACTOR
+            tol = DET_TOL_FACTOR * w[mid]
             with pytest.raises(ZeroPotentialError) as got:
-                _det_nodes(om, grid, tol)
+                _det_nodes(om, grid)
             count = int(np.count_nonzero(np.abs(w[grid.mask]) <= tol))
             assert f"at {count} node(s); |det| = 1.000e+00 at node {first}" in str(got.value)
+        w[mid] = 2.0
         w[last] = np.nan
         with pytest.raises(ZeroPotentialError, match=re.escape(f"det = nan at node {last}")):
-            _det_nodes(om, grid, None)
+            _det_nodes(om, grid)
         w[last], w[first] = 1.0, np.inf
         with pytest.raises(ZeroPotentialError, match=re.escape(f"at node {last}")):
-            _det_nodes(om, grid, None)
+            _det_nodes(om, grid)
 
     @pytest.mark.parametrize("name", ["strip-480", "many-blocks", "strip-2400", "long-rows"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -767,17 +772,23 @@ class TestDetNodes:
         w = om[..., 0, 0]
         w[...] = 2.0 + np.random.default_rng(58).random(grid.shape())
         active = np.argwhere(grid.mask)
-        first, last = (tuple(map(int, active[k])) for k in (len(active) // 3, -1))
+        first, mid, last = (tuple(map(int, active[k]))
+                            for k in (len(active) // 3, len(active) // 2, -1))
         w[first] = w[last] = 1.0
         band = np.argwhere(~grid.mask)
         if len(band):
             om[tuple(band[0])] = 0.0
         assert ref_det_nodes(om, grid) == (1.0, first) and _det_nodes(om, grid) == 1.0
-        for tol in (1.0, 2.5):
+        for bound in (1.0, 2.5):
+            # a peak above the diagonal leaves every det as it was; the
+            # factor keeps the rounded n-th root's power at the bound
+            om[mid][0, -1] = (bound / DET_TOL_FACTOR) ** (1 / n) * (1 + 1e-12)
+            tol = DET_TOL_FACTOR * om[mid][0, -1] ** n
             with pytest.raises(SingularOmegaError) as got:
-                _det_nodes(om, grid, tol)
+                _det_nodes(om, grid)
             count = int(np.count_nonzero(ref_abs_det(om, grid) <= tol))
             assert f"at {count} node(s); |det| = 1.000e+00 at node {first}" in str(got.value)
+        om[mid][0, -1] = 0.0
         # a NaN after a singular node still wins, and raises naming its node
         w[first], w[last] = 0.0, np.nan
         with np.errstate(invalid="ignore"):  # the LU of a NaN matrix
@@ -829,8 +840,10 @@ def test_det_keeps_one_sign_per_slab(case):
     error = ZeroPotentialError if om.shape[-1] == 1 else SingularOmegaError
     low, node = ref_det_nodes(om, grid)
     assert _det_nodes(om, grid) == low
-    with pytest.raises(error, match=re.escape(f"|det| = {low:.3e} at node {node}")):
-        _det_nodes(om, grid, low)
+    w[node] *= 1e-9  # below DET_TOL_FACTOR times any other active |entry| of W
+    with pytest.raises(error, match=re.escape(f"|det| = {abs(w[node]):.3e} at node {node}")):
+        _det_nodes(om, grid)
+    w[node] = low if w[node] > 0 else -low
     for s in grid.slabs:
         w[s] *= -1.0
         assert _det_nodes(om, grid) == low
@@ -882,10 +895,11 @@ class TestImaginaryPotentials:
     def test_real_input_is_the_imaginary_part(self):
         grid = make_grid(9, 7)
         im = np.random.default_rng(64).standard_normal(grid.shape())
-        pot = Potential(grid, im, real_drift=1e-12)
-        assert pot.im is im and pot.real_drift == 1e-12
+        assert Potential(grid, im).im is im
+        # a complex input's real part is its drift
+        assert_same_bits(Potential(grid, im * 1j + 1e-12).im, im + 0.0)
         with pytest.raises(ExactnessError, match="real drift"):
-            Potential(grid, im, real_drift=1e-9)
+            Potential(grid, im * 1j + 1e-9)
 
     @pytest.mark.parametrize("name", ["strip-480", "strip-481", "strip-2400"])
     def test_singular_field(self, name):
@@ -907,7 +921,7 @@ class TestImaginaryPotentials:
         assert_same_bits(pot.values, values)
         bp = (grid.nx - 1, 0)
         assert np.float64(pot.im[bp]).tobytes() == np.float64(constant.imag).tobytes()
-        assert pot.path_defect == defect and pot.real_drift == 0.0
+        assert pot.path_defect == defect
 
     def test_finite_check_on_any_layout(self):
         # rows that cannot be read as float pairs are checked as complex
@@ -1149,5 +1163,4 @@ def test_slab_reductions_match_mask_gathers(case):
             assert (error is None) == (not drift > 1e-10)
             if pot is not None:
                 assert_same_bits(pot.values, want)
-                _same_float(pot.real_drift, drift)
                 _same_float(pot.max_abs(), ref_max_abs(grid, want))

@@ -85,7 +85,7 @@ class TestOmega:
 
 class TestPotentialType:
     def test_fields_are_the_values_and_diagnostics(self, strip):
-        assert [f.name for f in fields(Potential)] == ["grid", "im", "path_defect", "real_drift"]
+        assert [f.name for f in fields(Potential)] == ["grid", "im", "path_defect"]
         im = np.zeros(strip.shape())
         with pytest.raises(TypeError):  # the diagnostics are keyword-only
             Potential(strip, im, 0j, (0, 0))
@@ -182,7 +182,6 @@ class TestFloatFormMatchesReference:
             want = reference_omega(psi, psi_plus, basepoint, constant)
             assert_same_bits(got.values, want.values)
             assert got.path_defect == want.path_defect
-            assert got.real_drift == want.real_drift == 0.0
             assert got.im[basepoint] == constant.imag
 
     @pytest.mark.parametrize("seed", range(3))

@@ -316,7 +316,7 @@ MODEL_PROBES = {
 
 #: _det_nodes calls per bundled scenario: one per potential or matrix a
 #: transform divides by, however many functions read it
-SCANS = {"canonical-pole-removal": 1, "compose-rank2": 3, "conformal-identity": 1,
+SCANS = {"canonical-pole-removal": 1, "compose-rank2": 3, "conformal-identity": 2,
          "conformal-rotation": 2, "conformal-scaling": 2, "invert-roundtrip": 2,
          "remove-pole-generic": 1, "transform-potential-identity": 1,
          "transform-simple-basic": 1}
@@ -433,7 +433,7 @@ def test_no_transform_projects_a_complex_potential(tmp_path, monkeypatch):
         run_scenario(load_scenario(name), tmp_path)
         if any(seen):
             projected.add(name)
-    assert projected == {"conformal-rotation", "conformal-scaling"}
+    assert projected == {"conformal-identity", "conformal-rotation", "conformal-scaling"}
 
 
 class TestCliBehavior:
@@ -525,9 +525,9 @@ psi = z
         scans, det_nodes = [], galab.moutard._det_nodes
         builds, omega_array = [], galab.moutard.SeedSet.omega_array
 
-        def counted(om, grid, tol=None):
+        def counted(om, grid):
             scans.append(om.shape)
-            return det_nodes(om, grid, tol)
+            return det_nodes(om, grid)
 
         def built(seedset):
             builds.append(len(seedset.seeds))
@@ -544,9 +544,9 @@ psi = z
     def test_each_potential_is_scanned_once(self, name, tmp_path, monkeypatch):
         scans, det_nodes = [], galab.potential._det_nodes
 
-        def counted(w, grid, tol=None):
+        def counted(w, grid):
             scans.append(w.shape)
-            return det_nodes(w, grid, tol)
+            return det_nodes(w, grid)
 
         for module in (galab.moutard, galab.potential):
             monkeypatch.setattr(module, "_det_nodes", counted)
