@@ -144,33 +144,25 @@ def check_commutativity(chart: HolomorphicChart,
                         u_of_z: Callable,
                         f1_of_z: Callable, f1_plus_of_z: Callable,
                         psi_of_z: Callable,
-                        omegas: tuple[Callable | complex, Callable | complex] = (0j, 0j),
+                        omegas: tuple[Callable, Callable],
                         basepoint: tuple[int, int] = (0, 0)) -> CommutativityResult:
     """Compare transforming before and after the change of variables.
 
     Route A transforms on the curved side (sampled at mapped nodes,
     with identified potentials) and pushes the results forward; route B
     pushes coefficient, seeds and probe forward and transforms on the
-    strip.  ``omegas`` = (ff, pf) gives each potential on its own: a
-    closed form of z is route A's curved-side potential and fixes the
-    constant of route B's quadrature; an imaginary constant is the
-    constant of one quadrature potential shared by both routes, so the
-    check isolates the covariance weights.
+    strip.  ``omegas`` = (ff, pf) are closed forms of z: route A's
+    curved-side potentials, each of which fixes the constant of route
+    B's quadrature at ``basepoint``.
     """
     chart.validate()
     strip = chart.strip
     u_d, f1_d, f1p_d, psi_d = (chart.sample(fn) for fn in
                                (u_of_z, f1_of_z, f1_plus_of_z, psi_of_z))
     f1_s, f1p_s, psi_s = (pushforward_psi(f, chart) for f in (f1_d, f1p_d, psi_d))
-
-    def routes(given, psi_b: Field) -> tuple[Potential, Potential]:
-        """Route A's and route B's potential for one entry of ``omegas``."""
-        if not callable(given):
-            shared = omega(psi_b, f1p_s, basepoint, given)
-            return shared, shared
-        closed = Potential.from_values(strip, given(chart.mapped_nodes))
-        return closed, omega(psi_b, f1p_s, basepoint, 1j * closed.im[basepoint])
-    (om_ff_a, om_ff_b), (om_pf_a, om_pf_b) = map(routes, omegas, (f1_s, psi_s))
+    om_ff_a, om_pf_a = (Potential.from_values(strip, fn(chart.mapped_nodes)) for fn in omegas)
+    om_ff_b, om_pf_b = (omega(psi_b, f1p_s, basepoint, 1j * closed.im[basepoint])
+                        for psi_b, closed in ((f1_s, om_ff_a), (psi_s, om_pf_a)))
 
     # route A: transform at mapped nodes, then push forward
     m_a = moutard_simple(u_d, f1_d, f1p_d, om_ff_a)

@@ -52,9 +52,9 @@ class SeedSet:
 
     ``omega[j][k]`` must hold the potential pairing the k-th direct
     seed with the j-th conjugate seed, all on u's grid.  Construction
-    stacks the potentials' ims into ``matrix``, the real matrix W of
-    omega = i W, checks that W is invertible at every active node and
-    keeps its smallest |det| as ``det_min``.
+    stacks the potentials' ims into ``matrix``, the real (nx, ny, N, N)
+    matrix W of omega = i W, checks that W is invertible at every active
+    node and keeps its smallest |det| as ``det_min``.
     """
 
     u: Field
@@ -81,14 +81,9 @@ class SeedSet:
             raise ShapeError("omega matrix must be N x N")
         if any(a.grid != self.u.grid for row in (*self.seeds, *self.omega) for a in row):
             raise ShapeError("coefficient, seeds and potentials live on different grids")
-        object.__setattr__(self, "matrix", self.omega_array())
+        object.__setattr__(self, "matrix", np.transpose(
+            np.array([[p.im for p in row] for row in self.omega]), (2, 3, 0, 1)))
         object.__setattr__(self, "det_min", _det_nodes(self.matrix, self.u.grid))
-
-    def omega_array(self) -> np.ndarray:
-        """The (nx, ny, N, N) real stack of the potentials' ims;
-        construction builds it once as ``matrix``."""
-        return np.transpose(np.array([[p.im for p in row] for row in self.omega]),
-                            (2, 3, 0, 1))
 
 
 def _solve_nodes(w: np.ndarray, systems) -> None:

@@ -98,20 +98,16 @@ _KINDS = {
 #: (key, "needs" or "is not read with", other key, the prefix its value
 #: must start with): a key is read only where its rows hold
 _RELATIONS = [
-    ("[chart] omega_ff_z", "needs", "[chart] omega_pf_z", ""),
-    ("[chart] omega_pf_z", "needs", "[chart] omega_ff_z", ""),
     ("[expect] worst_y", "needs", "[expect] certify", "fail:"),
     ("[tolerances] worst_y", "needs", "[expect] worst_y", ""),
     # read by the recursion, which needs beta_minus1
     ("[profile] im_beta1", "needs", "[profile] beta_minus1", ""),
     ("[profile] order", "needs", "[profile] beta_minus1", ""),
-    # keys a run skips: after an expected refusal, or where closed forms fix the constants
+    # keys a run skips after an expected refusal
     ("[profile] beta_minus1", "is not read with", "[expect] certify", "fail:"),
     ("[tolerances] defects", "is not read with", "[expect] certify", "fail:"),
     ("[expect] omega", "is not read with", "[expect] exactness_error", "true"),
     ("[constants] constant", "is not read with", "[expect] exactness_error", "true"),
-    ("[constants] omega_f1_f1p", "is not read with", "[chart] omega_ff_z", ""),
-    ("[constants] omega_psi_f1p", "is not read with", "[chart] omega_ff_z", ""),
 ]
 
 
@@ -414,14 +410,12 @@ def run_invert(scn: Scenario, run: _Checks) -> None:
 
 def run_conformal(scn: Scenario, run: _Checks) -> None:
     from .conformal import HolomorphicChart, check_commutativity
-    chart = HolomorphicChart(
-        *(as_function_of_z(scn.chart[k]) for k in ("forward", "derivative", "inverse")),
-        strip=scn.grid)
-    omegas = tuple(as_function_of_z(scn.chart[key]) if key in scn.chart else scn.constant(c)
-                   for key, c in (("omega_ff_z", "omega_f1_f1p"), ("omega_pf_z", "omega_psi_f1p")))
+    *maps, ff, pf = (as_function_of_z(scn.chart[k]) for k in (
+        "forward", "derivative", "inverse", "omega_ff_z", "omega_pf_z"))
     result = check_commutativity(
-        chart, *(as_function_of_z(scn.expressions[k]) for k in ("u", "f1", "f1_plus", "psi")),
-        omegas, scn.basepoint)
+        HolomorphicChart(*maps, scn.grid),
+        *(as_function_of_z(scn.expressions[k]) for k in ("u", "f1", "f1_plus", "psi")),
+        (ff, pf), scn.basepoint)
     run.measure("u_deviation", result.u_deviation, "commutativity")
     run.measure("psi_deviation", result.psi_deviation, "commutativity")
 
@@ -503,8 +497,8 @@ PIPELINES = {
         "tolerances": "roundtrip expect", "expect": "psi_tilde"}),
     "conformal": (run_conformal, {
         "grid": f"{_GRID} basepoint?", "expressions": "u f1 f1_plus psi",
-        "chart": "forward derivative inverse omega_ff_z? omega_pf_z?",
-        "constants": "omega_f1_f1p omega_psi_f1p", "tolerances": "commutativity"}),
+        "chart": "forward derivative inverse omega_ff_z omega_pf_z",
+        "tolerances": "commutativity"}),
     "series": (run_series, {"profile": "interval phi order? r<j>? beta_minus1? im_beta1?",
                             "tolerances": "defects worst_y",
                             "expect": "certify order_constraints worst_y"}),

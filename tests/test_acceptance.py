@@ -316,8 +316,11 @@ def test_criterion_8_conformal_commutativity():
     args = (lambda zv: np.zeros_like(zv), lambda zv: np.ones_like(zv),
             lambda zv: np.ones_like(zv), lambda zv: np.exp(zv / 4))
 
+    # the identity leg takes conformal-identity's inputs: psi = z and closed forms
     identity = HolomorphicChart(lambda t: t, lambda t: np.ones_like(t), lambda zv: zv, g)
-    res_id = check_commutativity(identity, *args, omegas=(2j, 0j))
+    res_id = check_commutativity(
+        identity, *args[:3], lambda zv: zv,
+        omegas=(lambda zv: zv - np.conj(zv), lambda zv: (zv ** 2 - np.conj(zv) ** 2) / 2))
     assert res_id.u_deviation <= 1e-12 and res_id.psi_deviation <= 1e-12
 
     closed = dict(omegas=(

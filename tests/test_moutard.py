@@ -267,7 +267,9 @@ class TestRankN:
             SeedSet(u, [(f1, f1), (f1, f1)], [[om_ff, om_ff], [om_ff, om_ff]])
         seeds, om = self.quadruple(g)
         seedset = SeedSet(u, seeds, om)
-        assert seedset.det_min == _det_nodes(seedset.omega_array(), g) > 0
+        for j, k in np.ndindex(2, 2):  # W[..., j, k] = Im omega[j][k]
+            assert_same_bits(seedset.matrix[..., j, k], om[j][k].im)
+        assert seedset.det_min == _det_nodes(seedset.matrix, g) > 0
         assert moutard_rank_n(seedset).det_min == seedset.det_min
 
 
@@ -471,6 +473,37 @@ def test_inverse_returns_what_the_transform_took(a, b, c, d):
     for got, want in ((inv.u_tilde, u), (inv.map_psi(m1.map_psi(psi, om_pf), om_pf), psi),
                       (inv.map_psi_plus(m1.map_psi_plus(psi_plus, om_fp), om_fp), psi_plus)):
         assert np.max(np.abs(got.values - want.values)) / max(want.max_abs(), 1.0) < 1e-10
+
+
+_PARTS = st.floats(-0.7, 0.7)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(ks=st.lists(st.builds(complex, _PARTS, _PARTS), min_size=6, max_size=6),
+       off=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_composition_equals_rank_two_on_drawn_seeds(ks, off):
+    """Two simple transforms compose into the rank-2 one on drawn data:
+    over u = 0 the seeds f1, f1+, f2, f2+ and the probes psi, psi+ are
+    exp(kz).  The diagonal constants i(1 + 4 max|omega|) keep W diagonally
+    dominant, and off-diagonal constants drawn in +-i make omega_12 and
+    omega_21 differ, so W^T in the conjugate map is not W.  u~, psi~ and
+    psi~+ agree to 1e-12 relative (about 0.3 s)."""
+    g = make_grid(32, 32)
+    u = zeros(g)
+    f1, f1p, f2, f2p, psi, psi_plus = (sample(g, lambda z, k=k: np.exp(k * z)) for k in ks)
+    pairs = {"11": (f1, f1p), "21": (f2, f1p), "12": (f1, f2p), "22": (f2, f2p)}
+    scale = 1.0 + 4 * max(omega(*pair).max_abs() for pair in pairs.values())
+    constants = {"11": scale, "21": off[0], "12": off[1], "22": scale}
+    om11, om21, om12, om22 = (omega(*pairs[jk], (0, 0), 1j * constants[jk]) for jk in pairs)
+    om_p = [omega(psi, f1p), omega(psi, f2p)]
+    om_pp = [omega(f1, psi_plus), omega(f2, psi_plus)]
+    rank2 = moutard_rank_n(SeedSet(u, [(f1, f1p), (f2, f2p)], [[om11, om21], [om12, om22]]))
+    composed = compose_simple(u, f1, f1p, f2, f2p, om11, om21, om12, om22)
+    for got, want in ((composed.u_tilde, rank2.u_tilde),
+                      (composed.map_psi(psi, om_p), rank2.map_psi(psi, om_p)),
+                      (composed.map_psi_plus(psi_plus, om_pp),
+                       rank2.map_psi_plus(psi_plus, om_pp))):
+        assert np.max(np.abs(got.values - want.values)) / max(want.max_abs(), 1.0) < 1e-12
 
 
 class TestPotentialCounts:

@@ -105,7 +105,7 @@ CONFIG_PROBES = {
                            "[expect] worst_y: is not finite"),
     "chart-half-closed-form": ("conformal-scaling",
                                ("omega_pf_z = 4*exp(z/4) - conj(4*exp(z/4))\n", ""), [],
-                               "[chart] omega_ff_z needs [chart] omega_pf_z"),
+                               "[chart] omega_pf_z: is missing"),
     "chart-syntax-error": ("conformal-scaling", ("forward = 2*z\n", "forward = 2*z +\n"), [],
                            "[chart] forward"),
     "expect-syntax-error": ("transform-simple-basic",
@@ -259,10 +259,10 @@ CONFIG_PROBES = {
         "[constants] constant is not read with [expect] exactness_error = true"),
     "constant-beside-closed-form-rotation": ("conformal-rotation", (
         "[tolerances]\n", "[constants]\nomega_f1_f1p = 99i\n\n[tolerances]\n"), [],
-        "[constants] omega_f1_f1p is not read with [chart] omega_ff_z"),
+        "pipeline 'conformal' reads no [constants]"),
     "constant-beside-closed-form-scaling": ("conformal-scaling", (
         "[tolerances]\n", "[constants]\nomega_psi_f1p = -7i\n\n[tolerances]\n"), [],
-        "[constants] omega_psi_f1p is not read with [chart] omega_ff_z"),
+        "pipeline 'conformal' reads no [constants]"),
     "name-with-separator": ("residual-holomorphic",
                             ("name = residual-holomorphic", "name = sub/x"), [],
                             "scenario name 'sub/x' is not a plain file name"),
@@ -523,22 +523,15 @@ psi = z
 
     def test_compose_scans_its_matrix_once(self, tmp_path, monkeypatch):
         scans, det_nodes = [], galab.moutard._det_nodes
-        builds, omega_array = [], galab.moutard.SeedSet.omega_array
 
         def counted(om, grid):
             scans.append(om.shape)
             return det_nodes(om, grid)
 
-        def built(seedset):
-            builds.append(len(seedset.seeds))
-            return omega_array(seedset)
-
         monkeypatch.setattr(galab.moutard, "_det_nodes", counted)
-        monkeypatch.setattr(galab.moutard.SeedSet, "omega_array", built)
         code, _ = run_scenario(load_scenario("compose-rank2"), tmp_path)
         assert code == 0
         assert [s for s in scans if s[-1] == 2] == [(96, 96, 2, 2)]
-        assert builds == [2]
 
     @pytest.mark.parametrize("name", ALL_BUNDLED)
     def test_each_potential_is_scanned_once(self, name, tmp_path, monkeypatch):
@@ -752,16 +745,21 @@ def _pair(ref: str) -> tuple[str, str]:
 
 
 def test_schema_tables_name_what_the_pipelines_read():
-    # a misspelled key in a kind or relation row would never apply, and a
-    # relation between keys no pipeline reads together could never fire
+    # a misspelled key in a kind row would never apply
     read = set().union(*map(_reads, PIPELINES))
     sections = {section for section, _ in read}
     assert {f"[{section}]" for section in sections} <= _KINDS.keys()  # each has a kind
     for ref in _KINDS:
         section, key = _pair(ref)
         assert (section, key) in read if key else section in sections | {"scenario"}, ref
-    for key, _, other, _ in _RELATIONS:
-        assert any({_pair(key), _pair(other)} <= _reads(p) for p in PIPELINES), (key, other)
+
+
+@pytest.mark.parametrize("row", _RELATIONS, ids=lambda row: f"{row[0]} {row[1]} {row[2]}")
+def test_every_relation_is_live(row):
+    # a row whose keys no pipeline reads together never fires: one left
+    # behind when a pipeline stops reading a key fails here
+    key, _, other, _ = row
+    assert any({_pair(key), _pair(other)} <= _reads(p) for p in PIPELINES), row
 
 
 def _readme_table(header: str) -> list[list[str]]:
