@@ -274,7 +274,7 @@ def omega_singular(f: "SingularFieldModel", f_plus: "SingularFieldModel",
     with np.errstate(divide="ignore", invalid="ignore"):
         p_model = -1j * bv[None, :] * (1.0 / xs ** 2).astype(complex)
         p_model += bpv[None, :] * (1.0 / xs).astype(complex)
-    p_rem = np.multiply(f.evaluate().values, f_plus.evaluate().values)
+    p_rem = np.multiply(f.values, f_plus.values)
     np.subtract(p_rem, p_model, out=p_rem)
     del p_model  # no whole-grid model term outlives its use
     if not all(np.isfinite(s.view(float)).all() for s in grid.views(grid.slabs, p_rem)):

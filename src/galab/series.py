@@ -257,9 +257,6 @@ class PoleProfile:
     def r_fn(self, j: int) -> FunctionOnInterval:
         return self.r[j] if j in self.r else FunctionOnInterval.constant(0.0, self.phi)
 
-    def max_order(self) -> int:
-        return max(self.r)
-
     def tolerance(self) -> float:
         return POLY_TOL if self.mode == "poly" else SAMPLED_TOL
 
@@ -509,7 +506,7 @@ def series_residual(profile: PoleProfile, series: CoefficientSeries) -> list[flo
         return FunctionOnInterval.constant(0.0, series.phi)
 
     defects = []
-    r_top = profile.max_order()
+    r_top = max(profile.r)
     for k in range(-2, k_max):
         # 2*dbar(psi): x-derivative shifts orders down, y-derivative keeps them
         lhs = (k + 1) * beta(k + 1) + (1j) * beta(k).deriv() \

@@ -10,8 +10,8 @@ together with per-row Laurent fits of the transformed coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,47 +50,36 @@ FIT_MIN_COLUMNS = 6
 
 
 @dataclass(frozen=True)
-class SingularFieldModel:
+class SingularFieldModel(Field):
     """Field of the form exp(i*phi(y)) * leading(y) / x + smooth remainder.
 
     A coefficient's model carries twice its profile's phase, and a
-    conjugate-side seed the conjugate profile's shifted phase.
+    conjugate-side seed the conjugate profile's shifted phase.  The
+    values are formed once, on construction; the in-band 1/x blowup is
+    zeroed where it is not representable (x = 0 columns), and a grid
+    with an active x = 0 node raises.
     """
 
-    grid: GridSpec
+    values: np.ndarray = dc_field(init=False, repr=False)
     leading: FunctionOnInterval
     phi: FunctionOnInterval
     smooth_remainder: Field
     series: CoefficientSeries | None = None
 
     def __post_init__(self):
-        if self.smooth_remainder.grid != self.grid:
+        grid = self.grid
+        if self.smooth_remainder.grid != grid:
             raise SingularModelError("smooth remainder lives on a different grid")
         vals = self.smooth_remainder.values  # checked on float views
         if not (np.isfinite(vals.real).all() and np.isfinite(vals.imag).all()):
             raise NonFiniteFieldError("smooth remainder must be finite on the closed strip")
-
-    def phase_values(self, ys: np.ndarray) -> np.ndarray:
-        return np.exp(1j * self.phi.values_on(ys).real)
-
-    def evaluate(self) -> Field:
-        """Full values on the grid; the in-band 1/x blowup is zeroed
-        where it is not representable (x = 0 columns).
-
-        The field is computed once per model: ``remove_pole`` and the
-        ``omega_singular`` it calls share it."""
-        return self._field
-
-    @cached_property
-    def _field(self) -> Field:
-        grid = self.grid
-        lead = self.phase_values(grid.ys) * self.leading.values_on(grid.ys)
+        lead = np.exp(1j * self.phi.values_on(grid.ys).real) * self.leading.values_on(grid.ys)
         with np.errstate(divide="ignore", invalid="ignore"):
             # numpy divides complex by real as a multiply by the reciprocal,
             # cast to complex; 1/x is infinite only on x = 0, in the band
             sing = lead[None, :] * (1.0 / grid.xs).astype(complex)[:, None]
-        return Field(grid, np.add(_scrub(grid, sing), self.smooth_remainder.values,
-                                  out=sing))
+        object.__setattr__(self, "values", np.add(_scrub(grid, sing), vals, out=sing))
+        super().__post_init__()
 
 
 def _laurent_model(grid: GridSpec, phi: FunctionOnInterval, coeff, top: int,
@@ -123,17 +112,17 @@ def _power_sum(grid: GridSpec, phase: np.ndarray,
     return (powers @ table.view(float)).view(complex)
 
 
-def synthesize_singular_u(profile: PoleProfile,
-                          grid: GridSpec) -> tuple[Field, SingularFieldModel]:
+def synthesize_singular_u(profile: PoleProfile, grid: GridSpec
+                          ) -> tuple[SingularFieldModel, SingularFieldModel]:
     """Sample the certified singular coefficient on a strip grid.
 
-    Returns the full field together with its split into the explicit
-    1/x part and the bounded remainder.
+    Returns its model, the full field with its split into the explicit
+    1/x part and the bounded remainder, in both slots of the pair.
     """
     _require_certified(profile)
     # u = exp(2i*phi) * sum_j r_j x^j; doubling phi is exact
-    model = _laurent_model(grid, 2.0 * profile.phi, profile.r_fn, profile.max_order())
-    return model.evaluate(), model
+    model = _laurent_model(grid, 2.0 * profile.phi, profile.r_fn, max(profile.r))
+    return model, model
 
 
 def synthesize_seeds(profile: PoleProfile, beta_minus1: FunctionOnInterval,
@@ -327,7 +316,7 @@ def remove_pole(u_star: Field, f_star: SingularFieldModel,
     if grid.excluded_band is None:
         raise BandRequiredError("pole removal needs a grid with an excluded band")
     w = omega_singular(f_star, f_star_plus, constant)
-    transform = moutard_simple(u_star, f_star.evaluate(), f_star_plus.evaluate(), w)
+    transform = moutard_simple(u_star, f_star, f_star_plus, w)
     eps = min(grid.x_max, abs(grid.x_min))
     contour = contour_profile(transform.u_tilde, tuple(f * eps for f in LADDER_FRACTIONS))
 

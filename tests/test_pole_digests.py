@@ -67,8 +67,8 @@ def pole_digests(seed) -> dict[str, str]:
     u_star, _ = synthesize_singular_u(profile, STRIP)
     f, fp = synthesize_seeds(profile, beta, beta_plus, STRIP, ORDER)
     result = remove_pole(u_star, f, fp)
-    parts = {"u_star": u_star.values, "f": f.evaluate().values,
-             "f_plus": fp.evaluate().values, "omega_im": result.omega.im,
+    parts = {"u_star": u_star.values, "f": f.values,
+             "f_plus": fp.values, "omega_im": result.omega.im,
              "u_tilde": result.u_tilde.values,
              "result": json.dumps(result.to_json()).encode()}
     for name, model in (("beta", f), ("beta_plus", fp)):

@@ -11,7 +11,7 @@ from galab.errors import (BandRequiredError, FitError, GalabError,
                           MeromorphicViolation, NonFiniteFieldError, PositivityError,
                           SingularModelError, ZeroPotentialError)
 from galab.grid import Field, GridSpec, diff_axis
-from galab.moutard import moutard_simple
+from galab.moutard import SeedSet, moutard_simple
 from galab.potential import Potential, omega, omega_singular
 from galab.series import (FunctionOnInterval, PoleProfile, conjugate_profile,
                           meromorphic_certify, solve_recursion)
@@ -75,9 +75,9 @@ class TestSynthesizeSeeds:
         f, fp = synthesize_seeds(canonical_profile(), poly(1.0), poly(1.0),
                                  grid, order=8)
         mask = grid.mask
-        assert np.max(np.abs(f.evaluate().values[mask] - 1 / grid.x[mask])) == 0.0
+        assert np.max(np.abs(f.values[mask] - 1 / grid.x[mask])) == 0.0
         # e^{-i pi/2} carries one rounding ulp that the 1/x magnifies
-        rel = np.abs(fp.evaluate().values[mask] + 1j / grid.x[mask]) \
+        rel = np.abs(fp.values[mask] + 1j / grid.x[mask]) \
             * np.abs(grid.x[mask])
         assert np.max(rel) < 1e-14
 
@@ -115,8 +115,8 @@ class TestSynthesizeSeeds:
                          excluded_band=EPS / 2)
             u, _ = synthesize_singular_u(prof, g)
             f, fp = synthesize_seeds(prof, poly(1.0), poly(1.0), g, order=8)
-            direct = residual(u, f.evaluate(), "direct")
-            conj = residual(u, fp.evaluate(), "conjugate")
+            direct = residual(u, f, "direct")
+            conj = residual(u, fp, "conjugate")
             assert max(direct, conj) < 1e-3
             defects.append(max(direct, conj))
         assert defects[0] / defects[1] > 10.0
@@ -189,12 +189,12 @@ class TestOmegaSingular:
         assert (c_m1 - bb.deriv()).max_abs() < 1e-8
 
     def test_peak_memory_is_three_complex_grids(self):
-        # no whole-grid model term outlives its use: the seeds' fields
-        # are computed before tracing, so the peak is the potential's own
+        # no whole-grid model term outlives its use: the seeds' values
+        # are formed on construction, so the peak is the potential's own
         grid = strip_grid(nx=960, ny=161)
         f, fp = synthesize_seeds(generic_profile(), poly(1.0, 0.0, 0.1),
                                  poly(1.0, 0.05), grid, order=8)
-        omega_singular(f, fp)  # computes and caches both fields
+        omega_singular(f, fp)  # warm-up
         tracemalloc.start()
         try:
             omega_singular(f, fp)
@@ -207,7 +207,7 @@ class TestOmegaSingular:
         prof = generic_profile()
         b, bp = poly(1.0, 0.0, 0.1), poly(1.0, 0.05)
         f, fp = synthesize_seeds(prof, b, bp, grid, order=8)
-        prod = f.evaluate().values * fp.evaluate().values
+        prod = f.values * fp.values
         fit = fit_laurent_profile(Field(grid, np.where(grid.mask, prod, 0)),
                                   orders=(-2, -1, 0, 1, 2, 3),
                                   x_window=(EPS / 32, EPS / 4))
@@ -268,8 +268,8 @@ class TestRemovePole:
         assert result.verdict == "pass"
         assert np.max(np.abs(result.u_tilde.values[grid.mask])) <= 1e-10
         # by-hand mechanism: f*conj(f+)/w = (i/x^2)*(x/2i) = 1/(2x)
-        seed_term = (f.evaluate().values
-                     * np.conj(fp.evaluate().values) / result.omega.values)
+        seed_term = (f.values
+                     * np.conj(fp.values) / result.omega.values)
         assert np.max(np.abs((seed_term - 1 / (2 * grid.x))[grid.mask])) < 1e-10
 
     def test_nonzero_constant_stays_bounded(self, grid):
@@ -304,7 +304,7 @@ class TestRemovePole:
         f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05),
                                  grid, order=8)
         result = remove_pole(u, f, fp, constant=0.25j)
-        f_vals, fp_vals = f.evaluate().values, fp.evaluate().values
+        f_vals, fp_vals = f.values, fp.values
         with np.errstate(divide="ignore", invalid="ignore"):
             hand = u.values + f_vals * np.conj(fp_vals) / result.omega.values
         m = grid.mask
@@ -312,19 +312,36 @@ class TestRemovePole:
         assert np.max(np.abs(result.u_tilde.values[m] - hand[m])) <= 1e-14 * scale
 
     def test_seed_fields_evaluated_once(self, grid, monkeypatch):
-        # omega_singular and the transform share each seed's field
+        # each model forms its values on construction: remove_pole reads
+        # them and evaluates no model's phase or leading coefficient again
         prof = generic_profile()
-        u, _ = synthesize_singular_u(prof, grid)
+        u, model = synthesize_singular_u(prof, grid)
         f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05),
                                  grid, order=8)
         calls = []
-        phase_values = SingularFieldModel.phase_values
-        monkeypatch.setattr(SingularFieldModel, "phase_values",
-                            lambda self, ys: calls.append(self) or phase_values(self, ys))
+        values_on = FunctionOnInterval.values_on
+        monkeypatch.setattr(FunctionOnInterval, "values_on",
+                            lambda self, ys: calls.append(self) or values_on(self, ys))
         result = remove_pole(u, f, fp)
         assert result.passed, result.verdict
-        assert len(calls) == 2 and calls[0] is not calls[1]
-        assert f.evaluate() is f.evaluate()
+        assert calls  # the potential evaluates the leading product
+        assert not any(fn is m.phi or fn is m.leading
+                       for fn in calls for m in (model, f, fp))
+
+    def test_a_model_goes_where_a_field_goes(self, grid):
+        prof = generic_profile()
+        u, model = synthesize_singular_u(prof, grid)
+        f, fp = synthesize_seeds(prof, poly(1.0, 0.0, 0.1), poly(1.0, 0.05),
+                                 grid, order=8)
+        assert model is u and all(isinstance(m, Field) for m in (u, f, fp))
+        w = omega_singular(f, fp)
+        assert_same_bits(moutard_simple(u, f, fp, w).u_tilde.values,
+                         remove_pole(u, f, fp).transform.u_tilde.values)
+        assert SeedSet(u, [(f, fp)], [[w]]).det_min == w.det_min
+        # u* keeps its pole: c_-1 = |r_-1| = 1/2 on every rung
+        contour = contour_profile(u, tuple(EPS * k for k in LADDER_FRACTIONS))
+        assert contour.reasons()[0][0] == "pole_persists"
+        assert np.allclose(contour.c_minus1, 0.5, rtol=0, atol=1e-9)
 
     def test_sabotaged_order_zero_detected(self, grid):
         # shifting beta_0 of the direct seed breaks the first-order
@@ -619,10 +636,11 @@ class TestTypedErrors:
 
     def test_pole_on_an_active_node(self):
         # without a band the node on x = 0 is active, and the 1/x term is
-        # not finite there; only band nodes are zeroed
+        # not finite there; only band nodes are zeroed, so the model raises
+        # on construction
         flat = GridSpec(-EPS, EPS, IV[0], IV[1], 41, 21)
         assert (flat.xs == 0).any()
-        self.raises(NonFiniteFieldError, self.model(flat).evaluate)
+        self.raises(NonFiniteFieldError, self.model, flat)
 
     def test_omega_singular_non_finite_seed_product(self, grid):
         # finite remainders whose product overflows at active nodes
@@ -655,7 +673,7 @@ def reference_omega_singular(f, f_plus, constant):
     with np.errstate(divide="ignore", invalid="ignore"):
         w_lead = 2j * bv[None, :] / x
         p_model = -1j * bv[None, :] / x ** 2 + bpv[None, :] / x
-    p_rem = f.evaluate().values * f_plus.evaluate().values - p_model
+    p_rem = f.values * f_plus.values - p_model
     bad = ~np.isfinite(p_rem)
     for i, j in zip(*np.nonzero(bad)):
         if 2 <= i < grid.nx - 2 and np.all(np.isfinite(

@@ -19,9 +19,10 @@ per profile, then the median over profiles.  Indented stages run inside
 the stage above them, so a parent's time includes theirs.  "calls" is
 per item.  The last line is the tracemalloc peak of the first profile's
 item, run once more untimed, and of its ``omega_singular`` call: what
-that call allocates above what was traced when it started, the seeds'
-two fields (computed and cached inside it) included, also in complex
-grids of the strip's shape.
+that call allocates above what was traced when it started, also in
+complex grids of the strip's shape.  The seeds' fields are formed when
+``synthesize_seeds`` builds them; on older trees they were formed and
+cached inside ``omega_singular``, and counted there.
 """
 
 import argparse
